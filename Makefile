@@ -5,6 +5,7 @@
 #   make test        plain unit tests
 #   make smoke       short parallel sweep through cmd/experiments
 #   make dispatch-smoke  suite through sweepd with a worker crash, diffed vs golden
+#   make perf-smoke  one short perfbench pass per workload; fails unless its checks pass
 #   make examples    go run every runnable example (drift gate)
 #   make bench       benchmarks (5 counts) + sweep wall time → $(BENCH_OUT)
 #   make bench-gate  scheduler micro-benchmarks vs the committed baseline
@@ -15,7 +16,7 @@
 GO ?= go
 BENCH_OUT ?= BENCH_PR7.json
 
-.PHONY: ci vet lint build test race smoke dispatch-smoke examples bench bench-smoke bench-gate clean
+.PHONY: ci vet lint build test race smoke dispatch-smoke perf-smoke examples bench bench-smoke bench-gate clean
 
 ci: vet build race smoke dispatch-smoke examples
 
@@ -73,6 +74,20 @@ dispatch-smoke: build
 		-stats /tmp/fdgrid-dispatch-stats.json \
 		-golden cmd/experiments/testdata/suite.golden.json
 	@cat /tmp/fdgrid-dispatch-stats.json
+
+# Perf smoke: the repo benchmark (perfbench/README.md) over all three
+# workloads, one pass each. perfbench exits 0 even when a check fails —
+# a non-pass verdict, a golden byte mismatch, counts that do not repeat —
+# and reports it as "correct":false on its last line, so this target
+# reads that line and fails unless it says "correct":true. Timings are
+# printed for the log but never gated here.
+perf-smoke:
+	@mkdir -p .bench_build
+	bash perfbench/run.sh --workload all --seconds 1 > .bench_build/perf-smoke.out
+	@last="$$(tail -n 1 .bench_build/perf-smoke.out)"; case "$$last" in \
+		'{"correct":true,'*) echo "perf smoke correct (.bench_build/perf-smoke.out)";; \
+		*) echo "perfbench run not correct; last line:"; echo "$$last"; exit 1;; \
+	esac
 
 # Examples smoke: run every example binary end to end so example drift
 # (an API change the examples were not updated for, a run that starts

@@ -4,9 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"fdgrid/internal/ids"
+	"fdgrid/internal/sim"
 	"fdgrid/internal/sweep"
 )
 
@@ -54,9 +57,14 @@ func TestMatrixSpecRoundTrip(t *testing.T) {
 	m := sweep.Matrix{
 		Name: "rt", Protocol: "kset-omega",
 		Seeds: []int64{0, 1}, Sizes: []sweep.Size{{N: 5, T: 2}},
-		Patterns: []sweep.CrashPattern{{Name: "late", Crashes: []sweep.CrashSpec{{Proc: 0, At: 450}}}},
-		Combos:   []sweep.Combo{{Z: 2}},
-		GST:      400, MaxSteps: 500_000,
+		Patterns: []sweep.CrashPattern{
+			{Name: "late", Crashes: []sweep.CrashSpec{{Proc: 0, At: 450}}},
+			// Hold sets cross the spec file as id lists; before sets had
+			// JSON methods they decoded empty and the hold vanished.
+			{Name: "held", Holds: []sim.Hold{{From: ids.NewSet(5), To: ids.NewSet(1, 2, 3, 4), Until: 1_500}}},
+		},
+		Combos: []sweep.Combo{{Z: 2}},
+		GST:    400, MaxSteps: 500_000,
 	}
 	dir := t.TempDir()
 	p := filepath.Join(dir, "spec.json")
@@ -78,6 +86,9 @@ func TestMatrixSpecRoundTrip(t *testing.T) {
 	}
 	if len(cells) != len(want) {
 		t.Fatalf("round-tripped matrix expands to %d cells, want %d", len(cells), len(want))
+	}
+	if !reflect.DeepEqual(cells, want) {
+		t.Errorf("round-tripped matrix expands to different cells:\n%+v\nwant\n%+v", cells, want)
 	}
 }
 

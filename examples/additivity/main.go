@@ -87,7 +87,7 @@ func main() {
 	sys := sim.MustNew(config(3))
 	susp := fd.NewEvtS(sys, x)
 	quer := fd.NewEvtPhi(sys, y)
-	emu := reduction.NewOmegaEmulation()
+	emu := reduction.NewOmegaEmulation(quer)
 	out := agreement.NewOutcome()
 	for p := 1; p <= n; p++ {
 		id := ids.ProcID(p)

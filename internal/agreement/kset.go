@@ -75,8 +75,8 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 
 	est := v
 	r := 0
-	phase1 := make(map[int]map[ids.ProcID]phase1Msg)
-	phase2 := make(map[int]map[ids.ProcID]phase2Msg)
+	phase1 := newRounds[phase1Msg](n)
+	phase2 := newRounds[phase2Msg](n)
 	var decided *Value
 
 	handle := func(m sim.Message) {
@@ -89,19 +89,13 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 			if !ok {
 				panic(fmt.Sprintf("agreement: phase1 payload %T", m.Payload))
 			}
-			if phase1[p.R] == nil {
-				phase1[p.R] = make(map[ids.ProcID]phase1Msg, n)
-			}
-			phase1[p.R][m.From] = p
+			phase1.put(p.R, m.From, p)
 		case tags.phase2:
 			p, ok := m.Payload.(phase2Msg)
 			if !ok {
 				panic(fmt.Sprintf("agreement: phase2 payload %T", m.Payload))
 			}
-			if phase2[p.R] == nil {
-				phase2[p.R] = make(map[ids.ProcID]phase2Msg, n)
-			}
-			phase2[p.R][m.From] = p
+			phase2.put(p.R, m.From, p)
 		case tags.decision:
 			p, ok := m.Payload.(decisionMsg)
 			if !ok {
@@ -121,18 +115,20 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 	rec := env.Trace()
 	for decided == nil {
 		r++
+		// Rounds below r are never read again: retire their boxes.
+		p1, p2 := phase1.advance(r), phase2.advance(r)
 		// Phase 1.
 		l := oracle.Trusted(me)
 		rec.Round(int64(env.Now()), int(me), r, l)
 		env.Broadcast(tags.phase1, phase1Msg{R: r, L: l, Est: est})
 		nd.WaitOn(func() bool {
-			return decided != nil || len(phase1[r]) >= n-t
+			return decided != nil || p1.count >= n-t
 		}, handle)
 		if decided != nil {
 			break
 		}
 		nd.WaitUntil(func() bool {
-			if decided != nil || anySenderIn(phase1[r], l) {
+			if decided != nil || p1.from.Intersects(l) {
 				return true
 			}
 			return !oracle.Trusted(me).Equal(l)
@@ -140,12 +136,12 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 		if decided != nil {
 			break
 		}
-		aux, bot := phase1Aux(phase1[r], n)
+		aux, bot := phase1Aux(p1, n)
 
 		// Phase 2.
 		env.Broadcast(tags.phase2, phase2Msg{R: r, Aux: aux, Bot: bot})
 		nd.WaitOn(func() bool {
-			return decided != nil || len(phase2[r]) >= n-t
+			return decided != nil || p2.count >= n-t
 		}, handle)
 		if decided != nil {
 			break
@@ -157,22 +153,19 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 		// present, else the smallest-id sender's value — a legal choice
 		// that maximizes decision diversity (making the z ≤ k tightness
 		// observable) while keeping runs replayable: senders are scanned
-		// in identity order, never in map order.
-		for q := 1; q <= n; q++ {
-			from := ids.ProcID(q)
-			pm, ok := phase2[r][from]
-			if !ok {
-				continue
-			}
+		// in identity order.
+		p2.from.ForEachIn(n, func(from ids.ProcID) bool {
+			pm := p2.msgs[from]
 			if pm.Bot {
 				sawBot = true
-				continue
+				return true
 			}
 			if from == me || !adopted {
 				est = pm.Aux
 				adopted = true
 			}
-		}
+			return true
+		})
 		if !adopted {
 			continue
 		}
@@ -187,48 +180,115 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 	return *decided
 }
 
-// anySenderIn reports whether some message in msgs came from a member of l.
-func anySenderIn(msgs map[ids.ProcID]phase1Msg, l ids.Set) bool {
-	for from := range msgs {
-		if l.Contains(from) {
-			return true
+// roundBox holds one phase's messages of one round, indexed by sender:
+// msgs[p] is p's message when from contains p. A sender heard twice
+// counts once; its later message replaces the earlier one.
+type roundBox[M any] struct {
+	from  ids.Set
+	count int
+	msgs  []M // index 1..n
+}
+
+// rounds is one phase's round state for one process: a box per round
+// from the current one up, kept dense by round. Messages for rounds
+// already passed are dropped on arrival — the protocol never reads
+// them — and the boxes of retired rounds are recycled, so a run reuses
+// the same few sender-indexed arrays however many rounds it takes.
+type rounds[M any] struct {
+	n     int
+	base  int            // the current round: boxes[i] holds round base+i
+	boxes []*roundBox[M] // nil where nothing has arrived yet
+	free  []*roundBox[M] // retired boxes, emptied, ready for reuse
+}
+
+func newRounds[M any](n int) *rounds[M] {
+	return &rounds[M]{n: n, base: 1}
+}
+
+// box returns round r's box, creating it (from a recycled one when
+// possible) if needed; r must be at least the current round.
+func (rs *rounds[M]) box(r int) *roundBox[M] {
+	i := r - rs.base
+	for len(rs.boxes) <= i {
+		rs.boxes = append(rs.boxes, nil)
+	}
+	if rs.boxes[i] == nil {
+		if k := len(rs.free); k > 0 {
+			rs.boxes[i] = rs.free[k-1]
+			rs.free = rs.free[:k-1]
+		} else {
+			rs.boxes[i] = &roundBox[M]{msgs: make([]M, rs.n+1)}
 		}
 	}
-	return false
+	return rs.boxes[i]
+}
+
+// put records from's message for round r, dropping it if r has passed.
+func (rs *rounds[M]) put(r int, from ids.ProcID, m M) {
+	if r < rs.base {
+		return
+	}
+	b := rs.box(r)
+	if !b.from.Contains(from) {
+		b.from = b.from.Add(from)
+		b.count++
+	}
+	b.msgs[from] = m
+}
+
+// advance makes r the current round, retiring every earlier round's
+// box, and returns round r's box.
+func (rs *rounds[M]) advance(r int) *roundBox[M] {
+	k := min(r-rs.base, len(rs.boxes))
+	for _, b := range rs.boxes[:k] {
+		if b != nil {
+			b.from, b.count = ids.Set{}, 0
+			rs.free = append(rs.free, b)
+		}
+	}
+	rs.boxes = rs.boxes[:copy(rs.boxes, rs.boxes[k:])]
+	rs.base = r
+	return rs.box(r)
 }
 
 // phase1Aux computes aux_i at the end of phase 1: if one leader set L was
-// announced by a strict majority of the senders heard so far, and some
-// heard sender belongs to L, aux is that sender's estimate (the estimate
-// of the smallest-id such leader, deterministically); otherwise aux = ⊥.
-func phase1Aux(msgs map[ids.ProcID]phase1Msg, n int) (aux Value, bot bool) {
-	counts := make(map[ids.Set]int, len(msgs))
-	var major ids.Set
-	found := false
-	for _, pm := range msgs {
-		counts[pm.L]++
-		if 2*counts[pm.L] > n {
-			major = pm.L
-			found = true
+// announced by a strict majority of the n processes, and some heard
+// sender belongs to L, aux is that sender's estimate (the estimate of the
+// smallest-id such leader, deterministically); otherwise aux = ⊥.
+//
+// At most one set can be announced by a strict majority, so a
+// majority-vote pass over the senders in id order finds the only
+// candidate, and a counting pass confirms it. The result does not
+// depend on the scan order.
+func phase1Aux(b *roundBox[phase1Msg], n int) (aux Value, bot bool) {
+	var cand ids.Set
+	lead := 0
+	b.from.ForEachIn(n, func(p ids.ProcID) bool {
+		switch l := b.msgs[p].L; {
+		case lead == 0:
+			cand, lead = l, 1
+		case l.Equal(cand):
+			lead++
+		default:
+			lead--
 		}
-	}
-	if !found {
+		return true
+	})
+	votes := 0
+	b.from.ForEachIn(n, func(p ids.ProcID) bool {
+		if b.msgs[p].L.Equal(cand) {
+			votes++
+		}
+		return true
+	})
+	if 2*votes <= n {
 		return 0, true
 	}
-	var bestFrom ids.ProcID
-	for from, pm := range msgs {
-		if !major.Contains(from) {
-			continue
-		}
-		if bestFrom == ids.None || from < bestFrom {
-			bestFrom = from
-			aux = pm.Est
-		}
-	}
-	if bestFrom == ids.None {
+	best := b.from.Intersect(cand).Min()
+	if best == ids.None {
 		return 0, true
 	}
-	return aux, false
+	return b.msgs[best].Est, false
 }
 
 // KSetMain returns a process main running KSet over a fresh rbcast layer,

@@ -59,24 +59,43 @@ func RunSequence(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, vals []Value
 	if len(vals) != len(outs) {
 		panic(fmt.Sprintf("agreement: %d values but %d outcomes", len(vals), len(outs)))
 	}
-	future := make(map[int][]sim.Message)
+	var buf seqBuffer
 	results := make([]Value, len(vals))
 	for i := range vals {
-		replay := future[i]
-		delete(future, i)
-		stash := func(m sim.Message) bool {
-			inst, ok := seqInstanceOf(m.Tag)
-			if !ok || inst == i {
-				return false // the instance's own (or foreign) traffic
-			}
-			if inst > i {
-				future[inst] = append(future[inst], m)
-			}
-			return true // consumed: stale instances are simply dropped
-		}
-		results[i] = ksetRun(nd, rb, oracle, vals[i], outs[i], seqTags(i), replay, stash)
+		stash := func(m sim.Message) bool { return buf.stash(i, m) }
+		results[i] = ksetRun(nd, rb, oracle, vals[i], outs[i], seqTags(i), buf.take(i), stash)
 	}
 	return results
+}
+
+// seqBuffer holds the messages of instances a sequence run has not
+// reached yet, per instance, in arrival order.
+type seqBuffer struct {
+	future map[int][]sim.Message
+}
+
+// stash consumes m unless it belongs to instance cur or to no instance:
+// a later instance's message is buffered for that instance's replay, an
+// earlier (finished) instance's message is dropped.
+func (b *seqBuffer) stash(cur int, m sim.Message) bool {
+	inst, ok := seqInstanceOf(m.Tag)
+	if !ok || inst == cur {
+		return false // the instance's own (or foreign) traffic
+	}
+	if inst > cur {
+		if b.future == nil {
+			b.future = make(map[int][]sim.Message)
+		}
+		b.future[inst] = append(b.future[inst], m)
+	}
+	return true
+}
+
+// take removes and returns instance i's buffered messages.
+func (b *seqBuffer) take(i int) []sim.Message {
+	ms := b.future[i]
+	delete(b.future, i)
+	return ms
 }
 
 // SequenceMain returns a process main running RunSequence over a fresh

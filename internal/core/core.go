@@ -319,7 +319,7 @@ func SpawnKSetWith(sys *sim.System, c Class, proposals map[ids.ProcID]agreement.
 // algorithm on every process.
 func spawnStacked(sys *sim.System, susp fd.Suspector, quer fd.Querier, x, y int,
 	valueOf func(ids.ProcID) agreement.Value, out *agreement.Outcome) {
-	emu := reduction.NewOmegaEmulation()
+	emu := reduction.NewOmegaEmulation(quer)
 	n := sys.Config().N
 	for p := 1; p <= n; p++ {
 		id := ids.ProcID(p)

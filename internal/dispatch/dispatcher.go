@@ -68,10 +68,7 @@ func (p *pipeRW) Close() error {
 // Config tunes a dispatcher run.
 type Config struct {
 	// Matrices is the suite, in report order. Matrix names must be
-	// unique (unit IDs embed them) and no matrix may carry explicit
-	// pattern Holds: process sets do not survive JSON (they serialize
-	// as {}), so such a matrix cannot be shipped to a worker faithfully
-	// and is rejected up front rather than silently run wrong.
+	// unique (unit IDs embed them).
 	Matrices []sweep.Matrix
 	// UnitsPerMatrix is how many shard units each matrix splits into
 	// (0: 4), capped at the matrix's cell count.
@@ -244,11 +241,6 @@ func buildUnits(cfg Config) ([]*unitState, error) {
 			return nil, fmt.Errorf("dispatch: duplicate matrix name %q (unit IDs embed the name, so names must be unique)", m.Name)
 		}
 		names[m.Name] = true
-		for _, p := range m.Patterns {
-			if len(p.Holds) > 0 {
-				return nil, fmt.Errorf("dispatch: matrix %q pattern %q has explicit holds: process sets do not survive the JSON wire (they serialize empty), so this matrix cannot be dispatched faithfully — run it locally", m.Name, p.Name)
-			}
-		}
 		cells, err := m.Cells()
 		if err != nil {
 			return nil, fmt.Errorf("dispatch: matrix %q: %w", m.Name, err)

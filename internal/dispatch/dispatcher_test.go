@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"fdgrid/internal/ids"
 	"fdgrid/internal/sim"
 	"fdgrid/internal/sweep"
 )
@@ -133,14 +134,17 @@ func TestDispatchFaultMatrix(t *testing.T) {
 				t.Errorf("clean run: %d cells in %d units, want 12 in 6", s.Cells, s.Units)
 			}
 		}},
-		{name: "crash", workers: 3, faults: map[int]Fault{0: {Kind: FaultCrash, After: 2}},
+		// Every unit holds two cells, so After: 1 fires inside worker 0's
+		// first unit however the others race it through the queue: a
+		// larger After lets worker 0 finish before its fault is due.
+		{name: "crash", workers: 3, faults: map[int]Fault{0: {Kind: FaultCrash, After: 1}},
 			check: func(t *testing.T, s *Stats) {
 				if s.WorkersLost == 0 {
 					t.Error("crashed worker not counted as lost")
 				}
 			}},
 		{name: "hang", workers: 3, faults: map[int]Fault{0: {Kind: FaultHang, After: 1}}},
-		{name: "corrupt-frame", workers: 3, faults: map[int]Fault{0: {Kind: FaultCorrupt, After: 2}},
+		{name: "corrupt-frame", workers: 3, faults: map[int]Fault{0: {Kind: FaultCorrupt, After: 1}},
 			check: func(t *testing.T, s *Stats) {
 				if s.WorkersLost == 0 {
 					t.Error("corrupting worker not dismissed")
@@ -220,19 +224,12 @@ func TestDispatchNoFallbackFails(t *testing.T) {
 	}
 }
 
-// TestDispatchRejectsBadSuites: duplicate matrix names and matrices
-// with explicit holds (lossy over JSON) are rejected up front.
+// TestDispatchRejectsBadSuites: duplicate matrix names and invalid
+// matrices are rejected up front.
 func TestDispatchRejectsBadSuites(t *testing.T) {
 	m := testSuite()[0]
 	if _, _, err := Run(Config{Matrices: []sweep.Matrix{m, m}}, nil); err == nil || !strings.Contains(err.Error(), "duplicate matrix name") {
 		t.Errorf("duplicate names: err=%v", err)
-	}
-
-	held := m
-	held.Name = "held"
-	held.Patterns = []sweep.CrashPattern{{Name: "h", Holds: make([]sim.Hold, 1)}}
-	if _, _, err := Run(Config{Matrices: []sweep.Matrix{held}}, nil); err == nil || !strings.Contains(err.Error(), "holds") {
-		t.Errorf("explicit holds: err=%v", err)
 	}
 
 	bad := m
@@ -240,6 +237,34 @@ func TestDispatchRejectsBadSuites(t *testing.T) {
 	bad.Seeds = nil // Cells() rejects seedless matrices
 	if _, _, err := Run(Config{Matrices: []sweep.Matrix{bad}}, nil); err == nil {
 		t.Error("invalid matrix accepted")
+	}
+}
+
+// TestDispatchHeldMatrix: a matrix with explicit pattern holds crosses
+// the wire with its hold sets intact, so the dispatched report equals
+// the unsharded one. (The hold silences the last process towards the
+// others until after GST, which changes every cell it touches.)
+func TestDispatchHeldMatrix(t *testing.T) {
+	held := testSuite()[0]
+	held.Name = "held"
+	held.Patterns = []sweep.CrashPattern{{Name: "silenced", Holds: []sim.Hold{
+		{From: ids.NewSet(5), To: ids.NewSet(1, 2, 3, 4), Until: 900},
+	}}}
+	matrices := []sweep.Matrix{held}
+	want := baselineSuite(t, matrices)
+	reports, stats, err := Run(testConfig(matrices), pipeFleet(2, nil))
+	if err != nil {
+		t.Fatalf("dispatch failed: %v (stats %+v)", err, stats)
+	}
+	if stats.LocalUnits != 0 {
+		t.Fatalf("%d units ran locally; the held matrix must run on the workers", stats.LocalUnits)
+	}
+	got, err := sweep.SuiteJSON(reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("dispatched held matrix differs from the unsharded run")
 	}
 }
 

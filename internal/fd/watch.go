@@ -23,6 +23,10 @@ type SetTrace struct {
 	last    []ids.Set
 	started []bool
 	horizon sim.Time
+	// exact marks a trace that samples every change tick (WatchLeader,
+	// WatchSuspector): its last sample holds through the tick before the
+	// clock's current one, so Horizon reads the clock (see watchSets).
+	exact bool
 }
 
 func newSetTrace(sys *sim.System) *SetTrace {
@@ -36,12 +40,26 @@ func newSetTrace(sys *sim.System) *SetTrace {
 	}
 }
 
-// watchSets installs a sampler for a per-process set-valued output.
-// Dense samplers observe every tick (and force the clock dense); sparse
-// ones observe every scheduled tick, which suffices for emulated outputs
-// because those change only when a process takes a step.
-func watchSets(sys *sim.System, dense bool, read func(ids.ProcID) ids.Set) *SetTrace {
+// watchSets installs a sampler for a per-process set-valued output src.
+// The sampler rule:
+//
+//   - A source with a change hint (ChangeHinted) is sampled at every
+//     scheduled tick, and the sampler schedules a tick at each change
+//     the hint announces. The clock jumps between changes, yet no change
+//     goes unseen.
+//   - A source without a hint is sampled on every tick when exact is set
+//     (this forces the clock dense), else on every scheduled tick only,
+//     which suffices for emulated outputs because those change only when
+//     a process takes a step.
+//
+// With exact set, a hinted trace equals the dense one, horizon included:
+// the dense horizon is the tick before the clock's final one, and a
+// hinted exact trace reads it off the clock instead of sampling every
+// tick to get there.
+func watchSets(sys *sim.System, src any, exact bool, read func(ids.ProcID) ids.Set) *SetTrace {
 	tr := newSetTrace(sys)
+	tr.exact = exact
+	h, hinted := src.(ChangeHinted)
 	sample := func(now sim.Time) {
 		// One crashed-set lookup per tick, then a masked sweep over the
 		// alive processes — membership and ascending order are exactly
@@ -53,38 +71,56 @@ func watchSets(sys *sim.System, dense bool, read func(ids.ProcID) ids.Set) *SetT
 		})
 		tr.tick(now)
 	}
-	if dense {
+	switch {
+	case hinted:
+		sys.OnAdvance(func(now sim.Time) {
+			sample(now)
+			if next := h.NextChange(now); next < sim.Never {
+				sys.WakeAt(next)
+			}
+		})
+	case exact:
 		sys.OnTick(sample)
-	} else {
+	default:
 		sys.OnAdvance(sample)
 	}
 	return tr
 }
 
-// WatchLeader samples l.Trusted(p) for every process on every tick
-// (dense: the run never skips a tick, so time-driven oracle churn is
-// captured exactly).
+// WatchLeader records l.Trusted(p) for every process, exactly: a hinted
+// leader is sampled at its change ticks (and every scheduled tick), any
+// other leader on every tick. Either way the trace holds the output's
+// exact change timeline, time-driven oracle churn included.
 func WatchLeader(sys *sim.System, l Leader) *SetTrace {
-	return watchSets(sys, true, l.Trusted)
+	return watchSets(sys, l, true, l.Trusted)
 }
 
-// WatchSuspector samples s.Suspected(p) for every process on every tick.
+// WatchLeaderDense samples l.Trusted(p) for every process on every
+// tick, ignoring any change hint. It is the reference a hinted trace is
+// checked against; runs use WatchLeader.
+func WatchLeaderDense(sys *sim.System, l Leader) *SetTrace {
+	return watchSets(sys, nil, true, l.Trusted)
+}
+
+// WatchSuspector records s.Suspected(p) for every process, exactly, by
+// WatchLeader's rule.
 func WatchSuspector(sys *sim.System, s Suspector) *SetTrace {
-	return watchSets(sys, true, s.Suspected)
+	return watchSets(sys, s, true, s.Suspected)
 }
 
-// WatchLeaderSparse samples l.Trusted(p) at every scheduled tick, letting
-// the scheduler skip idle virtual time. Use it for emulated outputs
-// (whose value changes only when a process takes a step); for
-// ground-truth oracles, whose anarchy churns with the clock itself, the
-// dense WatchLeader records the exact timeline.
+// WatchLeaderSparse samples l.Trusted(p) at every scheduled tick (plus,
+// for a hinted leader, its change ticks), letting the scheduler skip
+// idle virtual time. Its horizon is the last scheduled tick, so a stop
+// predicate on it sees only what the run's processes have seen. Use it
+// for emulated outputs, whose value changes when a process takes a step
+// or when an oracle they consult live changes (the emulation's hint).
 func WatchLeaderSparse(sys *sim.System, l Leader) *SetTrace {
-	return watchSets(sys, false, l.Trusted)
+	return watchSets(sys, l, false, l.Trusted)
 }
 
 // WatchSuspectorSparse is WatchLeaderSparse for suspectors.
 func WatchSuspectorSparse(sys *sim.System, s Suspector) *SetTrace {
-	return watchSets(sys, false, s.Suspected)
+	return watchSets(sys, s, false, s.Suspected)
 }
 
 func (tr *SetTrace) observe(p ids.ProcID, now sim.Time, v ids.Set) {
@@ -107,6 +143,7 @@ func (tr *SetTrace) tick(now sim.Time) {
 // genuinely post-stabilization window.
 func (tr *SetTrace) StableFor(procs ids.Set, margin sim.Time) func() bool {
 	return func() bool {
+		horizon := tr.Horizon()
 		stable := true
 		var lastChange sim.Time = -1
 		procs.ForEach(func(p ids.ProcID) bool {
@@ -120,7 +157,7 @@ func (tr *SetTrace) StableFor(procs ids.Set, margin sim.Time) func() bool {
 				if at > lastChange {
 					lastChange = at
 				}
-				if tr.horizon-at < margin {
+				if horizon-at < margin {
 					stable = false
 				}
 			}
@@ -128,15 +165,29 @@ func (tr *SetTrace) StableFor(procs ids.Set, margin sim.Time) func() bool {
 		})
 		if !stable && lastChange >= 0 {
 			// Tell the scheduler when this predicate can next flip, so
-			// clock jumps land on (not past) the earliest stopping tick.
-			tr.sys.WakeAt(lastChange + margin)
+			// clock jumps land on (not past) the earliest stopping tick:
+			// the margin-th tick after the change for a trace whose
+			// horizon is its last sample, one later for an exact trace,
+			// whose horizon trails the clock by a tick.
+			wake := lastChange + margin
+			if tr.exact {
+				wake++
+			}
+			tr.sys.WakeAt(wake)
 		}
 		return stable
 	}
 }
 
-// Horizon returns the last sampled tick.
+// Horizon returns the last tick the trace covers: the last sampled
+// tick, or for an exact trace the tick before the clock's current one
+// (the last sample holds until then), as a dense trace reads.
 func (tr *SetTrace) Horizon() sim.Time {
+	if tr.exact {
+		if h := tr.sys.Now() - 1; h > tr.horizon {
+			return h
+		}
+	}
 	return tr.horizon
 }
 
@@ -192,7 +243,7 @@ func (tr *SetTrace) lastTimeContaining(p, q ids.ProcID) sim.Time {
 		if i+1 < len(ss) {
 			last = ss[i+1].At
 		} else {
-			last = tr.horizon
+			last = tr.Horizon()
 		}
 	}
 	return last
@@ -208,6 +259,7 @@ func (tr *SetTrace) everContained(p, q ids.ProcID) bool {
 // simple: it returns the latest "last violation end" over procs for the
 // given per-sample predicate.
 func (tr *SetTrace) lastViolation(procs ids.Set, ok func(p ids.ProcID, v ids.Set) bool) sim.Time {
+	horizon := tr.Horizon()
 	worst := sim.Time(-1)
 	procs.ForEach(func(p ids.ProcID) bool {
 		ss := tr.byProc[p]
@@ -215,7 +267,7 @@ func (tr *SetTrace) lastViolation(procs ids.Set, ok func(p ids.ProcID, v ids.Set
 			if ok(p, s.Value) {
 				continue
 			}
-			end := tr.horizon
+			end := horizon
 			if i+1 < len(ss) {
 				end = ss[i+1].At
 			}

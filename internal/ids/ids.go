@@ -9,9 +9,11 @@
 package ids
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -320,6 +322,46 @@ func (s Set) String() string {
 		parts[i] = fmt.Sprintf("%d", int(p))
 	}
 	return "{" + strings.Join(parts, ",") + "}"
+}
+
+// MarshalJSON encodes the set as its members in ascending order, e.g.
+// [1,3,64]; the empty set is [].
+func (s Set) MarshalJSON() ([]byte, error) {
+	b := []byte{'['}
+	s.ForEach(func(p ProcID) bool {
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(p), 10)
+		return true
+	})
+	return append(b, ']'), nil
+}
+
+// UnmarshalJSON decodes a MarshalJSON list. It rejects anything but a
+// strictly ascending list of identities in 1..MaxProcs, so a set that
+// decodes is exactly the one its canonical encoding names; null leaves
+// the set unchanged, as encoding/json does for other types.
+func (s *Set) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	var members []int
+	if err := json.Unmarshal(data, &members); err != nil {
+		return fmt.Errorf("ids: set must be a JSON list of process ids: %w", err)
+	}
+	var out Set
+	for i, m := range members {
+		if m < 1 || m > MaxProcs {
+			return fmt.Errorf("ids: set member %d out of range 1..%d", m, MaxProcs)
+		}
+		if i > 0 && m <= members[i-1] {
+			return fmt.Errorf("ids: set members must be strictly ascending, got %d after %d", m, members[i-1])
+		}
+		out = out.Add(ProcID(m))
+	}
+	*s = out
+	return nil
 }
 
 // SortIDs sorts a slice of process identities in place and returns it.

@@ -14,14 +14,16 @@ import (
 // processes start; an unregistered process reads the empty set (it has
 // taken no step yet).
 type OmegaEmulation struct {
+	q      fd.Querier
 	wheels map[ids.ProcID]*UpperWheel
 }
 
 var _ fd.Leader = (*OmegaEmulation)(nil)
 
-// NewOmegaEmulation returns an empty aggregator.
-func NewOmegaEmulation() *OmegaEmulation {
-	return &OmegaEmulation{wheels: make(map[ids.ProcID]*UpperWheel)}
+// NewOmegaEmulation returns an empty aggregator for upper wheels that
+// consult querier q.
+func NewOmegaEmulation(q fd.Querier) *OmegaEmulation {
+	return &OmegaEmulation{q: q, wheels: make(map[ids.ProcID]*UpperWheel)}
 }
 
 // Register binds process p's upper wheel.
@@ -30,10 +32,12 @@ func (e *OmegaEmulation) Register(p ids.ProcID, w *UpperWheel) {
 }
 
 // NextChange implements fd.ChangeHinted: wheel positions change only when
-// a host process takes a step. (The exposed Trusted value also consults
-// the underlying querier live; consumers that poll it across time should
-// hint off that querier instead.)
-func (e *OmegaEmulation) NextChange(sim.Time) sim.Time { return sim.Never }
+// a host process takes a step, and the exposed Trusted value otherwise
+// changes only with the querier's answers, which it consults live — so
+// the querier's hint is the emulation's.
+func (e *OmegaEmulation) NextChange(now sim.Time) sim.Time {
+	return fd.NextChangeOf(e.q, now)
+}
 
 // Trusted implements fd.Leader.
 func (e *OmegaEmulation) Trusted(p ids.ProcID) ids.Set {
@@ -101,7 +105,7 @@ func InstallTwoWheels(env *sim.Env, rb *rbcast.Layer, susp fd.Suspector, q fd.Qu
 // protocol) on every process of sys, returning the emulated Ω_z and the
 // representatives view. Call before sys.Run.
 func SpawnTwoWheels(sys *sim.System, susp fd.Suspector, q fd.Querier, x, y int) (*OmegaEmulation, *ReprView) {
-	emu := NewOmegaEmulation()
+	emu := NewOmegaEmulation(q)
 	reprs := NewReprView()
 	sys.SpawnAll(func(env *sim.Env) {
 		rb := rbcast.New(env)

@@ -5,6 +5,7 @@ import (
 
 	"fdgrid/internal/fd"
 	"fdgrid/internal/ids"
+	"fdgrid/internal/sim"
 )
 
 // PsiOmega is the paper's Appendix A construction (Fig. 8): a failure
@@ -25,7 +26,10 @@ type PsiOmega struct {
 	z     int
 }
 
-var _ fd.Leader = (*PsiOmega)(nil)
+var (
+	_ fd.Leader       = (*PsiOmega)(nil)
+	_ fd.ChangeHinted = (*PsiOmega)(nil)
+)
 
 // NewPsiOmega builds the transformation for a system of n processes with
 // resilience t. It panics unless 1 ≤ z ≤ n and y+z > t (the paper's
@@ -46,6 +50,13 @@ func NewPsiOmega(n, t, y, z int, q fd.Querier) *PsiOmega {
 
 // Z returns the produced leader-set size bound.
 func (po *PsiOmega) Z() int { return po.z }
+
+// NextChange implements fd.ChangeHinted: Trusted is a pure function of
+// the querier's answers at the current tick, so it can change only when
+// they can.
+func (po *PsiOmega) NextChange(now sim.Time) sim.Time {
+	return fd.NextChangeOf(po.q, now)
+}
 
 // Trusted implements fd.Leader.
 func (po *PsiOmega) Trusted(p ids.ProcID) ids.Set {

@@ -166,10 +166,9 @@ func (r *Report) Summary() string {
 //
 // Every part must cover the same matrix, and together the parts must
 // cover each cell index exactly once. The same-matrix check compares
-// the matrices' JSON forms — as strong as the report artifact itself:
-// fields that serialize lossily (ids.Set renders as {}, so explicit
-// Hold From/To sets are not in the bytes) cannot be distinguished here
-// either. Shards of the same invocation, the intended use, always
+// the matrices' JSON forms — as strong as the report artifact itself,
+// which carries every matrix field, explicit Hold From/To sets
+// included. Shards of the same invocation, the intended use, always
 // carry identical matrix bytes.
 func MergeReports(parts []*Report) (*Report, error) {
 	if len(parts) == 0 {

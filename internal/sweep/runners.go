@@ -472,24 +472,6 @@ func watchMark(sys *sim.System, tag sim.Tag, mark sim.Time, res *CellResult, nam
 	})
 }
 
-// hintOracleChanges schedules a tick at every future time the oracle's
-// output can change. Sparse traces of an emulated output that consults
-// an oracle live at read time (the upper wheel's Trusted queries its
-// ◇φ_y) need this: without it a clock jump could skip the tick at which
-// the oracle flips the emulated output, and the trace would misstate
-// the change timeline.
-func hintOracleChanges(sys *sim.System, o any) {
-	h, ok := o.(fd.ChangeHinted)
-	if !ok {
-		return
-	}
-	sys.OnAdvance(func(now sim.Time) {
-		if t := h.NextChange(now); t < sim.Never {
-			sys.WakeAt(t)
-		}
-	})
-}
-
 // stabilizationOf returns the latest output change among correct
 // processes.
 func stabilizationOf(trace *fd.SetTrace, correct ids.Set) sim.Time {
@@ -551,10 +533,10 @@ func runTwoWheels(c *Cell, res *CellResult) {
 	fd.TraceSuspector(sys, susp, "oracle-s")
 	emu, _ := reduction.SpawnTwoWheels(sys, susp, quer, x, y)
 	fd.TraceLeader(sys, emu, "emu")
+	// The emulated Trusted consults the querier live; the emulation's
+	// change hint is the querier's, so the sparse watcher schedules every
+	// tick the output can change at.
 	trace := fd.WatchLeaderSparse(sys, emu)
-	// The emulated Trusted consults the querier live; make sure every
-	// tick it can change at is scheduled, so the sparse trace is exact.
-	hintOracleChanges(sys, quer)
 	watchMark(sys, sim.Intern("wheel.inquiry"), sim.Time(c.Param("mark", 0)), res, "inquiries_at_mark")
 	var stop func() bool
 	if sf := sim.Time(c.Param("stable_for", 0)); sf > 0 {
@@ -668,9 +650,31 @@ func runLowerWheel(c *Cell, res *CellResult) {
 }
 
 // runPsiOmega: Ψ_y → Ω_z for y+z > t (EXP-F8) — local chain queries,
-// zero messages. The watched output is a pure oracle chain (it churns
-// with the clock before stabilization), so the trace is dense.
+// zero messages. The watched output is a pure oracle chain that churns
+// with the clock before stabilization; its change hint is the querier's,
+// so the watcher samples it at exactly the ticks it can change at and
+// the clock jumps in between.
 func runPsiOmega(c *Cell, res *CellResult) {
+	sys, po, ok := psiOmegaSystem(c, res)
+	if !ok {
+		return
+	}
+	fd.TraceLeader(sys, po, "emu")
+	trace := fd.WatchLeader(sys, po)
+	rep := sys.Run(nil)
+	recordRun(res, rep)
+	if err := trace.CheckOmega(sys.Pattern(), c.Combo.Z, sim.Time(c.Param("margin", 1_000))); err != nil {
+		res.fail(err.Error())
+	}
+	if rep.Messages.TotalSent != 0 {
+		res.fail(fmt.Sprintf("sent %d messages, want 0", rep.Messages.TotalSent))
+	}
+}
+
+// psiOmegaSystem builds a psi-omega cell's system and its Ψ_y → Ω_z
+// chain; ok is false when the cell's oracle script was rejected (res
+// then carries the verdict).
+func psiOmegaSystem(c *Cell, res *CellResult) (*sim.System, *reduction.PsiOmega, bool) {
 	sys, err := c.System()
 	if err != nil {
 		panic(err)
@@ -678,7 +682,7 @@ func runPsiOmega(c *Cell, res *CellResult) {
 	y, z := c.Combo.Y, c.Combo.Z
 	opts, eventual, ok := oraclePhiOpts(c, sys, res, y)
 	if !ok {
-		return
+		return nil, nil, false
 	}
 	var phi *fd.Phi
 	if eventual {
@@ -687,17 +691,27 @@ func runPsiOmega(c *Cell, res *CellResult) {
 		phi = fd.NewPhi(sys, y)
 	}
 	psi := fd.WrapPsi(phi)
-	po := reduction.NewPsiOmega(c.Size.N, c.Size.T, y, z, psi)
-	fd.TraceLeader(sys, po, "emu")
-	trace := fd.WatchLeader(sys, po)
-	rep := sys.Run(nil)
-	recordRun(res, rep)
-	if err := trace.CheckOmega(sys.Pattern(), z, sim.Time(c.Param("margin", 1_000))); err != nil {
-		res.fail(err.Error())
+	return sys, reduction.NewPsiOmega(c.Size.N, c.Size.T, y, z, psi), true
+}
+
+// PsiOmegaTrace runs psi-omega cell c's oracle chain with no stop
+// predicate, recording its output with watch, and returns the trace:
+// runPsiOmega's run without its checks. With watch = fd.WatchLeader it
+// is the runner's hinted trace; with fd.WatchLeaderDense the same
+// timeline sampled on every tick, the reference the hinted one must
+// equal.
+func PsiOmegaTrace(c Cell, watch func(*sim.System, fd.Leader) *fd.SetTrace) (*fd.SetTrace, error) {
+	if c.Protocol != "psi-omega" {
+		return nil, fmt.Errorf("sweep: PsiOmegaTrace on a %q cell", c.Protocol)
 	}
-	if rep.Messages.TotalSent != 0 {
-		res.fail(fmt.Sprintf("sent %d messages, want 0", rep.Messages.TotalSent))
+	var res CellResult
+	sys, po, ok := psiOmegaSystem(&c, &res)
+	if !ok {
+		return nil, fmt.Errorf("sweep: %s cell %d: %s", c.Matrix, c.Index, res.Detail)
 	}
+	trace := watch(sys, po)
+	sys.Run(nil)
+	return trace, nil
 }
 
 // runAddS: S_x + φ_y → S_n over a register substrate named by the combo
