@@ -63,8 +63,11 @@ smoke: build
 # worker fleet while the fault injector crashes worker 0 after its 5th
 # cell, and byte-compare the merged report against the committed suite
 # golden — the dispatcher's suspicion, retries and re-sharding must
-# provably lose nothing. The stats artifact (retries, workers lost,
-# duplicates discarded) is printed for the log but never byte-compared.
+# provably lose nothing. The grep counts fail the target if the merged
+# report has no pass verdicts, or if the paired-oracle cells lost their
+# per-role (oracle_s / oracle_phi) verdicts. The stats artifact
+# (retries, workers lost, duplicates discarded) is printed for the log
+# but never byte-compared.
 dispatch-smoke: build
 	$(GO) build -o /tmp/fdgrid-sweepd ./cmd/sweepd
 	$(GO) run ./cmd/experiments -seeds 3 -matrices /tmp/fdgrid-suite-spec.json
@@ -73,6 +76,9 @@ dispatch-smoke: build
 		-report /tmp/fdgrid-suite-dispatched.json \
 		-stats /tmp/fdgrid-dispatch-stats.json \
 		-golden cmd/experiments/testdata/suite.golden.json
+	grep -c '"verdict": "pass"' /tmp/fdgrid-suite-dispatched.json
+	grep -c '"oracle_s": "conforms"' /tmp/fdgrid-suite-dispatched.json
+	grep -c '"oracle_phi": "conforms"' /tmp/fdgrid-suite-dispatched.json
 	@cat /tmp/fdgrid-dispatch-stats.json
 
 # Perf smoke: the repo benchmark (perfbench/README.md) over all three

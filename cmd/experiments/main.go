@@ -5,23 +5,16 @@
 // the paper's claim next to the measured outcome. The per-cell results
 // are deterministic, so the rendered report is byte-stable run to run.
 //
-// The suite also shards: `-shard i/m` runs only every m-th cell of
-// every matrix and writes a partial JSON suite; m such runs recombine
-// with `-merge` into bytes identical to the unsharded `-report` output.
-// That is how CI fans the sweep out across jobs. `-dispatch N` goes the
-// rest of the way: the suite runs through the internal/dispatch
-// scheduler across N subprocess workers (self-exec'd copies of this
-// binary), with the merged report still byte-identical; `-matrices`
-// exports the suite's matrices in the JSON form cmd/sweepd consumes.
+// It has three jobs: render the suite (-out, -report), export the
+// suite's matrices (-matrices) and replay one suite cell traced
+// (-replay, -perturb, -trace). Fanning a suite out across workers or
+// machines, merging the parts and byte-comparing against a golden is
+// cmd/sweepd's job: it consumes the -matrices export.
 //
 // Usage:
 //
 //	experiments [-out EXPERIMENTS.md] [-seeds 3] [-workers N] [-report sweep.json]
-//	experiments -shard i/m -report shard-i.json        # one shard, no markdown
-//	experiments -merge -report merged.json shard-*.json
-//	experiments -dispatch 3 -report suite.json         # distributed, no markdown
 //	experiments -matrices suite-spec.json              # export matrices for sweepd
-//	experiments ... -golden suite.golden.json          # byte-compare the suite
 //	experiments ... -cpuprofile cpu.prof -memprofile mem.prof
 //	experiments -replay MATRIX:INDEX                   # trace one suite cell
 //	experiments -replay MATRIX:INDEX -perturb stab+2000 [-trace full]
@@ -32,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -44,7 +36,6 @@ import (
 	"fdgrid/internal/benchrec"
 	"fdgrid/internal/cliutil"
 	"fdgrid/internal/core"
-	"fdgrid/internal/dispatch"
 	"fdgrid/internal/ids"
 	"fdgrid/internal/sim"
 	"fdgrid/internal/sweep"
@@ -61,15 +52,10 @@ func main() {
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the sweep here")
 		memprof   = flag.String("memprofile", "", "write a heap profile (after the sweep, post-GC) here")
 		benchFile = flag.String("bench", "BENCH_PR7.json", "benchmark record to render in the EXP-PERF section")
-		shardSpec = flag.String("shard", "", "run only shard i/m of every matrix (format \"i/m\"); requires -report and skips the markdown output")
-		merge     = flag.Bool("merge", false, "merge the shard suite files given as arguments into one suite; requires -report")
-		golden    = flag.String("golden", "", "after writing the suite JSON, byte-compare it against this file and fail on any difference")
 		replay    = flag.String("replay", "", "re-run one suite cell with decision tracing on (format \"MATRIX:INDEX\"); skips the suite")
 		perturb   = flag.String("perturb", "", "with -replay: one counterfactual edit (\"gst±K\", \"stab±K\", \"crash=P@T\", \"hold[I]±K\") applied to a second run, diffed against the first")
 		traceLvl  = flag.String("trace", "", "with -replay: trace level (\"decisions\" or \"full\"; default decisions)")
 		matricesF = flag.String("matrices", "", "write the suite's matrices as a JSON array here (sweepd's input format) and exit without running anything")
-		dispatchN = flag.Int("dispatch", 0, "run the suite through the distributed dispatcher with this many subprocess workers; requires -report and skips the markdown output")
-		wkStdio   = flag.Bool("worker-stdio", false, "internal: run as a stdio dispatch worker (the -dispatch mode spawns these)")
 	)
 	flag.Parse()
 
@@ -78,26 +64,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *wkStdio {
-		if err := dispatch.ServeWorker(dispatch.Stdio{}, dispatch.WorkerOptions{
-			Name: "experiments-worker",
-			Pool: *workers,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	if *matricesF != "" {
-		ms := suiteMatrices(*seeds)
-		blob, err := json.MarshalIndent(ms, "", "  ")
+		n, err := writeMatrices(*matricesF, *seeds)
 		if err != nil {
 			fatal(err)
 		}
-		if err := os.WriteFile(*matricesF, blob, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d matrices)\n", *matricesF, len(ms))
+		fmt.Printf("wrote %s (%d matrices)\n", *matricesF, n)
 		return
 	}
 
@@ -111,42 +83,6 @@ func main() {
 		fatal(fmt.Errorf("experiments: -perturb and -trace require -replay"))
 	}
 
-	if *merge {
-		if *report == "" {
-			fatal(fmt.Errorf("experiments: -merge requires -report"))
-		}
-		suite, err := mergeSuites(flag.Args())
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*report, suite, 0o644); err != nil {
-			fatal(err)
-		}
-		if err := compareGolden(suite, *golden); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("merged %d shard suites into %s (%d bytes)\n", len(flag.Args()), *report, len(suite))
-		return
-	}
-
-	if *dispatchN > 0 {
-		if *report == "" {
-			fatal(fmt.Errorf("experiments: -dispatch requires -report (the dispatched suite has no markdown output)"))
-		}
-		if err := runDispatched(*dispatchN, *seeds, *workers, *report, *golden, *verbose); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	shard, err := parseShard(*shardSpec)
-	if err != nil {
-		fatal(err)
-	}
-	if shard.Count > 0 && *report == "" {
-		fatal(fmt.Errorf("experiments: -shard requires -report (a shard has no markdown output)"))
-	}
-	opts := sweep.Options{Workers: *workers, Shard: shard}
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {
@@ -159,29 +95,23 @@ func main() {
 	}
 
 	start := time.Now()
-	md, reports, err := buildSuite(*seeds, opts, *benchFile, *verbose)
+	md, reports, err := buildSuite(*seeds, *workers, *benchFile, *verbose)
 	if err != nil {
 		fatal(err)
 	}
-
-	if shard.Count == 0 {
-		if err := os.WriteFile(*out, []byte(md), 0o644); err != nil {
-			fatal(err)
-		}
+	if err := os.WriteFile(*out, []byte(md), 0o644); err != nil {
+		fatal(err)
 	}
 	cells := 0
 	for _, r := range reports {
 		cells += len(r.Cells)
 	}
 	if *report != "" {
-		suite, err := suiteJSON(reports)
+		suite, err := sweep.SuiteJSON(reports)
 		if err != nil {
 			fatal(err)
 		}
 		if err := os.WriteFile(*report, suite, 0o644); err != nil {
-			fatal(err)
-		}
-		if err := compareGolden(suite, *golden); err != nil {
 			fatal(err)
 		}
 	}
@@ -200,43 +130,12 @@ func main() {
 			fatal(err)
 		}
 	}
-	target := *out
-	if shard.Count > 0 {
-		target = fmt.Sprintf("%s [shard %d/%d]", *report, shard.Index, shard.Count)
-	}
-	fmt.Printf("wrote %s (%d matrices, %d cells, %.2fs)\n", target, len(reports), cells, time.Since(start).Seconds())
+	fmt.Printf("wrote %s (%d matrices, %d cells, %.2fs)\n", *out, len(reports), cells, time.Since(start).Seconds())
 }
 
-// parseShard parses "i/m" (empty = unsharded). Strict: both halves
-// must be bare integers — fmt.Sscanf-style prefix parsing would accept
-// trailing junk like "0/4x" and silently run the wrong shard.
-func parseShard(spec string) (sweep.Shard, error) {
-	if spec == "" {
-		return sweep.Shard{}, nil
-	}
-	idx, cnt, ok := strings.Cut(spec, "/")
-	if !ok {
-		return sweep.Shard{}, fmt.Errorf("experiments: bad -shard %q (want i/m)", spec)
-	}
-	var s sweep.Shard
-	var err error
-	if s.Index, err = strconv.Atoi(idx); err != nil {
-		return sweep.Shard{}, fmt.Errorf("experiments: bad -shard %q: index %q is not an integer (want i/m)", spec, idx)
-	}
-	if s.Count, err = strconv.Atoi(cnt); err != nil {
-		return sweep.Shard{}, fmt.Errorf("experiments: bad -shard %q: count %q is not an integer (want i/m)", spec, cnt)
-	}
-	if s.Count < 1 || s.Index < 0 || s.Index >= s.Count {
-		return sweep.Shard{}, fmt.Errorf("experiments: -shard %q out of range", spec)
-	}
-	return s, nil
-}
-
-// buildSuite runs every experiment matrix under opts and renders the
-// markdown report. With a shard set, only the shard's cells run and the
-// markdown (built over partial data) is meaningful only as a side
-// effect — callers discard it.
-func buildSuite(seeds int, opts sweep.Options, benchFile string, verbose bool) (string, []*sweep.Report, error) {
+// buildSuite runs every experiment matrix on a pool of the given size
+// and renders the markdown report.
+func buildSuite(seeds, workers int, benchFile string, verbose bool) (string, []*sweep.Report, error) {
 	var b strings.Builder
 	b.WriteString(`# EXPERIMENTS — paper vs. measured
 
@@ -260,7 +159,7 @@ reproduction targets.
 		if runErr != nil {
 			return &sweep.Report{Matrix: m}
 		}
-		r, err := sweep.Run(m, opts)
+		r, err := sweep.Run(m, sweep.Options{Workers: workers})
 		if err != nil {
 			runErr = err
 			return &sweep.Report{Matrix: m}
@@ -274,10 +173,7 @@ reproduction targets.
 	}
 
 	forEachExperiment(&b, run, seeds)
-	if runErr == nil && opts.Shard.Count == 0 {
-		// Sharded runs skip the counterfactual: it never contributes to
-		// the suite JSON (its runs bypass `run`), and shard markdown is
-		// discarded anyway.
+	if runErr == nil {
 		runErr = expCounterfactual(&b, seeds)
 	}
 	expPerf(&b, benchFile)
@@ -325,6 +221,19 @@ func suiteMatrices(seeds int) []sweep.Matrix {
 		return &sweep.Report{Matrix: m}
 	}, seeds)
 	return ms
+}
+
+// writeMatrices is the -matrices export: it writes the suite's
+// matrices to path as the JSON array cmd/sweepd loads and returns how
+// many it wrote. The file is the only hand-off between the two tools,
+// so its round trip is pinned by a test.
+func writeMatrices(path string, seeds int) (int, error) {
+	ms := suiteMatrices(seeds)
+	blob, err := json.MarshalIndent(ms, "", "  ")
+	if err != nil {
+		return 0, err
+	}
+	return len(ms), os.WriteFile(path, blob, 0o644)
 }
 
 // runReplay handles -replay: re-run suite cell "MATRIX:INDEX" with
@@ -422,123 +331,6 @@ func parseReplaySpec(spec string) (string, int, error) {
 		return "", 0, fmt.Errorf("experiments: bad -replay %q: index must be >= 0", spec)
 	}
 	return spec[:i], index, nil
-}
-
-// suiteJSON renders the suite: a JSON array of the canonical per-matrix
-// reports. The merge path and the sweepd dispatcher reproduce these
-// bytes exactly — all three go through sweep.SuiteJSON.
-func suiteJSON(reports []*sweep.Report) ([]byte, error) {
-	return sweep.SuiteJSON(reports)
-}
-
-// runDispatched runs the whole suite through the distributed
-// dispatcher: n subprocess workers (self-exec'd with -worker-stdio),
-// merged output written to reportPath and optionally diffed against a
-// golden — byte-identical to the unsharded run by construction.
-func runDispatched(n, seeds, pool int, reportPath, golden string, verbose bool) error {
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	// Split the machine between the workers rather than oversubscribing
-	// it n×: each subprocess gets an equal slice of the pool unless the
-	// user pinned -workers explicitly.
-	if pool == 0 {
-		pool = runtime.GOMAXPROCS(0) / n
-		if pool < 1 {
-			pool = 1
-		}
-	}
-	fleet := make([]dispatch.Transport, 0, n)
-	for i := 0; i < n; i++ {
-		cmd := exec.Command(exe, "-worker-stdio", "-workers", strconv.Itoa(pool))
-		cmd.Stderr = os.Stderr
-		tr, err := dispatch.SpawnWorker(fmt.Sprintf("exp%d", i), cmd)
-		if err != nil {
-			return err
-		}
-		fleet = append(fleet, tr)
-	}
-	cfg := dispatch.Config{
-		Matrices:      suiteMatrices(seeds),
-		Speculate:     true,
-		LocalFallback: true,
-		LocalPool:     pool,
-	}
-	if verbose {
-		cfg.Logf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	start := time.Now()
-	reports, stats, err := dispatch.Run(cfg, fleet)
-	if err != nil {
-		return err
-	}
-	suite, err := suiteJSON(reports)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(reportPath, suite, 0o644); err != nil {
-		return err
-	}
-	if err := compareGolden(suite, golden); err != nil {
-		return err
-	}
-	fmt.Printf("dispatched %d matrices (%d units, %d cells) across %d workers (%d retries, %d lost, %.2fs)\n",
-		len(reports), stats.Units, stats.Cells, n, stats.Retries, stats.WorkersLost, time.Since(start).Seconds())
-	return nil
-}
-
-// mergeSuites reads shard suite files (each a JSON array of shard
-// reports, one per matrix, in suite order) and recombines them into the
-// unsharded suite bytes.
-func mergeSuites(paths []string) ([]byte, error) {
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("experiments: -merge needs shard suite files as arguments")
-	}
-	shards := make([][]*sweep.Report, len(paths))
-	for i, path := range paths {
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		if err := json.Unmarshal(blob, &shards[i]); err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", path, err)
-		}
-		if len(shards[i]) != len(shards[0]) {
-			return nil, fmt.Errorf("experiments: %s has %d matrices, %s has %d",
-				paths[i], len(shards[i]), paths[0], len(shards[0]))
-		}
-	}
-	merged := make([]*sweep.Report, len(shards[0]))
-	for j := range shards[0] {
-		parts := make([]*sweep.Report, len(shards))
-		for i := range shards {
-			parts[i] = shards[i][j]
-		}
-		r, err := sweep.MergeReports(parts)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: matrix %d (%s): %w", j, parts[0].Matrix.Name, err)
-		}
-		merged[j] = r
-	}
-	return suiteJSON(merged)
-}
-
-// compareGolden byte-compares suite bytes against a golden file (no-op
-// when the path is empty).
-func compareGolden(suite []byte, path string) error {
-	if path == "" {
-		return nil
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if string(suite) != string(want) {
-		return fmt.Errorf("experiments: suite differs from golden %s (got %d bytes, want %d)", path, len(suite), len(want))
-	}
-	fmt.Printf("suite matches golden %s\n", path)
-	return nil
 }
 
 func seedList(n int) []int64 {

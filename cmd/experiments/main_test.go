@@ -2,20 +2,21 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 
 	"fdgrid/internal/sweep"
 )
 
 // The committed suite golden pins the canonical JSON of every
-// experiment matrix at the CI seed count. CI's sharded sweep jobs merge
-// their partial suites and diff against the same file, so any
-// behavioural drift — scheduler, oracle, protocol or adversary
-// generator — surfaces as a byte diff both locally and in CI.
+// experiment matrix at the CI seed count. CI's dispatch job runs the
+// suite through sweepd and diffs the merged report against the same
+// file, so any behavioural drift — scheduler, oracle, protocol or
+// adversary generator — surfaces as a byte diff both locally and in CI.
 //
 // Regenerate (only when a behaviour change is intended and understood):
 //
@@ -29,13 +30,13 @@ func goldenPath(t *testing.T) string {
 	return filepath.Join("testdata", "suite.golden.json")
 }
 
-func buildSuiteJSON(t *testing.T, seeds int, opts sweep.Options) ([]byte, []*sweep.Report) {
+func buildSuiteJSON(t *testing.T, seeds int) ([]byte, []*sweep.Report) {
 	t.Helper()
-	_, reports, err := buildSuite(seeds, opts, "no-such-bench-record.json", false)
+	_, reports, err := buildSuite(seeds, 0, "no-such-bench-record.json", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite, err := suiteJSON(reports)
+	suite, err := sweep.SuiteJSON(reports)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func buildSuiteJSON(t *testing.T, seeds int, opts sweep.Options) ([]byte, []*swe
 }
 
 func TestSuiteGolden(t *testing.T) {
-	got, reports := buildSuiteJSON(t, goldenSeeds, sweep.Options{})
+	got, reports := buildSuiteJSON(t, goldenSeeds)
 	for _, r := range reports {
 		if !r.OK() {
 			t.Errorf("matrix %s", r.Summary())
@@ -69,24 +70,39 @@ func TestSuiteGolden(t *testing.T) {
 	}
 }
 
-// TestShardMergeMatchesUnsharded drives the CI pipeline in-process:
-// every shard runs independently, the partial suites travel through
-// files, and the merge reproduces the unsharded bytes.
+// TestShardMergeMatchesUnsharded checks shard/merge byte-identity over
+// the full suite: every matrix runs as independent shards whose reports
+// travel through their JSON form, sweep.MergeReports recombines them,
+// and the merged suite reproduces the unsharded suite bytes. This is
+// the contract sweepd's units and merge rest on.
 func TestShardMergeMatchesUnsharded(t *testing.T) {
 	const seeds = 2 // smaller than the golden run: this test checks the pipeline, not the values
-	want, _ := buildSuiteJSON(t, seeds, sweep.Options{})
+	want, _ := buildSuiteJSON(t, seeds)
 
 	const count = 3
-	dir := t.TempDir()
-	paths := make([]string, count)
-	for i := 0; i < count; i++ {
-		suite, _ := buildSuiteJSON(t, seeds, sweep.Options{Shard: sweep.Shard{Index: i, Count: count}})
-		paths[i] = filepath.Join(dir, "shard-"+string(rune('0'+i))+".json")
-		if err := os.WriteFile(paths[i], suite, 0o644); err != nil {
-			t.Fatal(err)
+	var merged []*sweep.Report
+	for _, m := range suiteMatrices(seeds) {
+		parts := make([]*sweep.Report, count)
+		for i := range parts {
+			r, err := sweep.Run(m, sweep.Options{Shard: sweep.Shard{Index: i, Count: count}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(blob, &parts[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
+		r, err := sweep.MergeReports(parts)
+		if err != nil {
+			t.Fatalf("matrix %s: %v", m.Name, err)
+		}
+		merged = append(merged, r)
 	}
-	got, err := mergeSuites(paths)
+	got, err := sweep.SuiteJSON(merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,28 +111,41 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestParseShard pins the -shard flag grammar.
-func TestParseShard(t *testing.T) {
-	if s, err := parseShard(""); err != nil || s.Count != 0 {
-		t.Fatalf("empty spec: %v %v", s, err)
-	}
-	if s, err := parseShard("2/4"); err != nil || s.Index != 2 || s.Count != 4 {
-		t.Fatalf("2/4: %v %v", s, err)
-	}
-	// Malformed specs must error with usage guidance, never run a
-	// silently wrong shard. The trailing-junk rows pin the strictness
-	// Sscanf-style prefix parsing would lose ("0/4x" ran shard 0/4).
-	for _, bad := range []string{
-		"4/4", "-1/4", "1", "a/b", "1/0",
-		"0/4x", "x0/4", "1/2/3", "0 /4", "0/ 4", "/4", "0/", "/",
-	} {
-		_, err := parseShard(bad)
-		if err == nil {
-			t.Errorf("spec %q accepted", bad)
-			continue
+// TestMatricesExportRoundTrip pins the hand-off between this tool and
+// cmd/sweepd: the exact bytes -matrices writes, decoded the way sweepd
+// loads them, expand every suite matrix into the cells the original
+// matrix expands to. Seed counts are the suite's (3) and the paper
+// benchmark workload's (12).
+func TestMatricesExportRoundTrip(t *testing.T) {
+	for _, seeds := range []int{goldenSeeds, 12} {
+		path := filepath.Join(t.TempDir(), "suite-spec.json")
+		if _, err := writeMatrices(path, seeds); err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(err.Error(), bad) {
-			t.Errorf("spec %q: error does not echo the spec: %v", bad, err)
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded []sweep.Matrix
+		if err := json.Unmarshal(blob, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		orig := suiteMatrices(seeds)
+		if len(decoded) != len(orig) {
+			t.Fatalf("seeds=%d: decoded %d matrices, want %d", seeds, len(decoded), len(orig))
+		}
+		for i, m := range orig {
+			want, err := m.Cells()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := decoded[i].Cells()
+			if err != nil {
+				t.Fatalf("seeds=%d: decoded %s: %v", seeds, m.Name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("seeds=%d: matrix %s expands to different cells after the export round trip", seeds, m.Name)
+			}
 		}
 	}
 }

@@ -28,6 +28,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -138,6 +139,19 @@ func runDispatcher(f dispatcherFlags) error {
 	if err != nil {
 		return err
 	}
+	if f.connect == "" {
+		// A fault aimed past the fleet would arm nothing and leave a
+		// "crash test" testing nothing; refuse it before spawning.
+		bad := -1
+		for w := range schedule {
+			if w >= f.workersN && (bad < 0 || w < bad) {
+				bad = w
+			}
+		}
+		if bad >= 0 {
+			return fmt.Errorf("sweepd: -fault arms worker %d, but -workers %d spawns no such worker (indices start at 0)", bad, f.workersN)
+		}
+	}
 
 	var fleet []dispatch.Transport
 	if f.connect != "" {
@@ -203,8 +217,14 @@ func runDispatcher(f dispatcherFlags) error {
 	start := time.Now()
 	reports, stats, err := dispatch.Run(cfg, fleet)
 	if stats != nil && f.statsF != "" {
-		if blob, merr := json.MarshalIndent(stats, "", "  "); merr == nil {
-			os.WriteFile(f.statsF, blob, 0o644)
+		// Stats are written even for a failed run (they say why it
+		// failed); a stats write error joins the run's own.
+		blob, serr := json.MarshalIndent(stats, "", "  ")
+		if serr == nil {
+			serr = os.WriteFile(f.statsF, blob, 0o644)
+		}
+		if serr != nil {
+			err = errors.Join(err, fmt.Errorf("sweepd: -stats: %w", serr))
 		}
 	}
 	if err != nil {

@@ -100,3 +100,55 @@ func mustJSON(t *testing.T, m sweep.Matrix) string {
 	}
 	return string(blob)
 }
+
+// tinySpec writes a one-matrix, one-cell suite spec.
+func tinySpec(t *testing.T) string {
+	t.Helper()
+	p := filepath.Join(t.TempDir(), "one.json")
+	body := `[{"name":"one","protocol":"kset-omega","seeds":[0],"sizes":[{"n":5,"t":2}],"combos":[{"z":2}],"gst":400,"max_steps":500000}]`
+	if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestDispatcherRejectsFaultPastFleet: a -fault entry naming a worker
+// the run never spawns arms nothing, so it is refused up front rather
+// than reported as a clean fault-free run.
+func TestDispatcherRejectsFaultPastFleet(t *testing.T) {
+	spec := tinySpec(t)
+	for _, c := range []struct {
+		workers int
+		faults  string
+	}{
+		{1, "4:crash@1"},
+		{0, "0:crash@1"},
+		{3, "0:crash@5;3:hang@1"},
+	} {
+		err := runDispatcher(dispatcherFlags{matricesF: spec, workersN: c.workers, faults: c.faults, units: 1})
+		if err == nil || !strings.Contains(err.Error(), "no such worker") {
+			t.Errorf("-workers %d -fault %q: err=%v, want a no-such-worker error", c.workers, c.faults, err)
+		}
+	}
+}
+
+// TestDispatcherReportsStatsWriteError: an unwritable -stats path fails
+// the run instead of exiting 0 with no artifact.
+func TestDispatcherReportsStatsWriteError(t *testing.T) {
+	spec, dir := tinySpec(t), t.TempDir()
+	ok := filepath.Join(dir, "stats.json")
+	if err := runDispatcher(dispatcherFlags{matricesF: spec, units: 1, fallback: true, statsF: ok}); err != nil {
+		t.Fatalf("writable -stats path: %v", err)
+	}
+	if _, err := os.Stat(ok); err != nil {
+		t.Fatalf("stats artifact not written: %v", err)
+	}
+	stats := filepath.Join(dir, "missing-dir", "stats.json")
+	err := runDispatcher(dispatcherFlags{matricesF: spec, units: 1, fallback: true, statsF: stats})
+	if err == nil {
+		t.Fatal("unwritable -stats path accepted")
+	}
+	if !strings.Contains(err.Error(), "missing-dir") {
+		t.Errorf("error does not name the stats path: %v", err)
+	}
+}

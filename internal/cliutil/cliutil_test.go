@@ -3,35 +3,7 @@ package cliutil
 import (
 	"strings"
 	"testing"
-
-	"fdgrid/internal/ids"
-	"fdgrid/internal/sim"
 )
-
-func TestParseCrashes(t *testing.T) {
-	got, err := ParseCrashes("3:0, 5:400", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[3] != 0 || got[5] != 400 {
-		t.Errorf("got %v", got)
-	}
-	empty, err := ParseCrashes("  ", 6)
-	if err != nil || len(empty) != 0 {
-		t.Errorf("empty spec: %v %v", empty, err)
-	}
-	bad := []string{"3", "x:1", "3:x", "9:1", "0:1", "3:-2", "3:1,3:2"}
-	for _, spec := range bad {
-		if _, err := ParseCrashes(spec, 6); err == nil {
-			t.Errorf("spec %q accepted", spec)
-		}
-	}
-}
-
-func TestParseCrashesTypes(t *testing.T) {
-	got, _ := ParseCrashes("2:7", 3)
-	var _ map[ids.ProcID]sim.Time = got
-}
 
 func TestTablePlain(t *testing.T) {
 	tab := &Table{Headers: []string{"a", "long-header"}}

@@ -62,6 +62,19 @@ func testSuite() []sweep.Matrix {
 	return []sweep.Matrix{a, b}
 }
 
+// heldMatrix is a testSuite-shaped matrix whose one pattern holds
+// explicit hold sets, which must cross the wire intact. (The hold
+// silences the last process towards the others until after GST, which
+// changes every cell it touches.)
+func heldMatrix() sweep.Matrix {
+	held := testSuite()[0]
+	held.Name = "held"
+	held.Patterns = []sweep.CrashPattern{{Name: "silenced", Holds: []sim.Hold{
+		{From: ids.NewSet(5), To: ids.NewSet(1, 2, 3, 4), Until: 900},
+	}}}
+	return held
+}
+
 // baselineSuite runs the suite unsharded in-process — the byte-identity
 // reference every dispatched run is diffed against.
 func baselineSuite(t *testing.T, matrices []sweep.Matrix) []byte {
@@ -115,9 +128,10 @@ func testConfig(matrices []sweep.Matrix) Config {
 
 // TestDispatchFaultMatrix is the tentpole's acceptance test: under
 // every fault schedule in the injection matrix, the dispatched suite's
-// merged reports are byte-identical to the unsharded run.
+// merged reports are byte-identical to the unsharded run. The suite
+// includes the held matrix, so hold sets survive every fault too.
 func TestDispatchFaultMatrix(t *testing.T) {
-	matrices := testSuite()
+	matrices := append(testSuite(), heldMatrix())
 	want := baselineSuite(t, matrices)
 
 	cases := []struct {
@@ -130,8 +144,8 @@ func TestDispatchFaultMatrix(t *testing.T) {
 			if s.WorkersLost != 0 || s.Retries != 0 || s.LocalUnits != 0 {
 				t.Errorf("clean run reported churn: %+v", s)
 			}
-			if s.Cells != 12 || s.Units != 6 {
-				t.Errorf("clean run: %d cells in %d units, want 12 in 6", s.Cells, s.Units)
+			if s.Cells != 18 || s.Units != 9 {
+				t.Errorf("clean run: %d cells in %d units, want 18 in 9", s.Cells, s.Units)
 			}
 		}},
 		// Every unit holds two cells, so After: 1 fires inside worker 0's
@@ -242,15 +256,9 @@ func TestDispatchRejectsBadSuites(t *testing.T) {
 
 // TestDispatchHeldMatrix: a matrix with explicit pattern holds crosses
 // the wire with its hold sets intact, so the dispatched report equals
-// the unsharded one. (The hold silences the last process towards the
-// others until after GST, which changes every cell it touches.)
+// the unsharded one.
 func TestDispatchHeldMatrix(t *testing.T) {
-	held := testSuite()[0]
-	held.Name = "held"
-	held.Patterns = []sweep.CrashPattern{{Name: "silenced", Holds: []sim.Hold{
-		{From: ids.NewSet(5), To: ids.NewSet(1, 2, 3, 4), Until: 900},
-	}}}
-	matrices := []sweep.Matrix{held}
+	matrices := []sweep.Matrix{heldMatrix()}
 	want := baselineSuite(t, matrices)
 	reports, stats, err := Run(testConfig(matrices), pipeFleet(2, nil))
 	if err != nil {
