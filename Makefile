@@ -6,6 +6,7 @@
 #   make smoke       short parallel sweep through cmd/experiments
 #   make dispatch-smoke  suite through sweepd with a worker crash, diffed vs golden
 #   make perf-smoke  one short perfbench pass per workload; fails unless its checks pass
+#   make fuzz-smoke  run every fuzz target for 10 s each
 #   make examples    go run every runnable example (drift gate)
 #   make bench       benchmarks (5 counts) + sweep wall time → $(BENCH_OUT)
 #   make bench-gate  scheduler micro-benchmarks vs the committed baseline
@@ -16,7 +17,7 @@
 GO ?= go
 BENCH_OUT ?= BENCH_PR7.json
 
-.PHONY: ci vet lint build test race smoke dispatch-smoke perf-smoke examples bench bench-smoke bench-gate clean
+.PHONY: ci vet lint build test race fuzz-smoke smoke dispatch-smoke perf-smoke examples bench bench-smoke bench-gate clean
 
 ci: vet build race smoke dispatch-smoke examples
 
@@ -46,6 +47,14 @@ test:
 # loudly here instead of lurking until a refactor reorders a file.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# Fuzz smoke: each stdlib fuzz target explores past its seed corpus for
+# 10 s (plain `go test` only replays the seeds). go test -fuzz takes one
+# package and one target per invocation, hence one line per target.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSetOps$$' -fuzztime 10s ./internal/ids
+	$(GO) test -run '^$$' -fuzz '^FuzzSetUnmarshalJSON$$' -fuzztime 10s ./internal/ids
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/dispatch
 
 # A short end-to-end sweep: every experiment matrix runs (the full
 # matrix takes a couple of seconds), the rendered report and canonical

@@ -27,11 +27,12 @@ type Decision struct {
 
 // Outcome collects proposals and decisions of one agreement run. It is
 // run-token state, like everything a run touches: processes decide on
-// their own goroutines but only while holding the run token, stop
+// their own coroutines but only while holding the run token, stop
 // predicates read it inside tick phases, and checkers run after
-// sim.Run has joined every goroutine — so the channel handoffs provide
-// every needed happens-before edge and no lock is involved (verified,
-// like the rest of the ownership contract, by the -race CI job).
+// sim.Run has stopped every coroutine — so the coroutine switches
+// provide every needed happens-before edge and no lock is involved
+// (verified, like the rest of the ownership contract, by the -race CI
+// job).
 type Outcome struct {
 	proposals map[ids.ProcID]Value
 	decisions map[ids.ProcID]Decision

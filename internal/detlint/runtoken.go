@@ -4,14 +4,13 @@ import "go/ast"
 
 // runtokenAnalyzer polices the run-token ownership contract
 // (docs/ARCHITECTURE.md): simulation state is owned by whoever holds
-// the run token, handoffs happen over channels, and therefore locks,
-// atomics and extra goroutines inside the deterministic packages are
-// either dead weight or — far worse — a second scheduler smuggled in
-// beside the deterministic one. The documented cross-thread surface
-// is small and carries explicit allows: System.Now / InFlight
-// (atomic), WakeAt's hint list (locked), process launch/teardown
-// (sim.go), the interner (tag.go), and the sweep engine's host-side
-// worker pool (engine.go).
+// the run token, the token passes by coroutine switch (iter.Pull), and
+// therefore locks, atomics and goroutines inside the deterministic
+// packages are either dead weight or — far worse — a second scheduler
+// smuggled in beside the deterministic one. The documented cross-thread
+// surface is small and carries explicit allows: System.Now / InFlight
+// (atomic), WakeAt's hint list (locked), the interner (tag.go), and the
+// sweep engine's host-side worker pool (engine.go).
 var runtokenAnalyzer = &Analyzer{
 	Name:  "runtoken",
 	Scope: ScopeDeterministic,
@@ -26,7 +25,7 @@ func runRuntoken(p *Package) []Diagnostic {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				out = append(out, p.diag("runtoken", n,
-					"go statement spawns a goroutine beside the run token; only the simulator launches goroutines"))
+					"go statement spawns a goroutine beside the run token; process mains run as iter.Pull coroutines"))
 			case *ast.Ident:
 				if pkg, name := p.typeUse(n); pkg == "sync" || pkg == "sync/atomic" {
 					out = append(out, p.diag("runtoken", n,

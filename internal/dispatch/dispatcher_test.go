@@ -278,7 +278,11 @@ func TestDispatchHeldMatrix(t *testing.T) {
 
 // TestDispatchSubprocessWorkers runs the suite through real stdio
 // subprocess workers (this test binary re-exec'd via TestMain), one of
-// them crashing mid-run — the cmd/sweepd topology in miniature.
+// them crashing mid-run — the cmd/sweepd topology in miniature. Worker 0
+// crashes on the second cell of its first unit: the dispatcher assigns
+// every worker one two-cell unit as it starts, so the crash fires however
+// fast the others drain the rest of the suite. A later trigger would
+// need a second unit, which fast peers can leave worker 0 without.
 func TestDispatchSubprocessWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess fleet in -short mode")
@@ -299,7 +303,7 @@ func TestDispatchSubprocessWorkers(t *testing.T) {
 			fmt.Sprintf("DISPATCH_TEST_NAME=sub%d", i),
 		)
 		if i == 0 {
-			cmd.Env = append(cmd.Env, "DISPATCH_TEST_FAULT=crash@3")
+			cmd.Env = append(cmd.Env, "DISPATCH_TEST_FAULT=crash@1")
 		}
 		tr, err := SpawnWorker(fmt.Sprintf("sub%d", i), cmd)
 		if err != nil {

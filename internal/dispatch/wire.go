@@ -28,6 +28,7 @@
 package dispatch
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -40,10 +41,14 @@ import (
 // Frame format: 4-byte big-endian payload length, 4-byte IEEE CRC32 of
 // the payload, then the JSON payload. The CRC turns a corrupted or
 // truncated frame into a detected transport error instead of a
-// misparsed message; the length cap bounds what a broken peer can make
-// us allocate.
+// misparsed message; the length cap bounds how much a broken peer can
+// make us read, and the payload buffer grows with the bytes actually
+// received, so a header alone cannot make us allocate its length.
 const (
 	frameHeader = 8
+	// framePrealloc caps the payload buffer reserved up front from the
+	// header's length; longer payloads grow as they arrive.
+	framePrealloc = 64 << 10
 	// MaxFrame bounds a single frame's payload. 64 MiB comfortably holds
 	// the largest unit assignment (a full Matrix plus cell indices) and
 	// any CellResult.
@@ -148,10 +153,18 @@ func ReadFrame(r io.Reader) (*Msg, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("dispatch: frame payload %d bytes exceeds cap %d", n, MaxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// bytes.Buffer.ReadFrom wants MinRead spare bytes before each read,
+	// the final EOF probe included: reserving them keeps a small frame
+	// to one allocation.
+	var buf bytes.Buffer
+	buf.Grow(min(int(n), framePrealloc) + bytes.MinRead)
+	if got, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		if err == io.EOF && got > 0 {
+			err = io.ErrUnexpectedEOF // io.ReadFull's wording for a partial read
+		}
 		return nil, fmt.Errorf("dispatch: truncated frame payload: %w", err)
 	}
+	payload := buf.Bytes()
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, &ErrCorruptFrame{Want: want, Got: got}
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -84,6 +86,97 @@ func TestFrameTruncationAndOversize(t *testing.T) {
 	if _, err := ReadFrame(bytes.NewReader(huge[:])); err == nil || !strings.Contains(err.Error(), "exceeds cap") {
 		t.Fatalf("oversize frame: err=%v", err)
 	}
+}
+
+// TestReadFrameTruncatedAllocBounded: a header declaring a MaxFrame
+// payload that never arrives costs what arrived, not the declared 64 MiB,
+// and keeps its truncation error.
+func TestReadFrameTruncatedAllocBounded(t *testing.T) {
+	var hdr [frameHeader]byte
+	binary.BigEndian.PutUint32(hdr[0:4], MaxFrame)
+	for _, tc := range []struct {
+		frame []byte
+		want  string
+	}{
+		{hdr[:], "dispatch: truncated frame payload: EOF"},
+		{append(hdr[:], make([]byte, 1000)...), "dispatch: truncated frame payload: unexpected EOF"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadFrame(bytes.NewReader(tc.frame))
+		runtime.ReadMemStats(&after)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%d-byte frame: err=%v, want %q", len(tc.frame), err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%d-byte frame declaring %d bytes allocated %d bytes", len(tc.frame), MaxFrame, grew)
+		}
+	}
+}
+
+// FuzzReadFrame: every input either fails to read, or reads as a Msg
+// that WriteFrame re-encodes and ReadFrame decodes back equal — equal
+// as encoded, since an empty list under omitempty legitimately comes
+// back nil (testdata/fuzz holds such a case). Seeds
+// are real hello, unit, cell and done frames, plus corrupt, truncated
+// and oversize ones. Each input is also read as a payload behind a
+// valid header, so mutations reach the JSON decoder instead of dying
+// at the checksum.
+func FuzzReadFrame(f *testing.F) {
+	matrix := testSuite()[0]
+	rep, err := sweep.Run(matrix, sweep.Options{Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var frames [][]byte
+	for _, m := range []*Msg{
+		{Kind: KindHello, Worker: "w0"},
+		{Kind: KindUnit, Unit: &Unit{ID: "dispatch-a#0/2", Matrix: matrix, Shard: sweep.Shard{Index: 0, Count: 2}, TotalCells: len(rep.Cells)}},
+		{Kind: KindCell, UnitID: "dispatch-a#0/2", Cell: &rep.Cells[0]},
+		{Kind: KindDone, UnitID: "dispatch-a#0/2"},
+	} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		frames = append(frames, buf.Bytes())
+		f.Add(buf.Bytes())
+	}
+	cell := frames[2]
+	corrupt := bytes.Clone(cell)
+	corrupt[len(corrupt)/2] ^= 0x20
+	f.Add(corrupt)
+	f.Add(cell[:len(cell)-7])
+	f.Add(cell[:5])
+	var oversize [frameHeader]byte
+	binary.BigEndian.PutUint32(oversize[0:4], MaxFrame+1)
+	f.Add(oversize[:])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var framed bytes.Buffer
+		if len(data) <= MaxFrame {
+			if err := writeRawFrame(&framed, data, crc32.ChecksumIEEE(data)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, frame := range [][]byte{data, framed.Bytes()} {
+			m, err := ReadFrame(bytes.NewReader(frame))
+			if err != nil {
+				continue
+			}
+			var buf bytes.Buffer
+			if err := WriteFrame(&buf, m); err != nil {
+				t.Fatalf("read %+v, which does not re-encode: %v", m, err)
+			}
+			sent := bytes.Clone(buf.Bytes())
+			back, err := ReadFrame(&buf)
+			if err != nil {
+				t.Fatalf("re-encoded %+v does not read back: %v", m, err)
+			}
+			if err := WriteFrame(&buf, back); err != nil || !bytes.Equal(buf.Bytes(), sent) {
+				t.Fatalf("frame %q read back as a message that encodes to %q (%v)", sent, buf.Bytes(), err)
+			}
+		}
+	})
 }
 
 func TestParseFault(t *testing.T) {

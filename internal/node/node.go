@@ -16,7 +16,7 @@ import (
 
 // Layer is one protocol layer in the stack.
 //
-// Layers run entirely on the owning process's goroutine. Emulated
+// Layers run entirely on the owning process's coroutine. Emulated
 // failure detector outputs they expose are read by samplers and other
 // processes under the same run token (see the internal/sim concurrency
 // contract), so no internal locking is needed.
@@ -146,7 +146,7 @@ func (nd *Node) WaitOn(pred func() bool, onMsg func(sim.Message)) {
 }
 
 // RunForever drives the event loop until the process is crashed or the
-// run stops (the Env unwinds the goroutine). Used by transformation-only
+// run stops (the Env unwinds the process). Used by transformation-only
 // processes that have no top-level protocol.
 func (nd *Node) RunForever() {
 	// Initial poll round: layer autonomous tasks take their first step

@@ -38,7 +38,7 @@ type frame struct {
 
 // Layer adds reliable broadcast to one process's environment. It is not
 // safe for concurrent use: like all protocol state, it lives on the
-// owning process's goroutine.
+// owning process's coroutine.
 type Layer struct {
 	env     *sim.Env
 	nextSeq int

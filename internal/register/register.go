@@ -42,8 +42,8 @@ type key struct {
 // shared-memory model. Create one Memory per run and a view per process.
 //
 // Like every register substrate, a Memory is run-token state: processes
-// read and write it from their own goroutines, but only while holding
-// the run token, so the scheduler's channel handoffs serialize every
+// read and write it from their own coroutines, but only while holding
+// the run token, so the scheduler's coroutine switches serialize every
 // access and no lock is involved (the -race CI job verifies this along
 // with the rest of the ownership contract). The atomicity the paper's
 // model asks of a register is exactly what token serialization gives.

@@ -87,8 +87,9 @@ func TestOnTickAfterRunPanics(t *testing.T) {
 }
 
 // TestProcessPanicSurfacesFromRun: a protocol bug inside a process
-// goroutine is re-raised by Run after all goroutines are joined.
+// main is re-raised by Run after every coroutine is stopped.
 func TestProcessPanicSurfacesFromRun(t *testing.T) {
+	defer goroutinesRestored(t)()
 	s := MustNew(Config{N: 2, T: 0, Seed: 4, MaxSteps: 100_000})
 	s.Spawn(1, func(e *Env) {
 		e.Step() // wait one event, then blow up
@@ -164,10 +165,11 @@ func TestEnvCrashedVisibility(t *testing.T) {
 }
 
 // TestSamplerPanicSurfaces: a panic in an OnTick sampler — which runs
-// on whatever goroutine holds the run token, possibly a process that
-// was parking — is re-raised from Run after a clean teardown rather
-// than deadlocking it (the unwinding process must clear its park bit).
+// on whichever coroutine holds the run token, possibly a process that
+// was parking — is re-raised from Run after a clean teardown that
+// stops every other coroutine.
 func TestSamplerPanicSurfaces(t *testing.T) {
+	defer goroutinesRestored(t)()
 	s := MustNew(Config{N: 2, T: 0, Seed: 1, MaxSteps: 1_000})
 	s.OnTick(func(now Time) {
 		if now == 5 {

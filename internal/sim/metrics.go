@@ -4,18 +4,17 @@ import "sort"
 
 // Metrics counts message traffic per tag. Counters are plain int64
 // slices indexed by Tag and owned by the run in lockstep: they are
-// bumped from process goroutines (sends) and the scheduler goroutine
-// (deliveries, drops), and the run-token handoff serializes all of
-// those, so the bump path is a bare array index — no locks, no atomics,
-// no string hashing.
+// bumped from process mains (sends) and the tick phases (deliveries,
+// drops), and the run token serializes all of those, so the bump path
+// is a bare array index — no locks, no atomics, no string hashing.
 //
 // Ownership contract (this replaces the old "all methods are safe for
 // concurrent use" claim): call the live readers — Sent, TotalSent,
 // Snapshot — from code holding the run token, i.e. from process mains,
 // stop predicates, OnTick/OnAdvance samplers, or any time after Run has
 // returned. Do not call them from an unrelated goroutine while the run
-// is in progress. Run's return joins every process goroutine, so
-// post-run reads from any goroutine are race-clean.
+// is in progress. Run returns only after stopping every process
+// coroutine, so post-run reads from Run's caller are race-clean.
 type Metrics struct {
 	sent      []int64 // indexed by Tag; grown on demand
 	delivered []int64

@@ -23,43 +23,40 @@ type envelope struct {
 }
 
 // procKilled is the sentinel used to unwind a crashed or stopped process
-// goroutine. It never escapes the package: System.Run recovers it.
+// coroutine. It never escapes the package: the coroutine recovers it.
 type procKilled struct{}
 
 // Proc is the runtime state of one simulated process.
 //
 // Ownership: execution is strictly sequential — at any instant exactly
-// one goroutine holds the run token (the scheduler, or one process
-// goroutine). Every field below is accessed only by the token holder:
-// the process while it runs, the scheduler while the process is parked
-// or exited. The resume/yield channel handoff orders all of it, so none
-// of these fields need locks or atomics (the race detector checks this
+// one coroutine holds the run token (Run's loop, or one process main).
+// Every field below is accessed only by the token holder: the process
+// while it runs, Run's loop or the tick phases while the process is
+// parked or done. The coroutine switches order all of it, so none of
+// these fields need locks or atomics (the race detector checks this
 // claim on every -race run).
 type Proc struct {
 	id   ids.ProcID
 	sys  *System
 	main func(*Env)
 
-	// resume carries the run token scheduler → process: receiving on it
-	// is the only way this goroutine starts running, and sending on
-	// sys.yield is the only way it stops. One wake is exactly two
-	// goroutine switches.
-	resume chan struct{}
+	// The process main's coroutine (iter.Pull): next resumes it until its
+	// next park or its return, yield is how a parked StepUntil hands the
+	// token back to next's caller, and stop unwinds a parked process —
+	// its yield returns false. All nil until launch.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	inbox    []Message // appended by the scheduler (delivery), drained by the process
 	nextRead int
 	dead     bool // set by the scheduler; the process unwinds at its next Env call
-	exited   bool // set by the process goroutine as it returns
-}
-
-func newProc(id ids.ProcID, sys *System) *Proc {
-	return &Proc{id: id, sys: sys, resume: make(chan struct{})}
 }
 
 // Env is the interface protocol code uses to interact with the system.
-// All methods must be called from the owning process's goroutine (the
-// main passed to Spawn); they unwind the goroutine once the process has
-// crashed or the run has stopped.
+// All methods must be called from the owning process's main (the one
+// passed to Spawn); they unwind it once the process has crashed or the
+// run has stopped.
 type Env struct {
 	p *Proc
 }
@@ -86,7 +83,7 @@ func (e *Env) Now() Time { return e.p.sys.Now() }
 //	env.Trace().Decide(int64(env.Now()), int(env.ID()), r, v)
 func (e *Env) Trace() *trace.Recorder { return e.p.sys.rec }
 
-// checkAlive unwinds the goroutine if the process crashed or the run
+// checkAlive unwinds the process if it crashed or the run
 // stopped (protocol code that swallowed a procKilled panic re-unwinds
 // at its next Env call).
 func (e *Env) checkAlive() {
@@ -184,22 +181,20 @@ func (e *Env) StepUntil(wake Time) (Message, bool) {
 		if s.Now() >= wake {
 			return Message{}, false
 		}
-		// Park: publish the wake condition, then pass the run token on —
-		// directly to the next due process, or through the tick phases
-		// when nothing else is due. If this process turns out to be the
-		// next one due, dispatch says so and the loop continues without
-		// any goroutine switch at all. The dispatcher clears the parked
-		// bit before resuming a process.
+		// Park: publish the wake condition and run the tick phases until
+		// some process is due. If it is this one, the loop continues with
+		// no coroutine switch at all; otherwise the token goes back to
+		// Run's loop, which clears the parked bit before resuming
+		// a process. A stopped coroutine's yield returns false: the
+		// process was killed while parked.
 		s.parkedSet.set(p.id)
 		s.deadlines[p.id] = wake
-		if s.running {
-			if s.dispatch(p) {
-				continue
-			}
-		} else {
-			s.yield <- struct{}{} // launch phase: token back to Run
+		if s.running && s.park(p) {
+			continue
 		}
-		<-p.resume
+		if !p.yield(struct{}{}) {
+			panic(procKilled{})
+		}
 	}
 }
 

@@ -2,43 +2,45 @@
 // AS[n,t] of the paper: n processes that communicate over reliable but
 // arbitrarily slow channels, of which at most t may crash.
 //
-// Processes run as goroutines, but execution is lockstep and sequential:
-// a central scheduler (the "adversary") advances a virtual clock; on each
-// tick it applies scheduled crashes, delivers up to Bandwidth in-flight
-// messages chosen uniformly at random (seeded), and then wakes — one at a
-// time, in identity order — exactly the processes whose wait condition is
-// due (a new message, or a declared wake time reached; see Env.StepUntil).
-// The scheduler only proceeds once the woken process has parked again, so
-// a run is a deterministic function of its Config: same seed, same
-// delivery order, same process steps, same result. Arbitrary-but-finite
-// message delays and arbitrary crash patterns — exactly the adversary the
-// asynchronous model quantifies over — are thus sampled reproducibly.
+// Each process main runs as a coroutine (iter.Pull), but execution is
+// lockstep and sequential: a central scheduler (the "adversary") advances
+// a virtual clock; on each tick it applies scheduled crashes, delivers up
+// to Bandwidth in-flight messages chosen uniformly at random (seeded),
+// and then wakes — one at a time, in identity order — exactly the
+// processes whose wait condition is due (a new message, or a declared
+// wake time reached; see Env.StepUntil). The scheduler only proceeds once
+// the woken process has parked again, so a run is a deterministic
+// function of its Config: same seed, same delivery order, same process
+// steps, same result. Arbitrary-but-finite message delays and arbitrary
+// crash patterns — exactly the adversary the asynchronous model
+// quantifies over — are thus sampled reproducibly.
 //
 // # Concurrency contract
 //
-// Exactly one goroutine runs at any instant: whoever holds the run
-// token. The token moves over unbuffered channels, and it moves
-// directly — a parking process dispatches the next due process itself
-// (one goroutine switch per wake, zero when it dispatches itself), and
-// when the due set is empty the parking process runs the next tick's
-// scheduler phases (crashes, deliveries, samplers, clock advance) on
-// its own stack. There is no scheduler goroutine in the steady-state
-// loop: Run's goroutine launches the processes, hands the token into
-// the system and blocks until the run ends. No mutexes, no
-// condition-variable broadcasts, no lock convoys, no middleman hop.
-// All simulation state (network queues, inboxes, park bits, deadlines,
+// Exactly one coroutine runs at any instant: whoever holds the run
+// token, which is either Run's loop or one process main. A
+// parking process publishes its wake condition and, while nothing is
+// due, runs the next tick's scheduler phases (crashes, deliveries,
+// samplers, clock advance) on its own stack. If it is itself the first
+// process due it keeps running, with no switch at all; otherwise it
+// yields to the run loop, which resumes the first due process (two
+// coroutine switches per wake). Killing a parked process stops its
+// coroutine, which unwinds it before the tick proceeds. No mutexes, no
+// channels, no goroutine beside the coroutines iter.Pull creates. All
+// simulation state (network queues, inboxes, park bits, deadlines,
 // metrics counters) is owned by the run token and accessed without
-// locks; the channel handoffs provide the happens-before edges, and
+// locks; the coroutine switches provide the happens-before edges, and
 // -race verifies the claim.
 //
 // The thin surface that IS safe to touch from other goroutines while a
 // run is in progress: Now (atomic), WakeAt (locked), InFlight (atomic).
 // Everything else — including Metrics reads and Env.Crashed — must be
 // called with the run token (process mains, stop predicates, OnTick /
-// OnAdvance samplers) or after Run has returned, which joins every
-// process goroutine and so publishes all state. Stop predicates and
-// samplers execute on whatever goroutine holds the token at that tick;
-// they must not assume a fixed goroutine identity.
+// OnAdvance samplers) or after Run has returned, which has stopped every
+// process coroutine. Stop predicates and samplers execute on whichever
+// coroutine holds the token at that tick; they must not assume a fixed
+// goroutine identity. A panic in any of them, or in a process main,
+// re-raises from Run after every coroutine has been stopped.
 //
 // Undeliverable stretches of virtual time are skipped: when no message is
 // eligible, no process wake is due and no crash or hold release falls in
@@ -48,13 +50,14 @@
 // anything can happen.
 //
 // Crash semantics: once a process is crashed, its next interaction with
-// the environment unwinds its goroutine (an internal sentinel panic that
+// the environment unwinds its coroutine (an internal sentinel panic that
 // never escapes the package). A crashed process therefore takes no
 // further observable step, as in the model.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -281,8 +284,8 @@ func (fp *Pattern) Faulty() ids.Set {
 //
 // Field ownership follows the package's concurrency contract: unless a
 // field is explicitly marked atomic or locked below, it is run-token
-// state — accessed only by the scheduler goroutine or by the single
-// running process, which the yield/resume handoff serializes.
+// state — accessed only by Run's loop or by the single running
+// process coroutine, which the coroutine switches serialize.
 type System struct {
 	cfg     Config
 	pattern *Pattern
@@ -299,27 +302,21 @@ type System struct {
 	// branch per instrumented site.
 	rec *trace.Recorder
 
-	// yield returns the run token to Run's goroutine: during the launch
-	// phase after each process's first park, and once at the end of the
-	// run. Run is its only receiver. reapAck is the separate return path
-	// of the kill handshake: an unwinding process sends one token, the
-	// killAt or teardown caller that resumed it receives it (a shared
-	// channel would let the two rendezvous cross).
-	yield   chan struct{}
-	reapAck chan struct{}
-
 	// Token-protocol state. running is false during launch (parks yield
-	// to Run) and true while the token circulates; reaping marks a kill
-	// handshake in flight (the unwinding process acks on reapAck instead
-	// of dispatching). due is the set of processes selected to wake this
-	// tick and not yet dispatched; stoppedEarly / ended record how the
-	// run finished.
+	// to Run without running ticks) and true while the token circulates.
+	// due is the set of processes selected to wake this tick and not yet
+	// woken; stoppedEarly / ended record how the run finished.
 	running      bool
-	reaping      bool
 	due          pset
 	stop         func() bool
 	stoppedEarly bool
 	ended        bool
+
+	// wakes counts process wakes (self-dispatches included); switches
+	// counts coroutine switches. Non-canonical: reported by Run, never
+	// part of a sweep report.
+	wakes    int64
+	switches int64
 
 	// Network state: messages accepted but not yet routed (arrivals),
 	// deliverable messages (eligible) and messages bucketed by the tick
@@ -402,19 +399,12 @@ type System struct {
 	//detlint:allow runtoken -- mirrors the WakeAt hint list's length across threads
 	hintLen atomic.Int32
 
-	//detlint:allow runtoken -- Run joins the process goroutines at teardown, publishing all run state
-	wg        sync.WaitGroup
 	ran       bool
 	onTick    []func(Time)
 	onAdvance []func(Time)
-
-	// First protocol panic, recorded by the unwinding process goroutine
-	// (which holds the run token) and re-raised from Run.
-	panicVal any
-	panicked bool
 }
 
-// OnTick registers fn to run on the scheduler goroutine once per tick,
+// OnTick registers fn to run with the run token once per tick,
 // after deliveries, before processes observe the tick. Registering any
 // OnTick callback makes the clock dense: no tick is ever skipped, so
 // samplers may match exact tick values. Must be called before Run.
@@ -487,8 +477,6 @@ func New(cfg Config) (*System, error) {
 		src:     rand.NewSource(cfg.Seed).(rand.Source64),
 		metrics: newMetrics(),
 		held:    make(map[Time][]envelope),
-		yield:   make(chan struct{}),
-		reapAck: make(chan struct{}),
 	}
 	s.pw = pwords(cfg.N)
 	s.deadlines = make([]Time, cfg.N+1)
@@ -500,7 +488,7 @@ func New(cfg Config) (*System, error) {
 	sort.Slice(s.crashTimes, func(i, j int) bool { return s.crashTimes[i] < s.crashTimes[j] })
 	s.procs = make([]*Proc, cfg.N+1)
 	for i := 1; i <= cfg.N; i++ {
-		s.procs[i] = newProc(ids.ProcID(i), s)
+		s.procs[i] = &Proc{id: ids.ProcID(i), sys: s}
 	}
 	if len(cfg.Holds) > 0 {
 		// Precompute the release structures so the send path is one
@@ -577,7 +565,7 @@ func (s *System) Metrics() *Metrics { return s.metrics }
 func (s *System) Env(p ids.ProcID) *Env { return &Env{p: s.procs[p]} }
 
 // Spawn registers main as the protocol code of process p. It must be
-// called before Run. The main runs on its own goroutine; it is unwound
+// called before Run. The main runs as its own coroutine; it is unwound
 // when p crashes or the run stops, and may also return on its own.
 //
 // Mains must block through Env (Step, StepUntil, WaitUntil) to let the
@@ -608,124 +596,109 @@ type Report struct {
 	StoppedEarly bool
 	// Messages is a snapshot of the message metrics.
 	Messages MetricsSnapshot
+	// Wakes counts process wakes: each time a parked process resumed
+	// because it was due, self-dispatches included. Switches counts
+	// coroutine switches: two per resume by the run loop, per launch and
+	// per stop of a parked process, none per self-dispatch. Both are
+	// exact but non-canonical scheduler diagnostics, never written into
+	// sweep reports.
+	Wakes, Switches int64
 }
 
-// launch starts process p's goroutine and blocks until it hands the run
-// token back (first park, or exit). Only used before running is set, so
-// the park and exit paths yield straight to Run's goroutine.
+// launch starts process p's coroutine and runs it to its first park (or
+// exit). Only used before running is set, so the park yields straight
+// back here without running any tick phases.
 func (s *System) launch(p *Proc) {
-	s.wg.Add(1)
-	//detlint:allow runtoken -- the one sanctioned goroutine spawn: each process main runs on its own goroutine, serialized by the run token
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(procKilled); !ok && !s.panicked {
-					// A protocol bug: remember it and re-raise from Run.
-					s.panicked = true
-					s.panicVal = r
+				if _, ok := r.(procKilled); !ok {
+					panic(r) // a protocol bug: surfaces from next/stop, then Run
 				}
 			}
-			p.exited = true
-			// A panic can unwind out of StepUntil after the process
-			// published its park bit (e.g. a stop predicate or sampler
-			// panicking inside the tick phases this process was running):
-			// clear it, or teardown would try to resume a goroutine that
-			// no longer exists.
-			s.parkedSet.clear(p.id)
-			s.releaseToken()
-			s.wg.Done()
 		}()
 		p.main(&Env{p: p})
-	}()
-	<-s.yield
+	})
+	s.switches += 2
+	p.next()
 }
 
-// releaseToken passes the run token onward from a process goroutine that
-// is done running — it parked inside dispatch instead; this is the exit
-// path (main returned, crash unwind, protocol panic).
-func (s *System) releaseToken() {
-	switch {
-	case s.reaping:
-		// A killAt or teardown handshake: ack the caller that resumed us.
-		s.reapAck <- struct{}{}
-	case !s.running:
-		// Launch phase: the token goes straight back to Run.
-		s.yield <- struct{}{}
-	default:
-		s.dispatch(nil)
-	}
+// wake clears process id's due, park and inbox bits as it resumes.
+func (s *System) wake(id ids.ProcID) {
+	s.due.clear(id)
+	s.parkedSet.clear(id)
+	s.inboxDue.clear(id)
+	s.wakes++
 }
 
-// dispatch passes the run token to the next due process — running the
-// tick phases right here, on the caller's stack, whenever the due set
-// is empty. self is the calling (parking) process, nil on the exit
-// path. It returns true when the caller itself is the next due process:
-// the caller keeps the token and keeps running, zero switches. When it
-// returns false the token is gone and the caller must block on its
-// resume channel (or exit).
-func (s *System) dispatch(self *Proc) bool {
+// park runs the tick phases on the parking process's own stack while no
+// process is due. It returns true when self is the first process due:
+// self has been woken and keeps running, with no coroutine switch. On
+// false, self must yield to Run's loop, which wakes the first due
+// process (or finds the run ended).
+func (s *System) park(self *Proc) bool {
 	for {
-		if s.panicked || s.ended {
-			s.ended = true
-			s.yield <- struct{}{} // the run is over: token home to Run
-			return false
-		}
 		if id := s.due.first(s.pw); id != ids.None {
-			s.due.clear(id)
-			s.parkedSet.clear(id)
-			s.inboxDue.clear(id)
-			p := s.procs[id]
-			if p == self {
-				return true
+			if id != self.id {
+				return false
 			}
-			p.resume <- struct{}{}
-			return false
+			s.wake(id)
+			return true
 		}
 		if s.tick(self) {
 			s.ended = true
+			return false
 		}
 	}
 }
 
 // killAt applies an in-run crash: the process is marked dead and, if it
-// was parked, resumed so its goroutine unwinds — and acks on reapAck —
-// before the tick proceeds. A process crashing at the very tick it is
-// running the phases for (p == self) is only marked: it unwinds at its
-// next Env call, before taking any protocol step.
+// was parked, its coroutine is stopped, which unwinds it before the tick
+// proceeds. A process crashing at the very tick it is running the phases
+// for (p == self) is only marked: it unwinds at its next Env call, before
+// taking any protocol step.
 func (s *System) killAt(p, self *Proc) {
 	p.dead = true
-	if p == self {
-		return
-	}
-	if s.parkedSet.has(p.id) {
+	if p != self && s.parkedSet.has(p.id) {
 		s.reap(p)
 	}
 }
 
-// reap unwinds one parked process synchronously: resume it, let its
-// goroutine run the crash unwind, receive the reapAck token back.
+// reap unwinds one parked process synchronously: its yield returns
+// false, StepUntil panics procKilled and the coroutine returns.
 func (s *System) reap(p *Proc) {
-	if p.exited {
-		return // its goroutine is gone; nothing to unwind
-	}
 	s.parkedSet.clear(p.id)
 	s.inboxDue.clear(p.id)
-	s.reaping = true
-	p.resume <- struct{}{}
-	<-s.reapAck
-	s.reaping = false
+	s.switches += 2
+	p.stop()
 }
 
 // Run executes the system: it starts every registered main, then drives
 // the scheduler until stop() returns true or MaxSteps elapse, and finally
-// tears everything down, joining all process goroutines. stop may be nil
-// (run to MaxSteps) and must be safe to call from the scheduler goroutine.
+// tears everything down, stopping every process coroutine. stop may be
+// nil (run to MaxSteps); it runs on whichever coroutine holds the token.
 func (s *System) Run(stop func() bool) Report {
 	if s.ran {
 		panic("sim: Run called twice")
 	}
 	s.ran = true
+	s.drive(stop)
+	return Report{
+		Steps:        s.Now(),
+		StoppedEarly: s.stoppedEarly,
+		Messages:     s.metrics.Snapshot(),
+		Wakes:        s.wakes,
+		Switches:     s.switches,
+	}
+}
 
+// drive launches the processes and runs Run's loop: it runs ticks
+// itself while no process is due, and otherwise resumes the first due
+// process, which holds the token until it yields back — parking behind
+// another due process, exiting, or finding the run over.
+func (s *System) drive(stop func() bool) {
+	defer s.teardown()
 	for i := 1; i <= s.cfg.N; i++ {
 		p := s.procs[i]
 		if s.pattern.CrashTime(p.id) <= 0 {
@@ -737,52 +710,32 @@ func (s *System) Run(stop func() bool) Report {
 		}
 		s.launch(p)
 	}
-
-	stoppedEarly := s.schedule(stop)
-
-	// Tear down: unwind every parked process goroutine, then join them.
-	for i := 1; i <= s.cfg.N; i++ {
-		p := s.procs[i]
-		p.dead = true
-		if s.parkedSet.has(p.id) {
-			s.reap(p)
+	s.stop = stop
+	s.running = true
+	for !s.ended {
+		if id := s.due.first(s.pw); id != ids.None {
+			s.wake(id)
+			s.switches += 2
+			s.procs[id].next()
+			continue
 		}
-	}
-	s.wg.Wait()
-
-	if s.panicked {
-		panic(s.panicVal)
-	}
-
-	return Report{
-		Steps:        s.Now(),
-		StoppedEarly: stoppedEarly,
-		Messages:     s.metrics.Snapshot(),
+		if s.tick(nil) {
+			s.ended = true
+		}
 	}
 }
 
-// schedule hands the run token into the system from Run's goroutine and
-// takes it back when the run is over. Run's goroutine only runs ticks
-// itself while no process is due (e.g. a run with no spawned mains);
-// as soon as a process is dispatched, the token circulates process to
-// process and Run just waits for it to come home.
-func (s *System) schedule(stop func() bool) bool {
-	s.stop = stop
-	s.running = true
-	for {
-		if s.panicked || s.ended {
-			return s.stoppedEarly
-		}
-		if id := s.due.first(s.pw); id != ids.None {
-			s.due.clear(id)
-			s.parkedSet.clear(id)
-			s.inboxDue.clear(id)
-			s.procs[id].resume <- struct{}{}
-			<-s.yield // token comes home only when the run ends
-			return s.stoppedEarly
-		}
-		if s.tick(nil) {
-			return s.stoppedEarly
+// teardown stops every parked process coroutine, in identity order. It
+// runs deferred, so a panic leaving drive still leaves no coroutine
+// behind; each reap is deferred in turn, so a panic while one process
+// unwinds does not skip the rest. A coroutine that is not parked has
+// already returned or panicked.
+func (s *System) teardown() {
+	for i := s.cfg.N; i >= 1; i-- {
+		p := s.procs[i]
+		p.dead = true
+		if s.parkedSet.has(p.id) {
+			defer s.reap(p)
 		}
 	}
 }
@@ -790,7 +743,7 @@ func (s *System) schedule(stop func() bool) bool {
 // tick runs one scheduled tick's phases — stop checks, crashes,
 // deliveries, samplers, clock advance, due-set computation — on the
 // token holder's stack (self is the calling process, nil from Run's
-// goroutine). It returns true when the run is over.
+// loop). It returns true when the run is over.
 func (s *System) tick(self *Proc) bool {
 	now := s.Now()
 	if now >= s.cfg.MaxSteps {
@@ -798,9 +751,6 @@ func (s *System) tick(self *Proc) bool {
 	}
 	if s.stop != nil && s.stop() {
 		s.stoppedEarly = true
-		return true
-	}
-	if s.panicked {
 		return true
 	}
 
@@ -837,7 +787,8 @@ func (s *System) tick(self *Proc) bool {
 
 	// Advance the clock — by one tick, or past a provably idle stretch —
 	// and select, in identity order, every process whose wait condition
-	// is due. The dispatch chain wakes them one after another.
+	// is due. They are woken one after another, each by the parking
+	// process before it (self-dispatch) or by the run loop.
 	next := s.nextTime(now)
 	s.now.Store(int64(next))
 	var due pset
@@ -1204,7 +1155,7 @@ func (s *System) nextTime(now Time) Time {
 }
 
 // send enqueues a message into the network. Called from process
-// goroutines, which hold the run token — so the queues need no lock.
+// coroutines, which hold the run token — so the queues need no lock.
 // send owns the SentAt stamp: it is set here, at acceptance time, and
 // nowhere else; sends from an already-crashed process are refused, so
 // every accepted message satisfies SentAt < crash time of its sender.
