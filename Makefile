@@ -55,6 +55,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetOps$$' -fuzztime 10s ./internal/ids
 	$(GO) test -run '^$$' -fuzz '^FuzzSetUnmarshalJSON$$' -fuzztime 10s ./internal/ids
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/dispatch
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime 10s ./internal/dispatch
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePerturbation$$' -fuzztime 10s ./internal/sweep
 
 # A short end-to-end sweep: every experiment matrix runs (the full
 # matrix takes a couple of seconds), the rendered report and canonical

@@ -449,7 +449,7 @@ func expF1(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds int) 
 		Combos:   combos,
 		GST:      600, MaxSteps: 2_000_000,
 	})
-	tab := &cliutil.Table{Markdown: true, Headers: []string{
+	tab := &cliutil.Table{Headers: []string{
 		"line z", "class", "runs", "decided", "max distinct", "max round", "avg vticks", "ok"}}
 	for _, combo := range combos {
 		cells := group(r, combo)
@@ -485,7 +485,7 @@ func expF2(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds int) 
 		GST:       600, MaxSteps: 400_000,
 		Params: map[string]int64{"stable_for": 12_000, "margin": 10_000},
 	})
-	tab := &cliutil.Table{Markdown: true, Headers: []string{
+	tab := &cliutil.Table{Headers: []string{
 		"x", "y", "z=t+2−x−y", "Ω_z check", "Ω_{z−1} check", "avg stabilization vtick", "avg msgs"}}
 	for _, combo := range combos {
 		cells := group(r, combo)
@@ -529,7 +529,7 @@ func expF2(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds int) 
 		GST:                600, MaxSteps: 160_000,
 		Params: map[string]int64{"stable_for": 12_000, "margin": 10_000},
 	})
-	tabP := &cliutil.Table{Markdown: true, Headers: []string{
+	tabP := &cliutil.Table{Headers: []string{
 		"oracle pair", "classes", "S-role verdict", "φ-role verdict", "runs", "Ω_1 check", "avg stabilization vtick"}}
 	for _, g := range oracleGroups(rPair) {
 		tabP.Add(g.oracle, g.cells[0].OracleClass, roleOf(g.cells, sRole), roleOf(g.cells, phiRole),
@@ -557,7 +557,7 @@ func expF3(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds int) 
 		Combos:   []sweep.Combo{{Z: 2}},
 		GST:      600, MaxSteps: 2_000_000,
 	})
-	tab := &cliutil.Table{Markdown: true, Headers: []string{
+	tab := &cliutil.Table{Headers: []string{
 		"n", "t", "z", "avg rounds", "avg vticks", "avg msgs", "ok"}}
 	for _, size := range sizes {
 		var cells []sweep.CellResult
@@ -593,7 +593,7 @@ func expF3ab(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds int
 		GST:    0, MaxSteps: 500_000,
 		Params: map[string]int64{"stab0": 1, "require_round1": 1, "value_base": 0},
 	})
-	tab := &cliutil.Table{Markdown: true, Headers: []string{"scenario", "runs", "all decided round 1"}}
+	tab := &cliutil.Table{Headers: []string{"scenario", "runs", "all decided round 1"}}
 	tab.Add("perfect oracle, no crash (oracle-efficiency)", len(ra.Cells), ra.OK())
 	tab.Add("perfect oracle, 2 initial crashes (zero-degradation)", len(rb.Cells), rb.OK())
 	b.WriteString(tab.String())
@@ -604,7 +604,7 @@ func expF3ab(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds int
 func expF4(b *strings.Builder) {
 	section(b, "EXP-F4 · Fig. 4 — the common ring of candidate sets",
 		"All processes scan the same infinite sequence ℓ¹₁…ℓ¹ₓ, ℓ²₁… over the x-subsets (and (L,Y) pairs).")
-	tab := &cliutil.Table{Markdown: true, Headers: []string{"ring", "n", "params", "positions", "invariants"}}
+	tab := &cliutil.Table{Headers: []string{"ring", "n", "params", "positions", "invariants"}}
 	r1 := ids.NewXRing(9, 4)
 	tab.Add("lower (ℓ, X)", 9, "x=4", r1.Len(), "leader ∈ X, |X| = x, cyclic (property-tested)")
 	r2 := ids.NewLYRing(9, 4, 2)
@@ -625,7 +625,7 @@ func expF5(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds int) 
 		GST:      500, MaxSteps: 100_000,
 		Params: map[string]int64{"mark": 80_000},
 	})
-	tab := &cliutil.Table{Markdown: true, Headers: []string{
+	tab := &cliutil.Table{Headers: []string{
 		"seed", "stable pair reached", "x_move sends (80% mark)", "x_move sends (end)", "quiescent"}}
 	for _, c := range r.Cells {
 		tab.Add(c.Seed, c.Verdict == sweep.Pass, c.Measures["xmove_at_mark"],
@@ -646,7 +646,7 @@ func expF6(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds int) 
 		GST:    400, MaxSteps: 30_000,
 		Params: map[string]int64{"mark": 22_500, "require_nonquiescent": 1, "margin": 10_000},
 	})
-	tab := &cliutil.Table{Markdown: true, Headers: []string{
+	tab := &cliutil.Table{Headers: []string{
 		"seed", "Ω_1 check", "inquiries (75% mark)", "inquiries (end)", "still inquiring"}}
 	for _, c := range r.Cells {
 		tab.Add(c.Seed, c.Verdict == sweep.Pass, c.Measures["inquiries_at_mark"],
@@ -670,7 +670,7 @@ func expF8(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds int) 
 		GST: 0, MaxSteps: 6_000,
 		Params: map[string]int64{"margin": 1_000},
 	})
-	tab := &cliutil.Table{Markdown: true, Headers: []string{"y", "z", "crashes", "Ω_z check", "msgs"}}
+	tab := &cliutil.Table{Headers: []string{"y", "z", "crashes", "Ω_z check", "msgs"}}
 	for _, combo := range combos {
 		cells := group(r, combo)
 		tab.Add(combo.Y, combo.Z, "{1@200, 2@500}", allPass(cells), avgMsgs(cells))
@@ -704,7 +704,7 @@ func expF9(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds int) 
 		GST:      2_000, MaxSteps: 150_000,
 		Params: map[string]int64{"perpetual": 0, "margin": 10_000},
 	})
-	tab := &cliutil.Table{Markdown: true, Headers: []string{
+	tab := &cliutil.Table{Headers: []string{
 		"substrate", "inputs", "output class check", "ok"}}
 	for _, combo := range substrates {
 		cells := group(r, combo)
@@ -736,7 +736,7 @@ func expF9(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds int) 
 		GST:                0, MaxSteps: 200_000,
 		Params: map[string]int64{"perpetual": 0, "margin": 10_000},
 	})
-	tabP := &cliutil.Table{Markdown: true, Headers: []string{
+	tabP := &cliutil.Table{Headers: []string{
 		"oracle pair", "classes", "S-role verdict", "φ-role verdict", "runs", "◇S_5 check"}}
 	for _, g := range oracleGroups(rPair) {
 		tabP.Add(g.oracle, g.cells[0].OracleClass, roleOf(g.cells, sRole), roleOf(g.cells, phiRole),
@@ -772,7 +772,7 @@ func expT5(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds int) 
 		}
 		sys.Run(nil)
 	}()
-	tab := &cliutil.Table{Markdown: true, Headers: []string{"boundary", "observation"}}
+	tab := &cliutil.Table{Headers: []string{"boundary", "observation"}}
 	tab.Add("z ≤ k tight", fmt.Sprintf("Ω_2 runs decided up to %d distinct values (> k=1, never > z=2)", maxDistinct))
 	tab.Add("t < n/2", fmt.Sprintf("construction with t ≥ n/2 rejected: %v", refused))
 	b.WriteString(tab.String())
@@ -805,7 +805,7 @@ func expT8(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds int) 
 		Bandwidth: 1, GST: 0, MaxSteps: 2_000,
 		Params: map[string]int64{"at": 1_500, "ring_x": 3},
 	})
-	tab := &cliutil.Table{Markdown: true, Headers: []string{"check", "result"}}
+	tab := &cliutil.Table{Headers: []string{"check", "result"}}
 	tab.Add("two-wheels output fails Ω_{z−1}", fmt.Sprintf("%d/%d runs", failZminus1, len(r.Cells)))
 	tab.Add("O1: f ≤ t−y ⇒ informative queries all false", rO1.OK())
 	b.WriteString(tab.String())
@@ -816,7 +816,7 @@ func expT8(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds int) 
 func expT9(b *strings.Builder, run func(sweep.Matrix) *sweep.Report) {
 	section(b, "EXP-T9 · Theorems 9–12 — irreducibility by crash-vs-delay",
 		"No algorithm builds ◇φ_y from S_x: for any claimed stabilization time τ, a run R′ (region E alive but delayed past τ, oracle outputs identical to run R where E crashed) makes the reducer answer true about live processes after τ.")
-	tab := &cliutil.Table{Markdown: true, Headers: []string{
+	tab := &cliutil.Table{Headers: []string{
 		"claimed stabilization τ", "run R: query(E) true at", "run R′ (E correct): safety violated at"}}
 	ok := true
 	for _, tau := range []int64{500, 2_000, 5_000} {
@@ -856,7 +856,7 @@ func expBaselines(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seed
 		Seeds: seedList(seeds), Sizes: size, Patterns: pattern,
 		GST: 600, MaxSteps: 2_000_000,
 	})
-	tab := &cliutil.Table{Markdown: true, Headers: []string{
+	tab := &cliutil.Table{Headers: []string{
 		"protocol", "oracle", "avg rounds", "avg vticks", "avg msgs", "ok"}}
 	for _, row := range []struct {
 		name, oracle string
@@ -886,7 +886,7 @@ func expRepeated(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds
 		GST:    0, MaxSteps: 4_000_000,
 		Params: map[string]int64{"stab0": 1, "instances": instances},
 	})
-	tab := &cliutil.Table{Markdown: true, Headers: []string{
+	tab := &cliutil.Table{Headers: []string{
 		"instances", "initial crashes", "all instances round 1", "avg vticks/instance"}}
 	tab.Add(instances, "{2, 6}", r.OK(), avgMeasure(r.Cells, "vticks_per_instance"))
 	b.WriteString(tab.String())
@@ -913,7 +913,7 @@ func expAblation(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds
 		GST:    500, MaxSteps: 150_000,
 		Params: map[string]int64{"stable_for": 12_000, "margin": 10_000},
 	})
-	tab := &cliutil.Table{Markdown: true, Headers: []string{
+	tab := &cliutil.Table{Headers: []string{
 		"route", "source class", "Ω check", "avg msgs/run", "quiescent"}}
 	tab.Add("single wheel [17]", "◇S (= ◇S_n)", rSW.OK(), avgMsgs(rSW.Cells), true)
 	tab.Add("two wheels, y=0", fmt.Sprintf("◇S_%d", t+1), rTW.OK(), avgMsgs(rTW.Cells), false)
@@ -945,7 +945,7 @@ func expScale(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds in
 		Combos: []sweep.Combo{{Z: 2}},
 		GST:    200, MaxSteps: 4_000_000,
 	})
-	tab := &cliutil.Table{Markdown: true, Headers: []string{
+	tab := &cliutil.Table{Headers: []string{
 		"n", "t", "schedule", "runs", "max distinct", "avg rounds", "avg vticks", "avg msgs", "ok"}}
 	for _, size := range sizes {
 		byPattern := map[string][]sweep.CellResult{}
@@ -978,7 +978,7 @@ func expScale(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds in
 		GST: 0, MaxSteps: 6_000,
 		Params: map[string]int64{"margin": 1_000},
 	})
-	tab2 := &cliutil.Table{Markdown: true, Headers: []string{"n", "t", "y", "z", "runs", "Ω_z check", "msgs"}}
+	tab2 := &cliutil.Table{Headers: []string{"n", "t", "y", "z", "runs", "Ω_z check", "msgs"}}
 	for _, size := range rPsi.Matrix.Sizes {
 		var cells []sweep.CellResult
 		for _, c := range rPsi.Cells {
@@ -1108,7 +1108,7 @@ func expCounterfactual(b *strings.Builder, seeds int) error {
 	fmt.Fprintf(b, "Replayed: `go run ./cmd/experiments -replay %s:%d -perturb %s` "+
 		"(n=%d, t=%d, seed %d, oracle `%s`, trace level `decisions`).\n\n",
 		m.Name, index, pert, rr.Base.Size.N, rr.Base.Size.T, rr.Base.Seed, rr.Base.Oracle)
-	tab := &cliutil.Table{Markdown: true, Headers: []string{
+	tab := &cliutil.Table{Headers: []string{
 		"run", "verdict", "rounds", "vticks", "trace events", "trace digest"}}
 	tab.Add("base", rr.Base.Verdict, rr.Base.MaxRound, rr.Base.Steps, rr.Base.TraceEvents, rr.Base.TraceDigest)
 	tab.Add(pert.String(), rr.Perturbed.Verdict, rr.Perturbed.MaxRound, rr.Perturbed.Steps, rr.Perturbed.TraceEvents, rr.Perturbed.TraceDigest)
@@ -1142,7 +1142,7 @@ func expOracle(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds i
 
 	// Ω_z timelines flapping under the Fig. 3 k-set algorithm, n up to 128.
 	rFlap := run(oracleFlapMatrix(seeds))
-	tab := &cliutil.Table{Markdown: true, Headers: []string{
+	tab := &cliutil.Table{Headers: []string{
 		"n", "oracle", "class", "conformance", "runs", "max distinct", "avg rounds", "avg vticks", "ok"}}
 	for _, g := range oracleGroups(rFlap) {
 		class := g.cells[0].OracleClass
@@ -1167,7 +1167,7 @@ func expOracle(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds i
 		GST: 0, MaxSteps: 6_000,
 		Params: map[string]int64{"margin": 1_000},
 	})
-	tab2 := &cliutil.Table{Markdown: true, Headers: []string{
+	tab2 := &cliutil.Table{Headers: []string{
 		"n", "oracle", "conformance", "runs", "Ω_3 check", "msgs"}}
 	for _, g := range oracleGroups(rBurst) {
 		tab2.Add(g.size.N, g.oracle, conformanceOf(g.cells), len(g.cells),
@@ -1189,7 +1189,7 @@ func expOracle(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds i
 		GST:    400, MaxSteps: 60_000,
 		Params: map[string]int64{"stable_for": 12_000, "margin": 10_000},
 	})
-	tab3 := &cliutil.Table{Markdown: true, Headers: []string{
+	tab3 := &cliutil.Table{Headers: []string{
 		"oracle", "class", "conformance", "runs", "Ω_1 check", "avg stabilization vtick"}}
 	for _, g := range oracleGroups(rChurn) {
 		tab3.Add(g.oracle, g.cells[0].OracleClass, conformanceOf(g.cells), len(g.cells),
@@ -1203,16 +1203,18 @@ func expOracle(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds i
 			"flapping, bursty and scope-churning oracles up to n = 128")
 }
 
-// expPerf renders the committed benchmark record (EXP-PERF): the PR-1
-// scheduler baseline versus the zero-handoff scheduler, per benchmark
-// and for the full 151-cell matrix. Regenerate the record with
-// `make bench`; this section only formats the benchmark record, so the
-// rendered report stays a pure function of its inputs.
+// expPerf renders the committed benchmark record (EXP-PERF): the
+// record's baseline scheduler versus its current medians, per
+// micro-benchmark. Regenerate the record with `make bench`; this
+// section only formats the benchmark record, so the rendered report
+// stays a pure function of its inputs. Suite wall-clock is perfbench's
+// to measure, not this record's.
 func expPerf(b *strings.Builder, path string) {
 	section(b, "EXP-PERF · infrastructure — scheduler cost",
 		"(not a paper claim) Simulation-based exploration scales only if a virtual tick is nearly free: "+
-			"the zero-handoff scheduler passes the run token process-to-process with no scheduler goroutine, "+
-			"no locks on simulation state and interned-tag metrics.")
+			"each process main is a coroutine and the run token passes by coroutine switch — a parking process "+
+			"runs the next tick on its own stack and keeps running when it is itself due next — "+
+			"with no locks on simulation state and interned-tag metrics.")
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(b, "No benchmark record at %s (run `make bench` to create it).\n", path)
@@ -1230,7 +1232,7 @@ func expPerf(b *strings.Builder, path string) {
 			baseline = nil
 		}
 	}
-	tab := &cliutil.Table{Markdown: true, Headers: []string{
+	tab := &cliutil.Table{Headers: []string{
 		"benchmark", "PR-1 median ns/op", "current median ns/op", "speedup"}}
 	names := make([]string, 0, len(rec.Benchmarks))
 	for name := range rec.Benchmarks {
@@ -1259,21 +1261,5 @@ func expPerf(b *strings.Builder, path string) {
 	b.WriteString(tab.String())
 	if others > 0 {
 		fmt.Fprintf(b, "\n(%d further benchmarks without a PR-1 reference are recorded in the file.)\n", others)
-	}
-	if cur := benchrec.Median(rec.SweepWallS); cur > 0 {
-		cells := func(r *benchrec.Record) int {
-			if r.SweepCells > 0 {
-				return r.SweepCells
-			}
-			return 151 // records predating the sweep_cells field timed the PR-1 suite
-		}
-		if baseline != nil {
-			if base := benchrec.Median(baseline.SweepWallS); base > 0 {
-				fmt.Fprintf(b, "\nFull experiment suite: %.2fs (%d cells, PR-1 scheduler) → %.2fs (%d cells, current). %s\n",
-					base, cells(baseline), cur, cells(&rec), rec.Machine)
-				return
-			}
-		}
-		fmt.Fprintf(b, "\nFull experiment suite: %.2fs (%d cells). %s\n", cur, cells(&rec), rec.Machine)
 	}
 }

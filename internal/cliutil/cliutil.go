@@ -1,5 +1,5 @@
-// Package cliutil holds the plain-text and markdown table renderer the
-// repository's command-line tools share.
+// Package cliutil holds the markdown table renderer the repository's
+// command-line tools share.
 package cliutil
 
 import (
@@ -7,12 +7,11 @@ import (
 	"strings"
 )
 
-// Table renders rows as aligned plain text (and, with Markdown set, as a
-// GitHub-flavoured markdown table).
+// Table renders rows as a GitHub-flavoured markdown table, columns
+// padded to align in plain text too.
 type Table struct {
-	Headers  []string
-	Rows     [][]string
-	Markdown bool
+	Headers []string
+	Rows    [][]string
 }
 
 // Add appends a row; values are stringified with %v.
@@ -45,36 +44,19 @@ func (t *Table) String() string {
 			if i < len(cells) {
 				cell = cells[i]
 			}
-			if t.Markdown {
-				b.WriteString("| ")
-			}
+			b.WriteString("| ")
 			b.WriteString(cell)
 			b.WriteString(strings.Repeat(" ", width[i]-len(cell)))
-			if !t.Markdown {
-				b.WriteString("  ")
-			} else {
-				b.WriteString(" ")
-			}
+			b.WriteString(" ")
 		}
-		if t.Markdown {
-			b.WriteString("|")
-		}
-		b.WriteString("\n")
+		b.WriteString("|\n")
 	}
 	writeRow(t.Headers)
-	if t.Markdown {
-		sep := make([]string, cols)
-		for i := range sep {
-			sep[i] = strings.Repeat("-", width[i])
-		}
-		writeRow(sep)
-	} else {
-		under := make([]string, cols)
-		for i := range under {
-			under[i] = strings.Repeat("-", width[i])
-		}
-		writeRow(under)
+	sep := make([]string, cols)
+	for i := range sep {
+		sep[i] = strings.Repeat("-", width[i])
 	}
+	writeRow(sep)
 	for _, r := range t.Rows {
 		writeRow(r)
 	}

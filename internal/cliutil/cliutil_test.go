@@ -5,6 +5,8 @@ import (
 	"testing"
 )
 
+// TestTablePlain: read as plain text, each column is padded to its
+// widest cell so rows line up under the header.
 func TestTablePlain(t *testing.T) {
 	tab := &Table{Headers: []string{"a", "long-header"}}
 	tab.Add(1, "x")
@@ -17,30 +19,36 @@ func TestTablePlain(t *testing.T) {
 	if !strings.Contains(lines[0], "long-header") {
 		t.Errorf("header missing: %q", lines[0])
 	}
-	if !strings.HasPrefix(lines[2], "1 ") {
+	if !strings.HasPrefix(lines[2], "| 1  | ") {
 		t.Errorf("row misaligned: %q", lines[2])
+	}
+	for i, l := range lines {
+		if len(l) != len(lines[0]) {
+			t.Errorf("line %d width %d, header width %d:\n%s", i, len(l), len(lines[0]), s)
+		}
 	}
 }
 
+// TestTableMarkdown: the header, separator and rows render as a
+// markdown table whose columns are padded to the widest cell.
 func TestTableMarkdown(t *testing.T) {
-	tab := &Table{Markdown: true, Headers: []string{"h1", "h2"}}
+	tab := &Table{Headers: []string{"h1", "long-header"}}
 	tab.Add("v", 2)
-	s := tab.String()
-	if !strings.Contains(s, "| h1 | h2 |") {
-		t.Errorf("markdown header missing:\n%s", s)
-	}
-	if !strings.Contains(s, "| -- | -- |") {
-		t.Errorf("markdown separator missing:\n%s", s)
-	}
-	if !strings.Contains(s, "| v  | 2  |") {
-		t.Errorf("markdown row missing:\n%s", s)
+	tab.Add("yyy", 234)
+	want := "" +
+		"| h1  | long-header |\n" +
+		"| --- | ----------- |\n" +
+		"| v   | 2           |\n" +
+		"| yyy | 234         |\n"
+	if got := tab.String(); got != want {
+		t.Errorf("table rendered\n%s\nwant\n%s", got, want)
 	}
 }
 
 func TestTableShortRow(t *testing.T) {
 	tab := &Table{Headers: []string{"a", "b", "c"}}
 	tab.Add("only")
-	if s := tab.String(); !strings.Contains(s, "only") {
+	if s := tab.String(); !strings.Contains(s, "| only | ") || strings.Count(s, "\n") != 3 {
 		t.Errorf("short row mangled:\n%s", s)
 	}
 }

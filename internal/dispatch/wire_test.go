@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -234,6 +237,51 @@ func TestParseFaults(t *testing.T) {
 			t.Errorf("ParseFaults(%q) accepted, want error", bad)
 		}
 	}
+}
+
+// formatFaults renders a parsed schedule canonically from its fields:
+// WORKER:SPEC entries in worker order, joined by semicolons.
+func formatFaults(m map[int]Fault) string {
+	workers := make([]int, 0, len(m))
+	for w := range m {
+		workers = append(workers, w)
+	}
+	sort.Ints(workers)
+	entries := make([]string, len(workers))
+	for i, w := range workers {
+		entries[i] = fmt.Sprintf("%d:%s", w, m[w])
+	}
+	return strings.Join(entries, ";")
+}
+
+// FuzzParseFaults: every -fault schedule either fails to parse, or
+// parses to a schedule whose canonical rendering — built from the
+// parsed faults, not the input — parses back to an equal schedule.
+// Seeds are the schedules CI and make dispatch-smoke pass, the
+// dispatcher tests' schedules, and malformed entries.
+func FuzzParseFaults(f *testing.F) {
+	for _, seed := range []string{
+		"0:crash@5", "0:crash@5; 2:slow=50ms", "4:crash@1", "0:crash@5;3:hang@1",
+		"1:corrupt@2;2:dup@0", "0:slow=1h2m3.5s", "", "  ", ";;", "1:crash@5;",
+		"0crash@5", "x:crash@1", "-1:crash@1", "0:crash@5;0:hang@1", "0:explode@3",
+		"0:slow=0s", "0:slow=banana", "0:crash@", "0:crash@+5", "0:crash=5s", "0: hang@1 ",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		m, err := ParseFaults(spec)
+		if err != nil {
+			return
+		}
+		canon := formatFaults(m)
+		back, err := ParseFaults(canon)
+		if err != nil {
+			t.Fatalf("%q parsed, but its canonical rendering %q does not: %v", spec, canon, err)
+		}
+		if !reflect.DeepEqual(back, m) {
+			t.Fatalf("%q parsed as %v; its canonical rendering %q parses back as %v", spec, m, canon, back)
+		}
+	})
 }
 
 // TestSuspectorBackoff drives the ◇S shape with a synthetic clock: a

@@ -321,11 +321,16 @@ type System struct {
 	// Network state: messages accepted but not yet routed (arrivals),
 	// deliverable messages (eligible) and messages bucketed by the tick
 	// their scripted hold releases them (held, keys sorted in heldTimes).
-	// bucketPool recycles drained hold buckets across a run. eligible
-	// drops the envelope wrapper: a message's notBefore is spent the
-	// moment it becomes eligible, so the list moves bare 56-byte
-	// Messages, not 64-byte envelopes.
+	// bucketPool recycles drained hold buckets, zeroed. eligible drops
+	// the envelope wrapper: a message's notBefore is spent the moment it
+	// becomes eligible, so the list moves bare 56-byte Messages, not
+	// 64-byte envelopes. arrivals, eligible, bucketPool and the selection
+	// scratch below are borrowed from buf for the length of Run (see
+	// Buffers); arrDirty is the high-water mark of arrivals, which route
+	// truncates without a wipe, so giveBack knows what to zero.
+	buf        *Buffers
 	arrivals   []envelope
+	arrDirty   int
 	eligible   []Message
 	held       map[Time][]envelope
 	heldTimes  []Time
@@ -349,10 +354,12 @@ type System struct {
 	// consuming the identical draw sequence while assigning each message
 	// its final inbox slot (selSlot); selNext tracks the next free slot
 	// per destination (doubling as the per-destination count while the
-	// pairs are built), length N+1.
+	// pairs are built), length N+1. selDirty is the largest selection
+	// either form has run, the region of the scratch giveBack zeroes.
 	selPairs []selPair
 	selSlot  []int32
 	selNext  []int32
+	selDirty int
 	// eligDirty is the high-water mark of stale entries in eligible's
 	// recycled capacity after full-delivery truncations. The wipe that
 	// keeps payload references from outliving their delivery is deferred
@@ -683,6 +690,11 @@ func (s *System) Run(stop func() bool) Report {
 		panic("sim: Run called twice")
 	}
 	s.ran = true
+	if s.buf == nil {
+		s.buf = new(Buffers)
+	}
+	s.borrow()
+	defer s.giveBack()
 	s.drive(stop)
 	return Report{
 		Steps:        s.Now(),
@@ -878,6 +890,7 @@ func (s *System) deliverPhase(now Time) {
 			if cap(s.selSlot) < n {
 				s.selSlot = make([]int32, n)
 			}
+			s.selDirty = max(s.selDirty, n)
 			idx := s.selSlot[:n]
 			for i := range idx {
 				idx[i] = int32(i)
@@ -927,6 +940,7 @@ func (s *System) deliverPhase(now Time) {
 			s.selPairs = make([]selPair, n)
 			s.selSlot = make([]int32, n)
 		}
+		s.selDirty = max(s.selDirty, n)
 		sel := s.selPairs[:n]
 		slot := s.selSlot[:n]
 		next := s.selNext
@@ -1087,6 +1101,7 @@ func (s *System) route(now Time) {
 		}
 		s.held[e.notBefore] = append(s.held[e.notBefore], e)
 	}
+	s.arrDirty = max(s.arrDirty, len(s.arrivals))
 	s.arrivals = s.arrivals[:0]
 	released := 0
 	for len(s.heldTimes) > 0 && s.heldTimes[0] <= now {
@@ -1098,6 +1113,7 @@ func (s *System) route(now Time) {
 		}
 		released += len(b)
 		delete(s.held, t)
+		clear(b) // pooled buckets hold no payload past their release
 		s.bucketPool = append(s.bucketPool, b[:0])
 	}
 	if s.rec != nil {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fdgrid/internal/sim"
 	"fdgrid/internal/trace"
 )
 
@@ -184,11 +185,14 @@ func Run(m Matrix, opt Options) (*Report, error) {
 		//detlint:allow runtoken -- the documented host-side worker pool: each worker runs whole cells on isolated Systems
 		go func() {
 			defer wg.Done()
+			buf := takeBuffers()
+			defer freeBuffers(buf)
 			for {
 				i := take()
 				if i < 0 {
 					return
 				}
+				cells[i].buf = buf
 				results[i] = runCell(runner, &cells[i])
 				completed[i] = true
 				if opt.OnResult != nil {
@@ -227,6 +231,34 @@ func Run(m Matrix, opt Options) (*Report, error) {
 		}
 	}
 	return rep, runErr
+}
+
+// spareBuffers is the process-wide free list of simulator network
+// buffers (sim.Buffers). Each pool worker takes one when it starts,
+// lends it to every cell it runs and frees it when it exits, so the
+// capacity a large cell grew carries over to later cells, later
+// matrices and later sweepd units in the same process. The list holds
+// at most GOMAXPROCS entries — as many as the default pool runs at
+// once — so a burst of wider pools leaves no more than that retained.
+var spareBuffers = make(chan *sim.Buffers, runtime.GOMAXPROCS(0))
+
+// takeBuffers returns a spare sim.Buffers, or fresh empty ones.
+func takeBuffers() *sim.Buffers {
+	select {
+	case b := <-spareBuffers:
+		return b
+	default:
+		return new(sim.Buffers)
+	}
+}
+
+// freeBuffers returns b to the free list, dropping it when the list is
+// full.
+func freeBuffers(b *sim.Buffers) {
+	select {
+	case spareBuffers <- b:
+	default:
+	}
 }
 
 // runCell executes one cell, containing panics as errored results.

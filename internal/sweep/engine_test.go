@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"fdgrid/internal/sim"
 )
 
 // smokeMatrix is a small but real workload: the two-wheels addition over
@@ -165,6 +167,37 @@ func TestWallClockExcludedFromCanonicalBytes(t *testing.T) {
 	for _, c := range r.Cells {
 		if c.WallNS <= 0 {
 			t.Fatalf("cell %d did not record wall-clock cost", c.Index)
+		}
+	}
+}
+
+// TestPoolLendsWorkerBuffers: a pool worker lends one sim.Buffers to
+// every cell it runs, so capacity a cell grows carries over to the
+// next; two workers never share one.
+func TestPoolLendsWorkerBuffers(t *testing.T) {
+	m := smokeMatrix()
+	cells, err := m.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(cells)
+	for _, workers := range []int{1, 2} {
+		seen := make([]*sim.Buffers, n)
+		_, err := Run(m, Options{Workers: workers, Runner: func(c *Cell, res *CellResult) {
+			seen[c.Index] = c.buf
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := map[*sim.Buffers]bool{}
+		for i, b := range seen {
+			if b == nil {
+				t.Fatalf("workers=%d: cell %d ran without the worker's buffers", workers, i)
+			}
+			distinct[b] = true
+		}
+		if len(distinct) > workers || (workers == 1 && len(distinct) != 1) {
+			t.Errorf("workers=%d: cells saw %d distinct Buffers", workers, len(distinct))
 		}
 	}
 }

@@ -172,6 +172,10 @@ type Cell struct {
 	// rec is the cell's decision-trace recorder, created by runCell when
 	// TraceLevel asks for one and attached to the cell's System.
 	rec *trace.Recorder
+	// buf is the network storage of the pool worker running the cell,
+	// lent to each System the cell runs (see sim.Buffers); nil outside
+	// the pool, where runs start from empty capacity.
+	buf *sim.Buffers
 }
 
 // Param returns a protocol knob with a default.
@@ -217,7 +221,8 @@ func (c *Cell) Config() (sim.Config, error) {
 }
 
 // System builds the cell's isolated simulator instance, with the
-// cell's trace recorder (if any) attached.
+// cell's trace recorder (if any) and its worker's network buffers
+// attached.
 func (c *Cell) System() (*sim.System, error) {
 	cfg, err := c.Config()
 	if err != nil {
@@ -230,6 +235,7 @@ func (c *Cell) System() (*sim.System, error) {
 	if c.rec != nil {
 		sys.TraceTo(c.rec)
 	}
+	sys.UseBuffers(c.buf)
 	return sys, nil
 }
 

@@ -23,24 +23,37 @@ import (
 //	                    scripts only; pairs shift both roles)
 //	crash=P@T           schedule process P to crash at T (replacing
 //	                    P's scheduled crash if the pattern has one)
-//	hold[I]+K           extend the pattern's I-th hold window by K
+//	hold[I]+K / hold[I]-K  move the end of the pattern's I-th hold
+//	                    window by K ticks (I and K are unsigned digits)
+//
+// A spec is the whole string: padding or trailing input is an error.
 type Perturbation struct {
 	kind  string // "gst", "stab", "crash", "hold"
 	delta sim.Time
 	proc  int
 	at    sim.Time
 	hold  int
-	spec  string
 }
 
-// String returns the spec the perturbation was parsed from.
-func (p *Perturbation) String() string { return p.spec }
+// String renders the perturbation's canonical spec from its fields: a
+// spec ParsePerturbation accepts parses back to an equal value.
+func (p *Perturbation) String() string {
+	switch p.kind {
+	case "gst", "stab":
+		return fmt.Sprintf("%s%+d", p.kind, p.delta)
+	case "crash":
+		return fmt.Sprintf("crash=%d@%d", p.proc, p.at)
+	case "hold":
+		return fmt.Sprintf("hold[%d]%+d", p.hold, p.delta)
+	}
+	return ""
+}
 
 // ParsePerturbation parses a -perturb spec (see Perturbation).
 func ParsePerturbation(spec string) (*Perturbation, error) {
-	p := &Perturbation{spec: spec}
+	p := &Perturbation{}
 	fail := func() (*Perturbation, error) {
-		return nil, fmt.Errorf(`sweep: bad perturbation %q (want "gst±K", "stab±K", "crash=P@T" or "hold[I]+K")`, spec)
+		return nil, fmt.Errorf(`sweep: bad perturbation %q (want "gst±K", "stab±K", "crash=P@T" or "hold[I]±K")`, spec)
 	}
 	switch {
 	case strings.HasPrefix(spec, "gst+"), strings.HasPrefix(spec, "gst-"),
@@ -64,20 +77,33 @@ func ParsePerturbation(spec string) (*Perturbation, error) {
 		}
 		p.kind, p.proc, p.at = "crash", proc, sim.Time(at)
 	case strings.HasPrefix(spec, "hold["):
-		var i, k int
-		var sign byte
-		n, err := fmt.Sscanf(spec, "hold[%d]%c%d", &i, &sign, &k)
-		if n != 3 || err != nil || (sign != '+' && sign != '-') || i < 0 || k <= 0 {
+		idx, shift, ok := strings.Cut(spec[len("hold["):], "]")
+		if !ok || !unsignedDigits(idx) || shift == "" || (shift[0] != '+' && shift[0] != '-') || !unsignedDigits(shift[1:]) {
 			return fail()
 		}
-		if sign == '-' {
-			k = -k
+		i, err1 := strconv.Atoi(idx)
+		k, err2 := strconv.ParseInt(shift, 10, 64)
+		if err1 != nil || err2 != nil || k == 0 {
+			return fail()
 		}
 		p.kind, p.hold, p.delta = "hold", i, sim.Time(k)
 	default:
 		return fail()
 	}
 	return p, nil
+}
+
+// unsignedDigits reports whether s is a non-empty run of ASCII digits.
+func unsignedDigits(s string) bool {
+	if s == "" {
+		return false
+	}
+	for _, r := range s {
+		if r < '0' || r > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // apply edits the cell in place. The cell must already own its mutable
@@ -87,25 +113,25 @@ func (p *Perturbation) apply(c *Cell) error {
 	switch p.kind {
 	case "gst":
 		if c.GST+p.delta < 0 {
-			return fmt.Errorf("sweep: perturbation %s drives GST below 0 (gst=%d)", p.spec, c.GST)
+			return fmt.Errorf("sweep: perturbation %s drives GST below 0 (gst=%d)", p, c.GST)
 		}
 		c.GST += p.delta
 	case "stab":
 		s := &c.Oracle
 		switch {
 		case s.None():
-			return fmt.Errorf("sweep: perturbation %s needs a generated oracle; cell has none (use gst±K)", p.spec)
+			return fmt.Errorf("sweep: perturbation %s needs a generated oracle; cell has none (use gst±K)", p)
 		case s.IsTimeline():
-			return fmt.Errorf("sweep: perturbation %s cannot shift timeline script %s (it fixes every output; no stabilization parameter)", p.spec, s.Name)
+			return fmt.Errorf("sweep: perturbation %s cannot shift timeline script %s (it fixes every output; no stabilization parameter)", p, s.Name)
 		case s.IsPair():
 			if s.Pair.S.StabilizeAt+p.delta < 0 || s.Pair.Phi.StabilizeAt+p.delta < 0 {
-				return fmt.Errorf("sweep: perturbation %s drives a role's stabilization below 0", p.spec)
+				return fmt.Errorf("sweep: perturbation %s drives a role's stabilization below 0", p)
 			}
 			s.Pair.S.StabilizeAt += p.delta
 			s.Pair.Phi.StabilizeAt += p.delta
 		default:
 			if s.StabilizeAt+p.delta < 0 {
-				return fmt.Errorf("sweep: perturbation %s drives stabilization below 0 (stabilize_at=%d)", p.spec, s.StabilizeAt)
+				return fmt.Errorf("sweep: perturbation %s drives stabilization below 0 (stabilize_at=%d)", p, s.StabilizeAt)
 			}
 			s.StabilizeAt += p.delta
 		}
@@ -119,15 +145,15 @@ func (p *Perturbation) apply(c *Cell) error {
 		c.Pattern.Crashes = append(c.Pattern.Crashes, CrashSpec{Proc: p.proc, At: p.at})
 	case "hold":
 		if p.hold >= len(c.Pattern.Holds) {
-			return fmt.Errorf("sweep: perturbation %s: pattern %q has %d holds", p.spec, c.Pattern.Name, len(c.Pattern.Holds))
+			return fmt.Errorf("sweep: perturbation %s: pattern %q has %d holds", p, c.Pattern.Name, len(c.Pattern.Holds))
 		}
 		h := &c.Pattern.Holds[p.hold]
 		if h.Until+p.delta <= h.Since {
-			return fmt.Errorf("sweep: perturbation %s empties hold %d (since=%d until=%d)", p.spec, p.hold, h.Since, h.Until)
+			return fmt.Errorf("sweep: perturbation %s empties hold %d (since=%d until=%d)", p, p.hold, h.Since, h.Until)
 		}
 		h.Until += p.delta
 	default:
-		return fmt.Errorf("sweep: unparsed perturbation %q", p.spec)
+		return fmt.Errorf("sweep: unparsed perturbation")
 	}
 	return nil
 }

@@ -126,7 +126,19 @@ func TestParsePerturbation(t *testing.T) {
 			t.Errorf("String() = %q, want %q", p.String(), s)
 		}
 	}
-	bad := []string{"", "gst", "gst+", "gst+0", "stab100", "crash=3", "crash=3@-5", "hold[0]", "hold[-1]+5", "banana+1"}
+	// Accepted spellings that are not canonical render canonically.
+	for spec, want := range map[string]string{"gst+007": "gst+7", "crash=+3@0400": "crash=3@400", "hold[01]-040": "hold[1]-40"} {
+		p, err := ParsePerturbation(spec)
+		if err != nil {
+			t.Errorf("ParsePerturbation(%q): %v", spec, err)
+		} else if p.String() != want {
+			t.Errorf("ParsePerturbation(%q).String() = %q, want %q", spec, p.String(), want)
+		}
+	}
+	bad := []string{"", "gst", "gst+", "gst+0", "stab100", "crash=3", "crash=3@-5", "hold[0]", "hold[-1]+5", "banana+1",
+		// Padding and trailing input, which a scanf-style parse lets through.
+		"hold[1]+5junk", "hold[ 1]+ 5", "hold[ 1]+5", "hold[1]+ 5", "hold[1] +5", "hold[1]+5 ", "hold[+1]+5", "hold[1]++5", "hold[1]+0",
+		"gst+5 ", "stab- 5", "crash=3@400x", " gst+5"}
 	for _, s := range bad {
 		if _, err := ParsePerturbation(s); err == nil {
 			t.Errorf("ParsePerturbation(%q) accepted", s)
@@ -215,4 +227,33 @@ func TestReplayErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "index") {
 		t.Errorf("out-of-range cell index: %v", err)
 	}
+}
+
+// FuzzParsePerturbation: every input either fails to parse, or parses
+// to a perturbation whose canonical spec — rendered from its fields,
+// not echoed from the input — parses back to an equal value and
+// renders the same. Seeds are the documented forms and the padded and
+// trailing inputs a scanf-style parse once let through.
+func FuzzParsePerturbation(f *testing.F) {
+	for _, seed := range []string{
+		"gst+100", "gst-50", "stab+2000", "stab-1", "crash=3@400", "crash=0@10", "crash=-2@7",
+		"hold[0]+500", "hold[2]-40", "gst+007", "crash=+3@0400",
+		"hold[1]+5junk", "hold[ 1]+ 5", "hold[1]+0", "gst+", "crash=3@-5", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePerturbation(spec)
+		if err != nil {
+			return
+		}
+		canon := p.String()
+		back, err := ParsePerturbation(canon)
+		if err != nil {
+			t.Fatalf("%q parsed, but its canonical spec %q does not: %v", spec, canon, err)
+		}
+		if *back != *p || back.String() != canon {
+			t.Fatalf("%q parsed as %+v; its canonical spec %q parses back as %+v", spec, *p, canon, *back)
+		}
+	})
 }
