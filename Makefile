@@ -24,7 +24,8 @@ ci: vet build race smoke dispatch-smoke examples
 # detlint machine-checks the determinism and run-token ownership
 # contracts (docs/ARCHITECTURE.md, "Enforced invariants"): wall-clock
 # reads, global math/rand draws, map-order leaks into ordered output,
-# locks/goroutines in run-token-owned packages, non-canonical trace
+# locks/goroutines in run-token-owned packages, blocking calls in layer
+# callbacks (Handle/Poll/NextWake run on other stacks), non-canonical trace
 # rendering. Escapes are //detlint:allow comments with audited reasons.
 lint:
 	$(GO) run ./cmd/detlint ./...

@@ -6,6 +6,7 @@ import (
 
 	"fdgrid/internal/adversary"
 	"fdgrid/internal/ids"
+	"fdgrid/internal/node"
 	"fdgrid/internal/reduction"
 	"fdgrid/internal/sim"
 )
@@ -561,6 +562,22 @@ func BenchmarkSchedulerWakeStorm(b *testing.B) {
 		for {
 			env.Step()
 		}
+	})
+	b.ResetTimer()
+	reportSwitches(b, sys.Run(nil))
+}
+
+// BenchmarkSchedulerAwaitStorm is BenchmarkSchedulerWakeStorm's shape
+// through node waits: all 8 processes wake on every tick, each inside
+// a node.WaitUntil whose predicate never holds. Their steps run on the
+// stack of whichever process holds the run token, so no wake switches
+// and switches/op tends to 0 (only launch and teardown switch), against
+// WakeStorm's 16.
+func BenchmarkSchedulerAwaitStorm(b *testing.B) {
+	const n = 8
+	sys := MustNewSystem(Config{N: n, T: 3, Seed: 1, MaxSteps: sim.Time(b.N) + 1})
+	sys.SpawnAll(func(env *sim.Env) {
+		node.New(env).WaitUntil(func() bool { return false }, nil)
 	})
 	b.ResetTimer()
 	reportSwitches(b, sys.Run(nil))

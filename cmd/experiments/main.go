@@ -166,8 +166,13 @@ reproduction targets.
 		}
 		reports = append(reports, r)
 		if verbose {
-			fmt.Fprintf(os.Stderr, "%-32s %6.2fs  %s\n",
-				r.Matrix.Name, float64(r.WallNS)/1e9, r.Summary())
+			var wakes, switches int64
+			for i := range r.Cells {
+				wakes += r.Cells[i].Wakes
+				switches += r.Cells[i].Switches
+			}
+			fmt.Fprintf(os.Stderr, "%-32s %6.2fs  %9d wakes %8d switches  %s\n",
+				r.Matrix.Name, float64(r.WallNS)/1e9, wakes, switches, r.Summary())
 		}
 		return r
 	}
@@ -1213,8 +1218,9 @@ func expPerf(b *strings.Builder, path string) {
 	section(b, "EXP-PERF · infrastructure — scheduler cost",
 		"(not a paper claim) Simulation-based exploration scales only if a virtual tick is nearly free: "+
 			"each process main is a coroutine and the run token passes by coroutine switch — a parking process "+
-			"runs the next tick on its own stack and keeps running when it is itself due next — "+
-			"with no locks on simulation state and interned-tag metrics.")
+			"runs the next tick on its own stack and keeps running when it is itself due next, and a process "+
+			"waiting in a guarded wait takes its steps on whichever stack holds the token, resumed only when "+
+			"its wait completes — with no locks on simulation state and interned-tag metrics.")
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(b, "No benchmark record at %s (run `make bench` to create it).\n", path)

@@ -236,6 +236,8 @@ func TestScopes(t *testing.T) {
 		{"maporder", "cmd/sweepd", true, true},
 		{"maporder", "examples/quickstart", true, true},
 		{"maporder", "", true, true}, // the module root package
+		{"stepblock", "internal/reduction", true, true},
+		{"stepblock", "cmd/experiments", true, false},
 		{"tracecanon", "internal/trace", true, true},
 		{"tracecanon", "internal/sim", true, false},
 	}

@@ -11,6 +11,7 @@ var Registry = []*Analyzer{
 	globalrandAnalyzer,
 	maporderAnalyzer,
 	runtokenAnalyzer,
+	stepblockAnalyzer,
 	tracecanonAnalyzer,
 }
 

@@ -5,9 +5,13 @@
 // detector. On a Node, lower layers intercept the raw message stream —
 // consuming their own protocol messages, relaying reliable broadcasts —
 // while the top-level protocol drives the event loop in blocking style
-// (Step / WaitUntil). Every step also gives each layer a Poll call, which
-// is where the layers' autonomous tasks ("repeat forever" in the paper's
-// pseudo-code) make progress.
+// (WaitOn / WaitUntil / RunForever, or a raw Step). Every step also gives
+// each layer a Poll call, which is where the layers' autonomous tasks
+// ("repeat forever" in the paper's pseudo-code) make progress.
+//
+// The three waits are sim.Env.Await: while a node waits, its steps run
+// on whichever stack holds the run token when it is due, not
+// necessarily its own process's.
 package node
 
 import (
@@ -16,10 +20,14 @@ import (
 
 // Layer is one protocol layer in the stack.
 //
-// Layers run entirely on the owning process's coroutine. Emulated
+// Layers run under the run token, but not always on the owning
+// process's coroutine: during a wait (WaitOn, WaitUntil, RunForever)
+// Handle, Poll and NextWake run on the stack of whoever holds the token
+// when the node is due — Run's loop or another process parking (see the
+// internal/sim concurrency contract). They must therefore not block:
+// a Step, StepUntil or wait called from inside them panics. Emulated
 // failure detector outputs they expose are read by samplers and other
-// processes under the same run token (see the internal/sim concurrency
-// contract), so no internal locking is needed.
+// processes under the same run token, so no internal locking is needed.
 type Layer interface {
 	// Handle inspects one message coming up the stack. It returns the
 	// (possibly rewritten) message and true to pass it further up, or
@@ -51,11 +59,22 @@ type Node struct {
 	// assembly so the per-step path does no interface assertions.
 	hinters []WakeHinter
 	dense   bool
+
+	// The wait in progress (see await): the wake and step callbacks
+	// handed to sim.Env.Await, built once here so a wait allocates
+	// nothing, and the parameters they read — whether the wait wakes
+	// every tick, and the caller's message handler.
+	nextFn    func(sim.Time) sim.Time
+	onFn      func(sim.Message, bool)
+	everyTick bool
+	onMsg     func(sim.Message)
 }
 
 // New assembles a stack over env; layers are ordered bottom-up.
 func New(env *sim.Env, layers ...Layer) *Node {
 	nd := &Node{env: env}
+	nd.nextFn = nd.waitWake
+	nd.onFn = nd.waitStep
 	for _, l := range layers {
 		nd.Push(l)
 	}
@@ -92,19 +111,28 @@ func (nd *Node) StepUntil(wake sim.Time) (sim.Message, bool) {
 }
 
 func (nd *Node) step(wake sim.Time) (sim.Message, bool) {
+	m, ok := nd.env.StepUntil(nd.hinted(nd.env.Now(), wake))
+	return nd.filter(m, ok)
+}
+
+// hinted lowers wake to the earliest layer hint, or to 0 (every tick;
+// StepUntil clamps a past wake to the next tick) when some layer
+// declares no hint.
+func (nd *Node) hinted(now, wake sim.Time) sim.Time {
 	if nd.dense {
-		// Some layer declares no wake hint: wake every tick (StepUntil
-		// clamps a past wake to the next tick).
-		wake = 0
-	} else {
-		now := nd.env.Now()
-		for _, h := range nd.hinters {
-			if w := h.NextWake(now); w < wake {
-				wake = w
-			}
+		return 0
+	}
+	for _, h := range nd.hinters {
+		if w := h.NextWake(now); w < wake {
+			wake = w
 		}
 	}
-	m, ok := nd.env.StepUntil(wake)
+	return wake
+}
+
+// filter passes a received message up the stack and lets every layer
+// poll: the second half of a step.
+func (nd *Node) filter(m sim.Message, ok bool) (sim.Message, bool) {
 	if ok {
 		for _, l := range nd.layers {
 			m, ok = l.Handle(m)
@@ -119,17 +147,39 @@ func (nd *Node) step(wake sim.Time) (sim.Message, bool) {
 	return m, ok
 }
 
+// waitWake and waitStep are the wait's sim.Env.Await callbacks: one
+// step of the Step / StepUntil(sim.Never) loop the wait stands for.
+func (nd *Node) waitWake(now sim.Time) sim.Time {
+	wake := sim.Never
+	if nd.everyTick {
+		wake = now + 1
+	}
+	return nd.hinted(now, wake)
+}
+
+func (nd *Node) waitStep(m sim.Message, ok bool) {
+	if m, ok = nd.filter(m, ok); ok && nd.onMsg != nil {
+		nd.onMsg(m)
+	}
+}
+
+// await runs the event loop until pred holds (forever when pred is
+// nil), feeding surviving messages to onMsg (may be nil): every step
+// wakes on the next tick when everyTick is set, on a message or layer
+// hint otherwise. It is the one loop behind WaitUntil, WaitOn and
+// RunForever.
+func (nd *Node) await(everyTick bool, pred func() bool, onMsg func(sim.Message)) {
+	nd.everyTick, nd.onMsg = everyTick, onMsg
+	nd.env.Await(nd.nextFn, nd.onFn, pred)
+	nd.onMsg = nil
+}
+
 // WaitUntil runs the event loop until pred() holds, feeding surviving
 // messages to onMsg (may be nil). pred is evaluated before the first step
 // and after every step. The node wakes on every tick, so pred may depend
 // on anything (time, oracle outputs, messages).
 func (nd *Node) WaitUntil(pred func() bool, onMsg func(sim.Message)) {
-	for !pred() {
-		m, ok := nd.Step()
-		if ok && onMsg != nil {
-			onMsg(m)
-		}
-	}
+	nd.await(true, pred, onMsg)
 }
 
 // WaitOn is WaitUntil for message-driven predicates: pred may only
@@ -137,12 +187,7 @@ func (nd *Node) WaitUntil(pred func() bool, onMsg func(sim.Message)) {
 // sleeps between messages instead of waking every tick. Layer wake
 // hints still apply.
 func (nd *Node) WaitOn(pred func() bool, onMsg func(sim.Message)) {
-	for !pred() {
-		m, ok := nd.StepUntil(sim.Never)
-		if ok && onMsg != nil {
-			onMsg(m)
-		}
-	}
+	nd.await(false, pred, onMsg)
 }
 
 // RunForever drives the event loop until the process is crashed or the
@@ -155,7 +200,5 @@ func (nd *Node) RunForever() {
 	for _, l := range nd.layers {
 		l.Poll()
 	}
-	for {
-		nd.StepUntil(sim.Never)
-	}
+	nd.await(false, nil, nil)
 }

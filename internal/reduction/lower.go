@@ -117,12 +117,31 @@ func (w *LowerWheel) Handle(m sim.Message) (sim.Message, bool) {
 	return sim.Message{}, false
 }
 
+// takeBuffered consumes one buffered move at pos, reporting whether
+// there was one. An entry is deleted when its count reaches zero, so an
+// empty buffer is checked without hashing pos and the map holds only
+// positions with moves still pending.
+func takeBuffered[K comparable](buffered map[K]int, pos K) bool {
+	if len(buffered) == 0 {
+		return false
+	}
+	c := buffered[pos]
+	if c == 0 {
+		return false
+	}
+	if c == 1 {
+		delete(buffered, pos)
+	} else {
+		buffered[pos] = c - 1
+	}
+	return true
+}
+
 // Poll implements node.Layer: consume matching buffered moves (task T2),
 // then run one iteration of task T1.
 func (w *LowerWheel) Poll() {
 	moved := false
-	for len(w.buffered) > 0 && w.buffered[w.pos] > 0 {
-		w.buffered[w.pos]--
+	for takeBuffered(w.buffered, w.pos) {
 		w.ring.Next()
 		w.pos = w.ring.Current()
 		w.sentThisVisit = false

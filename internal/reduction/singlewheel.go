@@ -84,8 +84,7 @@ func (w *SingleWheelOmega) Handle(m sim.Message) (sim.Message, bool) {
 // the current candidate (one broadcast per visit).
 func (w *SingleWheelOmega) Poll() {
 	n := ids.ProcID(w.env.N())
-	for len(w.buffered) > 0 && w.buffered[w.candidate] > 0 {
-		w.buffered[w.candidate]--
+	for takeBuffered(w.buffered, w.candidate) {
 		w.candidate++
 		if w.candidate > n {
 			w.candidate = 1

@@ -175,8 +175,7 @@ func (w *UpperWheel) Handle(m sim.Message) (sim.Message, bool) {
 // advance task T1's inquire/wait state machine.
 func (w *UpperWheel) Poll() {
 	moved := false
-	for len(w.buffered) > 0 && w.buffered[w.pos] > 0 {
-		w.buffered[w.pos]--
+	for takeBuffered(w.buffered, w.pos) {
 		w.ring.Next()
 		w.pos = w.ring.Current()
 		w.lmoves++

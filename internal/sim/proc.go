@@ -31,10 +31,11 @@ type procKilled struct{}
 // Ownership: execution is strictly sequential — at any instant exactly
 // one coroutine holds the run token (Run's loop, or one process main).
 // Every field below is accessed only by the token holder: the process
-// while it runs, Run's loop or the tick phases while the process is
-// parked or done. The coroutine switches order all of it, so none of
-// these fields need locks or atomics (the race detector checks this
-// claim on every -race run).
+// while it runs; Run's loop, the tick phases or the process's own Await
+// steps, on whichever stack holds the token, while it is parked or
+// done. The coroutine switches order all of it, so none of these fields
+// need locks or atomics (the race detector checks this claim on every
+// -race run).
 type Proc struct {
 	id   ids.ProcID
 	sys  *System
@@ -51,12 +52,25 @@ type Proc struct {
 	inbox    []Message // appended by the scheduler (delivery), drained by the process
 	nextRead int
 	dead     bool // set by the scheduler; the process unwinds at its next Env call
+
+	// The wait in progress (Env.Await), inline so a wait allocates
+	// nothing: its three callbacks, valid from Await's entry to its
+	// return. awaiting is set while the coroutine is suspended inside
+	// Await: the token holder then runs the process's steps itself
+	// (System.awaitSteps) and resumes the coroutine only once waitDone
+	// holds. The wait's clamped wake time lives in the scheduler's
+	// deadlines slot.
+	waitNext func(now Time) Time
+	waitOn   func(Message, bool)
+	waitDone func() bool
+	awaiting bool
 }
 
 // Env is the interface protocol code uses to interact with the system.
 // All methods must be called from the owning process's main (the one
-// passed to Spawn); they unwind it once the process has crashed or the
-// run has stopped.
+// passed to Spawn) or its Await callbacks, which may run on another
+// stack but only ever on its behalf; they unwind the process once it
+// has crashed or the run has stopped.
 type Env struct {
 	p *Proc
 }
@@ -157,6 +171,9 @@ func (e *Env) Step() (Message, bool) {
 func (e *Env) StepUntil(wake Time) (Message, bool) {
 	p := e.p
 	s := p.sys
+	if s.stepping {
+		panic(errBlockInStep)
+	}
 	if now := s.Now(); wake <= now {
 		wake = now + 1
 	}
@@ -164,19 +181,8 @@ func (e *Env) StepUntil(wake Time) (Message, bool) {
 		if p.dead {
 			panic(procKilled{})
 		}
-		if p.nextRead < len(p.inbox) {
-			m := p.inbox[p.nextRead]
-			p.nextRead++
+		if m, ok := p.receive(); ok {
 			return m, true
-		}
-		if p.nextRead > 0 {
-			// Inbox fully drained: zero the consumed prefix in one bulk
-			// clear (cheaper than a per-message wipe at read time, same
-			// payload-retention hygiene) and reset, so long runs reuse
-			// the same backing array instead of growing it forever.
-			clear(p.inbox)
-			p.inbox = p.inbox[:0]
-			p.nextRead = 0
 		}
 		if s.Now() >= wake {
 			return Message{}, false
@@ -198,17 +204,86 @@ func (e *Env) StepUntil(wake Time) (Message, bool) {
 	}
 }
 
+// receive takes the next inbox message, if any. Once the inbox is fully
+// drained it zeroes the consumed prefix in one bulk clear (cheaper than
+// a per-message wipe at read time, same payload-retention hygiene) and
+// resets, so long runs reuse the same backing array instead of growing
+// it forever.
+func (p *Proc) receive() (Message, bool) {
+	if p.nextRead < len(p.inbox) {
+		m := p.inbox[p.nextRead]
+		p.nextRead++
+		return m, true
+	}
+	if p.nextRead > 0 {
+		clear(p.inbox)
+		p.inbox = p.inbox[:0]
+		p.nextRead = 0
+	}
+	return Message{}, false
+}
+
+// errBlockInStep is the panic value of a blocking Env call made from
+// inside an Await step, which may be running on another process's stack.
+const errBlockInStep = "sim: blocking Env call (Step, StepUntil, Await, WaitUntil) inside an Await step"
+
+// Await is the guarded wait: it has exactly the effects, in the same
+// order, of
+//
+//	for done == nil || !done() {
+//		m, ok := e.StepUntil(next(e.Now()))
+//		on(m, ok)
+//	}
+//
+// A nil done waits forever (the process runs until it is crashed or the
+// run stops). The difference is where the steps run: while the process
+// waits, each step (a done evaluation, a next call, an on call) runs on
+// the stack of whoever holds the run token when the process is due —
+// Run's loop, or another process parking — and the process's own
+// coroutine is resumed only when done holds. The callbacks must
+// therefore not block: Step, StepUntil, Await or WaitUntil called from
+// inside them panics. They may send and read any run-token state, like
+// the code of the loop they stand for.
+func (e *Env) Await(next func(now Time) Time, on func(Message, bool), done func() bool) {
+	p := e.p
+	s := p.sys
+	if s.stepping {
+		panic(errBlockInStep)
+	}
+	p.waitNext, p.waitOn, p.waitDone = next, on, done
+	for finished := s.awaitSteps(p, false); !finished; {
+		if s.running && s.park(p) {
+			finished = s.awaitSteps(p, true)
+			continue
+		}
+		p.awaiting = true
+		ok := p.yield(struct{}{})
+		p.awaiting = false
+		if !ok || p.dead {
+			// Stopped while parked, or killed at a tick it was running
+			// itself and resumed to unwind: no further step.
+			panic(procKilled{})
+		}
+		// Resumed by the token holder that found done true.
+		finished = true
+	}
+	p.waitNext, p.waitOn, p.waitDone = nil, nil, nil
+}
+
+// nextTick is the wake condition of a per-tick wait (Step's).
+func nextTick(Time) Time { return 0 }
+
 // WaitUntil runs the event loop until pred() is true: each delivered
 // message is passed to onMsg (which may be nil), and pred is re-evaluated
 // after every message and every clock tick. pred is evaluated first, so a
-// condition that already holds returns immediately.
+// condition that already holds returns immediately. It is Await with a
+// per-tick wake.
 func (e *Env) WaitUntil(pred func() bool, onMsg func(Message)) {
-	for !pred() {
-		m, ok := e.Step()
+	e.Await(nextTick, func(m Message, ok bool) {
 		if ok && onMsg != nil {
 			onMsg(m)
 		}
-	}
+	}, pred)
 }
 
 // Crashed reports whether this process has been crashed or stopped.

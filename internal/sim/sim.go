@@ -8,8 +8,9 @@
 // to Bandwidth in-flight messages chosen uniformly at random (seeded),
 // and then wakes — one at a time, in identity order — exactly the
 // processes whose wait condition is due (a new message, or a declared
-// wake time reached; see Env.StepUntil). The scheduler only proceeds once
-// the woken process has parked again, so a run is a deterministic
+// wake time reached; see Env.StepUntil and Env.Await). The scheduler
+// only proceeds once the woken process has parked again, so a run is a
+// deterministic
 // function of its Config: same seed, same delivery order, same process
 // steps, same result. Arbitrary-but-finite message delays and arbitrary
 // crash patterns — exactly the adversary the asynchronous model
@@ -18,19 +19,35 @@
 // # Concurrency contract
 //
 // Exactly one coroutine runs at any instant: whoever holds the run
-// token, which is either Run's loop or one process main. A
-// parking process publishes its wake condition and, while nothing is
-// due, runs the next tick's scheduler phases (crashes, deliveries,
-// samplers, clock advance) on its own stack. If it is itself the first
-// process due it keeps running, with no switch at all; otherwise it
-// yields to the run loop, which resumes the first due process (two
-// coroutine switches per wake). Killing a parked process stops its
-// coroutine, which unwinds it before the tick proceeds. No mutexes, no
-// channels, no goroutine beside the coroutines iter.Pull creates. All
-// simulation state (network queues, inboxes, park bits, deadlines,
-// metrics counters) is owned by the run token and accessed without
-// locks; the coroutine switches provide the happens-before edges, and
-// -race verifies the claim.
+// token, which is either Run's loop or one process main. A parking
+// process publishes its wake condition and, while nothing is due, runs
+// the next tick's scheduler phases (crashes, deliveries, samplers,
+// clock advance) on its own stack. When a process is due:
+//
+//   - if it is the parker itself, it keeps running, with no switch;
+//   - if it waits in Env.Await, the token holder (the parker, or Run's
+//     loop) runs its step — the wait's done, next and on callbacks, in
+//     the order of the loop Await stands for — on its own stack, and
+//     the waiter's coroutine stays suspended. When done holds, the
+//     waiter needs its stack back: a parker puts it in the one-entry
+//     ready slot and yields to Run's loop, which resumes ready before
+//     anything else runs (two switches per completed wait);
+//   - otherwise (a raw StepUntil) the parker yields to Run's loop,
+//     which resumes the process (two switches per wake).
+//
+// Steps must not block: an Await step may be running on another
+// process's stack, so Step, StepUntil, Await or WaitUntil called from
+// inside one panics. Killing a parked process stops its coroutine,
+// which unwinds it before the tick proceeds; a process killed at a tick
+// it is running itself is only marked, and unwinds, taking no further
+// step, when next due or at teardown. Report.Switches counts the
+// switches, Report.Wakes the due processes stepped or resumed.
+//
+// No mutexes, no channels, no goroutine beside the coroutines iter.Pull
+// creates. All simulation state (network queues, inboxes, park bits,
+// deadlines, metrics counters) is owned by the run token and accessed
+// without locks; the coroutine switches provide the happens-before
+// edges, and -race verifies the claim.
 //
 // The thin surface that IS safe to touch from other goroutines while a
 // run is in progress: Now (atomic), WakeAt (locked), InFlight (atomic).
@@ -284,8 +301,8 @@ func (fp *Pattern) Faulty() ids.Set {
 //
 // Field ownership follows the package's concurrency contract: unless a
 // field is explicitly marked atomic or locked below, it is run-token
-// state — accessed only by Run's loop or by the single running
-// process coroutine, which the coroutine switches serialize.
+// state — accessed only by whichever of Run's loop and the process
+// coroutines holds the token, which the coroutine switches serialize.
 type System struct {
 	cfg     Config
 	pattern *Pattern
@@ -311,6 +328,14 @@ type System struct {
 	stop         func() bool
 	stoppedEarly bool
 	ended        bool
+
+	// Await state. stepping is set while some process's Await step runs
+	// (on any stack), so a blocking call made from inside one panics.
+	// ready is a waiting process whose wait completed on another
+	// process's stack: that process yields to Run's loop, which resumes
+	// ready before anything else runs.
+	stepping bool
+	ready    *Proc
 
 	// wakes counts process wakes (self-dispatches included); switches
 	// counts coroutine switches. Non-canonical: reported by Run, never
@@ -575,9 +600,9 @@ func (s *System) Env(p ids.ProcID) *Env { return &Env{p: s.procs[p]} }
 // called before Run. The main runs as its own coroutine; it is unwound
 // when p crashes or the run stops, and may also return on its own.
 //
-// Mains must block through Env (Step, StepUntil, WaitUntil) to let the
-// scheduler advance: the system is lockstep, so a main that spins without
-// an Env call stalls virtual time.
+// Mains must block through Env (Step, StepUntil, Await, WaitUntil) to
+// let the scheduler advance: the system is lockstep, so a main that
+// spins without an Env call stalls virtual time.
 func (s *System) Spawn(p ids.ProcID, main func(*Env)) {
 	if p < 1 || int(p) > s.cfg.N {
 		panic(fmt.Sprintf("sim: Spawn(%d) unknown process", p))
@@ -603,12 +628,15 @@ type Report struct {
 	StoppedEarly bool
 	// Messages is a snapshot of the message metrics.
 	Messages MetricsSnapshot
-	// Wakes counts process wakes: each time a parked process resumed
-	// because it was due, self-dispatches included. Switches counts
-	// coroutine switches: two per resume by the run loop, per launch and
-	// per stop of a parked process, none per self-dispatch. Both are
-	// exact but non-canonical scheduler diagnostics, never written into
-	// sweep reports.
+	// Wakes counts process wakes: each time a parked process was due
+	// and took its next step, whether its coroutine resumed or (inside
+	// Env.Await) the step ran on the token holder's stack. Switches
+	// counts coroutine switches: two per resume by the run loop (a
+	// completed Await whose last step ran elsewhere included), per
+	// launch and per stop of a suspended process; none per
+	// self-dispatch and none per Await step. Both are exact but
+	// non-canonical scheduler diagnostics, never written into sweep
+	// reports.
 	Wakes, Switches int64
 }
 
@@ -640,18 +668,28 @@ func (s *System) wake(id ids.ProcID) {
 }
 
 // park runs the tick phases on the parking process's own stack while no
-// process is due. It returns true when self is the first process due:
-// self has been woken and keeps running, with no coroutine switch. On
-// false, self must yield to Run's loop, which wakes the first due
-// process (or finds the run ended).
+// process is due, and the steps of due processes waiting in Env.Await.
+// It returns true when self is the first process due: self has been
+// woken and keeps running, with no coroutine switch. On false, self
+// must yield to Run's loop, which resumes ready if set, else the first
+// due process (or finds the run ended).
 func (s *System) park(self *Proc) bool {
 	for {
 		if id := s.due.first(s.pw); id != ids.None {
-			if id != self.id {
+			if id == self.id {
+				s.wake(id)
+				return true
+			}
+			p := s.procs[id]
+			if !p.awaiting {
 				return false
 			}
 			s.wake(id)
-			return true
+			if p.dead || s.awaitSteps(p, true) {
+				s.ready = p
+				return false
+			}
+			continue
 		}
 		if s.tick(self) {
 			s.ended = true
@@ -660,11 +698,58 @@ func (s *System) park(self *Proc) bool {
 	}
 }
 
+// awaitSteps runs process p's Env.Await loop on the calling stack until
+// the wait completes (true: done holds) or p parks again (false: its
+// park bit and deadline are published). woken says p has just been
+// woken from a park; otherwise the wait is starting, so done is
+// evaluated first. The wait's clamped wake time is kept in deadlines[p],
+// which nothing reads unless p's park bit is set.
+//
+// Each statement mirrors the Await loop it implements — done, next, and
+// StepUntil's inbox drain and wake check — so the callbacks run in
+// exactly that loop's order. Only p's own stack may find p dead: the
+// other token holders check before stepping it, and nothing kills a
+// process during a step.
+func (s *System) awaitSteps(p *Proc, woken bool) bool {
+	s.stepping = true
+	for {
+		if !woken {
+			if p.waitDone != nil && p.waitDone() {
+				s.stepping = false
+				return true
+			}
+			now := s.Now()
+			wake := p.waitNext(now)
+			if wake <= now {
+				wake = now + 1
+			}
+			s.deadlines[p.id] = wake
+		}
+		woken = false
+		if p.dead {
+			s.stepping = false
+			panic(procKilled{})
+		}
+		if m, ok := p.receive(); ok {
+			p.waitOn(m, true)
+			continue
+		}
+		if s.Now() >= s.deadlines[p.id] {
+			p.waitOn(Message{}, false)
+			continue
+		}
+		s.parkedSet.set(p.id)
+		s.stepping = false
+		return false
+	}
+}
+
 // killAt applies an in-run crash: the process is marked dead and, if it
-// was parked, its coroutine is stopped, which unwinds it before the tick
-// proceeds. A process crashing at the very tick it is running the phases
-// for (p == self) is only marked: it unwinds at its next Env call, before
-// taking any protocol step.
+// was parked (in StepUntil or Await), its coroutine is stopped, which
+// unwinds it before the tick proceeds. A process crashing at the very
+// tick it is running the phases for (p == self) is only marked: it
+// unwinds when next due or stopped at teardown, before taking any
+// protocol step.
 func (s *System) killAt(p, self *Proc) {
 	p.dead = true
 	if p != self && s.parkedSet.has(p.id) {
@@ -672,8 +757,8 @@ func (s *System) killAt(p, self *Proc) {
 	}
 }
 
-// reap unwinds one parked process synchronously: its yield returns
-// false, StepUntil panics procKilled and the coroutine returns.
+// reap unwinds one suspended process synchronously: its yield returns
+// false, StepUntil or Await panics procKilled and the coroutine returns.
 func (s *System) reap(p *Proc) {
 	s.parkedSet.clear(p.id)
 	s.inboxDue.clear(p.id)
@@ -705,10 +790,12 @@ func (s *System) Run(stop func() bool) Report {
 	}
 }
 
-// drive launches the processes and runs Run's loop: it runs ticks
-// itself while no process is due, and otherwise resumes the first due
-// process, which holds the token until it yields back — parking behind
-// another due process, exiting, or finding the run over.
+// drive launches the processes and runs Run's loop: it first resumes a
+// ready process (one whose Await completed on a parker's stack), then
+// wakes the first due process — stepping it here if it waits in Await,
+// resuming it otherwise — and runs ticks itself while no process is
+// due. A resumed process holds the token until it yields back: parking
+// behind another due process, exiting, or finding the run over.
 func (s *System) drive(stop func() bool) {
 	defer s.teardown()
 	for i := 1; i <= s.cfg.N; i++ {
@@ -725,10 +812,20 @@ func (s *System) drive(stop func() bool) {
 	s.stop = stop
 	s.running = true
 	for !s.ended {
+		if p := s.ready; p != nil {
+			s.ready = nil
+			s.switches += 2
+			p.next()
+			continue
+		}
 		if id := s.due.first(s.pw); id != ids.None {
 			s.wake(id)
+			p := s.procs[id]
+			if p.awaiting && !p.dead && !s.awaitSteps(p, true) {
+				continue
+			}
 			s.switches += 2
-			s.procs[id].next()
+			p.next()
 			continue
 		}
 		if s.tick(nil) {
@@ -737,16 +834,19 @@ func (s *System) drive(stop func() bool) {
 	}
 }
 
-// teardown stops every parked process coroutine, in identity order. It
-// runs deferred, so a panic leaving drive still leaves no coroutine
+// teardown stops every suspended process coroutine, in identity order.
+// It runs deferred, so a panic leaving drive still leaves no coroutine
 // behind; each reap is deferred in turn, so a panic while one process
-// unwinds does not skip the rest. A coroutine that is not parked has
-// already returned or panicked.
+// unwinds does not skip the rest. A suspended coroutine is parked, or
+// awaiting with its park bit already cleared: woken for a step that a
+// panic cut off on another stack. Any other coroutine has already
+// returned or panicked.
 func (s *System) teardown() {
+	s.stepping = false // a panic may have cut a step off mid-way
 	for i := s.cfg.N; i >= 1; i-- {
 		p := s.procs[i]
 		p.dead = true
-		if s.parkedSet.has(p.id) {
+		if s.parkedSet.has(p.id) || p.awaiting {
 			defer s.reap(p)
 		}
 	}

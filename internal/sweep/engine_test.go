@@ -171,6 +171,34 @@ func TestWallClockExcludedFromCanonicalBytes(t *testing.T) {
 	}
 }
 
+// TestSchedulerCountsExcludedFromCanonicalBytes: a cell records its
+// runs' wakes and switches, and neither reaches the canonical report —
+// the report renders to the same bytes with the counts set or zeroed.
+func TestSchedulerCountsExcludedFromCanonicalBytes(t *testing.T) {
+	r, err := Run(smokeMatrix(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCounts, err := r.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range r.Cells {
+		c := &r.Cells[i]
+		if c.Wakes <= 0 || c.Switches <= 0 {
+			t.Fatalf("cell %d recorded %d wakes and %d switches, want both positive", c.Index, c.Wakes, c.Switches)
+		}
+		c.Wakes, c.Switches = 0, 0
+	}
+	without, err := r.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(withCounts, without) {
+		t.Error("canonical JSON changes with the cells' wake and switch counts")
+	}
+}
+
 // TestPoolLendsWorkerBuffers: a pool worker lends one sim.Buffers to
 // every cell it runs, so capacity a cell grows carries over to the
 // next; two workers never share one.

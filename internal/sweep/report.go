@@ -27,9 +27,9 @@ const (
 
 // CellResult is the structured outcome of one cell: the verdict, a
 // metrics snapshot, the decided-value set (for agreement protocols) and
-// virtual/wall durations. Every field except WallNS is a deterministic
-// function of the cell; WallNS is excluded from the canonical JSON so
-// reports stay byte-reproducible.
+// virtual/wall durations. Every field except WallNS, Wakes and Switches
+// is a deterministic function of the cell; those three are excluded
+// from the canonical JSON so reports stay byte-reproducible.
 type CellResult struct {
 	Index   int    `json:"index"`
 	Seed    int64  `json:"seed"`
@@ -80,6 +80,13 @@ type CellResult struct {
 	// WallNS is the cell's wall-clock cost. Not part of the canonical
 	// report: it varies run to run.
 	WallNS int64 `json:"-"`
+
+	// Wakes and Switches are the scheduler diagnostics of the cell's
+	// runs (sim.Report's), summed over every system the cell ran. Not
+	// part of the canonical report: they describe how the simulator ran
+	// the cell, not what the cell computed.
+	Wakes    int64 `json:"-"`
+	Switches int64 `json:"-"`
 }
 
 // measure records a named observation, allocating lazily.

@@ -45,12 +45,20 @@ func init() {
 
 // recordRun copies the run report into the result.
 func recordRun(res *CellResult, rep sim.Report) {
+	countRun(res, rep)
 	res.Steps = rep.Steps
 	res.StoppedEarly = rep.StoppedEarly
 	res.Messages = rep.Messages.TotalSent
 	if len(rep.Messages.Sent) > 0 {
 		res.SentByTag = rep.Messages.Sent
 	}
+}
+
+// countRun adds a run's scheduler diagnostics to the result, for cells
+// that run several systems as well as those that record one.
+func countRun(res *CellResult, rep sim.Report) {
+	res.Wakes += rep.Wakes
+	res.Switches += rep.Switches
 }
 
 // recordOutcome copies agreement results into the result.
@@ -835,7 +843,7 @@ func runIrreducibility(c *Cell, res *CellResult) {
 				at = now
 			}
 		})
-		sys.Run(func() bool { return at >= 0 })
+		countRun(res, sys.Run(func() bool { return at >= 0 }))
 		return at
 	}
 	atR := probe(rp.ConfigR(tau+slack), false)
