@@ -17,7 +17,7 @@
 GO ?= go
 BENCH_OUT ?= BENCH_PR7.json
 
-.PHONY: ci vet lint build test race fuzz-smoke smoke dispatch-smoke perf-smoke examples bench bench-smoke bench-gate clean
+.PHONY: ci vet lint build test race fuzz-smoke smoke dispatch-smoke perf-smoke examples bench bench-gate clean
 
 ci: vet build race smoke dispatch-smoke examples
 
@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/dispatch
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime 10s ./internal/dispatch
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePerturbation$$' -fuzztime 10s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzParseReplaySpec$$' -fuzztime 10s ./cmd/experiments
 
 # A short end-to-end sweep: every experiment matrix runs (the full
 # matrix takes a couple of seconds), the rendered report and canonical
@@ -130,12 +131,6 @@ bench: build
 	for i in 1 2 3; do $(GO) run ./cmd/experiments -out /tmp/fdgrid-bench-sweep.md >> /tmp/fdgrid-sweeptime.txt || exit 1; done
 	cat /tmp/fdgrid-sweeptime.txt
 	$(GO) run ./cmd/bench2json -bench /tmp/fdgrid-bench.txt -sweep /tmp/fdgrid-sweeptime.txt -out $(BENCH_OUT)
-
-# The bench smoke CI runs: the scheduler and batched-delivery
-# micro-benchmarks only, enough to catch a perf-path regression that
-# breaks outright.
-bench-smoke: build
-	$(GO) test -bench 'BenchmarkScheduler|BenchmarkDeliverBatch|BenchmarkBroadcastFanout' -benchtime 1000x -run XXX .
 
 # The CI benchmark-regression gate: sample the scheduler and
 # batched-delivery micro-benchmarks a few times and compare medians

@@ -320,20 +320,23 @@ func printReplayCell(label string, c sweep.CellResult) {
 }
 
 // parseReplaySpec splits "MATRIX:INDEX" (matrix names contain no
-// colon). The index must be a non-negative integer — a negative one
-// can never name a cell, so it is rejected here with usage guidance
-// rather than later as a confusing out-of-range error.
+// colon). The index must be canonical — decimal digits only, no sign,
+// no leading zero except "0" itself — so each cell has exactly one
+// accepted spelling. A negative index can never name a cell, so it is
+// rejected here with usage guidance rather than later as a confusing
+// out-of-range error.
 func parseReplaySpec(spec string) (string, int, error) {
 	i := strings.LastIndex(spec, ":")
 	if i <= 0 {
 		return "", 0, fmt.Errorf("experiments: bad -replay %q (want MATRIX:INDEX)", spec)
 	}
-	index, err := strconv.Atoi(spec[i+1:])
+	digits := spec[i+1:]
+	if digits == "" || strings.TrimLeft(digits, "0123456789") != "" || (digits[0] == '0' && digits != "0") {
+		return "", 0, fmt.Errorf("experiments: bad -replay index in %q (want MATRIX:INDEX, INDEX a non-negative integer without sign or leading zeros)", spec)
+	}
+	index, err := strconv.Atoi(digits)
 	if err != nil {
 		return "", 0, fmt.Errorf("experiments: bad -replay index in %q (want MATRIX:INDEX): %v", spec, err)
-	}
-	if index < 0 {
-		return "", 0, fmt.Errorf("experiments: bad -replay %q: index must be >= 0", spec)
 	}
 	return spec[:i], index, nil
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"fdgrid/internal/sweep"
@@ -164,9 +165,39 @@ func TestParseReplaySpec(t *testing.T) {
 	for _, bad := range []string{
 		"", "kset-grid", ":5", "kset-grid:", "kset-grid:abc",
 		"kset-grid:1.5", "kset-grid:-1", "kset-grid:5x",
+		// Non-canonical spellings of an index strconv.Atoi would take.
+		"kset-grid:+3", "kset-grid:03", "kset-grid:-0", "kset-grid:00",
+		"kset-grid: 3", "kset-grid:99999999999999999999",
 	} {
 		if _, _, err := parseReplaySpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+	if name, idx, err := parseReplaySpec("kset-grid:0"); err != nil || name != "kset-grid" || idx != 0 {
+		t.Fatalf("kset-grid:0 -> %q %d %v", name, idx, err)
+	}
+}
+
+// FuzzParseReplaySpec: every spec parseReplaySpec accepts is the one
+// canonical spelling of its (matrix, index) pair — rendering the pair
+// back as name + ":" + index reproduces the input byte for byte.
+func FuzzParseReplaySpec(f *testing.F) {
+	for i, m := range suiteMatrices(1) {
+		f.Add(m.Name + ":" + strconv.Itoa(i))
+	}
+	for _, s := range []string{"kset-grid:+3", "kset-grid:03", "kset-grid:-0", "odd:name:3", ":0", "x:"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		name, idx, err := parseReplaySpec(spec)
+		if err != nil {
+			return
+		}
+		if idx < 0 {
+			t.Fatalf("%q accepted with negative index %d", spec, idx)
+		}
+		if got := name + ":" + strconv.Itoa(idx); got != spec {
+			t.Fatalf("%q accepted but renders back as %q", spec, got)
+		}
+	})
 }

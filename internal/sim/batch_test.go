@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -99,61 +100,110 @@ func TestBatchedDeliveryMetricsExact(t *testing.T) {
 	}
 }
 
-// TestFullDeliveryPathsAgree pins the two full-delivery forms against
-// each other: the direct-append form (small ticks) and the three-pass
-// scatter form (large ticks) must produce bit-identical runs, because
-// which one executes depends only on per-tick load (fullScatterMin).
-// The test runs the same crash-bearing workload once with each form
-// forced and compares every process's full delivery trace and the
-// metrics. This is the invariant that lets the goldens stay valid as
-// the threshold moves.
-func TestFullDeliveryPathsAgree(t *testing.T) {
+// TestDeliverPhaseMatchesPerMessage pins the batched delivery phase to
+// the plain per-message swap-remove it stands for: draw j =
+// Intn(len(eligible)), deliver eligible[j], move the last message into
+// its place, repeat Bandwidth times. eligible is filled directly, so
+// the sizes span the small, cache-resident ticks and those past 16384
+// messages (~1 MB) where eligible no longer fits in cache, under full
+// and partial bandwidth. Every destination starts with a message
+// already in its inbox, and one destination has crashed: its batch is
+// dropped, leaving its inbox as it was and the cut tail zeroed. Inboxes,
+// the leftover eligible list, the draw stream's position, in-flight
+// count, wake bits and per-tag counters must all match the reference.
+func TestDeliverPhaseMatchesPerMessage(t *testing.T) {
 	const (
-		n     = 16
-		ticks = 20
+		n       = 16
+		crashed = ids.ProcID(5)
+		now     = Time(7)
 	)
-	tag := Intern("batch.flood")
-	trace := func() (map[ids.ProcID][]Message, MetricsSnapshot) {
-		got := make(map[ids.ProcID][]Message)
-		sys := MustNew(Config{
-			N: n, T: 2, Seed: 9, MaxSteps: ticks,
-			Bandwidth: n * n,
-			Crashes:   map[ids.ProcID]Time{2: 5, 11: 12},
-		})
-		sys.SpawnAll(func(env *Env) {
-			id := env.ID()
-			for {
-				next := env.Now() + 1
-				env.Broadcast(tag, nil)
-				for {
-					m, ok := env.StepUntil(next)
-					if !ok {
-						break
-					}
-					m.Payload = nil // payloads are compared by the maps below
-					got[id] = append(got[id], m)
+	tags := []Tag{Intern("batch.ref.a"), Intern("batch.ref.b")}
+	for _, size := range []int{1, 7, 64, 4096, 20000} {
+		for _, k := range []int{size, size / 2} {
+			if k == 0 {
+				continue
+			}
+			seed := int64(size*31 + k)
+			sys := MustNew(Config{
+				N: n, T: 1, Seed: seed, MaxSteps: 100, Bandwidth: k,
+				Crashes: map[ids.ProcID]Time{crashed: 3},
+			})
+			gen := rand.New(rand.NewSource(seed + 1))
+			elig := make([]Message, size)
+			for i := range elig {
+				elig[i] = Message{
+					From:    ids.ProcID(gen.Intn(n) + 1),
+					To:      ids.ProcID(gen.Intn(n) + 1),
+					Tag:     tags[gen.Intn(4)/3], // long equal-tag runs, some switches
+					Payload: i,
+					SentAt:  now - 1,
 				}
 			}
-		})
-		sys.Run(nil)
-		return got, sys.Metrics().Snapshot()
-	}
+			want := make([][]Message, n+1)
+			for q := 1; q <= n; q++ {
+				old := Message{From: 1, To: ids.ProcID(q), Tag: tags[0], Payload: -q, SentAt: 1, DeliveredAt: 2}
+				sys.procs[q].inbox = []Message{old}
+				want[q] = []Message{old}
+			}
+			sys.eligible = append([]Message(nil), elig...)
+			sys.inflight.Store(int64(size))
 
-	defer func(saved int) { fullScatterMin = saved }(fullScatterMin)
-	fullScatterMin = 1 << 30 // every tick takes the direct-append form
-	direct, directMetrics := trace()
-	fullScatterMin = 1 // every tick takes the three-pass scatter form
-	scatter, scatterMetrics := trace()
+			// The reference: per-message swap-remove on its own copy.
+			ref := rand.New(rand.NewSource(seed))
+			rest := append([]Message(nil), elig...)
+			delivered, dropped := map[string]int64{}, map[string]int64{}
+			for range min(k, size) {
+				j := ref.Intn(len(rest))
+				m := rest[j]
+				rest[j] = rest[len(rest)-1]
+				rest = rest[:len(rest)-1]
+				m.DeliveredAt = now
+				if m.To == crashed {
+					dropped[m.Tag.String()]++
+					continue
+				}
+				delivered[m.Tag.String()]++
+				want[m.To] = append(want[m.To], m)
+			}
 
-	if !reflect.DeepEqual(directMetrics, scatterMetrics) {
-		t.Fatalf("metrics diverge:\ndirect:  %+v\nscatter: %+v", directMetrics, scatterMetrics)
-	}
-	for p := ids.ProcID(1); p <= n; p++ {
-		if !reflect.DeepEqual(direct[p], scatter[p]) {
-			t.Fatalf("delivery trace of process %d diverges between the two forms", p)
+			sys.deliverPhase(now)
+
+			name := fmt.Sprintf("size=%d bandwidth=%d", size, k)
+			for q := ids.ProcID(1); q <= n; q++ {
+				p := sys.procs[q]
+				if !reflect.DeepEqual(p.inbox, want[q]) {
+					t.Fatalf("%s: inbox of %d diverges from per-message delivery", name, q)
+				}
+				if got := sys.inboxDue.has(q); got != (len(want[q]) > 1) {
+					t.Errorf("%s: wake bit of %d = %v, want %v", name, q, got, !got)
+				}
+			}
+			tail := sys.procs[crashed].inbox[1:cap(sys.procs[crashed].inbox)]
+			for i := range tail {
+				if tail[i] != (Message{}) {
+					t.Fatalf("%s: dropped tail of the crashed inbox not zeroed at %d", name, i)
+				}
+			}
+			if !reflect.DeepEqual(append([]Message{}, sys.eligible...), append([]Message{}, rest...)) {
+				t.Fatalf("%s: eligible left after delivery diverges", name)
+			}
+			if got, want := sys.InFlight(), len(rest); got != want {
+				t.Errorf("%s: in flight = %d, want %d", name, got, want)
+			}
+			snap := sys.Metrics().Snapshot()
+			for _, tag := range tags {
+				if snap.Delivered[tag.String()] != delivered[tag.String()] || snap.Dropped[tag.String()] != dropped[tag.String()] {
+					t.Errorf("%s: tag %s delivered/dropped %d/%d, want %d/%d", name, tag,
+						snap.Delivered[tag.String()], snap.Dropped[tag.String()],
+						delivered[tag.String()], dropped[tag.String()])
+				}
+			}
+			if got, want := sys.intn(1<<30+1), ref.Intn(1<<30+1); got != want {
+				t.Errorf("%s: draw stream out of step after delivery: %d, want %d", name, got, want)
+			}
+			if size >= 64 && dropped[tags[0].String()]+dropped[tags[1].String()] == 0 {
+				t.Fatalf("%s: nothing dropped at the crashed destination; the check is vacuous", name)
+			}
 		}
-	}
-	if len(direct[1]) == 0 {
-		t.Fatal("workload delivered nothing; the comparison is vacuous")
 	}
 }

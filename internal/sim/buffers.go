@@ -1,8 +1,8 @@
 package sim
 
-// Buffers is the network's reusable storage: the eligible and arrivals
-// queues, the full-delivery selection scratch and the pool of drained
-// hold buckets. Their capacity is what an all-to-all run grows — up to
+// Buffers is the network's reusable storage: the eligible queue, the
+// full-delivery selection scratch and the pool of drained hold
+// buckets. Their capacity is what an all-to-all run grows — up to
 // 330,752 messages (18.5 MB) of eligible at n = 256 — so a caller that
 // runs many Systems one after another lends each the same Buffers
 // (System.UseBuffers) and the arrays are grown once, not once per run.
@@ -16,10 +16,9 @@ package sim
 // Buffers is not safe for concurrent use.
 type Buffers struct {
 	eligible   []Message
-	arrivals   []envelope
 	selPairs   []selPair
 	selSlot    []int32
-	bucketPool [][]envelope
+	bucketPool [][]Message
 	lent       bool
 }
 
@@ -41,7 +40,6 @@ func (s *System) borrow() {
 		panic("sim: Buffers lent to two running systems")
 	}
 	s.eligible = append(b.eligible, s.eligible...)
-	s.arrivals = append(b.arrivals, s.arrivals...)
 	s.selPairs, s.selSlot, s.bucketPool = b.selPairs, b.selSlot, b.bucketPool
 	*b = Buffers{lent: true}
 }
@@ -52,9 +50,8 @@ func (s *System) borrow() {
 // system keeps no alias of what it handed back.
 func (s *System) giveBack() {
 	clear(s.eligible[:max(len(s.eligible), s.eligDirty)])
-	clear(s.arrivals[:max(len(s.arrivals), s.arrDirty)])
 	clear(s.selSlot[:s.selDirty])
-	clear(s.selPairs[:min(s.selDirty, cap(s.selPairs))])
+	clear(s.selPairs[:s.selDirty])
 	// Buckets still holding unreleased messages go back to the pool,
 	// zeroed; drained ones were zeroed when route recycled them.
 	for _, t := range s.heldTimes {
@@ -65,12 +62,11 @@ func (s *System) giveBack() {
 	}
 	*s.buf = Buffers{
 		eligible:   s.eligible[:0],
-		arrivals:   s.arrivals[:0],
 		selPairs:   s.selPairs,
 		selSlot:    s.selSlot,
 		bucketPool: s.bucketPool,
 	}
-	s.eligible, s.arrivals, s.selPairs, s.selSlot, s.bucketPool = nil, nil, nil, nil, nil
+	s.eligible, s.selPairs, s.selSlot, s.bucketPool = nil, nil, nil, nil
 	s.heldTimes = nil
-	s.eligDirty, s.arrDirty, s.selDirty = 0, 0, 0
+	s.eligDirty, s.selDirty = 0, 0
 }

@@ -20,10 +20,9 @@ func span(lo, hi int) ids.Set {
 
 // bufferWorkload is a run that dirties every array Buffers holds.
 // Broadcast ticks beyond the bandwidth give partial delivery; lighter
-// multicast ticks drain the backlog in full delivery, in whichever form
-// fullScatterMin picks; process 2 crashes. With holds, every send is
-// staged in arrivals, and hold buckets fill: from the start, in a
-// window, and past MaxSteps, so some are still full when the run ends.
+// multicast ticks drain the backlog in full delivery; process 2
+// crashes. With holds, hold buckets fill: from the start, in a window,
+// and past MaxSteps, so some are still full when the run ends.
 // Without holds, sends go straight to eligible, so the run ends with
 // its last sends queued over the stale tail of earlier deliveries. With
 // panicAt > 0, process 1's main panics at that tick. It returns the
@@ -86,36 +85,35 @@ func checkZero(t *testing.T, b *Buffers) {
 			}
 		}
 	}
-	el, ar := b.eligible[:cap(b.eligible)], b.arrivals[:cap(b.arrivals)]
+	el := b.eligible[:cap(b.eligible)]
 	pairs, slots := b.selPairs[:cap(b.selPairs)], b.selSlot[:cap(b.selSlot)]
 	zero("eligible", len(el), func(i int) bool { return el[i] == Message{} })
-	zero("arrivals", len(ar), func(i int) bool { return ar[i] == envelope{} })
 	zero("selPairs", len(pairs), func(i int) bool { return pairs[i] == selPair{} })
 	zero("selSlot", len(slots), func(i int) bool { return slots[i] == 0 })
 	for k, bucket := range b.bucketPool {
 		bucket = bucket[:cap(bucket)]
-		zero(fmt.Sprintf("bucketPool[%d]", k), len(bucket), func(i int) bool { return bucket[i] == envelope{} })
+		zero(fmt.Sprintf("bucketPool[%d]", k), len(bucket), func(i int) bool { return bucket[i] == Message{} })
 	}
 }
 
 // TestBuffersHandedBackZero: Run hands its Buffers back zeroed over
 // their whole capacity — after a run that ends with messages still
-// eligible and held, in both full-delivery forms, and after a run that
-// re-panics from a protocol main.
+// eligible and held, and after a run that re-panics from a protocol
+// main.
 func TestBuffersHandedBackZero(t *testing.T) {
-	defer func(saved int) { fullScatterMin = saved }(fullScatterMin)
 	for _, holds := range []bool{false, true} {
-		for _, scatterMin := range []int{1 << 30, 64} {
-			fullScatterMin = scatterMin
-			var b Buffers
-			sys, _ := bufferWorkload(32, holds, &b, 0)
-			sys.Run(nil)
-			if sys.InFlight() == 0 || cap(b.selSlot) == 0 || (scatterMin == 64 && cap(b.selPairs) == 0) {
-				t.Fatalf("holds=%v fullScatterMin=%d: nothing left in flight or a delivery form never ran; the check is vacuous", holds, scatterMin)
-			}
-			checkZero(t, &b)
-		}
 		var b Buffers
+		sys, _ := bufferWorkload(32, holds, &b, 0)
+		sys.Run(nil)
+		if sys.InFlight() == 0 || cap(b.selPairs) == 0 {
+			t.Fatalf("holds=%v: nothing left in flight or full delivery never ran; the check is vacuous", holds)
+		}
+		if holds && len(b.bucketPool) == 0 {
+			t.Fatal("no hold bucket was handed back; the check is vacuous")
+		}
+		checkZero(t, &b)
+
+		b = Buffers{}
 		func() {
 			defer func() {
 				if r := recover(); r != "protocol bug" {
@@ -133,44 +131,38 @@ func TestBuffersHandedBackZero(t *testing.T) {
 }
 
 // TestBuffersReuseEquivalent: a run on Buffers a larger run left behind
-// — grown by holds, windowed holds, partial delivery and both
-// full-delivery forms — reports and delivers exactly what the same run
-// on fresh, empty capacity does.
+// — grown by holds, windowed holds, partial and full delivery — reports
+// and delivers exactly what the same run on fresh, empty capacity does.
 func TestBuffersReuseEquivalent(t *testing.T) {
-	defer func(saved int) { fullScatterMin = saved }(fullScatterMin)
 	for _, holds := range []bool{false, true} {
-		for _, scatterMin := range []int{1 << 30, 64} {
-			fullScatterMin = scatterMin
-			fresh, freshGot := bufferWorkload(16, holds, nil, 0)
-			freshRep := fresh.Run(nil)
+		fresh, freshGot := bufferWorkload(16, holds, nil, 0)
+		freshRep := fresh.Run(nil)
 
-			// Dirty the buffers with both larger runs: the one with holds
-			// grows arrivals and the bucket pool, the one without ends
-			// with sends still queued in eligible.
-			var b Buffers
-			for _, bigHolds := range []bool{true, false} {
-				big, _ := bufferWorkload(64, bigHolds, &b, 0)
-				big.Run(nil)
-			}
-			if cap(b.eligible) == 0 || cap(b.selSlot) == 0 || len(b.bucketPool) == 0 {
-				t.Fatal("the larger run grew no buffers; the comparison is vacuous")
-			}
-			warm, warmGot := bufferWorkload(16, holds, &b, 0)
-			warmRep := warm.Run(nil)
+		// Dirty the buffers with both larger runs: the one with holds
+		// grows the bucket pool, the one without ends with sends still
+		// queued in eligible.
+		var b Buffers
+		for _, bigHolds := range []bool{true, false} {
+			big, _ := bufferWorkload(64, bigHolds, &b, 0)
+			big.Run(nil)
+		}
+		if cap(b.eligible) == 0 || cap(b.selSlot) == 0 || len(b.bucketPool) == 0 {
+			t.Fatal("the larger run grew no buffers; the comparison is vacuous")
+		}
+		warm, warmGot := bufferWorkload(16, holds, &b, 0)
+		warmRep := warm.Run(nil)
 
-			if !reflect.DeepEqual(freshRep, warmRep) {
-				t.Fatalf("holds=%v fullScatterMin=%d: report on reused buffers diverges:\nfresh: %+v\nwarm:  %+v",
-					holds, scatterMin, freshRep, warmRep)
+		if !reflect.DeepEqual(freshRep, warmRep) {
+			t.Fatalf("holds=%v: report on reused buffers diverges:\nfresh: %+v\nwarm:  %+v",
+				holds, freshRep, warmRep)
+		}
+		for p := ids.ProcID(1); p <= 16; p++ {
+			if !reflect.DeepEqual(freshGot[p], warmGot[p]) {
+				t.Fatalf("holds=%v: process %d received a different sequence on reused buffers", holds, p)
 			}
-			for p := ids.ProcID(1); p <= 16; p++ {
-				if !reflect.DeepEqual(freshGot[p], warmGot[p]) {
-					t.Fatalf("holds=%v fullScatterMin=%d: process %d received a different sequence on reused buffers",
-						holds, scatterMin, p)
-				}
-			}
-			if len(freshGot[1]) == 0 {
-				t.Fatal("workload delivered nothing; the comparison is vacuous")
-			}
+		}
+		if len(freshGot[1]) == 0 {
+			t.Fatal("workload delivered nothing; the comparison is vacuous")
 		}
 	}
 }

@@ -17,11 +17,6 @@ type Message struct {
 	DeliveredAt Time
 }
 
-type envelope struct {
-	msg       Message
-	notBefore Time // scripted holds: earliest deliverable tick
-}
-
 // procKilled is the sentinel used to unwind a crashed or stopped process
 // coroutine. It never escapes the package: the coroutine recovers it.
 type procKilled struct{}

@@ -343,44 +343,37 @@ type System struct {
 	wakes    int64
 	switches int64
 
-	// Network state: messages accepted but not yet routed (arrivals),
-	// deliverable messages (eligible) and messages bucketed by the tick
-	// their scripted hold releases them (held, keys sorted in heldTimes).
-	// bucketPool recycles drained hold buckets, zeroed. eligible drops
-	// the envelope wrapper: a message's notBefore is spent the moment it
-	// becomes eligible, so the list moves bare 56-byte Messages, not
-	// 64-byte envelopes. arrivals, eligible, bucketPool and the selection
-	// scratch below are borrowed from buf for the length of Run (see
-	// Buffers); arrDirty is the high-water mark of arrivals, which route
-	// truncates without a wipe, so giveBack knows what to zero.
+	// Network state: deliverable messages (eligible) and messages
+	// bucketed by the tick their scripted hold releases them (held, keys
+	// sorted in heldTimes). Sends are routed into one or the other as
+	// they are accepted (see queueHeld). bucketPool recycles drained hold
+	// buckets, zeroed. eligible, bucketPool and the selection scratch
+	// below are borrowed from buf for the length of Run (see Buffers).
 	buf        *Buffers
-	arrivals   []envelope
-	arrDirty   int
 	eligible   []Message
-	held       map[Time][]envelope
+	held       map[Time][]Message
 	heldTimes  []Time
-	bucketPool [][]envelope
+	bucketPool [][]Message
 
-	// Delivery batching state: the delivery phase appends this tick's
+	// Delivery batching state: the delivery phase writes this tick's
 	// selected messages straight onto their destination inboxes (the
 	// inbox tail IS the batch buffer — no intermediate copy), marking the
 	// touched destinations in batched and each destination's pre-tick
 	// inbox length in batchStart. The flush pass then pays the
 	// per-destination costs once per batch: the crash check (dropping the
-	// whole tail, zeroed so no payload outlives the drop), the
-	// DeliveredAt stamps, the wake-hint and the per-(destination, tag)
-	// counter bumps. Owned by the run token like the rest of the network
-	// state.
+	// whole tail, zeroed so no payload outlives the drop), the wake-hint
+	// and the per-(destination, tag) counter bumps. Owned by the run
+	// token like the rest of the network state.
 	batched    pset
 	batchStart []int
-	// selPairs / selSlot / selNext are the reusable buffers of the
-	// full-delivery fast path: when bandwidth covers the whole eligible
-	// set, selection swap-removes run over compact (index, dest) pairs,
-	// consuming the identical draw sequence while assigning each message
-	// its final inbox slot (selSlot); selNext tracks the next free slot
-	// per destination (doubling as the per-destination count while the
-	// pairs are built), length N+1. selDirty is the largest selection
-	// either form has run, the region of the scratch giveBack zeroes.
+	// selPairs / selSlot / selNext are the reusable buffers of full
+	// delivery: when bandwidth covers the whole eligible set, selection
+	// swap-removes run over compact (index, dest) pairs, consuming the
+	// identical draw sequence while assigning each message its final
+	// inbox slot (selSlot); selNext tracks the next free slot per
+	// destination (doubling as the per-destination count while the pairs
+	// are built), length N+1. selDirty is the largest selection run, the
+	// region of the scratch giveBack zeroes.
 	selPairs []selPair
 	selSlot  []int32
 	selNext  []int32
@@ -508,7 +501,7 @@ func New(cfg Config) (*System, error) {
 		pattern: newPattern(cfg),
 		src:     rand.NewSource(cfg.Seed).(rand.Source64),
 		metrics: newMetrics(),
-		held:    make(map[Time][]envelope),
+		held:    make(map[Time][]Message),
 	}
 	s.pw = pwords(cfg.N)
 	s.deadlines = make([]Time, cfg.N+1)
@@ -884,7 +877,7 @@ func (s *System) tick(self *Proc) bool {
 		}
 	}
 
-	if len(s.arrivals) > 0 || len(s.eligible) > 0 || len(s.heldTimes) > 0 {
+	if len(s.eligible) > 0 || len(s.heldTimes) > 0 {
 		s.deliverPhase(now)
 	}
 
@@ -921,7 +914,7 @@ func (s *System) tick(self *Proc) bool {
 // rand.New(source).Intn(n) would: the same power-of-two mask and
 // rejection-sampling steps over the same Int63 stream (math/rand's
 // generator and Int31n algorithm are frozen by the Go 1 compatibility
-// promise, and the 265-cell suite golden pins the claim byte-for-byte).
+// promise, and the suite golden pins the claim byte-for-byte).
 // Inlining the draw skips three nested method calls per delivered
 // message — the irreducible floor of the delivery loop.
 func (s *System) intn(n int) int {
@@ -936,33 +929,24 @@ func (s *System) intn(n int) int {
 	return int(v % int32(n))
 }
 
-// deliverPhase routes accepted messages into the eligibility structures
-// and delivers up to Bandwidth eligible messages, chosen uniformly at
-// random among all eligible ones. Deliveries land in inboxes silently;
-// recipients are woken by the subsequent wake phase.
-//
-// Delivery is batched: the selection loop (whose draw sequence defines
-// the run and is bit-for-bit unchanged) appends each chosen message,
-// stamped, straight onto its destination inbox — selection order is
-// inbox order, exactly as per-message delivery appended them — and
-// flushBatches then pays the per-destination costs (crash check,
-// wake-hint, counter bumps) once per (destination, tag) batch instead
-// of once per message.
 // selPair is one entry of the full-delivery selection: the message's
 // index in eligible and its destination, compact enough (8 bytes) that
 // the selection loop's random swaps stay cache-resident at sizes where
 // the eligible array itself does not.
 type selPair struct{ i, to int32 }
 
-// fullScatterMin is the eligible size (in messages, ~1 MB of Message
-// data) above which the full-delivery path switches from direct inbox
-// appends to the three-pass scatter form: below it the random reads of
-// eligible hit cache and the extra passes only add overhead, above it
-// the dependent random reads dominate and sequential passes win. A var
-// only so tests can force either form over the same workload and pin
-// their equivalence; nothing else may write it.
-var fullScatterMin = 16384
-
+// deliverPhase releases due hold buckets into eligible and delivers up
+// to Bandwidth eligible messages, chosen uniformly at random among all
+// eligible ones. Deliveries land in inboxes silently; recipients are
+// woken by the subsequent wake phase.
+//
+// Delivery is batched: the selection loop (whose draw sequence defines
+// the run and is bit-for-bit unchanged) places each chosen message,
+// stamped, straight onto its destination inbox — selection order is
+// inbox order, exactly as per-message delivery appended them — and
+// flushBatches then pays the per-destination costs (crash check,
+// wake-hint, counter bumps) once per (destination, tag) batch instead
+// of once per message.
 func (s *System) deliverPhase(now Time) {
 	s.route(now)
 	k := s.cfg.bandwidth()
@@ -978,46 +962,10 @@ func (s *System) deliverPhase(now Time) {
 	}
 	if n := len(s.eligible); k >= n {
 		// Full delivery: every eligible message lands this tick, so the
-		// draws only decide per-destination arrival order.
-		//
-		// Small ticks (eligible comfortably cache-resident) run the
-		// swap-remove selection over an index permutation and append
-		// each chosen message straight onto its destination inbox.
-		if n < fullScatterMin {
-			for q := 1; q <= s.cfg.N; q++ {
-				s.batchStart[q] = len(s.procs[ids.ProcID(q)].inbox)
-			}
-			if cap(s.selSlot) < n {
-				s.selSlot = make([]int32, n)
-			}
-			s.selDirty = max(s.selDirty, n)
-			idx := s.selSlot[:n]
-			for i := range idx {
-				idx[i] = int32(i)
-			}
-			for sz := n; sz > 0; sz-- {
-				j := s.intn(sz)
-				m := &s.eligible[idx[j]]
-				idx[j] = idx[sz-1]
-				m.DeliveredAt = now
-				p := s.procs[m.To]
-				p.inbox = append(p.inbox, *m)
-			}
-			if n > s.eligDirty {
-				s.eligDirty = n
-			}
-			s.eligible = s.eligible[:0]
-			s.inflight.Add(-int64(n))
-			s.flushAll(now)
-			if s.rec != nil {
-				s.rec.Deliver(int64(now), n)
-			}
-			return
-		}
-		// Large ticks: the selection loop above would spend its time on
-		// dependent random reads of the (now cache-breaking) eligible
-		// array, so restructure it into three passes that touch the big
-		// array only sequentially:
+		// draws only decide per-destination arrival order. Selecting
+		// straight from eligible would spend its time on dependent random
+		// reads of a cache-breaking array, so the selection runs in three
+		// passes that touch eligible only sequentially:
 		//
 		//  1. one sequential scan builds compact (index, dest) pairs and
 		//     per-destination counts, and the inboxes are extended once
@@ -1030,8 +978,8 @@ func (s *System) deliverPhase(now Time) {
 		//     dependent scattered reads.
 		//
 		// Draw consumption (Intn(n), Intn(n−1), …) and each inbox's
-		// resulting content and order are bit-identical to the general
-		// loop below: slots are handed out in draw order per
+		// resulting content and order are bit-identical to per-message
+		// swap-remove delivery: slots are handed out in draw order per
 		// destination, exactly where per-message appends would land.
 		// Eligible is truncated without a wipe (eligDirty defers that
 		// to the next idle tick); every extended inbox slot is written
@@ -1041,19 +989,22 @@ func (s *System) deliverPhase(now Time) {
 			s.selSlot = make([]int32, n)
 		}
 		s.selDirty = max(s.selDirty, n)
+		elig, procs := s.eligible, s.procs
 		sel := s.selPairs[:n]
 		slot := s.selSlot[:n]
 		next := s.selNext
 		for i := range sel {
-			to := s.eligible[i].To
+			to := elig[i].To
 			sel[i] = selPair{i: int32(i), to: int32(to)}
 			next[to]++
 		}
 		for q := 1; q <= s.cfg.N; q++ {
-			p := s.procs[ids.ProcID(q)]
-			s.batchStart[q] = len(p.inbox)
 			if c := next[q]; c > 0 {
-				p.inbox = growInbox(p.inbox, int(c))
+				to := ids.ProcID(q)
+				p := procs[to]
+				s.batched.set(to)
+				s.batchStart[q] = len(p.inbox)
+				p.inbox = grow(p.inbox, int(c))
 				next[q] = int32(s.batchStart[q])
 			}
 		}
@@ -1064,56 +1015,45 @@ func (s *System) deliverPhase(now Time) {
 			slot[e.i] = next[e.to]
 			next[e.to]++
 		}
-		for i := range s.eligible {
-			m := &s.eligible[i]
-			m.DeliveredAt = now
-			s.procs[m.To].inbox[slot[i]] = *m
+		for i := range elig {
+			dst := &procs[elig[i].To].inbox[slot[i]]
+			*dst = elig[i]
+			dst.DeliveredAt = now
 		}
 		clear(next)
-		if n > s.eligDirty {
-			s.eligDirty = n
-		}
+		s.eligDirty = max(s.eligDirty, n)
 		s.eligible = s.eligible[:0]
-		s.inflight.Add(-int64(n))
-		s.flushAll(now)
-		if s.rec != nil {
-			s.rec.Deliver(int64(now), n)
+		k = n
+	} else {
+		for range k {
+			j := s.intn(len(s.eligible))
+			m := s.eligible[j]
+			last := len(s.eligible) - 1
+			s.eligible[j] = s.eligible[last]
+			s.eligible[last] = Message{}
+			s.eligible = s.eligible[:last]
+			m.DeliveredAt = now
+			to := m.To
+			p := s.procs[to]
+			if !s.batched.has(to) {
+				s.batched.set(to)
+				s.batchStart[to] = len(p.inbox)
+			}
+			p.inbox = append(p.inbox, m)
 		}
-		return
 	}
-	delivered := 0
-	for i := 0; i < k && len(s.eligible) > 0; i++ {
-		j := s.intn(len(s.eligible))
-		m := s.eligible[j]
-		last := len(s.eligible) - 1
-		s.eligible[j] = s.eligible[last]
-		s.eligible[last] = Message{}
-		s.eligible = s.eligible[:last]
-		m.DeliveredAt = now
-		to := m.To
-		if !s.batched.has(to) {
-			s.batched.set(to)
-			s.batchStart[to] = len(s.procs[to].inbox)
-		}
-		p := s.procs[to]
-		p.inbox = append(p.inbox, m)
-		delivered++
-	}
-	if delivered == 0 {
-		return
-	}
-	s.inflight.Add(-int64(delivered))
+	s.inflight.Add(-int64(k))
 	s.flushBatches(now)
 	if s.rec != nil {
-		s.rec.Deliver(int64(now), delivered)
+		s.rec.Deliver(int64(now), k)
 	}
 }
 
-// flushBatches lands the inbox tails the selection loop appended this
-// tick. Batches to crashed destinations are dropped whole: the tail is
-// cut back off the inbox and zeroed, so no payload reference outlives
-// the drop and the inbox state matches per-message delivery exactly
-// (which never appended to a crashed destination at all). Counters stay
+// flushBatches lands the inbox tails the selection placed this tick.
+// Batches to crashed destinations are dropped whole: the tail is cut
+// back off the inbox and zeroed, so no payload reference outlives the
+// drop and the inbox state matches per-message delivery exactly (which
+// never appended to a crashed destination at all). Counters stay
 // per-message-exact — equal-tag runs are counted with one bump of the
 // run's length.
 func (s *System) flushBatches(now Time) {
@@ -1136,29 +1076,6 @@ func (s *System) flushBatches(now Time) {
 	}
 }
 
-// flushAll is flushBatches for the full-delivery path, where every
-// destination's batchStart was recorded up front: it scans the procs
-// directly (skipping untouched inboxes) instead of walking the batched
-// set, which the selection loop then never has to maintain.
-func (s *System) flushAll(now Time) {
-	for q := 1; q <= s.cfg.N; q++ {
-		to := ids.ProcID(q)
-		p := s.procs[to]
-		batch := p.inbox[s.batchStart[to]:]
-		if len(batch) == 0 {
-			continue
-		}
-		if s.pattern.Crashed(to, now) {
-			s.countByTag(batch, s.metrics.countDroppedN)
-			p.inbox = p.inbox[:s.batchStart[to]]
-			clear(batch)
-			continue
-		}
-		s.countByTag(batch, s.metrics.countDeliveredN)
-		s.inboxDue.set(to)
-	}
-}
-
 // countByTag bumps a per-tag counter for every message of the batch,
 // coalescing runs of equal tags (the common case: a protocol round
 // lands as one same-tag batch per destination) into one bump.
@@ -1174,43 +1091,19 @@ func (s *System) countByTag(batch []Message, count func(Tag, int64)) {
 	}
 }
 
-// route moves arrivals into eligible or the held buckets, then promotes
-// every bucket whose release time has come. Arrival order is
-// deterministic: processes execute sequentially, so sends are appended
-// in process-step order.
+// route promotes every hold bucket whose release time has come onto
+// eligible, in release order, each bucket in send order.
 func (s *System) route(now Time) {
 	if s.holdUntil == nil {
-		// No scripted holds: sends append straight to eligible, so there
-		// is nothing to route and no bucket can exist.
+		// No scripted holds: no bucket can exist.
 		return
 	}
-	for _, e := range s.arrivals {
-		if e.notBefore <= now {
-			s.eligible = append(s.eligible, e.msg)
-			continue
-		}
-		if _, ok := s.held[e.notBefore]; !ok {
-			i := sort.Search(len(s.heldTimes), func(i int) bool { return s.heldTimes[i] >= e.notBefore })
-			s.heldTimes = append(s.heldTimes, 0)
-			copy(s.heldTimes[i+1:], s.heldTimes[i:])
-			s.heldTimes[i] = e.notBefore
-			if n := len(s.bucketPool); n > 0 {
-				s.held[e.notBefore] = s.bucketPool[n-1]
-				s.bucketPool = s.bucketPool[:n-1]
-			}
-		}
-		s.held[e.notBefore] = append(s.held[e.notBefore], e)
-	}
-	s.arrDirty = max(s.arrDirty, len(s.arrivals))
-	s.arrivals = s.arrivals[:0]
 	released := 0
 	for len(s.heldTimes) > 0 && s.heldTimes[0] <= now {
 		t := s.heldTimes[0]
 		s.heldTimes = s.heldTimes[1:]
 		b := s.held[t]
-		for i := range b {
-			s.eligible = append(s.eligible, b[i].msg)
-		}
+		s.eligible = append(s.eligible, b...)
 		released += len(b)
 		delete(s.held, t)
 		clear(b) // pooled buckets hold no payload past their release
@@ -1229,7 +1122,7 @@ func (s *System) nextTime(now Time) Time {
 	if len(s.onTick) > 0 {
 		return now + 1
 	}
-	if len(s.eligible) > 0 || len(s.arrivals) > 0 {
+	if len(s.eligible) > 0 {
 		return now + 1
 	}
 
@@ -1282,14 +1175,9 @@ func (s *System) send(m Message) {
 	}
 	m.SentAt = now
 	if s.holdUntil == nil {
-		// No scripted holds: the message would be routed to the eligible
-		// tail, unconditionally, by the next delivery phase — append it
-		// there directly and skip the arrivals staging. Selection (which
-		// permutes eligible) never runs between this send and that
-		// routing point, so the list is exactly what routing would build.
 		s.eligible = append(s.eligible, m)
 	} else {
-		s.arrivals = append(s.arrivals, envelope{msg: m, notBefore: s.holdFor(m.From, m.To, now)})
+		s.queueHeld(m, now)
 	}
 	s.inflight.Add(1)
 	s.metrics.countSent(m.Tag)
@@ -1312,7 +1200,7 @@ func (s *System) broadcast(from ids.ProcID, tag Tag, payload any) {
 		// Grow once, then write the copies by index: the per-copy cost is
 		// one message store, with no per-append bounds/grow bookkeeping.
 		base := len(s.eligible)
-		s.eligible = growEligible(s.eligible, n)
+		s.eligible = grow(s.eligible, n)
 		dst := s.eligible[base : base+n]
 		for q := range dst {
 			m.To = ids.ProcID(q + 1)
@@ -1321,7 +1209,7 @@ func (s *System) broadcast(from ids.ProcID, tag Tag, payload any) {
 	} else {
 		for q := 1; q <= n; q++ {
 			m.To = ids.ProcID(q)
-			s.arrivals = append(s.arrivals, envelope{msg: m, notBefore: s.holdFor(from, m.To, now)})
+			s.queueHeld(m, now)
 		}
 	}
 	s.inflight.Add(int64(n))
@@ -1349,7 +1237,7 @@ func (s *System) multicast(from ids.ProcID, dests ids.Set, tag Tag, payload any)
 	} else {
 		dests.ForEachIn(s.cfg.N, func(q ids.ProcID) bool {
 			m.To = q
-			s.arrivals = append(s.arrivals, envelope{msg: m, notBefore: s.holdFor(from, q, now)})
+			s.queueHeld(m, now)
 			return true
 		})
 	}
@@ -1357,28 +1245,44 @@ func (s *System) multicast(from ids.ProcID, dests ids.Set, tag Tag, payload any)
 	s.metrics.countSentN(tag, int64(count))
 }
 
-// growEligible extends e by n elements, reallocating like append would.
-// The caller must overwrite all n new elements: recycled capacity is
-// exposed as-is.
-func growEligible(e []Message, n int) []Message {
-	if len(e)+n > cap(e) {
-		grown := make([]Message, len(e), max(2*cap(e), len(e)+n))
-		copy(grown, e)
-		e = grown
-	}
-	return e[:len(e)+n]
-}
-
-// growInbox is growEligible for inboxes: it extends b by n elements,
-// reallocating like append would, and the caller must overwrite all n
-// new elements.
-func growInbox(b []Message, n int) []Message {
+// grow extends b by n elements, reallocating like append would. The
+// caller must overwrite all n new elements: recycled capacity is exposed
+// as-is.
+func grow(b []Message, n int) []Message {
 	if len(b)+n > cap(b) {
 		grown := make([]Message, len(b), max(2*cap(b), len(b)+n))
 		copy(grown, b)
 		b = grown
 	}
 	return b[:len(b)+n]
+}
+
+// queueHeld routes a copy accepted at now under scripted holds: onto
+// eligible if its hold has already passed, else into the bucket of the
+// tick its hold releases it. Routing at send time builds exactly the
+// eligible list and buckets that routing in the next delivery phase
+// would, because every send is accepted at the tick whose delivery
+// phase comes next: processes step at the clock value the next tick
+// reads, and no OnTick/OnAdvance sampler sends (a send after a tick's
+// delivery phase would be routed against the wrong clock value).
+func (s *System) queueHeld(m Message, now Time) {
+	nb := s.holdFor(m.From, m.To, now)
+	if nb <= now {
+		s.eligible = append(s.eligible, m)
+		return
+	}
+	b, ok := s.held[nb]
+	if !ok {
+		i := sort.Search(len(s.heldTimes), func(i int) bool { return s.heldTimes[i] >= nb })
+		s.heldTimes = append(s.heldTimes, 0)
+		copy(s.heldTimes[i+1:], s.heldTimes[i:])
+		s.heldTimes[i] = nb
+		if n := len(s.bucketPool); n > 0 {
+			b = s.bucketPool[n-1]
+			s.bucketPool = s.bucketPool[:n-1]
+		}
+	}
+	s.held[nb] = append(b, m)
 }
 
 // holdFor computes the release time for a (from, to) copy accepted at
