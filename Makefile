@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime 10s ./internal/dispatch
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePerturbation$$' -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzParseReplaySpec$$' -fuzztime 10s ./cmd/experiments
+	$(GO) test -run '^$$' -fuzz '^FuzzDeliverMatchesPerMessage$$' -fuzztime 10s ./internal/sim
 
 # A short end-to-end sweep: every experiment matrix runs (the full
 # matrix takes a couple of seconds), the rendered report and canonical

@@ -60,7 +60,7 @@ func ConsensusDS(nd *node.Node, rb *rbcast.Layer, susp fd.Suspector, v Value, ou
 	echoes := make(map[int]map[ids.ProcID]dsEchoMsg)
 	var decided *Value
 
-	handle := func(m sim.Message) {
+	handle := func(m *sim.Message) {
 		switch m.Tag {
 		case tagDSEst:
 			p, ok := m.Payload.(dsEstMsg)

@@ -65,7 +65,7 @@ func KSet(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Outco
 // messages that arrived before this instance started, and a stash hook
 // that may consume messages belonging to other instances.
 func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Outcome,
-	tags ksetTags, replay []sim.Message, stash func(sim.Message) bool) Value {
+	tags ksetTags, replay []sim.Message, stash func(*sim.Message) bool) Value {
 	env := nd.Env()
 	n, t, me := env.N(), env.T(), env.ID()
 	if 2*t >= n {
@@ -79,7 +79,7 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 	phase2 := newRounds[phase2Msg](n)
 	var decided *Value
 
-	handle := func(m sim.Message) {
+	handle := func(m *sim.Message) {
 		if stash != nil && stash(m) {
 			return
 		}
@@ -108,8 +108,8 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 		}
 	}
 
-	for _, m := range replay {
-		handle(m)
+	for i := range replay {
+		handle(&replay[i])
 	}
 
 	rec := env.Trace()

@@ -62,7 +62,7 @@ func RunSequence(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, vals []Value
 	var buf seqBuffer
 	results := make([]Value, len(vals))
 	for i := range vals {
-		stash := func(m sim.Message) bool { return buf.stash(i, m) }
+		stash := func(m *sim.Message) bool { return buf.stash(i, m) }
 		results[i] = ksetRun(nd, rb, oracle, vals[i], outs[i], seqTags(i), buf.take(i), stash)
 	}
 	return results
@@ -75,9 +75,9 @@ type seqBuffer struct {
 }
 
 // stash consumes m unless it belongs to instance cur or to no instance:
-// a later instance's message is buffered for that instance's replay, an
-// earlier (finished) instance's message is dropped.
-func (b *seqBuffer) stash(cur int, m sim.Message) bool {
+// a later instance's message is copied into that instance's replay
+// buffer, an earlier (finished) instance's message is dropped.
+func (b *seqBuffer) stash(cur int, m *sim.Message) bool {
 	inst, ok := seqInstanceOf(m.Tag)
 	if !ok || inst == cur {
 		return false // the instance's own (or foreign) traffic
@@ -86,7 +86,7 @@ func (b *seqBuffer) stash(cur int, m sim.Message) bool {
 		if b.future == nil {
 			b.future = make(map[int][]sim.Message)
 		}
-		b.future[inst] = append(b.future[inst], m)
+		b.future[inst] = append(b.future[inst], *m)
 	}
 	return true
 }

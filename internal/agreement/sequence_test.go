@@ -148,7 +148,7 @@ func TestSeqBufferStash(t *testing.T) {
 		{msg(3, 4), true},
 		{sim.Message{From: 3, Tag: sim.Intern("other")}, false},
 	} {
-		if got := b.stash(1, c.m); got != c.consumed {
+		if got := b.stash(1, &c.m); got != c.consumed {
 			t.Errorf("stash(1, %s from %v) = %v, want %v", c.m.Tag, c.m.From, got, c.consumed)
 		}
 	}

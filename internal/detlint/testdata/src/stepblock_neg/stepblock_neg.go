@@ -16,9 +16,9 @@ type Layer struct {
 }
 
 // Handle counts and passes the message up.
-func (l *Layer) Handle(m sim.Message) (sim.Message, bool) {
+func (l *Layer) Handle(m *sim.Message) bool {
 	l.seen++
-	return m, true
+	return true
 }
 
 // Poll sends without blocking.

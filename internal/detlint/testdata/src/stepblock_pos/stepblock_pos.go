@@ -16,10 +16,10 @@ type Layer struct {
 }
 
 // Handle waits for the next message before passing this one up.
-func (l *Layer) Handle(m sim.Message) (sim.Message, bool) {
+func (l *Layer) Handle(m *sim.Message) bool {
 	l.env.Step()                                  // want stepblock
 	l.nd.WaitOn(func() bool { return true }, nil) // want stepblock
-	return m, true
+	return true
 }
 
 // Poll advances the node itself, directly and from a closure.
@@ -31,7 +31,7 @@ func (l *Layer) Poll() {
 
 // NextWake sleeps until its hint instead of returning it.
 func (l *Layer) NextWake(now sim.Time) sim.Time {
-	l.env.Await(func(sim.Time) sim.Time { return now + 1 }, func(sim.Message, bool) {}, nil) // want stepblock
-	l.env.WaitUntil(func() bool { return true }, nil)                                        // want stepblock
+	l.env.Await(func(sim.Time) sim.Time { return now + 1 }, func(*sim.Message) {}, nil) // want stepblock
+	l.env.WaitUntil(func() bool { return true }, nil)                                   // want stepblock
 	return now + 1
 }

@@ -30,9 +30,9 @@ func (l *logLayer) logf(format string, args ...any) {
 	*l.log = append(*l.log, fmt.Sprintf("%d@%d ", l.env.ID(), l.env.Now())+fmt.Sprintf(format, args...))
 }
 
-func (l *logLayer) Handle(m sim.Message) (sim.Message, bool) {
+func (l *logLayer) Handle(m *sim.Message) bool {
 	l.logf("handle %v %v %v", m.From, m.Tag, m.Payload)
-	return m, m.Tag != tagBeat
+	return m.Tag != tagBeat
 }
 
 func (l *logLayer) Poll() {
@@ -53,13 +53,13 @@ func (l *hintedLogLayer) NextWake(now sim.Time) sim.Time {
 // quietLayer passes everything up, does nothing and hints no wake.
 type quietLayer struct{}
 
-func (quietLayer) Handle(m sim.Message) (sim.Message, bool) { return m, true }
-func (quietLayer) Poll()                                    {}
-func (quietLayer) NextWake(sim.Time) sim.Time               { return sim.Never }
+func (quietLayer) Handle(*sim.Message) bool   { return true }
+func (quietLayer) Poll()                      {}
+func (quietLayer) NextWake(sim.Time) sim.Time { return sim.Never }
 
 // waits is one implementation of the three node waits.
 type waits struct {
-	on, until  func(nd *Node, pred func() bool, onMsg func(sim.Message))
+	on, until  func(nd *Node, pred func() bool, onMsg func(*sim.Message))
 	runForever func(nd *Node)
 }
 
@@ -67,17 +67,17 @@ type waits struct {
 // StepUntil(sim.Never), WaitUntil over Step, RunForever over an initial
 // poll round and StepUntil(sim.Never) forever.
 var literal = waits{
-	on: func(nd *Node, pred func() bool, onMsg func(sim.Message)) {
+	on: func(nd *Node, pred func() bool, onMsg func(*sim.Message)) {
 		for !pred() {
 			if m, ok := nd.StepUntil(sim.Never); ok && onMsg != nil {
-				onMsg(m)
+				onMsg(&m)
 			}
 		}
 	},
-	until: func(nd *Node, pred func() bool, onMsg func(sim.Message)) {
+	until: func(nd *Node, pred func() bool, onMsg func(*sim.Message)) {
 		for !pred() {
 			if m, ok := nd.Step(); ok && onMsg != nil {
-				onMsg(m)
+				onMsg(&m)
 			}
 		}
 	},
@@ -110,7 +110,7 @@ func nodeProtocol(cfg sim.Config, w waits) (sim.Report, []string) {
 			nd = New(env, &hintedLogLayer{base})
 		}
 		pings := make(map[int]int)
-		onMsg := func(m sim.Message) {
+		onMsg := func(m *sim.Message) {
 			base.logf("top %v %v %v", m.From, m.Tag, m.Payload)
 			if m.Tag == tagPing {
 				pings[m.Payload.(int)]++
@@ -200,7 +200,7 @@ func TestWaitOnAllocatesNothing(t *testing.T) {
 		nd := New(env, quietLayer{})
 		got, target := 0, 0
 		pred := func() bool { return got >= target }
-		onMsg := func(sim.Message) { got++ }
+		onMsg := func(*sim.Message) { got++ }
 		allocs = testing.AllocsPerRun(100, func() {
 			target = got + 3
 			nd.WaitOn(pred, onMsg)

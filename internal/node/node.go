@@ -29,10 +29,11 @@ import (
 // failure detector outputs they expose are read by samplers and other
 // processes under the same run token, so no internal locking is needed.
 type Layer interface {
-	// Handle inspects one message coming up the stack. It returns the
-	// (possibly rewritten) message and true to pass it further up, or
-	// false to consume it.
-	Handle(m sim.Message) (sim.Message, bool)
+	// Handle inspects one message coming up the stack, in place: it may
+	// rewrite *m, and returns true to pass it further up or false to
+	// consume it. m is valid only during the call; a layer that keeps
+	// the message copies *m.
+	Handle(m *sim.Message) bool
 	// Poll runs the layer's autonomous tasks. It is called at least once
 	// per event-loop step (message or tick).
 	Poll()
@@ -65,9 +66,13 @@ type Node struct {
 	// nothing, and the parameters they read — whether the wait wakes
 	// every tick, and the caller's message handler.
 	nextFn    func(sim.Time) sim.Time
-	onFn      func(sim.Message, bool)
+	onFn      func(*sim.Message)
 	everyTick bool
-	onMsg     func(sim.Message)
+	onMsg     func(*sim.Message)
+
+	// stepMsg holds the message a Step or StepUntil filters up the
+	// stack, so handing the layers a pointer to it allocates nothing.
+	stepMsg sim.Message
 }
 
 // New assembles a stack over env; layers are ordered bottom-up.
@@ -112,7 +117,17 @@ func (nd *Node) StepUntil(wake sim.Time) (sim.Message, bool) {
 
 func (nd *Node) step(wake sim.Time) (sim.Message, bool) {
 	m, ok := nd.env.StepUntil(nd.hinted(nd.env.Now(), wake))
-	return nd.filter(m, ok)
+	if !ok {
+		nd.filter(nil)
+		return sim.Message{}, false
+	}
+	nd.stepMsg = m
+	ok = nd.filter(&nd.stepMsg)
+	m, nd.stepMsg = nd.stepMsg, sim.Message{}
+	if !ok {
+		return sim.Message{}, false
+	}
+	return m, true
 }
 
 // hinted lowers wake to the earliest layer hint, or to 0 (every tick;
@@ -130,13 +145,14 @@ func (nd *Node) hinted(now, wake sim.Time) sim.Time {
 	return wake
 }
 
-// filter passes a received message up the stack and lets every layer
-// poll: the second half of a step.
-func (nd *Node) filter(m sim.Message, ok bool) (sim.Message, bool) {
+// filter passes a received message (nil on a clock step) up the stack
+// in place and lets every layer poll: the second half of a step. It
+// reports whether a message survived to the top.
+func (nd *Node) filter(m *sim.Message) bool {
+	ok := m != nil
 	if ok {
 		for _, l := range nd.layers {
-			m, ok = l.Handle(m)
-			if !ok {
+			if ok = l.Handle(m); !ok {
 				break
 			}
 		}
@@ -144,7 +160,7 @@ func (nd *Node) filter(m sim.Message, ok bool) (sim.Message, bool) {
 	for _, l := range nd.layers {
 		l.Poll()
 	}
-	return m, ok
+	return ok
 }
 
 // waitWake and waitStep are the wait's sim.Env.Await callbacks: one
@@ -157,18 +173,19 @@ func (nd *Node) waitWake(now sim.Time) sim.Time {
 	return nd.hinted(now, wake)
 }
 
-func (nd *Node) waitStep(m sim.Message, ok bool) {
-	if m, ok = nd.filter(m, ok); ok && nd.onMsg != nil {
+func (nd *Node) waitStep(m *sim.Message) {
+	if nd.filter(m) && nd.onMsg != nil {
 		nd.onMsg(m)
 	}
 }
 
 // await runs the event loop until pred holds (forever when pred is
-// nil), feeding surviving messages to onMsg (may be nil): every step
+// nil), feeding surviving messages to onMsg (may be nil; each is valid
+// only during the call, as in Layer.Handle): every step
 // wakes on the next tick when everyTick is set, on a message or layer
 // hint otherwise. It is the one loop behind WaitUntil, WaitOn and
 // RunForever.
-func (nd *Node) await(everyTick bool, pred func() bool, onMsg func(sim.Message)) {
+func (nd *Node) await(everyTick bool, pred func() bool, onMsg func(*sim.Message)) {
 	nd.everyTick, nd.onMsg = everyTick, onMsg
 	nd.env.Await(nd.nextFn, nd.onFn, pred)
 	nd.onMsg = nil
@@ -178,7 +195,7 @@ func (nd *Node) await(everyTick bool, pred func() bool, onMsg func(sim.Message))
 // messages to onMsg (may be nil). pred is evaluated before the first step
 // and after every step. The node wakes on every tick, so pred may depend
 // on anything (time, oracle outputs, messages).
-func (nd *Node) WaitUntil(pred func() bool, onMsg func(sim.Message)) {
+func (nd *Node) WaitUntil(pred func() bool, onMsg func(*sim.Message)) {
 	nd.await(true, pred, onMsg)
 }
 
@@ -186,7 +203,7 @@ func (nd *Node) WaitUntil(pred func() bool, onMsg func(sim.Message)) {
 // change when a message is handled (by a layer or onMsg), so the node
 // sleeps between messages instead of waking every tick. Layer wake
 // hints still apply.
-func (nd *Node) WaitOn(pred func() bool, onMsg func(sim.Message)) {
+func (nd *Node) WaitOn(pred func() bool, onMsg func(*sim.Message)) {
 	nd.await(false, pred, onMsg)
 }
 

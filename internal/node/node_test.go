@@ -13,21 +13,21 @@ type countingLayer struct {
 	mu      sync.Mutex
 	handled int
 	polled  int
-	consume func(m sim.Message) bool
-	rewrite func(m sim.Message) sim.Message
+	consume func(m *sim.Message) bool
+	rewrite func(m *sim.Message)
 }
 
-func (l *countingLayer) Handle(m sim.Message) (sim.Message, bool) {
+func (l *countingLayer) Handle(m *sim.Message) bool {
 	l.mu.Lock()
 	l.handled++
 	l.mu.Unlock()
 	if l.consume != nil && l.consume(m) {
-		return sim.Message{}, false
+		return false
 	}
 	if l.rewrite != nil {
-		m = l.rewrite(m)
+		l.rewrite(m)
 	}
-	return m, true
+	return true
 }
 
 func (l *countingLayer) Poll() {
@@ -44,10 +44,9 @@ func (l *countingLayer) counts() (int, int) {
 
 func TestStackFiltersBottomUp(t *testing.T) {
 	sys := sim.MustNew(sim.Config{N: 2, T: 0, Seed: 1, MaxSteps: 50_000})
-	bottom := &countingLayer{consume: func(m sim.Message) bool { return m.Tag == sim.Intern("eat") }}
-	top := &countingLayer{rewrite: func(m sim.Message) sim.Message {
+	bottom := &countingLayer{consume: func(m *sim.Message) bool { return m.Tag == sim.Intern("eat") }}
+	top := &countingLayer{rewrite: func(m *sim.Message) {
 		m.Tag = sim.Intern("rewritten:" + m.Tag.String())
-		return m
 	}}
 	var mu sync.Mutex
 	var got []string
@@ -135,7 +134,7 @@ func TestWaitUntilImmediate(t *testing.T) {
 
 func TestPushAddsLayer(t *testing.T) {
 	sys := sim.MustNew(sim.Config{N: 2, T: 0, Seed: 4, MaxSteps: 50_000})
-	late := &countingLayer{consume: func(sim.Message) bool { return true }}
+	late := &countingLayer{consume: func(*sim.Message) bool { return true }}
 	var sawAny bool
 	var mu sync.Mutex
 	var started bool

@@ -86,33 +86,27 @@ func (l *Layer) Poll() {}
 func (l *Layer) NextWake(sim.Time) sim.Time { return sim.Never }
 
 // Handle implements node.Layer. It filters one raw message from the
-// event loop.
+// event loop, in place.
 //
 // Plain (non-rbcast) messages pass through unchanged with deliver=true.
 // For rbcast frames (identified by their frame payload): the first copy
-// is relayed to everyone and returned as the R-delivered protocol
-// message, with From rewritten to the origin; duplicate copies return
+// is relayed to everyone and rewritten into the R-delivered protocol
+// message, with From set to the origin; duplicate copies return
 // deliver=false and must be ignored.
-func (l *Layer) Handle(m sim.Message) (sim.Message, bool) {
+func (l *Layer) Handle(m *sim.Message) bool {
 	f, ok := m.Payload.(frame)
 	if !ok {
-		return m, true
+		return true
 	}
 	if l.seen[f.ID] {
-		return sim.Message{}, false
+		return false
 	}
 	l.seen[f.ID] = true
 	// Relay before delivering: if this process crashes mid-relay it has
 	// not R-delivered, preserving Termination's contrapositive. Multicast
 	// fans the frame out to everyone else in one stamped pass — same
 	// ascending destination order as the old per-process Send loop.
-	l.env.Multicast(l.env.All().Remove(l.env.ID()), m.Tag, f)
-	return sim.Message{
-		From:        f.ID.Origin,
-		To:          m.To,
-		Tag:         f.Tag,
-		Payload:     f.Payload,
-		SentAt:      m.SentAt,
-		DeliveredAt: m.DeliveredAt,
-	}, true
+	l.env.Multicast(l.env.All().Remove(l.env.ID()), m.Tag, m.Payload)
+	m.From, m.Tag, m.Payload = f.ID.Origin, f.Tag, f.Payload
+	return true
 }

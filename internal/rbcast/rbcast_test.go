@@ -43,12 +43,11 @@ func runCollectors(t *testing.T, s *sim.System, senders map[ids.ProcID]func(*sim
 				if !ok {
 					continue
 				}
-				inner, deliver := l.Handle(m)
-				if !deliver {
+				if !l.Handle(&m) {
 					continue
 				}
 				mu.Lock()
-				got[e.ID()] = append(got[e.ID()], record{inner.From, inner.Tag, inner.Payload})
+				got[e.ID()] = append(got[e.ID()], record{m.From, m.Tag, m.Payload})
 				mu.Unlock()
 			}
 		})
@@ -125,7 +124,7 @@ func TestTerminationDespiteOriginCrash(t *testing.T) {
 					if !ok {
 						continue
 					}
-					if inner, del := l.Handle(m); del && inner.Tag == sim.Intern("m") {
+					if l.Handle(&m) && m.Tag == sim.Intern("m") {
 						mu.Lock()
 						delivered[e.ID()] = true
 						mu.Unlock()
@@ -174,9 +173,9 @@ func TestPlainMessagesPassThrough(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if inner, del := l.Handle(m); del {
+			if l.Handle(&m) {
 				mu.Lock()
-				got = append(got, record{inner.From, inner.Tag, inner.Payload})
+				got = append(got, record{m.From, m.Tag, m.Payload})
 				mu.Unlock()
 			}
 		}

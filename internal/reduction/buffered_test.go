@@ -30,7 +30,7 @@ func TestWheelBuffersDropDrainedMoves(t *testing.T) {
 			ring.Next()
 		}
 		for _, p := range []ids.XPos{pos[0], pos[1], pos[2], pos[2]} {
-			w.Handle(sim.Message{Tag: tagXMove, Payload: xMoveMsg{Pos: p}})
+			w.Handle(&sim.Message{Tag: tagXMove, Payload: xMoveMsg{Pos: p}})
 		}
 		w.Poll()
 		if w.Moves() != 3 {
@@ -46,7 +46,7 @@ func TestWheelBuffersDropDrainedMoves(t *testing.T) {
 		w := NewUpperWheel(env, rb, fd.NewPhi(sys, 0), lower, 1, 0)
 		ring := ids.NewLYRing(4, 2, 2)
 		for i := 0; i < 2; i++ {
-			w.Handle(sim.Message{Tag: tagLMove, Payload: lMoveMsg{Pos: ring.Current()}})
+			w.Handle(&sim.Message{Tag: tagLMove, Payload: lMoveMsg{Pos: ring.Current()}})
 			ring.Next()
 		}
 		w.Poll()
@@ -61,7 +61,7 @@ func TestWheelBuffersDropDrainedMoves(t *testing.T) {
 	t.Run("single", func(t *testing.T) {
 		w := NewSingleWheelOmega(env, rb, susp)
 		for _, c := range []ids.ProcID{1, 2, 4} {
-			w.Handle(sim.Message{Tag: tagCMove, Payload: cMoveMsg{Candidate: c}})
+			w.Handle(&sim.Message{Tag: tagCMove, Payload: cMoveMsg{Candidate: c}})
 		}
 		w.Poll()
 		if w.moves != 2 {

@@ -105,16 +105,16 @@ func (w *LowerWheel) NextWake(now sim.Time) sim.Time {
 
 // Handle implements node.Layer: it buffers x_move messages (already
 // R-delivered by the rbcast layer below) for deferred consumption.
-func (w *LowerWheel) Handle(m sim.Message) (sim.Message, bool) {
+func (w *LowerWheel) Handle(m *sim.Message) bool {
 	if m.Tag != tagXMove {
-		return m, true
+		return true
 	}
 	mv, ok := m.Payload.(xMoveMsg)
 	if !ok {
 		panic(fmt.Sprintf("reduction: x_move payload %T", m.Payload))
 	}
 	w.buffered[mv.Pos]++
-	return sim.Message{}, false
+	return false
 }
 
 // takeBuffered consumes one buffered move at pos, reporting whether

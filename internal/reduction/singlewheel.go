@@ -68,16 +68,16 @@ func (w *SingleWheelOmega) Moves() int {
 }
 
 // Handle implements node.Layer.
-func (w *SingleWheelOmega) Handle(m sim.Message) (sim.Message, bool) {
+func (w *SingleWheelOmega) Handle(m *sim.Message) bool {
 	if m.Tag != tagCMove {
-		return m, true
+		return true
 	}
 	mv, ok := m.Payload.(cMoveMsg)
 	if !ok {
 		panic(fmt.Sprintf("reduction: c_move payload %T", m.Payload))
 	}
 	w.buffered[mv.Candidate]++
-	return sim.Message{}, false
+	return false
 }
 
 // Poll implements node.Layer: consume matching moves, then suspect-check

@@ -140,7 +140,7 @@ func (w *UpperWheel) NextWake(now sim.Time) sim.Time {
 }
 
 // Handle implements node.Layer.
-func (w *UpperWheel) Handle(m sim.Message) (sim.Message, bool) {
+func (w *UpperWheel) Handle(m *sim.Message) bool {
 	switch m.Tag {
 	case tagInquiry:
 		iq, ok := m.Payload.(inquiryMsg)
@@ -149,7 +149,7 @@ func (w *UpperWheel) Handle(m sim.Message) (sim.Message, bool) {
 		}
 		// Task T3: answer with the lower wheel's current representative.
 		w.env.Send(m.From, tagResponse, responseMsg{Seq: iq.Seq, Repr: w.lower.Repr()})
-		return sim.Message{}, false
+		return false
 	case tagResponse:
 		rp, ok := m.Payload.(responseMsg)
 		if !ok {
@@ -158,16 +158,16 @@ func (w *UpperWheel) Handle(m sim.Message) (sim.Message, bool) {
 		if rp.Seq == w.seq {
 			w.responses[m.From] = rp.Repr
 		}
-		return sim.Message{}, false
+		return false
 	case tagLMove:
 		mv, ok := m.Payload.(lMoveMsg)
 		if !ok {
 			panic(fmt.Sprintf("reduction: l_move payload %T", m.Payload))
 		}
 		w.buffered[mv.Pos]++
-		return sim.Message{}, false
+		return false
 	default:
-		return m, true
+		return true
 	}
 }
 

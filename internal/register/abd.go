@@ -138,7 +138,7 @@ func (a *ABD) Read(owner ids.ProcID, name string) any {
 }
 
 // Handle implements node.Layer: the replica/server side.
-func (a *ABD) Handle(m sim.Message) (sim.Message, bool) {
+func (a *ABD) Handle(m *sim.Message) bool {
 	switch m.Tag {
 	case tagABDWrite:
 		w, ok := m.Payload.(abdWrite)
@@ -180,9 +180,9 @@ func (a *ABD) Handle(m sim.Message) (sim.Message, bool) {
 		}
 		a.acks[ack.Op] = a.acks[ack.Op].Add(m.From)
 	default:
-		return m, true
+		return true
 	}
-	return sim.Message{}, false
+	return false
 }
 
 func (a *ABD) apply(k key, ts int64, val any) {

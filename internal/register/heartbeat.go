@@ -64,9 +64,9 @@ func (h *Heartbeat) Read(owner ids.ProcID, name string) any {
 }
 
 // Handle implements node.Layer: absorb updates, newest per register wins.
-func (h *Heartbeat) Handle(m sim.Message) (sim.Message, bool) {
+func (h *Heartbeat) Handle(m *sim.Message) bool {
 	if m.Tag != tagHBUpdate {
-		return m, true
+		return true
 	}
 	up, ok := m.Payload.(hbUpdate)
 	if !ok {
@@ -76,7 +76,7 @@ func (h *Heartbeat) Handle(m sim.Message) (sim.Message, bool) {
 	if h.cache[k].seq < up.Seq {
 		h.cache[k] = hbEntry{seq: up.Seq, val: up.Val}
 	}
-	return sim.Message{}, false
+	return false
 }
 
 // Poll implements node.Layer.

@@ -12,17 +12,20 @@ import (
 
 // waitFunc is one way of running a guarded wait: Await itself, or the
 // literal loop Await is specified as.
-type waitFunc func(e *Env, next func(Time) Time, on func(Message, bool), done func() bool)
+type waitFunc func(e *Env, next func(Time) Time, on func(*Message), done func() bool)
 
 // literalWait is Await's specification, verbatim.
-func literalWait(e *Env, next func(Time) Time, on func(Message, bool), done func() bool) {
+func literalWait(e *Env, next func(Time) Time, on func(*Message), done func() bool) {
 	for done == nil || !done() {
-		m, ok := e.StepUntil(next(e.Now()))
-		on(m, ok)
+		if m, ok := e.StepUntil(next(e.Now())); ok {
+			on(&m)
+		} else {
+			on(nil)
+		}
 	}
 }
 
-func awaitWait(e *Env, next func(Time) Time, on func(Message, bool), done func() bool) {
+func awaitWait(e *Env, next func(Time) Time, on func(*Message), done func() bool) {
 	e.Await(next, on, done)
 }
 
@@ -51,7 +54,12 @@ func awaitProtocol(cfg Config, wait waitFunc) (Report, []string) {
 		s.Spawn(ids.ProcID(i), func(e *Env) {
 			me := e.ID()
 			pings := make(map[int]int)
-			on := func(m Message, ok bool) {
+			on := func(in *Message) {
+				var m Message
+				ok := in != nil
+				if ok {
+					m = *in
+				}
 				logf("%d@%d on %v %v %v %v", me, e.Now(), ok, m.From, m.Tag, m.Payload)
 				if !ok {
 					return
@@ -184,7 +192,7 @@ func onParkerStack() bool {
 // foreverEveryTick waits forever with a per-tick wake (node.RunForever
 // under a layer that never hints).
 func foreverEveryTick(e *Env) {
-	e.Await(func(Time) Time { return 0 }, func(Message, bool) {}, nil)
+	e.Await(func(Time) Time { return 0 }, func(*Message) {}, nil)
 }
 
 // holdToken makes e's process the run-token holder: its first wait
@@ -192,7 +200,7 @@ func foreverEveryTick(e *Env) {
 // waits forever, parking on its own stack, where every later tick
 // phase and every other waiting process's step runs.
 func holdToken(e *Env) {
-	e.Await(func(Time) Time { return 0 }, func(Message, bool) {}, func() bool { return e.Now() >= 10 })
+	e.Await(func(Time) Time { return 0 }, func(*Message) {}, func() bool { return e.Now() >= 10 })
 	foreverEveryTick(e)
 }
 
@@ -223,7 +231,7 @@ func TestAwaitSwitches(t *testing.T) {
 		s.Spawn(2, foreverEveryTick)
 		var elsewhere bool
 		s.Spawn(3, func(e *Env) {
-			e.Await(func(Time) Time { return 0 }, func(Message, bool) {}, func() bool {
+			e.Await(func(Time) Time { return 0 }, func(*Message) {}, func() bool {
 				if e.Now() < at {
 					return false
 				}
@@ -256,7 +264,7 @@ func TestAwaitKilledParked(t *testing.T) {
 	s.Spawn(1, holdToken)
 	steps, after := 0, 0
 	s.Spawn(2, func(e *Env) {
-		e.Await(func(Time) Time { return Never }, func(Message, bool) { steps++ }, func() bool { return false })
+		e.Await(func(Time) Time { return Never }, func(*Message) { steps++ }, func() bool { return false })
 		after++
 	})
 	s.Spawn(3, foreverEveryTick)
@@ -292,9 +300,9 @@ func TestAwaitKilledAtOwnTick(t *testing.T) {
 			s := MustNew(Config{N: 2, T: 1, Seed: 1, MaxSteps: 500, Crashes: map[ids.ProcID]Time{1: crashAt}})
 			last := Time(-1)
 			s.Spawn(1, func(e *Env) {
-				e.Await(func(Time) Time { return 0 }, func(Message, bool) {}, func() bool { return e.Now() >= 10 })
+				e.Await(func(Time) Time { return 0 }, func(*Message) {}, func() bool { return e.Now() >= 10 })
 				last = e.Now()
-				e.Await(tc.next, func(Message, bool) { last = e.Now() }, nil)
+				e.Await(tc.next, func(*Message) { last = e.Now() }, nil)
 				last = e.Now() // unreachable: the wait never completes
 			})
 			// Process 2 wakes at ticks 80, 160, ... in a raw loop: at
@@ -324,7 +332,7 @@ func TestAwaitStepPanic(t *testing.T) {
 	s.Spawn(1, holdToken)
 	var elsewhere bool
 	s.Spawn(2, func(e *Env) {
-		e.Await(func(Time) Time { return 0 }, func(Message, bool) {
+		e.Await(func(Time) Time { return 0 }, func(*Message) {
 			if e.Now() == 300 {
 				elsewhere = onParkerStack()
 				panic("protocol bug")
@@ -355,7 +363,7 @@ func TestAwaitNestedBlockingPanics(t *testing.T) {
 		"StepUntil": func(e *Env) { e.StepUntil(Never) },
 		"WaitUntil": func(e *Env) { e.WaitUntil(func() bool { return true }, nil) },
 		"Await": func(e *Env) {
-			e.Await(func(Time) Time { return 0 }, func(Message, bool) {}, func() bool { return true })
+			e.Await(func(Time) Time { return 0 }, func(*Message) {}, func() bool { return true })
 		},
 	}
 	for name, call := range block {
@@ -371,7 +379,7 @@ func TestAwaitNestedBlockingPanics(t *testing.T) {
 						}
 					}
 					e.Await(func(Time) Time { hook("next"); return 0 },
-						func(Message, bool) { hook("on") },
+						func(*Message) { hook("on") },
 						func() bool { hook("done"); return false })
 				})
 				defer func() {

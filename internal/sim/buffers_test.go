@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -70,34 +70,24 @@ func bufferWorkload(n int, holds bool, buf *Buffers, panicAt Time) (*System, map
 	return sys, got
 }
 
-// checkZero fails t unless every slot of every array b holds, up to
-// its capacity, is the zero value, and b is not lent.
+// checkZero fails t unless every send record b holds, up to its
+// capacity, is the zero value — the records are the only part of
+// Buffers that references payloads — and b is not lent.
 func checkZero(t *testing.T, b *Buffers) {
 	t.Helper()
 	if b.lent {
 		t.Error("buffers still marked lent after Run")
 	}
-	zero := func(name string, n int, at func(int) bool) {
-		for i := 0; i < n; i++ {
-			if !at(i) {
-				t.Errorf("%s[%d] not zero after Run", name, i)
-				return
-			}
+	for i, r := range b.recs[:cap(b.recs)] {
+		if r != (sendRec{}) {
+			t.Errorf("recs[%d] not zero after Run: %+v", i, r)
+			return
 		}
-	}
-	el := b.eligible[:cap(b.eligible)]
-	pairs, slots := b.selPairs[:cap(b.selPairs)], b.selSlot[:cap(b.selSlot)]
-	zero("eligible", len(el), func(i int) bool { return el[i] == Message{} })
-	zero("selPairs", len(pairs), func(i int) bool { return pairs[i] == selPair{} })
-	zero("selSlot", len(slots), func(i int) bool { return slots[i] == 0 })
-	for k, bucket := range b.bucketPool {
-		bucket = bucket[:cap(bucket)]
-		zero(fmt.Sprintf("bucketPool[%d]", k), len(bucket), func(i int) bool { return bucket[i] == Message{} })
 	}
 }
 
-// TestBuffersHandedBackZero: Run hands its Buffers back zeroed over
-// their whole capacity — after a run that ends with messages still
+// TestBuffersHandedBackZero: Run hands its send records back zeroed
+// over their whole capacity — after a run that ends with messages still
 // eligible and held, and after a run that re-panics from a protocol
 // main.
 func TestBuffersHandedBackZero(t *testing.T) {
@@ -105,8 +95,8 @@ func TestBuffersHandedBackZero(t *testing.T) {
 		var b Buffers
 		sys, _ := bufferWorkload(32, holds, &b, 0)
 		sys.Run(nil)
-		if sys.InFlight() == 0 || cap(b.selPairs) == 0 {
-			t.Fatalf("holds=%v: nothing left in flight or full delivery never ran; the check is vacuous", holds)
+		if sys.InFlight() == 0 || cap(b.recs) == 0 {
+			t.Fatalf("holds=%v: nothing left in flight or no record handed back; the check is vacuous", holds)
 		}
 		if holds && len(b.bucketPool) == 0 {
 			t.Fatal("no hold bucket was handed back; the check is vacuous")
@@ -123,7 +113,7 @@ func TestBuffersHandedBackZero(t *testing.T) {
 			sys, _ := bufferWorkload(32, holds, &b, 40)
 			sys.Run(nil)
 		}()
-		if cap(b.eligible) == 0 {
+		if cap(b.recs) == 0 {
 			t.Fatal("panicking run handed back no buffers; the check is vacuous")
 		}
 		checkZero(t, &b)
@@ -146,7 +136,7 @@ func TestBuffersReuseEquivalent(t *testing.T) {
 			big, _ := bufferWorkload(64, bigHolds, &b, 0)
 			big.Run(nil)
 		}
-		if cap(b.eligible) == 0 || cap(b.selSlot) == 0 || len(b.bucketPool) == 0 {
+		if cap(b.eligible) == 0 || cap(b.recs) == 0 || len(b.bucketPool) == 0 {
 			t.Fatal("the larger run grew no buffers; the comparison is vacuous")
 		}
 		warm, warmGot := bufferWorkload(16, holds, &b, 0)
@@ -216,4 +206,44 @@ func TestBuffersLentForRunOnly(t *testing.T) {
 		inner.Run(nil)
 		return true
 	})
+}
+
+// TestRecordPayloadReleased: a send record drops its payload the moment
+// its last copy leaves the network, delivered or dropped at a crashed
+// destination, and not before: a broadcast to four processes, one of
+// them crashed, is delivered one copy per tick, and a send to the
+// crashed process alone is dropped whole.
+func TestRecordPayloadReleased(t *testing.T) {
+	tag := Intern("buffers.release")
+	sys := MustNew(Config{N: 4, T: 1, Seed: 5, MaxSteps: 100, Crashes: map[ids.ProcID]Time{3: 0}})
+	payload := new(int)
+	sys.broadcast(1, tag, payload)
+	for at := Time(1); at <= 4; at++ {
+		r := sys.recs[0]
+		if r.payload != payload || int(r.live) != 5-int(at) {
+			t.Fatalf("before tick %d: record holds %v with %d live copies, want the payload and %d", at, r.payload, r.live, 5-at)
+		}
+		sys.deliverPhase(at)
+	}
+	if sys.recs[0] != (sendRec{}) || !slices.Equal(sys.recFree, []int32{0}) {
+		t.Fatalf("after the last copy: record %+v, free list %v; want zeroed and free", sys.recs[0], sys.recFree)
+	}
+	if got := sys.Metrics().Snapshot().Dropped[tag.String()]; got != 1 {
+		t.Fatalf("%d copies dropped at the crashed destination, want 1", got)
+	}
+
+	sys.send(2, 3, tag, payload)
+	if sys.recs[0].payload != payload {
+		t.Fatal("the send did not reuse the freed record")
+	}
+	sys.deliverPhase(5)
+	if sys.recs[0] != (sendRec{}) || sys.Metrics().Snapshot().Dropped[tag.String()] != 2 {
+		t.Fatalf("a copy dropped at the crashed destination left its record %+v", sys.recs[0])
+	}
+	crashed := sys.procs[3].inbox
+	for _, m := range crashed[:cap(crashed)] {
+		if m.Payload == payload {
+			t.Fatal("a dropped copy's payload is still in the crashed process's inbox")
+		}
+	}
 }

@@ -44,26 +44,10 @@ func grown(s []int64, tag Tag) []int64 {
 	return out
 }
 
-func (m *Metrics) countSent(tag Tag) {
-	m.sent = grown(m.sent, tag)
-	m.sent[tag]++
-	m.totalSent++
-}
-
-func (m *Metrics) countDelivered(tag Tag) {
-	m.delivered = grown(m.delivered, tag)
-	m.delivered[tag]++
-}
-
-func (m *Metrics) countDropped(tag Tag) {
-	m.dropped = grown(m.dropped, tag)
-	m.dropped[tag]++
-}
-
-// The N variants bump a counter by a whole batch's worth at once.
-// Counters stay per-message-exact: callers pass the number of messages
-// in the batch, so a batched run and a message-at-a-time run of the
-// same schedule produce identical snapshots.
+// The counters bump by a whole batch's worth at once. They stay
+// per-message-exact: callers pass the number of messages in the batch,
+// so a batched run and a message-at-a-time run of the same schedule
+// produce identical snapshots.
 
 func (m *Metrics) countSentN(tag Tag, n int64) {
 	m.sent = grown(m.sent, tag)

@@ -56,7 +56,7 @@ type Proc struct {
 	// holds. The wait's clamped wake time lives in the scheduler's
 	// deadlines slot.
 	waitNext func(now Time) Time
-	waitOn   func(Message, bool)
+	waitOn   func(*Message)
 	waitDone func() bool
 	awaiting bool
 }
@@ -102,19 +102,14 @@ func (e *Env) checkAlive() {
 }
 
 // Send transmits a message to process "to" over the reliable channel.
-// SentAt is stamped by the network at acceptance time (System.send owns
-// the stamp); sends from an already-crashed process are refused there.
+// SentAt is stamped by the network at acceptance time (System.accept
+// owns the stamp); sends from an already-crashed process are refused there.
 func (e *Env) Send(to ids.ProcID, tag Tag, payload any) {
 	e.checkAlive()
 	if to < 1 || int(to) > e.N() {
 		panic(fmt.Sprintf("sim: Send to unknown process %d", to))
 	}
-	e.p.sys.send(Message{
-		From:    e.p.id,
-		To:      to,
-		Tag:     tag,
-		Payload: payload,
-	})
+	e.p.sys.send(e.p.id, to, tag, payload)
 }
 
 // Broadcast sends the message to every process, itself included
@@ -176,8 +171,8 @@ func (e *Env) StepUntil(wake Time) (Message, bool) {
 		if p.dead {
 			panic(procKilled{})
 		}
-		if m, ok := p.receive(); ok {
-			return m, true
+		if m := p.receive(); m != nil {
+			return *m, true
 		}
 		if s.Now() >= wake {
 			return Message{}, false
@@ -199,23 +194,23 @@ func (e *Env) StepUntil(wake Time) (Message, bool) {
 	}
 }
 
-// receive takes the next inbox message, if any. Once the inbox is fully
-// drained it zeroes the consumed prefix in one bulk clear (cheaper than
-// a per-message wipe at read time, same payload-retention hygiene) and
-// resets, so long runs reuse the same backing array instead of growing
-// it forever.
-func (p *Proc) receive() (Message, bool) {
+// receive takes the next inbox message, if any, in place: the pointer
+// stays valid until the next receive, since nothing delivers during a
+// step. Once the inbox is fully drained it zeroes the consumed prefix in
+// one bulk clear (cheaper than a per-message wipe at read time, same
+// payload-retention hygiene) and resets, so long runs reuse the same
+// backing array instead of growing it forever.
+func (p *Proc) receive() *Message {
 	if p.nextRead < len(p.inbox) {
-		m := p.inbox[p.nextRead]
 		p.nextRead++
-		return m, true
+		return &p.inbox[p.nextRead-1]
 	}
 	if p.nextRead > 0 {
 		clear(p.inbox)
 		p.inbox = p.inbox[:0]
 		p.nextRead = 0
 	}
-	return Message{}, false
+	return nil
 }
 
 // errBlockInStep is the panic value of a blocking Env call made from
@@ -226,8 +221,11 @@ const errBlockInStep = "sim: blocking Env call (Step, StepUntil, Await, WaitUnti
 // order, of
 //
 //	for done == nil || !done() {
-//		m, ok := e.StepUntil(next(e.Now()))
-//		on(m, ok)
+//		if m, ok := e.StepUntil(next(e.Now())); ok {
+//			on(&m)
+//		} else {
+//			on(nil)
+//		}
 //	}
 //
 // A nil done waits forever (the process runs until it is crashed or the
@@ -239,7 +237,10 @@ const errBlockInStep = "sim: blocking Env call (Step, StepUntil, Await, WaitUnti
 // therefore not block: Step, StepUntil, Await or WaitUntil called from
 // inside them panics. They may send and read any run-token state, like
 // the code of the loop they stand for.
-func (e *Env) Await(next func(now Time) Time, on func(Message, bool), done func() bool) {
+//
+// on gets the message where it sits in the inbox, not a copy: it may
+// rewrite *m, and m is valid only during the call (copy *m to keep it).
+func (e *Env) Await(next func(now Time) Time, on func(*Message), done func() bool) {
 	p := e.p
 	s := p.sys
 	if s.stepping {
@@ -269,13 +270,13 @@ func (e *Env) Await(next func(now Time) Time, on func(Message, bool), done func(
 func nextTick(Time) Time { return 0 }
 
 // WaitUntil runs the event loop until pred() is true: each delivered
-// message is passed to onMsg (which may be nil), and pred is re-evaluated
-// after every message and every clock tick. pred is evaluated first, so a
-// condition that already holds returns immediately. It is Await with a
-// per-tick wake.
-func (e *Env) WaitUntil(pred func() bool, onMsg func(Message)) {
-	e.Await(nextTick, func(m Message, ok bool) {
-		if ok && onMsg != nil {
+// message is passed to onMsg (which may be nil; m is valid only during
+// the call, as in Await), and pred is re-evaluated after every message
+// and every clock tick. pred is evaluated first, so a condition that
+// already holds returns immediately. It is Await with a per-tick wake.
+func (e *Env) WaitUntil(pred func() bool, onMsg func(*Message)) {
+	e.Await(nextTick, func(m *Message) {
+		if m != nil && onMsg != nil {
 			onMsg(m)
 		}
 	}, pred)

@@ -77,6 +77,7 @@ import (
 	"iter"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -343,48 +344,35 @@ type System struct {
 	wakes    int64
 	switches int64
 
-	// Network state: deliverable messages (eligible) and messages
-	// bucketed by the tick their scripted hold releases them (held, keys
-	// sorted in heldTimes). Sends are routed into one or the other as
-	// they are accepted (see queueHeld). bucketPool recycles drained hold
-	// buckets, zeroed. eligible, bucketPool and the selection scratch
-	// below are borrowed from buf for the length of Run (see Buffers).
+	// Network state. Every accepted send opens one record in recs (its
+	// sender, tag, payload, send time and count of live copies; see
+	// sendRec), and each of its copies travels as an 8-byte entry naming
+	// the record and the destination: deliverable copies in eligible,
+	// held ones in the bucket of the tick their scripted hold releases
+	// them (held, keys sorted in heldTimes). Sends are routed into one or
+	// the other as they are accepted (see queueHeld). A record is zeroed
+	// onto recFree when its last copy is delivered or dropped, and
+	// bucketPool recycles drained hold buckets. recs, recFree, eligible
+	// and bucketPool are borrowed from buf for the length of Run (see
+	// Buffers).
 	buf        *Buffers
-	eligible   []Message
-	held       map[Time][]Message
+	recs       []sendRec
+	recFree    []int32
+	eligible   []entry
+	held       map[Time][]entry
 	heldTimes  []Time
-	bucketPool [][]Message
+	bucketPool [][]entry
 
-	// Delivery batching state: the delivery phase writes this tick's
-	// selected messages straight onto their destination inboxes (the
-	// inbox tail IS the batch buffer — no intermediate copy), marking the
-	// touched destinations in batched and each destination's pre-tick
-	// inbox length in batchStart. The flush pass then pays the
+	// Delivery batching state: the delivery phase appends this tick's
+	// selected messages straight onto their destination inboxes, marking
+	// the touched destinations in batched and each destination's
+	// pre-tick inbox length in batchStart. The flush pass then pays the
 	// per-destination costs once per batch: the crash check (dropping the
 	// whole tail, zeroed so no payload outlives the drop), the wake-hint
 	// and the per-(destination, tag) counter bumps. Owned by the run
 	// token like the rest of the network state.
 	batched    pset
 	batchStart []int
-	// selPairs / selSlot / selNext are the reusable buffers of full
-	// delivery: when bandwidth covers the whole eligible set, selection
-	// swap-removes run over compact (index, dest) pairs, consuming the
-	// identical draw sequence while assigning each message its final
-	// inbox slot (selSlot); selNext tracks the next free slot per
-	// destination (doubling as the per-destination count while the pairs
-	// are built), length N+1. selDirty is the largest selection run, the
-	// region of the scratch giveBack zeroes.
-	selPairs []selPair
-	selSlot  []int32
-	selNext  []int32
-	selDirty int
-	// eligDirty is the high-water mark of stale entries in eligible's
-	// recycled capacity after full-delivery truncations. The wipe that
-	// keeps payload references from outliving their delivery is deferred
-	// to the first tick with no eligible traffic: a busy network
-	// overwrites the recycled capacity every tick anyway, so the
-	// sequential clear runs when traffic pauses, not per tick.
-	eligDirty int
 
 	// holdUntil is the per-(from,to) release matrix precomputed from the
 	// Since=0 entries of Config.Holds at New time, flattened to
@@ -501,12 +489,11 @@ func New(cfg Config) (*System, error) {
 		pattern: newPattern(cfg),
 		src:     rand.NewSource(cfg.Seed).(rand.Source64),
 		metrics: newMetrics(),
-		held:    make(map[Time][]Message),
+		held:    make(map[Time][]entry),
 	}
 	s.pw = pwords(cfg.N)
 	s.deadlines = make([]Time, cfg.N+1)
 	s.batchStart = make([]int, cfg.N+1)
-	s.selNext = make([]int32, cfg.N+1)
 	for _, at := range cfg.Crashes {
 		s.crashTimes = append(s.crashTimes, at)
 	}
@@ -723,12 +710,12 @@ func (s *System) awaitSteps(p *Proc, woken bool) bool {
 			s.stepping = false
 			panic(procKilled{})
 		}
-		if m, ok := p.receive(); ok {
-			p.waitOn(m, true)
+		if m := p.receive(); m != nil {
+			p.waitOn(m)
 			continue
 		}
 		if s.Now() >= s.deadlines[p.id] {
-			p.waitOn(Message{}, false)
+			p.waitOn(nil)
 			continue
 		}
 		s.parkedSet.set(p.id)
@@ -929,119 +916,65 @@ func (s *System) intn(n int) int {
 	return int(v % int32(n))
 }
 
-// selPair is one entry of the full-delivery selection: the message's
-// index in eligible and its destination, compact enough (8 bytes) that
-// the selection loop's random swaps stay cache-resident at sizes where
-// the eligible array itself does not.
-type selPair struct{ i, to int32 }
+// sendRec is one accepted send: the fields all its copies share, and
+// live, the number of its copies still in flight. A broadcast to n
+// processes is one record and n entries, so the delivery queue moves
+// 8-byte entries and a payload is stored once per send, not per copy.
+type sendRec struct {
+	from    ids.ProcID
+	tag     Tag
+	live    int32
+	payload any
+	sentAt  Time
+}
+
+// entry is one in-flight copy: the index of its send record in recs and
+// its destination. Entries are what the delivery draws shuffle, small
+// enough that an n = 256 all-to-all backlog stays cache-resident.
+type entry struct{ rec, to int32 }
 
 // deliverPhase releases due hold buckets into eligible and delivers up
 // to Bandwidth eligible messages, chosen uniformly at random among all
 // eligible ones. Deliveries land in inboxes silently; recipients are
 // woken by the subsequent wake phase.
 //
-// Delivery is batched: the selection loop (whose draw sequence defines
-// the run and is bit-for-bit unchanged) places each chosen message,
-// stamped, straight onto its destination inbox — selection order is
-// inbox order, exactly as per-message delivery appended them — and
-// flushBatches then pays the per-destination costs (crash check,
-// wake-hint, counter bumps) once per (destination, tag) batch instead
-// of once per message.
+// Selection is the per-message swap-remove whose draw sequence defines
+// the run: draw j = Intn(len(eligible)), take eligible[j], move the last
+// entry into its place, Bandwidth times (or until eligible is empty).
+// Each chosen copy is built from its record, stamped, straight onto its
+// destination inbox, so selection order is inbox order, and its record
+// is released; flushBatches then pays the per-destination costs (crash
+// check, wake-hint, counter bumps) once per (destination, tag) batch
+// instead of once per message.
 func (s *System) deliverPhase(now Time) {
 	s.route(now)
-	k := s.cfg.bandwidth()
-	if len(s.eligible) == 0 {
-		if s.eligDirty > 0 {
-			// Traffic paused: wipe the stale recycled capacity left by
-			// full-delivery truncations in one sequential clear, so no
-			// payload reference outlives its delivery past the pause.
-			clear(s.eligible[:s.eligDirty])
-			s.eligDirty = 0
-		}
+	n := len(s.eligible)
+	if n == 0 {
 		return
 	}
-	if n := len(s.eligible); k >= n {
-		// Full delivery: every eligible message lands this tick, so the
-		// draws only decide per-destination arrival order. Selecting
-		// straight from eligible would spend its time on dependent random
-		// reads of a cache-breaking array, so the selection runs in three
-		// passes that touch eligible only sequentially:
-		//
-		//  1. one sequential scan builds compact (index, dest) pairs and
-		//     per-destination counts, and the inboxes are extended once
-		//     per destination to their final lengths;
-		//  2. the unchanged swap-remove selection runs over the 8-byte
-		//     pairs (cache-resident even at n², where eligible is not),
-		//     assigning each message its final inbox slot in draw order;
-		//  3. one sequential scan moves the messages, stamped, into
-		//     their slots — independent scattered writes instead of
-		//     dependent scattered reads.
-		//
-		// Draw consumption (Intn(n), Intn(n−1), …) and each inbox's
-		// resulting content and order are bit-identical to per-message
-		// swap-remove delivery: slots are handed out in draw order per
-		// destination, exactly where per-message appends would land.
-		// Eligible is truncated without a wipe (eligDirty defers that
-		// to the next idle tick); every extended inbox slot is written
-		// exactly once in pass 3 before anything reads it.
-		if cap(s.selPairs) < n {
-			s.selPairs = make([]selPair, n)
-			s.selSlot = make([]int32, n)
+	k := min(s.cfg.bandwidth(), n)
+	elig, recs, procs := s.eligible, s.recs, s.procs
+	for sz := n; sz > n-k; sz-- {
+		j := s.intn(sz)
+		e := elig[j]
+		elig[j] = elig[sz-1]
+		r := &recs[e.rec]
+		to := ids.ProcID(e.to)
+		p := procs[to]
+		if !s.batched.has(to) {
+			s.batched.set(to)
+			s.batchStart[to] = len(p.inbox)
 		}
-		s.selDirty = max(s.selDirty, n)
-		elig, procs := s.eligible, s.procs
-		sel := s.selPairs[:n]
-		slot := s.selSlot[:n]
-		next := s.selNext
-		for i := range sel {
-			to := elig[i].To
-			sel[i] = selPair{i: int32(i), to: int32(to)}
-			next[to]++
-		}
-		for q := 1; q <= s.cfg.N; q++ {
-			if c := next[q]; c > 0 {
-				to := ids.ProcID(q)
-				p := procs[to]
-				s.batched.set(to)
-				s.batchStart[q] = len(p.inbox)
-				p.inbox = grow(p.inbox, int(c))
-				next[q] = int32(s.batchStart[q])
-			}
-		}
-		for sz := n; sz > 0; sz-- {
-			j := s.intn(sz)
-			e := sel[j]
-			sel[j] = sel[sz-1]
-			slot[e.i] = next[e.to]
-			next[e.to]++
-		}
-		for i := range elig {
-			dst := &procs[elig[i].To].inbox[slot[i]]
-			*dst = elig[i]
-			dst.DeliveredAt = now
-		}
-		clear(next)
-		s.eligDirty = max(s.eligDirty, n)
-		s.eligible = s.eligible[:0]
-		k = n
-	} else {
-		for range k {
-			j := s.intn(len(s.eligible))
-			m := s.eligible[j]
-			last := len(s.eligible) - 1
-			s.eligible[j] = s.eligible[last]
-			s.eligible[last] = Message{}
-			s.eligible = s.eligible[:last]
-			m.DeliveredAt = now
-			to := m.To
-			p := s.procs[to]
-			if !s.batched.has(to) {
-				s.batched.set(to)
-				s.batchStart[to] = len(p.inbox)
-			}
-			p.inbox = append(p.inbox, m)
+		p.inbox = append(p.inbox, Message{
+			From: r.from, To: to, Tag: r.tag, Payload: r.payload,
+			SentAt: r.sentAt, DeliveredAt: now,
+		})
+		if r.live--; r.live == 0 {
+			*r = sendRec{}
+			s.recFree = append(s.recFree, e.rec)
 		}
 	}
+	s.eligible = elig[:n-k]
 	s.inflight.Add(-int64(k))
 	s.flushBatches(now)
 	if s.rec != nil {
@@ -1106,7 +1039,6 @@ func (s *System) route(now Time) {
 		s.eligible = append(s.eligible, b...)
 		released += len(b)
 		delete(s.held, t)
-		clear(b) // pooled buckets hold no payload past their release
 		s.bucketPool = append(s.bucketPool, b[:0])
 	}
 	if s.rec != nil {
@@ -1163,112 +1095,105 @@ func (s *System) nextTime(now Time) Time {
 	return next
 }
 
-// send enqueues a message into the network. Called from process
+// accept opens the record of a send of copies copies from from, or
+// refuses it (ok false) when from has crashed. Called from process
 // coroutines, which hold the run token — so the queues need no lock.
-// send owns the SentAt stamp: it is set here, at acceptance time, and
-// nowhere else; sends from an already-crashed process are refused, so
-// every accepted message satisfies SentAt < crash time of its sender.
-func (s *System) send(m Message) {
-	now := s.Now()
-	if s.pattern.Crashed(m.From, now) {
-		return
+// accept owns the SentAt stamp: it is set here, at acceptance time, and
+// nowhere else, so every accepted message satisfies SentAt < crash time
+// of its sender. A multi-copy send pays the liveness check, clock read
+// and stamp once: the caller holds the run token for the whole fan-out,
+// so the clock and the crash predicate cannot change mid-loop, and
+// every copy matches an individual send exactly.
+func (s *System) accept(from ids.ProcID, tag Tag, payload any, copies int) (rec int32, now Time, ok bool) {
+	now = s.Now()
+	if s.pattern.Crashed(from, now) {
+		return 0, now, false
 	}
-	m.SentAt = now
-	if s.holdUntil == nil {
-		s.eligible = append(s.eligible, m)
+	r := sendRec{from: from, tag: tag, live: int32(copies), payload: payload, sentAt: now}
+	if k := len(s.recFree); k > 0 {
+		rec = s.recFree[k-1]
+		s.recFree = s.recFree[:k-1]
+		s.recs[rec] = r
 	} else {
-		s.queueHeld(m, now)
+		rec = int32(len(s.recs))
+		s.recs = append(s.recs, r)
 	}
-	s.inflight.Add(1)
-	s.metrics.countSent(m.Tag)
+	s.inflight.Add(int64(copies))
+	s.metrics.countSentN(tag, int64(copies))
+	return rec, now, true
 }
 
-// broadcast is the fan-out fast path behind Env.Broadcast: the sender
-// liveness check, clock read, and SentAt stamp are paid once for the
-// whole destination set instead of once per copy. The caller holds the
-// run token for the entire fan-out, so the clock and the crash
-// predicate cannot change mid-loop — destination order (1..N) and every
-// per-copy hold window match N individual sends exactly.
+// send is the one-copy send behind Env.Send.
+func (s *System) send(from, to ids.ProcID, tag Tag, payload any) {
+	if rec, now, ok := s.accept(from, tag, payload, 1); ok {
+		s.queue(entry{rec: rec, to: int32(to)}, from, now)
+	}
+}
+
+// broadcast is the fan-out fast path behind Env.Broadcast: one record,
+// and copies to 1..N in destination order.
 func (s *System) broadcast(from ids.ProcID, tag Tag, payload any) {
-	now := s.Now()
-	if s.pattern.Crashed(from, now) {
+	n := s.cfg.N
+	rec, now, ok := s.accept(from, tag, payload, n)
+	if !ok {
 		return
 	}
-	m := Message{From: from, Tag: tag, Payload: payload, SentAt: now}
-	n := s.cfg.N
 	if s.holdUntil == nil {
 		// Grow once, then write the copies by index: the per-copy cost is
-		// one message store, with no per-append bounds/grow bookkeeping.
+		// one 8-byte store, with no per-append bounds/grow bookkeeping.
 		base := len(s.eligible)
-		s.eligible = grow(s.eligible, n)
-		dst := s.eligible[base : base+n]
+		s.eligible = slices.Grow(s.eligible, n)[:base+n]
+		dst := s.eligible[base:]
 		for q := range dst {
-			m.To = ids.ProcID(q + 1)
-			dst[q] = m
+			dst[q] = entry{rec: rec, to: int32(q + 1)}
 		}
-	} else {
-		for q := 1; q <= n; q++ {
-			m.To = ids.ProcID(q)
-			s.queueHeld(m, now)
-		}
+		return
 	}
-	s.inflight.Add(int64(n))
-	s.metrics.countSentN(tag, int64(n))
+	for q := 1; q <= n; q++ {
+		s.queueHeld(entry{rec: rec, to: int32(q)}, from, now)
+	}
 }
 
 // multicast fans one payload out to every member of dests (ascending),
-// with the same single-stamp fast path as broadcast.
+// with the same single-record fast path as broadcast.
 func (s *System) multicast(from ids.ProcID, dests ids.Set, tag Tag, payload any) {
 	count := dests.CountIn(s.cfg.N)
 	if count == 0 {
 		return
 	}
-	now := s.Now()
-	if s.pattern.Crashed(from, now) {
+	rec, now, ok := s.accept(from, tag, payload, count)
+	if !ok {
 		return
 	}
-	m := Message{From: from, Tag: tag, Payload: payload, SentAt: now}
+	dests.ForEachIn(s.cfg.N, func(q ids.ProcID) bool {
+		s.queue(entry{rec: rec, to: int32(q)}, from, now)
+		return true
+	})
+}
+
+// queue routes one copy accepted at now: straight onto eligible when
+// the run scripts no holds, else through queueHeld.
+func (s *System) queue(e entry, from ids.ProcID, now Time) {
 	if s.holdUntil == nil {
-		dests.ForEachIn(s.cfg.N, func(q ids.ProcID) bool {
-			m.To = q
-			s.eligible = append(s.eligible, m)
-			return true
-		})
-	} else {
-		dests.ForEachIn(s.cfg.N, func(q ids.ProcID) bool {
-			m.To = q
-			s.queueHeld(m, now)
-			return true
-		})
+		s.eligible = append(s.eligible, e)
+		return
 	}
-	s.inflight.Add(int64(count))
-	s.metrics.countSentN(tag, int64(count))
+	s.queueHeld(e, from, now)
 }
 
-// grow extends b by n elements, reallocating like append would. The
-// caller must overwrite all n new elements: recycled capacity is exposed
-// as-is.
-func grow(b []Message, n int) []Message {
-	if len(b)+n > cap(b) {
-		grown := make([]Message, len(b), max(2*cap(b), len(b)+n))
-		copy(grown, b)
-		b = grown
-	}
-	return b[:len(b)+n]
-}
-
-// queueHeld routes a copy accepted at now under scripted holds: onto
-// eligible if its hold has already passed, else into the bucket of the
-// tick its hold releases it. Routing at send time builds exactly the
-// eligible list and buckets that routing in the next delivery phase
-// would, because every send is accepted at the tick whose delivery
-// phase comes next: processes step at the clock value the next tick
-// reads, and no OnTick/OnAdvance sampler sends (a send after a tick's
-// delivery phase would be routed against the wrong clock value).
-func (s *System) queueHeld(m Message, now Time) {
-	nb := s.holdFor(m.From, m.To, now)
+// queueHeld routes a copy from from, accepted at now under scripted
+// holds: onto eligible if its hold has already passed, else into the
+// bucket of the tick its hold releases it. Routing at send time builds
+// exactly the eligible list and buckets that routing in the next
+// delivery phase would, because every send is accepted at the tick
+// whose delivery phase comes next: processes step at the clock value
+// the next tick reads, and no OnTick/OnAdvance sampler sends (a send
+// after a tick's delivery phase would be routed against the wrong clock
+// value).
+func (s *System) queueHeld(e entry, from ids.ProcID, now Time) {
+	nb := s.holdFor(from, ids.ProcID(e.to), now)
 	if nb <= now {
-		s.eligible = append(s.eligible, m)
+		s.eligible = append(s.eligible, e)
 		return
 	}
 	b, ok := s.held[nb]
@@ -1282,7 +1207,7 @@ func (s *System) queueHeld(m Message, now Time) {
 			s.bucketPool = s.bucketPool[:n-1]
 		}
 	}
-	s.held[nb] = append(b, m)
+	s.held[nb] = append(b, e)
 }
 
 // holdFor computes the release time for a (from, to) copy accepted at
