@@ -60,6 +60,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePerturbation$$' -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzParseReplaySpec$$' -fuzztime 10s ./cmd/experiments
 	$(GO) test -run '^$$' -fuzz '^FuzzDeliverMatchesPerMessage$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzRoundStateMatchesScan$$' -fuzztime 10s ./internal/agreement
+	$(GO) test -run '^$$' -fuzz '^FuzzPickDistinct$$' -fuzztime 10s ./internal/fd
 
 # A short end-to-end sweep: every experiment matrix runs (the full
 # matrix takes a couple of seconds), the rendered report and canonical

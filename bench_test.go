@@ -67,10 +67,12 @@ func BenchmarkGridLine(b *testing.B) {
 }
 
 // BenchmarkKSetOmega (EXP-F3, paper Fig. 3): the Ω_z-based k-set
-// agreement algorithm across system sizes.
+// agreement algorithm across system sizes, up to the SCALE sizes n = 64
+// and n = 256, where the protocol's round state dominates a run.
 func BenchmarkKSetOmega(b *testing.B) {
-	for _, n := range []int{5, 7, 9, 11} {
+	for _, n := range []int{5, 7, 9, 11, 64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			var ticks, rounds, msgs float64
 			for i := 0; i < b.N; i++ {
 				cfg := benchCfg(n, int64(i))

@@ -2,6 +2,7 @@ package agreement
 
 import (
 	"fmt"
+	"slices"
 
 	"fdgrid/internal/fd"
 	"fdgrid/internal/ids"
@@ -75,8 +76,11 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 
 	est := v
 	r := 0
-	phase1 := newRounds[phase1Msg](n)
-	phase2 := newRounds[phase2Msg](n)
+	if out.arena == nil {
+		out.arena = new(RoundArena) // shared by the run's processes
+	}
+	rs := newRounds(n, out.arena)
+	defer rs.release()
 	var decided *Value
 
 	handle := func(m *sim.Message) {
@@ -89,13 +93,17 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 			if !ok {
 				panic(fmt.Sprintf("agreement: phase1 payload %T", m.Payload))
 			}
-			phase1.put(p.R, m.From, p)
+			if b := rs.at(p.R); b != nil {
+				b.p1.put(m.From, &p)
+			}
 		case tags.phase2:
 			p, ok := m.Payload.(phase2Msg)
 			if !ok {
 				panic(fmt.Sprintf("agreement: phase2 payload %T", m.Payload))
 			}
-			phase2.put(p.R, m.From, p)
+			if b := rs.at(p.R); b != nil {
+				b.p2.put(m.From, me, &p)
+			}
 		case tags.decision:
 			p, ok := m.Payload.(decisionMsg)
 			if !ok {
@@ -116,7 +124,8 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 	for decided == nil {
 		r++
 		// Rounds below r are never read again: retire their boxes.
-		p1, p2 := phase1.advance(r), phase2.advance(r)
+		cur := rs.advance(r)
+		p1, p2 := &cur.p1, &cur.p2
 		// Phase 1.
 		l := oracle.Trusted(me)
 		rec.Round(int64(env.Now()), int(me), r, l)
@@ -146,30 +155,11 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 		if decided != nil {
 			break
 		}
-		sawBot := false
-		adopted := false
-		// The paper adopts any received non-⊥ value ("takes one
-		// arbitrarily"); this implementation prefers its own echo when
-		// present, else the smallest-id sender's value — a legal choice
-		// that maximizes decision diversity (making the z ≤ k tightness
-		// observable) while keeping runs replayable: senders are scanned
-		// in identity order.
-		p2.from.ForEachIn(n, func(from ids.ProcID) bool {
-			pm := p2.msgs[from]
-			if pm.Bot {
-				sawBot = true
-				return true
-			}
-			if from == me || !adopted {
-				est = pm.Aux
-				adopted = true
-			}
-			return true
-		})
-		if !adopted {
-			continue
+		if p2.pick == ids.None {
+			continue // every aux was ⊥
 		}
-		if !sawBot {
+		est = p2.aux
+		if !p2.sawBot {
 			rb.Broadcast(tags.decision, decisionMsg{Val: est})
 			nd.WaitOn(func() bool { return decided != nil }, handle)
 		}
@@ -180,75 +170,154 @@ func ksetRun(nd *node.Node, rb *rbcast.Layer, oracle fd.Leader, v Value, out *Ou
 	return *decided
 }
 
-// roundBox holds one phase's messages of one round, indexed by sender:
-// msgs[p] is p's message when from contains p. A sender heard twice
-// counts once; its later message replaces the earlier one.
-type roundBox[M any] struct {
+// senders is who was heard in one round's phase, and how many: the
+// protocol's waits read count ("n−t messages") and from ("a PHASE1 from
+// some member of L").
+type senders struct {
 	from  ids.Set
 	count int
-	msgs  []M // index 1..n
 }
 
-// rounds is one phase's round state for one process: a box per round
-// from the current one up, kept dense by round. Messages for rounds
-// already passed are dropped on arrival — the protocol never reads
-// them — and the boxes of retired rounds are recycled, so a run reuses
-// the same few sender-indexed arrays however many rounds it takes.
-type rounds[M any] struct {
+// add records p as heard in phase ph of round r. Each process sends each
+// phase once per round and the network never duplicates a message, so a
+// second message from p is a bug: it panics.
+func (s *senders) add(p ids.ProcID, ph, r int) {
+	if !s.from.Insert(p) {
+		panic(fmt.Sprintf("agreement: %v sent two PHASE%d messages in round %d", p, ph, r))
+	}
+	s.count++
+}
+
+// phase1Slot is a sender's PHASE1 message less its round, the box's.
+type phase1Slot struct {
+	L   ids.Set
+	Est Value
+}
+
+// phase1Box is one round's PHASE1 state: slots[p] holds p's message
+// when from contains p.
+type phase1Box struct {
+	senders
+	slots []phase1Slot // index 1..n
+}
+
+func (b *phase1Box) put(from ids.ProcID, m *phase1Msg) {
+	b.add(from, 1, m.R)
+	b.slots[from] = phase1Slot{L: m.L, Est: m.Est}
+}
+
+// phase2Box is one round's PHASE2 state. Phase 2 asks only "was any ⊥
+// received?" and "which non-⊥ value is adopted?", so the box keeps the
+// answers, not the messages. The paper adopts any non-⊥ value ("takes
+// one arbitrarily"); this implementation adopts its own echo when
+// present, else the smallest-id sender's value — a legal choice that
+// maximizes decision diversity (making the z ≤ k tightness observable)
+// and does not depend on arrival order, so runs stay replayable.
+type phase2Box struct {
+	senders
+	sawBot bool       // some sender's aux was ⊥
+	pick   ids.ProcID // whose aux is adopted; None while every aux was ⊥
+	aux    Value      // pick's aux
+}
+
+// put folds from's PHASE2 message into process me's box.
+func (b *phase2Box) put(from, me ids.ProcID, m *phase2Msg) {
+	b.add(from, 2, m.R)
+	switch {
+	case m.Bot:
+		b.sawBot = true
+	case b.pick == ids.None || b.pick != me && (from == me || from < b.pick):
+		b.pick, b.aux = from, m.Aux
+	}
+}
+
+// round is one round's state at one process.
+type round struct {
+	p1 phase1Box
+	p2 phase2Box
+}
+
+// rounds is one process's round state: a box per round from the current
+// one up, kept dense by round. Messages for rounds already passed are
+// dropped on arrival — the protocol never reads them. Boxes come from a
+// RoundArena and go back to it as rounds retire, so a run reuses the
+// same few slot arrays however many rounds it takes.
+type rounds struct {
 	n     int
-	base  int            // the current round: boxes[i] holds round base+i
-	boxes []*roundBox[M] // nil where nothing has arrived yet
-	free  []*roundBox[M] // retired boxes, emptied, ready for reuse
+	base  int      // the current round: boxes[i] holds round base+i
+	boxes []*round // nil where nothing has arrived yet
+	arena *RoundArena
 }
 
-func newRounds[M any](n int) *rounds[M] {
-	return &rounds[M]{n: n, base: 1}
+// newRounds starts a process's round state on arena.
+func newRounds(n int, arena *RoundArena) *rounds {
+	return &rounds{n: n, base: 1, arena: arena}
 }
 
-// box returns round r's box, creating it (from a recycled one when
-// possible) if needed; r must be at least the current round.
-func (rs *rounds[M]) box(r int) *roundBox[M] {
+// at returns round r's box, or nil if r has passed.
+func (rs *rounds) at(r int) *round {
 	i := r - rs.base
+	if i < 0 {
+		return nil
+	}
 	for len(rs.boxes) <= i {
 		rs.boxes = append(rs.boxes, nil)
 	}
 	if rs.boxes[i] == nil {
-		if k := len(rs.free); k > 0 {
-			rs.boxes[i] = rs.free[k-1]
-			rs.free = rs.free[:k-1]
-		} else {
-			rs.boxes[i] = &roundBox[M]{msgs: make([]M, rs.n+1)}
-		}
+		rs.boxes[i] = rs.arena.take(rs.n)
 	}
 	return rs.boxes[i]
 }
 
-// put records from's message for round r, dropping it if r has passed.
-func (rs *rounds[M]) put(r int, from ids.ProcID, m M) {
-	if r < rs.base {
-		return
-	}
-	b := rs.box(r)
-	if !b.from.Contains(from) {
-		b.from = b.from.Add(from)
-		b.count++
-	}
-	b.msgs[from] = m
-}
-
-// advance makes r the current round, retiring every earlier round's
-// box, and returns round r's box.
-func (rs *rounds[M]) advance(r int) *roundBox[M] {
+// advance makes r the current round, handing every earlier round's box
+// back, and returns round r's box.
+func (rs *rounds) advance(r int) *round {
 	k := min(r-rs.base, len(rs.boxes))
-	for _, b := range rs.boxes[:k] {
-		if b != nil {
-			b.from, b.count = ids.Set{}, 0
-			rs.free = append(rs.free, b)
-		}
-	}
+	rs.arena.put(rs.boxes[:k])
 	rs.boxes = rs.boxes[:copy(rs.boxes, rs.boxes[k:])]
 	rs.base = r
-	return rs.box(r)
+	return rs.at(r)
+}
+
+// release hands every box back. ksetRun defers it, so a process that
+// decides, crashes or is stopped at teardown returns its boxes alike.
+func (rs *rounds) release() {
+	rs.arena.put(rs.boxes)
+	rs.boxes = nil
+}
+
+// RoundArena is a free list of k-set round boxes, each with a phase-1
+// slot array. A caller running k-set runs one after another lends each
+// the same arena (Outcome.UseArena), and the processes of a run share
+// it under the run token, so the slot arrays are grown once, not once
+// per run. Boxes come back with their senders and phase-2 state
+// cleared; the slots hold no references and are written before they
+// are read. The zero value is ready to use. An arena is not safe for
+// concurrent use: lend it to one run at a time.
+type RoundArena struct {
+	free []*round
+}
+
+// take returns an empty box with slots for ids 1..n.
+func (a *RoundArena) take(n int) *round {
+	var b *round
+	if k := len(a.free); k > 0 {
+		b, a.free = a.free[k-1], a.free[:k-1]
+	} else {
+		b = new(round)
+	}
+	b.p1.slots = slices.Grow(b.p1.slots[:0], n+1)[:n+1]
+	return b
+}
+
+// put empties the non-nil boxes of bs onto the free list.
+func (a *RoundArena) put(bs []*round) {
+	for _, b := range bs {
+		if b != nil {
+			*b = round{p1: phase1Box{slots: b.p1.slots}}
+			a.free = append(a.free, b)
+		}
+	}
 }
 
 // phase1Aux computes aux_i at the end of phase 1: if one leader set L was
@@ -260,11 +329,11 @@ func (rs *rounds[M]) advance(r int) *roundBox[M] {
 // majority-vote pass over the senders in id order finds the only
 // candidate, and a counting pass confirms it. The result does not
 // depend on the scan order.
-func phase1Aux(b *roundBox[phase1Msg], n int) (aux Value, bot bool) {
+func phase1Aux(b *phase1Box, n int) (aux Value, bot bool) {
 	var cand ids.Set
 	lead := 0
 	b.from.ForEachIn(n, func(p ids.ProcID) bool {
-		switch l := b.msgs[p].L; {
+		switch l := b.slots[p].L; {
 		case lead == 0:
 			cand, lead = l, 1
 		case l.Equal(cand):
@@ -276,7 +345,7 @@ func phase1Aux(b *roundBox[phase1Msg], n int) (aux Value, bot bool) {
 	})
 	votes := 0
 	b.from.ForEachIn(n, func(p ids.ProcID) bool {
-		if b.msgs[p].L.Equal(cand) {
+		if b.slots[p].L.Equal(cand) {
 			votes++
 		}
 		return true
@@ -288,7 +357,7 @@ func phase1Aux(b *roundBox[phase1Msg], n int) (aux Value, bot bool) {
 	if best == ids.None {
 		return 0, true
 	}
-	return b.msgs[best].Est, false
+	return b.slots[best].Est, false
 }
 
 // KSetMain returns a process main running KSet over a fresh rbcast layer,

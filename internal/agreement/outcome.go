@@ -36,6 +36,7 @@ type Decision struct {
 type Outcome struct {
 	proposals map[ids.ProcID]Value
 	decisions map[ids.ProcID]Decision
+	arena     *RoundArena // lent to the run's k-set processes
 }
 
 // NewOutcome returns an empty outcome recorder.
@@ -44,6 +45,13 @@ func NewOutcome() *Outcome {
 		proposals: make(map[ids.ProcID]Value),
 		decisions: make(map[ids.ProcID]Decision),
 	}
+}
+
+// UseArena lends a to the run's k-set processes (see RoundArena). With
+// none lent, the run's processes share a fresh one made when the first
+// of them starts. Call it before the run.
+func (o *Outcome) UseArena(a *RoundArena) {
+	o.arena = a
 }
 
 // Propose records p's proposal. Each process proposes exactly once.

@@ -70,8 +70,9 @@ func boundedDraw(n int, keys ...uint64) int {
 	}
 	un := uint64(n)
 	reject := -un % un // 2^64 mod n: the short final bucket
+	h := mix(keys...)
 	for attempt := uint64(0); ; attempt++ {
-		v := mix(append(keys, attempt)...)
+		v := splitmix64(h ^ attempt) // = mix(keys..., attempt): mix folds left to right
 		if v >= reject {
 			return int(v % un)
 		}
@@ -79,13 +80,15 @@ func boundedDraw(n int, keys ...uint64) int {
 }
 
 // pickDistinct deterministically selects count members from pool
-// (excluding those already in chosen), returning chosen ∪ picks.
+// (excluding those already in chosen), returning chosen ∪ picks. Draw i
+// takes the j-th smallest member still left, j uniform over how many
+// are left, read straight off the bitset.
 func pickDistinct(chosen, pool ids.Set, count int, salt uint64) ids.Set {
-	members := pool.Minus(chosen).Members()
-	for i := 0; i < count && len(members) > 0; i++ {
-		j := boundedDraw(len(members), salt, uint64(i))
-		chosen = chosen.Add(members[j])
-		members = append(members[:j], members[j+1:]...)
+	left := pool.Minus(chosen)
+	size := left.Size()
+	for i := 0; i < count && size > 0; i++ {
+		p := left.Nth(boundedDraw(size, salt, uint64(i)))
+		chosen, left, size = chosen.Add(p), left.Remove(p), size-1
 	}
 	return chosen
 }

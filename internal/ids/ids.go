@@ -87,6 +87,18 @@ func (s Set) Add(p ProcID) Set {
 	return s
 }
 
+// Insert adds p to s in place and reports whether p was new: Add and
+// Contains in one pass, without copying the set.
+func (s *Set) Insert(p ProcID) bool {
+	checkID(p)
+	w, bit := &s.w[(p-1)>>6], uint64(1)<<(uint(p-1)&63)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	return true
+}
+
 // Remove returns s ∖ {p}.
 func (s Set) Remove(p ProcID) Set {
 	checkID(p)

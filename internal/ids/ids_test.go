@@ -35,6 +35,23 @@ func TestSetBasics(t *testing.T) {
 	}
 }
 
+// TestSetInsert: Insert adds in place at every word boundary and
+// reports only the first insertion of an id.
+func TestSetInsert(t *testing.T) {
+	var s Set
+	for _, p := range []ProcID{1, 64, 65, 128, 129, 256} {
+		if !s.Insert(p) {
+			t.Errorf("first Insert(%d) = false", p)
+		}
+		if s.Insert(p) {
+			t.Errorf("second Insert(%d) = true", p)
+		}
+	}
+	if want := NewSet(1, 64, 65, 128, 129, 256); s != want {
+		t.Errorf("set %s, want %s", s, want)
+	}
+}
+
 func TestSetZeroValue(t *testing.T) {
 	var s Set
 	if !s.IsEmpty() {

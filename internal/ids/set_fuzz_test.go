@@ -14,6 +14,7 @@ import (
 // FuzzSetOps ./internal/ids` explores further.
 func FuzzSetOps(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 64, 0, 65, 2, 64, 1, 255})
+	f.Add([]byte{4, 63, 4, 64, 4, 64, 2, 64, 4, 255, 1, 255, 4, 255})
 	f.Add([]byte{0, 63, 0, 64, 0, 127, 0, 128, 0, 255, 3, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -23,7 +24,11 @@ func FuzzSetOps(f *testing.F) {
 			p := ProcID(int(data[i+1])%MaxProcs + 1)
 			switch data[i] % 4 {
 			case 0:
-				s = s.Add(p)
+				if data[i]&4 == 0 {
+					s = s.Add(p)
+				} else if got := s.Insert(p); got == model[p] {
+					t.Fatalf("Insert(%d) = %v, model says member %v", p, got, model[p])
+				}
 				model[p] = true
 			case 1:
 				s = s.Remove(p)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fdgrid/internal/agreement"
 	"fdgrid/internal/sim"
 	"fdgrid/internal/trace"
 )
@@ -192,7 +193,7 @@ func Run(m Matrix, opt Options) (*Report, error) {
 				if i < 0 {
 					return
 				}
-				cells[i].buf = buf
+				cells[i].buf, cells[i].arena = &buf.net, &buf.rounds
 				results[i] = runCell(runner, &cells[i])
 				completed[i] = true
 				if opt.OnResult != nil {
@@ -233,28 +234,36 @@ func Run(m Matrix, opt Options) (*Report, error) {
 	return rep, runErr
 }
 
-// spareBuffers is the process-wide free list of simulator network
-// buffers (sim.Buffers). Each pool worker takes one when it starts,
-// lends it to every cell it runs and frees it when it exits, so the
-// capacity a large cell grew carries over to later cells, later
-// matrices and later sweepd units in the same process. The list holds
-// at most GOMAXPROCS entries — as many as the default pool runs at
-// once — so a burst of wider pools leaves no more than that retained.
-var spareBuffers = make(chan *sim.Buffers, runtime.GOMAXPROCS(0))
+// workerBuffers is the reusable storage a pool worker lends to every
+// cell it runs: the simulator's network buffers (sim.Buffers) and the
+// k-set protocol's round boxes (agreement.RoundArena).
+type workerBuffers struct {
+	net    sim.Buffers
+	rounds agreement.RoundArena
+}
 
-// takeBuffers returns a spare sim.Buffers, or fresh empty ones.
-func takeBuffers() *sim.Buffers {
+// spareBuffers is the process-wide free list of worker buffers. Each
+// pool worker takes one when it starts, lends it to every cell it runs
+// and frees it when it exits, so the capacity a large cell grew carries
+// over to later cells, later matrices and later sweepd units in the
+// same process. The list holds at most GOMAXPROCS entries — as many as
+// the default pool runs at once — so a burst of wider pools leaves no
+// more than that retained.
+var spareBuffers = make(chan *workerBuffers, runtime.GOMAXPROCS(0))
+
+// takeBuffers returns spare worker buffers, or fresh empty ones.
+func takeBuffers() *workerBuffers {
 	select {
 	case b := <-spareBuffers:
 		return b
 	default:
-		return new(sim.Buffers)
+		return new(workerBuffers)
 	}
 }
 
 // freeBuffers returns b to the free list, dropping it when the list is
 // full.
-func freeBuffers(b *sim.Buffers) {
+func freeBuffers(b *workerBuffers) {
 	select {
 	case spareBuffers <- b:
 	default:

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"fdgrid/internal/adversary"
+	"fdgrid/internal/agreement"
 	"fdgrid/internal/core"
 	"fdgrid/internal/ids"
 	"fdgrid/internal/sim"
@@ -172,10 +173,12 @@ type Cell struct {
 	// rec is the cell's decision-trace recorder, created by runCell when
 	// TraceLevel asks for one and attached to the cell's System.
 	rec *trace.Recorder
-	// buf is the network storage of the pool worker running the cell,
-	// lent to each System the cell runs (see sim.Buffers); nil outside
-	// the pool, where runs start from empty capacity.
-	buf *sim.Buffers
+	// buf and arena are the network storage and k-set round boxes of the
+	// pool worker running the cell, lent to each System and each k-set
+	// Outcome the cell runs (see sim.Buffers, agreement.RoundArena); nil
+	// outside the pool, where runs start from empty capacity.
+	buf   *sim.Buffers
+	arena *agreement.RoundArena
 }
 
 // Param returns a protocol knob with a default.

@@ -96,6 +96,7 @@ func runKSetGrid(c *Cell, res *CellResult) {
 	if err != nil {
 		panic(err)
 	}
+	out.UseArena(c.arena)
 	k := c.Combo.Z
 	if k == 0 {
 		k = core.KSetPower(c.Combo.Class(), c.Size.T)
@@ -373,6 +374,7 @@ func runKSetOmega(c *Cell, res *CellResult) {
 	}
 	fd.TraceLeader(sys, oracle, "oracle")
 	out := agreement.NewOutcome()
+	out.UseArena(c.arena)
 	for p := 1; p <= c.Size.N; p++ {
 		id := ids.ProcID(p)
 		sys.Spawn(id, agreement.KSetMain(oracle, agreement.Value(int(c.Param("value_base", 100))+p), out))
@@ -412,6 +414,7 @@ func runKSetSeq(c *Cell, res *CellResult) {
 	outs := make([]*agreement.Outcome, instances)
 	for j := range outs {
 		outs[j] = agreement.NewOutcome()
+		outs[j].UseArena(c.arena)
 	}
 	for p := 1; p <= c.Size.N; p++ {
 		id := ids.ProcID(p)
