@@ -8,7 +8,7 @@
 #   make perf-smoke  one short perfbench pass per workload; fails unless its checks pass
 #   make fuzz-smoke  run every fuzz target for 10 s each
 #   make examples    go run every runnable example (drift gate)
-#   make bench       benchmarks (5 counts) + sweep wall time → $(BENCH_OUT)
+#   make bench       benchmarks (5 counts) → $(BENCH_OUT)
 #   make bench-gate  scheduler micro-benchmarks vs the committed baseline
 #
 # BENCH_OUT names the committed benchmark record; override it when
@@ -62,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeliverMatchesPerMessage$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundStateMatchesScan$$' -fuzztime 10s ./internal/agreement
 	$(GO) test -run '^$$' -fuzz '^FuzzPickDistinct$$' -fuzztime 10s ./internal/fd
+	$(GO) test -run '^$$' -fuzz '^FuzzScheduleGen$$' -fuzztime 10s ./internal/adversary
 
 # A short end-to-end sweep: every experiment matrix runs (the full
 # matrix takes a couple of seconds), the rendered report and canonical
@@ -125,15 +126,13 @@ examples: build
 # Full benchmark pass: every benchmark 5 times (benchstat wants repeated
 # samples; a duration-based benchtime lets the nanosecond scheduler
 # micro-benchmarks amortize their setup while keeping the sweep-heavy
-# ones tractable), plus three timed runs of the full experiment matrix.
-# The parsed record lands in $(BENCH_OUT); a "baseline" section already
-# present there (the committed PR-1 reference) is preserved.
+# ones tractable). End-to-end suite timings are perfbench's job (make
+# perf-smoke, perfbench/README.md). The parsed record lands in
+# $(BENCH_OUT); a "baseline" section already present there (the
+# committed PR-1 reference) is preserved.
 bench: build
 	$(GO) test -bench . -benchmem -count 5 -benchtime 300ms -run XXX . | tee /tmp/fdgrid-bench.txt
-	rm -f /tmp/fdgrid-sweeptime.txt
-	for i in 1 2 3; do $(GO) run ./cmd/experiments -out /tmp/fdgrid-bench-sweep.md >> /tmp/fdgrid-sweeptime.txt || exit 1; done
-	cat /tmp/fdgrid-sweeptime.txt
-	$(GO) run ./cmd/bench2json -bench /tmp/fdgrid-bench.txt -sweep /tmp/fdgrid-sweeptime.txt -out $(BENCH_OUT)
+	$(GO) run ./cmd/bench2json -bench /tmp/fdgrid-bench.txt -out $(BENCH_OUT)
 
 # The CI benchmark-regression gate: sample the scheduler and
 # batched-delivery micro-benchmarks a few times and compare medians

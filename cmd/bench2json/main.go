@@ -1,9 +1,9 @@
-// Command bench2json converts `go test -bench` text output plus
-// cmd/experiments sweep timings into the committed benchmark record
-// (BENCH_PR3.json by default, via the Makefile's BENCH_OUT): per-
-// benchmark ns/op samples (benchstat-compatible — the raw lines are
-// carried verbatim) and custom metrics (vticks/run, msgs/run, …), plus
-// the wall time of the full experiment sweep.
+// Command bench2json converts `go test -bench` text output into the
+// committed benchmark record (BENCH_PR3.json by default, via the
+// Makefile's BENCH_OUT): per-benchmark ns/op samples (benchstat-
+// compatible — the raw lines are carried verbatim) and custom metrics
+// (vticks/run, msgs/run, …). End-to-end suite timings are perfbench's
+// job (perfbench/README.md), not this record's.
 //
 // If the output file already exists and carries a "baseline" section,
 // that section is preserved, so re-running `make bench` refreshes the
@@ -11,23 +11,17 @@
 //
 // Usage:
 //
-//	bench2json -bench bench.txt -sweep sweep.txt -out BENCH_PR3.json
+//	bench2json -bench bench.txt -out BENCH_PR3.json
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"regexp"
-	"sort"
-	"strconv"
 
 	"fdgrid/internal/benchrec"
 )
-
-var sweepLine = regexp.MustCompile(`\((\d+) matrices, (\d+) cells, ([0-9.]+)s\)`)
 
 func parseBench(path string, rec *benchrec.Record) error {
 	f, err := os.Open(path)
@@ -45,31 +39,9 @@ func parseBench(path string, rec *benchrec.Record) error {
 	return nil
 }
 
-func parseSweep(path string, rec *benchrec.Record) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if m := sweepLine.FindStringSubmatch(sc.Text()); m != nil {
-			v, err := strconv.ParseFloat(m[3], 64)
-			if err == nil {
-				rec.SweepWallS = append(rec.SweepWallS, v)
-			}
-			if cells, err := strconv.Atoi(m[2]); err == nil {
-				rec.SweepCells = cells
-			}
-		}
-	}
-	return sc.Err()
-}
-
 func main() {
 	var (
 		bench   = flag.String("bench", "", "go test -bench output file")
-		sweep   = flag.String("sweep", "", "cmd/experiments output file (wall-time lines)")
 		out     = flag.String("out", "BENCH_PR3.json", "output JSON file")
 		note    = flag.String("note", "", "free-form note recorded in the file")
 		machine = flag.String("machine", "", "machine description recorded in the file")
@@ -95,12 +67,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *sweep != "" {
-		if err := parseSweep(*sweep, rec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
 
 	blob, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
@@ -112,10 +78,5 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	names := make([]string, 0, len(rec.Benchmarks))
-	for n := range rec.Benchmarks {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fmt.Printf("wrote %s: %d benchmarks, %d sweep timings\n", *out, len(names), len(rec.SweepWallS))
+	fmt.Printf("wrote %s: %d benchmarks\n", *out, len(rec.Benchmarks))
 }

@@ -48,8 +48,9 @@ const (
 
 // Family declares one generated adversary dimension point: a schedule
 // kind plus its knobs. The zero knobs default per kind; Variants is how
-// many concrete schedules the family expands into (default 1), each
-// drawn deterministically from Seed.
+// many concrete schedules the family expands into (default 1, at most
+// MaxVariants), each drawn deterministically from Seed. Every tick a
+// family generates must fall before sim.Never.
 type Family struct {
 	Kind     string   `json:"kind"`
 	Count    int      `json:"count,omitempty"`    // crashes / block size; 0 = kind default
@@ -59,6 +60,12 @@ type Family struct {
 	Spacing  sim.Time `json:"spacing,omitempty"`  // staggered/cascade gap; 0 = 200
 	Window   sim.Time `json:"window,omitempty"`   // partition/silence length; 0 = 1000
 }
+
+// MaxVariants bounds Family.Variants. Every variant becomes its own
+// sweep pattern, so a count this large is already far past any
+// sweepable matrix; the bound keeps a hostile spec from sizing the
+// expansion.
+const MaxVariants = 1024
 
 // Crash schedules one process crash.
 type Crash struct {
@@ -85,11 +92,19 @@ type ScheduleGen struct {
 // resilience bound t.
 func NewScheduleGen(n, t int) ScheduleGen { return ScheduleGen{N: n, T: t} }
 
-// Expand turns one family into its concrete schedules.
+// Expand turns one family into its concrete schedules. It rejects a
+// generator size outside sim's bounds, a family with more than
+// MaxVariants variants, and one whose ticks would reach sim.Never.
 func (g ScheduleGen) Expand(f Family) ([]Schedule, error) {
+	if g.N < 1 || g.N > ids.MaxProcs || g.T < 0 || g.T >= g.N {
+		return nil, fmt.Errorf("adversary: system size n=%d, t=%d out of range (1 ≤ n ≤ %d, 0 ≤ t < n)", g.N, g.T, ids.MaxProcs)
+	}
 	variants := f.Variants
 	if variants <= 0 {
 		variants = 1
+	}
+	if variants > MaxVariants {
+		return nil, fmt.Errorf("adversary: family %q asks for %d variants, at most %d", f.Kind, variants, MaxVariants)
 	}
 	start := f.Start
 	if start <= 0 {
@@ -128,6 +143,9 @@ func (g ScheduleGen) Expand(f Family) ([]Schedule, error) {
 		}
 	default:
 		return nil, fmt.Errorf("adversary: unknown schedule family kind %q", f.Kind)
+	}
+	if !ticksFit(f.Kind, count, start, spacing, window) {
+		return nil, fmt.Errorf("adversary: family %q (count %d, start %d, spacing %d, window %d) schedules ticks at or past sim.Never", f.Kind, count, start, spacing, window)
 	}
 
 	out := make([]Schedule, 0, variants)
@@ -196,6 +214,49 @@ func (g ScheduleGen) ExpandAll(fams []Family) ([]Schedule, error) {
 		out = append(out, ss...)
 	}
 	return out, nil
+}
+
+// ticksFit reports whether every tick of a family's schedules falls
+// before sim.Never, computing its latest tick with overflow-checked
+// arithmetic: the last staggered crash with the largest jitter, the
+// last cascade crash at start + spacing·(2^(count−1) − 1), the
+// clustered crash tick, or the end of a hold window. The arguments are
+// the defaulted knobs, all positive.
+func ticksFit(kind string, count int, start, spacing, window sim.Time) bool {
+	var span sim.Time
+	ok := true
+	switch kind {
+	case KindStaggered:
+		span, ok = mulTicks(sim.Time(count-1), spacing)
+		span, ok = addTicks(span, spacing/2, ok)
+	case KindCascade:
+		for gap, i := sim.Time(1), 1; ok && i < count; gap, i = 2*gap, i+1 {
+			var step sim.Time
+			step, ok = mulTicks(spacing, gap)
+			span, ok = addTicks(span, step, ok)
+		}
+	case KindPartition, KindSilence:
+		span = window
+	}
+	_, ok = addTicks(start, span, ok)
+	return ok
+}
+
+// mulTicks returns a·b and whether it stays below sim.Never (a, b ≥ 0).
+func mulTicks(a, b sim.Time) (sim.Time, bool) {
+	if a != 0 && b > (sim.Never-1)/a {
+		return 0, false
+	}
+	return a * b, true
+}
+
+// addTicks returns a+b and whether ok holds and the sum stays below
+// sim.Never (a, b ≥ 0).
+func addTicks(a, b sim.Time, ok bool) (sim.Time, bool) {
+	if !ok || a >= sim.Never || b >= sim.Never-a {
+		return 0, false
+	}
+	return a + b, true
 }
 
 // kindSalt folds a kind name into the draw seed so two families

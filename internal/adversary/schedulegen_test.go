@@ -220,3 +220,124 @@ func TestExpandedSchedulesRun(t *testing.T) {
 		sys.Run(nil)
 	}
 }
+
+// TestExpandBoundsTicks: a family whose ticks would reach sim.Never —
+// where int64 tick arithmetic overflows, or lands on the "never
+// crashes" sentinel — is rejected as a whole, and one just inside the
+// bound expands. So are an oversized variant count and a system size
+// sim would reject.
+func TestExpandBoundsTicks(t *testing.T) {
+	big := NewScheduleGen(256, 100)
+	for _, c := range []struct {
+		name string
+		g    ScheduleGen
+		f    Family
+		ok   bool
+	}{
+		// Crash i of a default cascade falls at 100 + 200·(2^i − 1).
+		{"cascade-55", big, Family{Kind: KindCascade, Count: 55}, true},
+		{"cascade-56", big, Family{Kind: KindCascade, Count: 56}, false},
+		{"cascade-70", big, Family{Kind: KindCascade, Count: 70}, false},
+		{"cascade-spacing", big, Family{Kind: KindCascade, Count: 2, Spacing: sim.Never - 100}, false},
+		{"staggered-fits", big, Family{Kind: KindStaggered, Count: 5, Start: sim.Never - 1000}, true},
+		{"staggered-jitter", big, Family{Kind: KindStaggered, Count: 5, Start: sim.Never - 900}, false},
+		{"staggered-spacing", big, Family{Kind: KindStaggered, Count: 100, Spacing: 1 << 56}, false},
+		{"clustered-last", big, Family{Kind: KindClustered, Count: 3, Start: sim.Never - 1}, true},
+		{"clustered-never", big, Family{Kind: KindClustered, Count: 3, Start: sim.Never}, false},
+		{"clustered-maxint", big, Family{Kind: KindClustered, Count: 3, Start: 1<<63 - 1}, false},
+		{"partition-fits", big, Family{Kind: KindPartition, Window: sim.Never - 101}, true},
+		{"partition-window", big, Family{Kind: KindPartition, Window: sim.Never - 100}, false},
+		{"silence-maxint", big, Family{Kind: KindSilence, Start: 100, Window: 1<<63 - 1}, false},
+		{"variants-max", NewScheduleGen(8, 3), Family{Kind: KindClustered, Variants: MaxVariants}, true},
+		{"variants-over", NewScheduleGen(8, 3), Family{Kind: KindClustered, Variants: MaxVariants + 1}, false},
+		{"variants-huge", NewScheduleGen(8, 3), Family{Kind: KindClustered, Variants: 1 << 40}, false},
+		{"size-zero", NewScheduleGen(0, 0), Family{Kind: KindPartition, Count: 1}, false},
+		{"size-over", NewScheduleGen(1<<40, 3), Family{Kind: KindPartition}, false},
+		{"t-equals-n", NewScheduleGen(8, 8), Family{Kind: KindSilence, Count: 1}, false},
+		{"t-negative", NewScheduleGen(8, -1), Family{Kind: KindPartition}, false},
+	} {
+		ss, err := c.g.Expand(c.f)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: Expand(%+v) error %v, want ok=%v", c.name, c.f, err, c.ok)
+			continue
+		}
+		if err == nil {
+			checkSchedules(t, c.g, c.f, ss)
+		}
+	}
+}
+
+// checkSchedules asserts the invariants every expansion keeps: one
+// schedule per variant, known victims, every crash at or after the
+// family's start and before sim.Never, staggered and cascade crashes in
+// ascending time order, and non-empty hold windows that start at the
+// family's start and end before sim.Never.
+func checkSchedules(t *testing.T, g ScheduleGen, f Family, ss []Schedule) {
+	t.Helper()
+	if want := max(f.Variants, 1); len(ss) != want {
+		t.Fatalf("%+v expanded to %d schedules, want %d", f, len(ss), want)
+	}
+	start := f.Start
+	if start <= 0 {
+		start = 100
+	}
+	for _, s := range ss {
+		for i, c := range s.Crashes {
+			if c.P < 1 || int(c.P) > g.N {
+				t.Fatalf("%s crashes unknown process %d", s.Name, c.P)
+			}
+			if c.At < start || c.At >= sim.Never {
+				t.Fatalf("%s crash %d at %d, outside [%d, sim.Never)", s.Name, i, c.At, start)
+			}
+			if ascending := f.Kind == KindStaggered || f.Kind == KindCascade; ascending && i > 0 && c.At <= s.Crashes[i-1].At {
+				t.Fatalf("%s crash %d at %d, not after crash %d at %d", s.Name, i, c.At, i-1, s.Crashes[i-1].At)
+			}
+		}
+		for _, h := range s.Holds {
+			if h.Since != start || h.Since >= h.Until || h.Until >= sim.Never {
+				t.Fatalf("%s hold window [%d, %d), want a non-empty window from %d ending before sim.Never", s.Name, h.Since, h.Until, start)
+			}
+		}
+	}
+}
+
+// FuzzScheduleGen: expansion of arbitrary families is deterministic,
+// and every accepted family keeps checkSchedules' invariants, so no
+// tick arithmetic wraps. The seeds are the committed suite's adversary
+// families (SCALE-kset, SCALE-psi) at their matrices' sizes, plus the
+// cascade that used to overflow at n = 256.
+func FuzzScheduleGen(f *testing.F) {
+	kinds := []string{KindStaggered, KindClustered, KindCascade, KindPartition, KindSilence, "meteor-strike"}
+	kindOf := map[string]uint8{}
+	for i, k := range kinds {
+		kindOf[k] = uint8(i)
+	}
+	add := func(n, t int, fam Family) {
+		f.Add(n, t, kindOf[fam.Kind], fam.Count, fam.Variants, fam.Seed, int64(fam.Start), int64(fam.Spacing), int64(fam.Window))
+	}
+	for _, size := range [][2]int{{64, 31}, {96, 47}, {128, 63}, {192, 95}, {256, 127}} {
+		add(size[0], size[1], Family{Kind: KindStaggered, Count: 8, Variants: 2, Seed: 11, Start: 100, Spacing: 60})
+		add(size[0], size[1], Family{Kind: KindClustered, Count: 8, Seed: 12, Start: 150})
+		add(size[0], size[1], Family{Kind: KindPartition, Seed: 13, Start: 100, Window: 400})
+	}
+	for _, n := range []int{96, 128, 192, 256} {
+		add(n, 6, Family{Kind: KindCascade, Count: 3, Variants: 2, Seed: 21, Start: 100, Spacing: 100})
+		add(n, 6, Family{Kind: KindClustered, Count: 4, Seed: 22, Start: 200})
+	}
+	add(256, 100, Family{Kind: KindCascade, Count: 70})
+	f.Fuzz(func(t *testing.T, n, tt int, kind uint8, count, variants int, seed, start, spacing, window int64) {
+		g := ScheduleGen{N: n, T: tt}
+		fam := Family{
+			Kind: kinds[int(kind)%len(kinds)], Count: count, Variants: variants, Seed: seed,
+			Start: sim.Time(start), Spacing: sim.Time(spacing), Window: sim.Time(window),
+		}
+		a, errA := g.Expand(fam)
+		b, errB := g.Expand(fam)
+		if (errA == nil) != (errB == nil) || !reflect.DeepEqual(a, b) {
+			t.Fatalf("%+v at n=%d, t=%d expanded differently twice: %v / %v", fam, n, tt, errA, errB)
+		}
+		if errA == nil {
+			checkSchedules(t, g, fam, a)
+		}
+	})
+}

@@ -25,16 +25,12 @@ type Benchmark struct {
 
 // Record is the file layout. Baseline, when present, is a Record-shaped
 // reference measurement (the PR-1 scheduler) preserved across
-// regenerations of the current numbers. SweepCells records how many
-// cells the timed suite swept (the suite grows across PRs, so wall
-// times across records compare only alongside their cell counts; the
-// JSON key of SweepWallS is frozen for baseline compatibility, 151 was
-// the PR-1 suite size).
+// regenerations of the current numbers. Older records also carry suite
+// wall times (sweep_cells, sweep_151_cells_wall_s); nothing reads them
+// any more, so decoding ignores them.
 type Record struct {
 	Note       string                `json:"note,omitempty"`
 	Machine    string                `json:"machine,omitempty"`
-	SweepCells int                   `json:"sweep_cells,omitempty"`
-	SweepWallS []float64             `json:"sweep_151_cells_wall_s,omitempty"`
 	Benchmarks map[string]*Benchmark `json:"benchmarks"`
 	Baseline   json.RawMessage       `json:"baseline,omitempty"`
 }

@@ -15,7 +15,7 @@ import (
 var stepblockAnalyzer = &Analyzer{
 	Name:  "stepblock",
 	Scope: ScopeDeterministic,
-	Doc:   "no blocking `sim.Env` (`Step`, `StepUntil`, `Await`, `WaitUntil`) or `node.Node` (`Step`, `StepUntil`, `WaitOn`, `WaitUntil`, `RunForever`) calls inside a `Handle`, `Poll` or `NextWake` method: those run on another process's stack",
+	Doc:   "no blocking `sim.Env` (`Step`, `StepUntil`, `Await`) or `node.Node` (`WaitOn`, `WaitUntil`, `WaitTill`, `RunForever`) calls inside a `Handle`, `Poll` or `NextWake` method: those run on another process's stack",
 	Run:   runStepblock,
 }
 
@@ -26,10 +26,10 @@ var stepblockCallbacks = map[string]bool{"Handle": true, "Poll": true, "NextWake
 // keyed by the type's package path and name.
 var stepblockBlocking = map[[2]string]map[string]bool{
 	{"fdgrid/internal/sim", "Env"}: {
-		"Step": true, "StepUntil": true, "Await": true, "WaitUntil": true,
+		"Step": true, "StepUntil": true, "Await": true,
 	},
 	{"fdgrid/internal/node", "Node"}: {
-		"Step": true, "StepUntil": true, "WaitOn": true, "WaitUntil": true, "RunForever": true,
+		"WaitOn": true, "WaitUntil": true, "WaitTill": true, "RunForever": true,
 	},
 }
 

@@ -38,4 +38,4 @@ func Main(env *sim.Env) {
 }
 
 // Poll is a plain function, not a layer callback, so it may block.
-func Poll(nd *node.Node) { nd.Step() }
+func Poll(nd *node.Node) { nd.WaitTill(nd.Env().Now() + 1) }

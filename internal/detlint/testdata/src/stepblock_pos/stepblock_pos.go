@@ -24,7 +24,7 @@ func (l *Layer) Handle(m *sim.Message) bool {
 
 // Poll advances the node itself, directly and from a closure.
 func (l *Layer) Poll() {
-	l.nd.StepUntil(sim.Never)           // want stepblock
+	l.nd.WaitTill(l.env.Now() + 1)      // want stepblock
 	run := func() { l.nd.RunForever() } // want stepblock
 	run()
 }
@@ -32,6 +32,5 @@ func (l *Layer) Poll() {
 // NextWake sleeps until its hint instead of returning it.
 func (l *Layer) NextWake(now sim.Time) sim.Time {
 	l.env.Await(func(sim.Time) sim.Time { return now + 1 }, func(*sim.Message) {}, nil) // want stepblock
-	l.env.WaitUntil(func() bool { return true }, nil)                                   // want stepblock
 	return now + 1
 }

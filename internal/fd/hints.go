@@ -13,7 +13,7 @@ import (
 // return sim.Never — a consumer woken by the triggering message re-reads
 // them anyway.
 //
-// Hints feed the scheduler's wake conditions (sim.Env.StepUntil): a layer
+// Hints feed the scheduler's wake conditions (sim.Env.Await): a layer
 // polling an oracle sleeps until the oracle can change instead of waking
 // every tick. A conservative consumer treats a missing hint as "may
 // change next tick".

@@ -57,27 +57,56 @@ func (quietLayer) Handle(*sim.Message) bool   { return true }
 func (quietLayer) Poll()                      {}
 func (quietLayer) NextWake(sim.Time) sim.Time { return sim.Never }
 
-// waits is one implementation of the three node waits.
+// waits is one implementation of the four node waits.
 type waits struct {
 	on, until  func(nd *Node, pred func() bool, onMsg func(*sim.Message))
+	till       func(nd *Node, until sim.Time)
 	runForever func(nd *Node)
 }
 
-// literal are the node waits as the loops they stand for: WaitOn over
-// StepUntil(sim.Never), WaitUntil over Step, RunForever over an initial
-// poll round and StepUntil(sim.Never) forever.
+// step is one raw step of the node's event loop, the literal step every
+// node wait stands for: a blocking sim.Env.StepUntil at the earlier of
+// wake and the layers' hints, then the stack filter. It returns
+// (msg, true) if a message survived to the top, and (Message{}, false)
+// on ticks or consumed messages.
+func step(nd *Node, wake sim.Time) (sim.Message, bool) {
+	m, ok := nd.env.StepUntil(nd.hinted(nd.env.Now(), wake))
+	if !ok {
+		nd.filter(nil)
+		return sim.Message{}, false
+	}
+	ok = nd.filter(&m)
+	if !ok {
+		return sim.Message{}, false
+	}
+	return m, true
+}
+
+// literal are the node waits as the loops they stand for, built on
+// step: WaitOn steps with no wake of its own, WaitUntil wakes every
+// tick, WaitTill is a do-while loop up to its deadline that drops what
+// reaches the top, RunForever is an initial poll round and
+// message-driven steps forever.
 var literal = waits{
 	on: func(nd *Node, pred func() bool, onMsg func(*sim.Message)) {
 		for !pred() {
-			if m, ok := nd.StepUntil(sim.Never); ok && onMsg != nil {
+			if m, ok := step(nd, sim.Never); ok && onMsg != nil {
 				onMsg(&m)
 			}
 		}
 	},
 	until: func(nd *Node, pred func() bool, onMsg func(*sim.Message)) {
 		for !pred() {
-			if m, ok := nd.Step(); ok && onMsg != nil {
+			if m, ok := step(nd, nd.env.Now()+1); ok && onMsg != nil {
 				onMsg(&m)
+			}
+		}
+	},
+	till: func(nd *Node, until sim.Time) {
+		for {
+			step(nd, until)
+			if nd.env.Now() >= until {
+				return
 			}
 		}
 	},
@@ -86,51 +115,71 @@ var literal = waits{
 			l.Poll()
 		}
 		for {
-			nd.StepUntil(sim.Never)
+			step(nd, sim.Never)
 		}
 	},
 }
 
-var awaited = waits{on: (*Node).WaitOn, until: (*Node).WaitUntil, runForever: (*Node).RunForever}
+var awaited = waits{on: (*Node).WaitOn, until: (*Node).WaitUntil, till: (*Node).WaitTill, runForever: (*Node).RunForever}
 
-// nodeProtocol runs rounds of "broadcast a ping, WaitOn n−t pings, then
-// WaitUntil a few ticks pass" over a logging layer stack, then
-// RunForever. Process 3's stack has a dense (unhinted) layer, so both
-// the hinted and the every-tick wake paths run. The log records every
-// layer call and every message the top level sees.
+// pingLayer counts pings per round as they pass up the stack, so the
+// rounds' WaitOn predicates also see pings that reach the top during a
+// WaitTill, which drops them there.
+type pingLayer struct{ pings map[int]int }
+
+func (l pingLayer) Handle(m *sim.Message) bool {
+	if m.Tag == tagPing {
+		l.pings[m.Payload.(int)]++
+	}
+	return true
+}
+func (pingLayer) Poll()                      {}
+func (pingLayer) NextWake(sim.Time) sim.Time { return sim.Never }
+
+// tillOffsets are the rounds' WaitTill deadlines relative to the call:
+// already passed, now (both take exactly one step), the next tick, and
+// deadlines past a few heartbeats.
+var tillOffsets = [...]sim.Time{-3, 0, 1, 7, 20}
+
+// nodeProtocol runs rounds of "broadcast a ping, WaitOn n−t pings,
+// WaitUntil a few ticks pass, then WaitTill a deadline" over a logging
+// layer stack, then RunForever. Process 3's stack has a dense
+// (unhinted) layer, so both the hinted and the every-tick wake paths
+// run. The log records every layer call, every message the top level
+// sees and the time each WaitTill returns.
 func nodeProtocol(cfg sim.Config, w waits) (sim.Report, []string) {
 	sys := sim.MustNew(cfg)
 	var log []string
 	sys.SpawnAll(func(env *sim.Env) {
 		base := logLayer{env: env, log: &log, period: sim.Time(5 + env.ID())}
+		pings := pingLayer{make(map[int]int)}
 		var nd *Node
 		if env.ID() == 3 {
-			nd = New(env, &base)
+			nd = New(env, &base, pings)
 		} else {
-			nd = New(env, &hintedLogLayer{base})
+			nd = New(env, &hintedLogLayer{base}, pings)
 		}
-		pings := make(map[int]int)
 		onMsg := func(m *sim.Message) {
 			base.logf("top %v %v %v", m.From, m.Tag, m.Payload)
-			if m.Tag == tagPing {
-				pings[m.Payload.(int)]++
-			}
 		}
-		for r := 1; r <= 5; r++ {
+		for r := 1; r <= len(tillOffsets); r++ {
 			env.Broadcast(tagPing, r)
-			w.on(nd, func() bool { return pings[r] >= cfg.N-cfg.T }, onMsg)
+			w.on(nd, func() bool { return pings.pings[r] >= cfg.N-cfg.T }, onMsg)
 			until := env.Now() + 3
 			w.until(nd, func() bool { return env.Now() >= until }, onMsg)
+			w.till(nd, env.Now()+tillOffsets[r-1])
+			base.logf("till returned")
 		}
 		w.runForever(nd)
 	})
 	return sys.Run(nil), log
 }
 
-// TestNodeWaitsMatchStepLoops: WaitOn, WaitUntil and RunForever, now
-// sim.Env.Await underneath, make the same layer calls, sends and
-// top-level deliveries in the same order as the step loops they
-// replaced, with and without crashes and under partial delivery. Only
+// TestNodeWaitsMatchStepLoops: WaitOn, WaitUntil, WaitTill and
+// RunForever, each one sim.Env.Await, make the same layer calls, sends
+// and top-level deliveries in the same order as the step loops they
+// stand for, on hinted and dense stacks, with and without crashes and
+// under partial delivery. Only
 // Switches (and, with in-run crashes, Wakes; see the internal/sim
 // equivalence test) may differ.
 func TestNodeWaitsMatchStepLoops(t *testing.T) {
@@ -188,6 +237,32 @@ func TestRunForeverSwitchesFlat(t *testing.T) {
 // beyond the caller's own predicate and handler closures, built once
 // here outside the measured calls.
 func TestWaitOnAllocatesNothing(t *testing.T) {
+	got, target := 0, 0
+	pred := func() bool { return got >= target }
+	onMsg := func(*sim.Message) { got++ }
+	checkWaitAllocs(t, "WaitOn", func(nd *Node) {
+		target = got + 3
+		nd.WaitOn(pred, onMsg)
+	}, func() bool { return got >= 300 })
+}
+
+// TestWaitTillAllocatesNothing: WaitTill's done callback is built with
+// the Node, so a pacing wait that takes several steps allocates
+// nothing at all.
+func TestWaitTillAllocatesNothing(t *testing.T) {
+	waited := sim.Time(0)
+	checkWaitAllocs(t, "WaitTill", func(nd *Node) {
+		from := nd.Env().Now()
+		nd.WaitTill(from + 3)
+		waited += nd.Env().Now() - from
+	}, func() bool { return waited >= 300 })
+}
+
+// checkWaitAllocs measures the allocations of wait on process 2's node
+// while process 1 sends it a message every tick; ran reports whether
+// the measured waits actually waited.
+func checkWaitAllocs(t *testing.T, name string, wait func(*Node), ran func() bool) {
+	t.Helper()
 	sys := sim.MustNew(sim.Config{N: 2, T: 0, Seed: 1, MaxSteps: 100_000, Bandwidth: 2})
 	sys.Spawn(1, func(env *sim.Env) {
 		for {
@@ -198,14 +273,8 @@ func TestWaitOnAllocatesNothing(t *testing.T) {
 	allocs := -1.0
 	sys.Spawn(2, func(env *sim.Env) {
 		nd := New(env, quietLayer{})
-		got, target := 0, 0
-		pred := func() bool { return got >= target }
-		onMsg := func(*sim.Message) { got++ }
-		allocs = testing.AllocsPerRun(100, func() {
-			target = got + 3
-			nd.WaitOn(pred, onMsg)
-		})
-		if got < 300 {
+		allocs = testing.AllocsPerRun(100, func() { wait(nd) })
+		if !ran() {
 			allocs = -2
 		}
 		nd.RunForever()
@@ -215,8 +284,8 @@ func TestWaitOnAllocatesNothing(t *testing.T) {
 	case allocs == -1:
 		t.Fatal("the measurement never finished")
 	case allocs == -2:
-		t.Fatal("the waits completed without receiving their messages")
+		t.Fatalf("the %s calls completed without waiting", name)
 	case allocs != 0:
-		t.Errorf("a completed WaitOn allocated %.1f times, want 0", allocs)
+		t.Errorf("a completed %s allocated %.1f times, want 0", name, allocs)
 	}
 }

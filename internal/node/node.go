@@ -5,13 +5,14 @@
 // detector. On a Node, lower layers intercept the raw message stream —
 // consuming their own protocol messages, relaying reliable broadcasts —
 // while the top-level protocol drives the event loop in blocking style
-// (WaitOn / WaitUntil / RunForever, or a raw Step). Every step also gives
+// (WaitOn / WaitUntil / WaitTill / RunForever). Every step also gives
 // each layer a Poll call, which is where the layers' autonomous tasks
 // ("repeat forever" in the paper's pseudo-code) make progress.
 //
-// The three waits are sim.Env.Await: while a node waits, its steps run
-// on whichever stack holds the run token when it is due, not
-// necessarily its own process's.
+// The waits are the node's only blocking API, and each is one
+// sim.Env.Await: while a node waits, its steps run on whichever stack
+// holds the run token when it is due, not necessarily its own
+// process's.
 package node
 
 import (
@@ -21,13 +22,14 @@ import (
 // Layer is one protocol layer in the stack.
 //
 // Layers run under the run token, but not always on the owning
-// process's coroutine: during a wait (WaitOn, WaitUntil, RunForever)
-// Handle, Poll and NextWake run on the stack of whoever holds the token
-// when the node is due — Run's loop or another process parking (see the
-// internal/sim concurrency contract). They must therefore not block:
-// a Step, StepUntil or wait called from inside them panics. Emulated
-// failure detector outputs they expose are read by samplers and other
-// processes under the same run token, so no internal locking is needed.
+// process's coroutine: every node step is a step of a wait (WaitOn,
+// WaitUntil, WaitTill, RunForever), so Handle, Poll and NextWake run on
+// the stack of whoever holds the token when the node is due — Run's
+// loop or another process parking (see the internal/sim concurrency
+// contract). They must therefore not block: a wait, or a raw sim.Env
+// Step or StepUntil, called from inside them panics. Emulated failure
+// detector outputs they expose are read by samplers and other processes
+// under the same run token, so no internal locking is needed.
 type Layer interface {
 	// Handle inspects one message coming up the stack, in place: it may
 	// rewrite *m, and returns true to pass it further up or false to
@@ -61,18 +63,17 @@ type Node struct {
 	hinters []WakeHinter
 	dense   bool
 
-	// The wait in progress (see await): the wake and step callbacks
-	// handed to sim.Env.Await, built once here so a wait allocates
-	// nothing, and the parameters they read — whether the wait wakes
-	// every tick, and the caller's message handler.
-	nextFn    func(sim.Time) sim.Time
-	onFn      func(*sim.Message)
-	everyTick bool
-	onMsg     func(*sim.Message)
-
-	// stepMsg holds the message a Step or StepUntil filters up the
-	// stack, so handing the layers a pointer to it allocates nothing.
-	stepMsg sim.Message
+	// The wait in progress (see await): the callbacks handed to
+	// sim.Env.Await, built once here so a wait allocates nothing, and the
+	// parameters they read — the top level's wake time (0: every tick,
+	// sim.Never: none), the caller's message handler, and whether
+	// WaitTill's first step is under way.
+	nextFn  func(sim.Time) sim.Time
+	onFn    func(*sim.Message)
+	tillFn  func() bool
+	until   sim.Time
+	onMsg   func(*sim.Message)
+	stepped bool
 }
 
 // New assembles a stack over env; layers are ordered bottom-up.
@@ -80,6 +81,7 @@ func New(env *sim.Env, layers ...Layer) *Node {
 	nd := &Node{env: env}
 	nd.nextFn = nd.waitWake
 	nd.onFn = nd.waitStep
+	nd.tillFn = nd.tillDone
 	for _, l := range layers {
 		nd.Push(l)
 	}
@@ -99,40 +101,9 @@ func (nd *Node) Push(l Layer) {
 	}
 }
 
-// Step advances the event loop once: it blocks for the next message or
-// tick, lets every layer poll, and filters a received message up the
-// stack. It returns (msg, true) if a message survived to the top, and
-// (Message{}, false) on ticks or consumed messages.
-func (nd *Node) Step() (sim.Message, bool) {
-	return nd.step(nd.env.Now() + 1)
-}
-
-// StepUntil is Step with a wake condition for the top-level protocol: the
-// node blocks until a message arrives or the clock reaches wake — or any
-// layer's NextWake hint, whichever is earliest. A top level whose wait is
-// purely message-driven passes sim.Never.
-func (nd *Node) StepUntil(wake sim.Time) (sim.Message, bool) {
-	return nd.step(wake)
-}
-
-func (nd *Node) step(wake sim.Time) (sim.Message, bool) {
-	m, ok := nd.env.StepUntil(nd.hinted(nd.env.Now(), wake))
-	if !ok {
-		nd.filter(nil)
-		return sim.Message{}, false
-	}
-	nd.stepMsg = m
-	ok = nd.filter(&nd.stepMsg)
-	m, nd.stepMsg = nd.stepMsg, sim.Message{}
-	if !ok {
-		return sim.Message{}, false
-	}
-	return m, true
-}
-
 // hinted lowers wake to the earliest layer hint, or to 0 (every tick;
-// StepUntil clamps a past wake to the next tick) when some layer
-// declares no hint.
+// Await clamps a past wake to the next tick) when some layer declares
+// no hint.
 func (nd *Node) hinted(now, wake sim.Time) sim.Time {
 	if nd.dense {
 		return 0
@@ -164,13 +135,10 @@ func (nd *Node) filter(m *sim.Message) bool {
 }
 
 // waitWake and waitStep are the wait's sim.Env.Await callbacks: one
-// step of the Step / StepUntil(sim.Never) loop the wait stands for.
+// step of the event loop, waking at the top level's wake time or the
+// earliest layer hint, then filtering what arrived up the stack.
 func (nd *Node) waitWake(now sim.Time) sim.Time {
-	wake := sim.Never
-	if nd.everyTick {
-		wake = now + 1
-	}
-	return nd.hinted(now, wake)
+	return nd.hinted(now, nd.until)
 }
 
 func (nd *Node) waitStep(m *sim.Message) {
@@ -181,12 +149,11 @@ func (nd *Node) waitStep(m *sim.Message) {
 
 // await runs the event loop until pred holds (forever when pred is
 // nil), feeding surviving messages to onMsg (may be nil; each is valid
-// only during the call, as in Layer.Handle): every step
-// wakes on the next tick when everyTick is set, on a message or layer
-// hint otherwise. It is the one loop behind WaitUntil, WaitOn and
-// RunForever.
-func (nd *Node) await(everyTick bool, pred func() bool, onMsg func(*sim.Message)) {
-	nd.everyTick, nd.onMsg = everyTick, onMsg
+// only during the call, as in Layer.Handle): every step wakes on a
+// message, at until or at a layer hint, whichever comes first. It is
+// the one loop behind WaitUntil, WaitOn, WaitTill and RunForever.
+func (nd *Node) await(until sim.Time, pred func() bool, onMsg func(*sim.Message)) {
+	nd.until, nd.onMsg = until, onMsg
 	nd.env.Await(nd.nextFn, nd.onFn, pred)
 	nd.onMsg = nil
 }
@@ -196,7 +163,7 @@ func (nd *Node) await(everyTick bool, pred func() bool, onMsg func(*sim.Message)
 // and after every step. The node wakes on every tick, so pred may depend
 // on anything (time, oracle outputs, messages).
 func (nd *Node) WaitUntil(pred func() bool, onMsg func(*sim.Message)) {
-	nd.await(true, pred, onMsg)
+	nd.await(0, pred, onMsg)
 }
 
 // WaitOn is WaitUntil for message-driven predicates: pred may only
@@ -204,7 +171,29 @@ func (nd *Node) WaitUntil(pred func() bool, onMsg func(*sim.Message)) {
 // sleeps between messages instead of waking every tick. Layer wake
 // hints still apply.
 func (nd *Node) WaitOn(pred func() bool, onMsg func(*sim.Message)) {
-	nd.await(false, pred, onMsg)
+	nd.await(sim.Never, pred, onMsg)
+}
+
+// WaitTill runs the event loop until the clock reaches until, dropping
+// the messages that survive to the top: the pacing wait of a top level
+// that acts again at a given tick ("repeat forever" every so often). It
+// takes at least one step, even when until has already passed, so a
+// pacing loop always yields; the node wakes on a message, at until or
+// at a layer hint.
+func (nd *Node) WaitTill(until sim.Time) {
+	nd.stepped = false
+	nd.await(until, nd.tillFn, nil)
+}
+
+// tillDone is WaitTill's done callback. Await evaluates done before
+// every step, so the first call, which precedes the first step, reports
+// false: the loop is a do-while.
+func (nd *Node) tillDone() bool {
+	if !nd.stepped {
+		nd.stepped = true
+		return false
+	}
+	return nd.env.Now() >= nd.until
 }
 
 // RunForever drives the event loop until the process is crashed or the
@@ -217,5 +206,5 @@ func (nd *Node) RunForever() {
 	for _, l := range nd.layers {
 		l.Poll()
 	}
-	nd.await(false, nil, nil)
+	nd.await(sim.Never, nil, nil)
 }

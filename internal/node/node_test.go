@@ -59,15 +59,11 @@ func TestStackFiltersBottomUp(t *testing.T) {
 		}
 	})
 	sys.Spawn(2, func(env *sim.Env) {
-		nd := New(env, bottom, top)
-		for {
-			m, ok := nd.Step()
-			if ok {
-				mu.Lock()
-				got = append(got, m.Tag.String())
-				mu.Unlock()
-			}
-		}
+		New(env, bottom, top).WaitUntil(func() bool { return false }, func(m *sim.Message) {
+			mu.Lock()
+			got = append(got, m.Tag.String())
+			mu.Unlock()
+		})
 	})
 	sys.Run(func() bool {
 		mu.Lock()
@@ -132,6 +128,50 @@ func TestWaitUntilImmediate(t *testing.T) {
 	}
 }
 
+// TestWaitTillSteps: WaitTill takes exactly one step when its deadline
+// has already passed or is now, and otherwise sleeps to the deadline:
+// with no messages and no layer hint, one step that returns at the
+// deadline itself.
+func TestWaitTillSteps(t *testing.T) {
+	sys := sim.MustNew(sim.Config{N: 1, T: 0, Seed: 5, MaxSteps: 2_000})
+	layer := &countingLayer{}
+	type result struct {
+		polls    int
+		from, at sim.Time
+	}
+	var got []result
+	sys.Spawn(1, func(env *sim.Env) {
+		nd := New(env, hintless{layer})
+		for _, off := range []sim.Time{-5, 0, 1, 10} {
+			_, before := layer.counts()
+			from := env.Now()
+			nd.WaitTill(from + off)
+			_, after := layer.counts()
+			got = append(got, result{after - before, from, env.Now()})
+		}
+		nd.RunForever()
+	})
+	sys.Run(func() bool { return len(got) == 4 })
+	if len(got) != 4 {
+		t.Fatalf("only %d of 4 waits returned", len(got))
+	}
+	for i, off := range []sim.Time{-5, 0, 1, 10} {
+		r := got[i]
+		if r.polls != 1 {
+			t.Errorf("WaitTill(now%+d) took %d steps, want 1", off, r.polls)
+		}
+		if want := r.from + max(off, 1); r.at != want {
+			t.Errorf("WaitTill(now%+d) from %d returned at %d, want %d", off, r.from, r.at, want)
+		}
+	}
+}
+
+// hintless wraps a layer with a sim.Never wake hint, so the node sleeps
+// between messages instead of waking every tick.
+type hintless struct{ *countingLayer }
+
+func (hintless) NextWake(sim.Time) sim.Time { return sim.Never }
+
 func TestPushAddsLayer(t *testing.T) {
 	sys := sim.MustNew(sim.Config{N: 2, T: 0, Seed: 4, MaxSteps: 50_000})
 	late := &countingLayer{consume: func(*sim.Message) bool { return true }}
@@ -153,14 +193,13 @@ func TestPushAddsLayer(t *testing.T) {
 		if nd.Env() != env {
 			t.Error("Env() mismatch")
 		}
-		for {
-			m, ok := nd.Step()
-			if ok && m.Tag == sim.Intern("x") {
+		nd.WaitUntil(func() bool { return false }, func(m *sim.Message) {
+			if m.Tag == sim.Intern("x") {
 				mu.Lock()
 				sawAny = true
 				mu.Unlock()
 			}
-		}
+		})
 	})
 	sys.Run(func() bool {
 		mu.Lock()

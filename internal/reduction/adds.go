@@ -63,16 +63,9 @@ func RunAddS(nd *node.Node, store register.Store, susp fd.Suspector, quer fd.Que
 	var aliveC int64
 	prev := make([]int64, n+1)
 	cur := make([]int64, n+1)
-	last := sim.Time(-1 << 30)
 
 	for {
-		if env.Now()-last < gap {
-			// Declared wake condition: nothing to do before last+gap
-			// unless a message (register traffic) arrives.
-			nd.StepUntil(last + gap)
-			continue
-		}
-		last = env.Now()
+		last := env.Now()
 
 		// T1: heartbeat and publish suspicions.
 		aliveC++
@@ -105,7 +98,9 @@ func RunAddS(nd *node.Node, store register.Store, susp fd.Suspector, quer fd.Que
 			emu.set(me, inter.Minus(live))
 		}
 
-		nd.StepUntil(last + gap)
+		// Nothing to do before last+gap; register traffic still runs
+		// through the stack meanwhile.
+		nd.WaitTill(last + gap)
 	}
 }
 

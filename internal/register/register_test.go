@@ -123,9 +123,7 @@ func TestHeartbeatStaleOrderIgnored(t *testing.T) {
 		nd.WaitUntil(func() bool { return hb.Read(1, "x") == int64(20) }, nil)
 		// All 20 updates were sent before we saw the last one; whatever
 		// arrives late must not regress the cache.
-		for i := 0; i < 50; i++ {
-			nd.Step()
-		}
+		nd.WaitTill(env.Now() + 50)
 		mu.Lock()
 		final = hb.Read(1, "x")
 		mu.Unlock()
@@ -166,7 +164,7 @@ func TestABDReadsLatestWrite(t *testing.T) {
 				mu.Unlock()
 				nd.RunForever()
 			}
-			nd.Step()
+			nd.WaitTill(env.Now() + 1)
 		}
 	})
 	sys.Run(func() bool {
@@ -234,7 +232,7 @@ func TestABDToleratesCrashMinority(t *testing.T) {
 					mu.Unlock()
 					break
 				}
-				nd.Step()
+				nd.WaitTill(env.Now() + 1)
 			}
 		}
 		nd.RunForever()

@@ -355,13 +355,12 @@ func TestAwaitStepPanic(t *testing.T) {
 }
 
 // TestAwaitNestedBlockingPanics: a step must not block, since it may be
-// running on another process's stack. Step, StepUntil, WaitUntil or
-// Await called from inside any Await callback panics.
+// running on another process's stack. Step, StepUntil or Await called
+// from inside any Await callback panics.
 func TestAwaitNestedBlockingPanics(t *testing.T) {
 	block := map[string]func(e *Env){
 		"Step":      func(e *Env) { e.Step() },
 		"StepUntil": func(e *Env) { e.StepUntil(Never) },
-		"WaitUntil": func(e *Env) { e.WaitUntil(func() bool { return true }, nil) },
 		"Await": func(e *Env) {
 			e.Await(func(Time) Time { return 0 }, func(*Message) {}, func() bool { return true })
 		},

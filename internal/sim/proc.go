@@ -137,8 +137,9 @@ func (e *Env) Multicast(dests ids.Set, tag Tag, payload any) {
 // Step blocks until something happens, then returns. If a new message is
 // available it returns (msg, true); if the process was merely woken by a
 // clock tick (time advanced, oracle outputs may have changed) it returns
-// (Message{}, false). Protocol event loops call Step repeatedly and
-// re-evaluate their wait conditions after each return.
+// (Message{}, false). Protocol code waits through Await instead; Step
+// and StepUntil are the literal loop Await is tested against, and what
+// the scheduler tests and micro-benchmarks drive.
 //
 // Step is StepUntil with the next tick as the wake condition: a process
 // using it is woken on every tick, which is always correct but prevents
@@ -215,7 +216,7 @@ func (p *Proc) receive() *Message {
 
 // errBlockInStep is the panic value of a blocking Env call made from
 // inside an Await step, which may be running on another process's stack.
-const errBlockInStep = "sim: blocking Env call (Step, StepUntil, Await, WaitUntil) inside an Await step"
+const errBlockInStep = "sim: blocking Env call (Step, StepUntil, Await) inside an Await step"
 
 // Await is the guarded wait: it has exactly the effects, in the same
 // order, of
@@ -234,8 +235,8 @@ const errBlockInStep = "sim: blocking Env call (Step, StepUntil, Await, WaitUnti
 // the stack of whoever holds the run token when the process is due —
 // Run's loop, or another process parking — and the process's own
 // coroutine is resumed only when done holds. The callbacks must
-// therefore not block: Step, StepUntil, Await or WaitUntil called from
-// inside them panics. They may send and read any run-token state, like
+// therefore not block: Step, StepUntil or Await called from inside them
+// panics. They may send and read any run-token state, like
 // the code of the loop they stand for.
 //
 // on gets the message where it sits in the inbox, not a copy: it may
@@ -264,22 +265,6 @@ func (e *Env) Await(next func(now Time) Time, on func(*Message), done func() boo
 		finished = true
 	}
 	p.waitNext, p.waitOn, p.waitDone = nil, nil, nil
-}
-
-// nextTick is the wake condition of a per-tick wait (Step's).
-func nextTick(Time) Time { return 0 }
-
-// WaitUntil runs the event loop until pred() is true: each delivered
-// message is passed to onMsg (which may be nil; m is valid only during
-// the call, as in Await), and pred is re-evaluated after every message
-// and every clock tick. pred is evaluated first, so a condition that
-// already holds returns immediately. It is Await with a per-tick wake.
-func (e *Env) WaitUntil(pred func() bool, onMsg func(*Message)) {
-	e.Await(nextTick, func(m *Message) {
-		if m != nil && onMsg != nil {
-			onMsg(m)
-		}
-	}, pred)
 }
 
 // Crashed reports whether this process has been crashed or stopped.

@@ -36,9 +36,9 @@
 //     which resumes the process (two switches per wake).
 //
 // Steps must not block: an Await step may be running on another
-// process's stack, so Step, StepUntil, Await or WaitUntil called from
-// inside one panics. Killing a parked process stops its coroutine,
-// which unwinds it before the tick proceeds; a process killed at a tick
+// process's stack, so Step, StepUntil or Await called from inside one
+// panics. Killing a parked process stops its coroutine, which unwinds
+// it before the tick proceeds; a process killed at a tick
 // it is running itself is only marked, and unwinds, taking no further
 // step, when next due or at teardown. Report.Switches counts the
 // switches, Report.Wakes the due processes stepped or resumed.
@@ -580,9 +580,10 @@ func (s *System) Env(p ids.ProcID) *Env { return &Env{p: s.procs[p]} }
 // called before Run. The main runs as its own coroutine; it is unwound
 // when p crashes or the run stops, and may also return on its own.
 //
-// Mains must block through Env (Step, StepUntil, Await, WaitUntil) to
-// let the scheduler advance: the system is lockstep, so a main that
-// spins without an Env call stalls virtual time.
+// Mains must block through Env to let the scheduler advance: through
+// Await (the node waits are Await calls), or the raw Step and StepUntil
+// that tests and micro-benchmarks use. The system is lockstep, so a
+// main that spins without a blocking Env call stalls virtual time.
 func (s *System) Spawn(p ids.ProcID, main func(*Env)) {
 	if p < 1 || int(p) > s.cfg.N {
 		panic(fmt.Sprintf("sim: Spawn(%d) unknown process", p))

@@ -211,18 +211,19 @@ func TestHoldDelaysDelivery(t *testing.T) {
 	}
 }
 
-// TestWaitUntilWakesOnTicks: a predicate that depends only on time
-// eventually fires even with no message traffic.
-func TestWaitUntilWakesOnTicks(t *testing.T) {
+// TestAwaitWakesOnTicks: an Await with a per-tick wake whose predicate
+// depends only on time eventually returns even with no message
+// traffic.
+func TestAwaitWakesOnTicks(t *testing.T) {
 	s := MustNew(Config{N: 1, T: 0, Seed: 2, MaxSteps: 10_000})
 	reached := atomic.Bool{}
 	s.Spawn(1, func(e *Env) {
-		e.WaitUntil(func() bool { return e.Now() >= 200 }, nil)
+		e.Await(func(Time) Time { return 0 }, func(*Message) {}, func() bool { return e.Now() >= 200 })
 		reached.Store(true)
 	})
 	s.Run(func() bool { return reached.Load() })
 	if !reached.Load() {
-		t.Fatal("WaitUntil never fired on tick-driven predicate")
+		t.Fatal("Await never returned on a tick-driven predicate")
 	}
 }
 
