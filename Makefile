@@ -63,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundStateMatchesScan$$' -fuzztime 10s ./internal/agreement
 	$(GO) test -run '^$$' -fuzz '^FuzzPickDistinct$$' -fuzztime 10s ./internal/fd
 	$(GO) test -run '^$$' -fuzz '^FuzzScheduleGen$$' -fuzztime 10s ./internal/adversary
+	$(GO) test -run '^$$' -fuzz '^FuzzOracleGen$$' -fuzztime 10s ./internal/adversary
 
 # A short end-to-end sweep: every experiment matrix runs (the full
 # matrix takes a couple of seconds), the rendered report and canonical

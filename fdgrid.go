@@ -280,11 +280,12 @@ func MergeSweepReports(parts []*SweepReport) (*SweepReport, error) {
 //		Params: map[string]int64{"stable_for": 10_000, "margin": 5_000},
 //	}, fdgrid.SweepOptions{})
 //
-// See internal/sweep's runner registry for the built-in protocols; the
-// sweep-based cmd/experiments regenerates every paper figure this way.
+// SweepProtocols lists the built-in protocols, the static protocol
+// table of internal/sweep; the sweep-based cmd/experiments regenerates
+// every paper figure this way.
 func Sweep(m SweepMatrix, opt SweepOptions) (*SweepReport, error) { return sweep.Run(m, opt) }
 
-// SweepProtocols lists the registered sweep protocol names.
+// SweepProtocols lists the built-in sweep protocol names, sorted.
 func SweepProtocols() []string { return sweep.Protocols() }
 
 // AddOmega runs the complete two-wheels addition experiment: it builds

@@ -124,7 +124,7 @@ func TestSweepTopLevel(t *testing.T) {
 		t.Fatal("top-level sweep reports are not byte-identical")
 	}
 	if len(fdgrid.SweepProtocols()) < 10 {
-		t.Errorf("expected the built-in protocol registry, got %v", fdgrid.SweepProtocols())
+		t.Errorf("expected the built-in protocol table, got %v", fdgrid.SweepProtocols())
 	}
 }
 

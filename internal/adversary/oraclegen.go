@@ -62,8 +62,9 @@ const (
 // kind, the class it claims to stay inside (Z for Ω_z timelines, X for
 // ◇S_x timelines, Y for φ_y parameter scripts), and its knobs. Zero
 // knobs default per kind; Variants is how many concrete scripts the
-// family expands into (default 1), each drawn deterministically from
-// Seed. Timeline kinds always carry their class knob; parameter kinds
+// family expands into (default 1, at most MaxVariants), each drawn
+// deterministically from Seed. Flaps is at most MaxFlaps, and every
+// tick a family generates must fall before sim.Never. Timeline kinds always carry their class knob; parameter kinds
 // carry Z/X/Y only when declared here, so an undeclared scope composes
 // with any combo while a declared one is validated against it.
 type OracleFamily struct {
@@ -89,6 +90,11 @@ type OracleFamily struct {
 	RatePermille int      `json:"rate_permille,omitempty"` // anarchy-burst peak intensity; 0 = 400
 	Epoch        sim.Time `json:"epoch,omitempty"`         // anarchy epoch override; 0 = leave default
 }
+
+// MaxFlaps bounds OracleFamily.Flaps. A timeline keeps one step per
+// flap, so the bound keeps a hostile spec from sizing the expansion;
+// the suite's families flap at most ten times.
+const MaxFlaps = 1024
 
 // OracleScript is one concrete generated oracle: an explicit timeline
 // (Leader or Suspect non-empty), a parameter configuration for a
@@ -186,20 +192,10 @@ const conformMargin sim.Time = 64
 // Conformance checks the script against its declared class for one
 // failure pattern and horizon, via the fd/check.go checkers. It returns
 // nil for the zero script (no generated oracle, nothing to check).
-// Paired scripts check both roles against their eventual classes;
-// role-aware callers that know the cell's perpetual flag use the
-// OraclePair methods directly.
+// Paired scripts are checked per role, through the OraclePair methods.
 func (s *OracleScript) Conformance(pat *sim.Pattern, horizon sim.Time) error {
 	switch {
 	case s.None():
-		return nil
-	case s.Pair != nil:
-		if err := s.Pair.SConformance(pat, horizon, false); err != nil {
-			return fmt.Errorf("S role: %w", err)
-		}
-		if err := s.Pair.PhiConformance(pat, horizon, false); err != nil {
-			return fmt.Errorf("phi role: %w", err)
-		}
 		return nil
 	case len(s.Leader) > 0:
 		return fd.CheckLeaderScript(s.Leader, pat, s.Z, horizon, conformMargin)
@@ -239,11 +235,20 @@ type OracleGen struct {
 // resilience bound t.
 func NewOracleGen(n, t int) OracleGen { return OracleGen{N: n, T: t} }
 
-// Expand turns one family into its concrete scripts.
+// Expand turns one family into its concrete scripts. It rejects a
+// generator size outside sim's bounds, a family with more than
+// MaxVariants variants or MaxFlaps flaps, and one whose ticks would
+// reach sim.Never (see oracleTicksFit).
 func (g OracleGen) Expand(f OracleFamily) ([]OracleScript, error) {
+	if g.N < 1 || g.N > ids.MaxProcs || g.T < 0 || g.T >= g.N {
+		return nil, fmt.Errorf("adversary: system size n=%d, t=%d out of range (1 ≤ n ≤ %d, 0 ≤ t < n)", g.N, g.T, ids.MaxProcs)
+	}
 	variants := f.Variants
 	if variants <= 0 {
 		variants = 1
+	}
+	if variants > MaxVariants {
+		return nil, fmt.Errorf("adversary: oracle family %q asks for %d variants, at most %d", f.Kind, variants, MaxVariants)
 	}
 	start := f.Start
 	if start <= 0 {
@@ -257,9 +262,13 @@ func (g OracleGen) Expand(f OracleFamily) ([]OracleScript, error) {
 	if flaps <= 0 {
 		flaps = 6
 	}
-	stab := f.StabilizeAt
+	if flaps > MaxFlaps {
+		return nil, fmt.Errorf("adversary: oracle family %q asks for %d flaps, at most %d", f.Kind, flaps, MaxFlaps)
+	}
+	stab, stabOK := f.StabilizeAt, true
 	if stab <= 0 {
-		stab = start + sim.Time(flaps)*period
+		stab, stabOK = mulTicks(sim.Time(flaps), period)
+		stab, stabOK = addTicks(start, stab, stabOK)
 	}
 	ramp := f.Ramp
 	if ramp <= 0 {
@@ -294,6 +303,10 @@ func (g OracleGen) Expand(f OracleFamily) ([]OracleScript, error) {
 		}
 	default:
 		return nil, fmt.Errorf("adversary: unknown oracle family kind %q", f.Kind)
+	}
+	if !oracleTicksFit(f.Kind, variants, flaps, start, period, stab, ramp, stabOK) {
+		return nil, fmt.Errorf("adversary: oracle family %q (start %d, period %d, flaps %d, stabilize_at %d, ramp %d, variants %d) generates ticks at or past sim.Never",
+			f.Kind, start, period, flaps, f.StabilizeAt, ramp, variants)
 	}
 	settle, err := g.settleSet(f)
 	if err != nil {
@@ -352,6 +365,28 @@ func (g OracleGen) Expand(f OracleFamily) ([]OracleScript, error) {
 		out = append(out, s)
 	}
 	return out, nil
+}
+
+// oracleTicksFit reports whether every tick of a family's scripts falls
+// before sim.Never, with overflow-checked arithmetic: the flap ticks
+// start + i·period (i < flaps) and the settle tick stab of a timeline,
+// the stab of an anarchy burst, and the last late-stab variant's
+// stabilization at start + (variants−1)·ramp. The arguments are the
+// defaulted knobs, all positive; stabOK is false when the defaulted
+// stab start + flaps·period already overflowed.
+func oracleTicksFit(kind string, variants, flaps int, start, period, stab, ramp sim.Time, stabOK bool) bool {
+	switch kind {
+	case OracleLateStab:
+		span, ok := mulTicks(sim.Time(variants-1), ramp)
+		_, ok = addTicks(start, span, ok)
+		return ok
+	case OracleLeaderFlap, OracleScopeChurn:
+		span, ok := mulTicks(sim.Time(flaps-1), period)
+		if _, ok = addTicks(start, span, ok); !ok {
+			return false
+		}
+	}
+	return stabOK && stab < sim.Never
 }
 
 // settleSet resolves the family's pinned settle set (nil when unpinned).

@@ -357,3 +357,205 @@ func TestExpandSuiteDedup(t *testing.T) {
 		t.Error("duplicate pair names accepted")
 	}
 }
+
+// TestOracleExpandBoundsTicks: an oracle family whose ticks would reach
+// sim.Never — where int64 tick arithmetic overflows, or lands on the
+// "never" sentinel — is rejected as a whole, and one just inside the
+// bound expands. So are oversized variant and flap counts and a system
+// size sim would reject; ExpandPair inherits every bound.
+func TestOracleExpandBoundsTicks(t *testing.T) {
+	g := NewOracleGen(8, 3)
+	for _, c := range []struct {
+		name string
+		g    OracleGen
+		f    OracleFamily
+		ok   bool
+	}{
+		{"flap-overflow", g, OracleFamily{Kind: OracleLeaderFlap, Z: 2, Start: 1 << 62, Period: 1 << 61, Flaps: 4}, false},
+		{"flap-last-fits", g, OracleFamily{Kind: OracleLeaderFlap, Start: sim.Never - 301, Period: 50, Flaps: 6, StabilizeAt: sim.Never - 1}, true},
+		{"flap-last-never", g, OracleFamily{Kind: OracleLeaderFlap, Start: sim.Never - 250, Period: 50, Flaps: 6, StabilizeAt: sim.Never - 1}, false},
+		{"flap-default-stab-never", g, OracleFamily{Kind: OracleLeaderFlap, Start: sim.Never - 300, Period: 50, Flaps: 6}, false},
+		{"flap-default-stab-fits", g, OracleFamily{Kind: OracleLeaderFlap, Start: sim.Never - 301, Period: 50, Flaps: 6}, true},
+		{"churn-stab-never", g, OracleFamily{Kind: OracleScopeChurn, StabilizeAt: sim.Never}, false},
+		{"churn-period-maxint", g, OracleFamily{Kind: OracleScopeChurn, Period: 1<<63 - 1, StabilizeAt: 1_000}, false},
+		{"burst-stab-last", g, OracleFamily{Kind: OracleAnarchyBurst, StabilizeAt: sim.Never - 1}, true},
+		{"burst-stab-maxint", g, OracleFamily{Kind: OracleAnarchyBurst, StabilizeAt: 1<<63 - 1}, false},
+		{"burst-default-stab-overflow", g, OracleFamily{Kind: OracleAnarchyBurst, Period: 1 << 61, Flaps: 8}, false},
+		{"late-stab-overflow", g, OracleFamily{Kind: OracleLateStab, Start: 1 << 62, Ramp: 1 << 62, Variants: 3}, false},
+		{"late-stab-ramp-overflow", g, OracleFamily{Kind: OracleLateStab, Start: 100, Ramp: 1 << 61, Variants: 3}, false},
+		{"late-stab-last-fits", g, OracleFamily{Kind: OracleLateStab, Start: sim.Never - 201, Ramp: 100, Variants: 3}, true},
+		{"late-stab-last-never", g, OracleFamily{Kind: OracleLateStab, Start: sim.Never - 200, Ramp: 100, Variants: 3}, false},
+		{"late-stab-ignores-period", g, OracleFamily{Kind: OracleLateStab, Period: 1<<63 - 1}, true},
+		{"variants-max", g, OracleFamily{Kind: OracleLateStab, Variants: MaxVariants}, true},
+		{"variants-over", g, OracleFamily{Kind: OracleLateStab, Variants: MaxVariants + 1}, false},
+		{"variants-huge", g, OracleFamily{Kind: OracleLeaderFlap, Variants: 1 << 40}, false},
+		{"flaps-max", g, OracleFamily{Kind: OracleScopeChurn, Flaps: MaxFlaps}, true},
+		{"flaps-over", g, OracleFamily{Kind: OracleScopeChurn, Flaps: MaxFlaps + 1}, false},
+		{"flaps-huge", g, OracleFamily{Kind: OracleLeaderFlap, Flaps: 1 << 40}, false},
+		{"size-max", NewOracleGen(ids.MaxProcs, 127), OracleFamily{Kind: OracleScopeChurn}, true},
+		{"size-zero", NewOracleGen(0, 0), OracleFamily{Kind: OracleLateStab}, false},
+		{"size-over", NewOracleGen(ids.MaxProcs+1, 3), OracleFamily{Kind: OracleLeaderFlap}, false},
+		{"t-equals-n", NewOracleGen(8, 8), OracleFamily{Kind: OracleScopeChurn}, false},
+		{"t-negative", NewOracleGen(8, -1), OracleFamily{Kind: OracleAnarchyBurst}, false},
+	} {
+		ss, err := c.g.Expand(c.f)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: Expand(%+v) error %v, want ok=%v", c.name, c.f, err, c.ok)
+			continue
+		}
+		if err == nil {
+			checkOracleScripts(t, c.f, ss)
+		}
+		// ExpandPair holds a role family to the same bounds (a leader
+		// timeline is never a pair role).
+		other := OracleFamily{Kind: OracleLateStab}
+		var pair OraclePairFamily
+		switch c.f.Kind {
+		case OracleLeaderFlap:
+			continue
+		case OracleScopeChurn:
+			pair = OraclePairFamily{S: c.f, Phi: other}
+		default:
+			pair = OraclePairFamily{S: other, Phi: c.f}
+		}
+		if _, err := c.g.ExpandPair(pair); (err == nil) != c.ok {
+			t.Errorf("%s: ExpandPair error %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+// checkOracleScripts asserts the invariants every accepted expansion
+// keeps: one script per variant, and in every script (each role of a
+// pair) a StabilizeAt and timeline steps in [0, sim.Never), the steps
+// strictly ascending.
+func checkOracleScripts(t *testing.T, f OracleFamily, ss []OracleScript) {
+	t.Helper()
+	if want := max(f.Variants, 1); len(ss) != want {
+		t.Fatalf("%+v expanded to %d scripts, want %d", f, len(ss), want)
+	}
+	for _, s := range ss {
+		checkOracleTicks(t, s)
+	}
+}
+
+// checkOracleTicks asserts one script's tick invariants (see
+// checkOracleScripts).
+func checkOracleTicks(t *testing.T, s OracleScript) {
+	t.Helper()
+	if s.Pair != nil {
+		checkOracleTicks(t, s.Pair.S)
+		checkOracleTicks(t, s.Pair.Phi)
+		return
+	}
+	if s.StabilizeAt < 0 || s.StabilizeAt >= sim.Never {
+		t.Fatalf("%s stabilizes at %d, outside [0, sim.Never)", s.Name, s.StabilizeAt)
+	}
+	steps := make([]sim.Time, 0, len(s.Leader)+len(s.Suspect))
+	for _, st := range s.Leader {
+		steps = append(steps, st.At)
+	}
+	for _, st := range s.Suspect {
+		steps = append(steps, st.At)
+	}
+	for i, at := range steps {
+		if at < 0 || at >= sim.Never {
+			t.Fatalf("%s step %d at %d, outside [0, sim.Never)", s.Name, i, at)
+		}
+		if i > 0 && at <= steps[i-1] {
+			t.Fatalf("%s step %d at %d does not follow step %d at %d", s.Name, i, at, i-1, steps[i-1])
+		}
+	}
+}
+
+// FuzzOracleGen: expansion of arbitrary single and pair families is
+// deterministic, yields one script per variant (the zipped count for a
+// pair), and every accepted script keeps checkOracleTicks' invariants,
+// so no tick arithmetic wraps. The seeds are the committed suite's
+// oracle families (ORACLE-kset-flap, ORACLE-psi-burst,
+// ORACLE-wheels-churn) and pair families (F2-additivity-pairs,
+// F9-add-s-pairs) at their matrices' sizes, plus the two families that
+// used to overflow.
+func FuzzOracleGen(f *testing.F) {
+	kinds := []string{OracleLeaderFlap, OracleScopeChurn, OracleAnarchyBurst, OracleLateStab, "solar-flare"}
+	kindOf := map[string]uint8{}
+	for i, k := range kinds {
+		kindOf[k] = uint8(i)
+	}
+	settleOf := func(ps []int) uint64 {
+		var m uint64
+		for _, p := range ps {
+			m |= 1 << (p - 1)
+		}
+		return m
+	}
+	add := func(n, t int, fam OracleFamily, phi *OracleFamily) {
+		var p OracleFamily
+		if phi != nil {
+			p = *phi
+		}
+		f.Add(n, t, kindOf[fam.Kind], fam.Z, fam.X, fam.Y, fam.Variants, fam.Flaps, fam.Seed,
+			int64(fam.Start), int64(fam.Period), int64(fam.StabilizeAt), int64(fam.Ramp), fam.RatePermille, settleOf(fam.Settle),
+			phi != nil, kindOf[p.Kind], p.Y, p.Variants, p.Seed, int64(p.Start), int64(p.Ramp), p.RatePermille)
+	}
+	for _, size := range [][2]int{{32, 15}, {64, 31}, {128, 63}} {
+		add(size[0], size[1], OracleFamily{Kind: OracleLeaderFlap, Z: 2, Variants: 2, Seed: 31, Start: 50, Period: 80, Flaps: 6, Settle: []int{1, 2}}, nil)
+		add(size[0], size[1], OracleFamily{Kind: OracleLateStab, Variants: 2, Seed: 32, Start: 200, Ramp: 300}, nil)
+	}
+	for _, n := range []int{32, 64, 128} {
+		add(n, 6, OracleFamily{Kind: OracleAnarchyBurst, Variants: 3, Seed: 41, Start: 50, Period: 60, Flaps: 8, RatePermille: 900}, nil)
+		add(n, 6, OracleFamily{Kind: OracleLateStab, Variants: 2, Seed: 42, Start: 400, Ramp: 400}, nil)
+	}
+	add(5, 2, OracleFamily{Kind: OracleScopeChurn, X: 2, Variants: 3, Seed: 51, Settle: []int{1, 2}}, nil)
+	for _, p := range []struct{ s, phi OracleFamily }{
+		{OracleFamily{Kind: OracleScopeChurn, X: 2, Seed: 61, Settle: []int{1, 2}}, OracleFamily{Kind: OracleLateStab, Y: 1, Seed: 62, Start: 20_000, Ramp: 1}},
+		{OracleFamily{Kind: OracleScopeChurn, X: 2, Seed: 63, Flaps: 10, Period: 120, Settle: []int{1, 2}}, OracleFamily{Kind: OracleAnarchyBurst, Y: 1, Seed: 64, RatePermille: 950}},
+		{OracleFamily{Kind: OracleLateStab, X: 2, Seed: 65, Start: 8_000, Ramp: 1}, OracleFamily{Kind: OracleLateStab, Y: 1, Seed: 66, Start: 12_000, Ramp: 1}},
+		{OracleFamily{Kind: OracleScopeChurn, X: 2, Seed: 71, Settle: []int{1, 2}}, OracleFamily{Kind: OracleLateStab, Y: 1, Seed: 72, Start: 16_000, Ramp: 1}},
+		{OracleFamily{Kind: OracleScopeChurn, X: 2, Seed: 73, Flaps: 8, Period: 100, Settle: []int{1, 2}}, OracleFamily{Kind: OracleAnarchyBurst, Y: 1, Seed: 74, RatePermille: 950}},
+		{OracleFamily{Kind: OracleLateStab, X: 2, Seed: 75, Start: 6_000, Ramp: 1}, OracleFamily{Kind: OracleLateStab, Y: 1, Seed: 76, Start: 10_000, Ramp: 1}},
+	} {
+		add(5, 2, p.s, &p.phi)
+	}
+	add(8, 3, OracleFamily{Kind: OracleLeaderFlap, Z: 2, Start: 1 << 62, Period: 1 << 61, Flaps: 4}, nil)
+	add(8, 3, OracleFamily{Kind: OracleLateStab, Start: 1 << 62, Ramp: 1 << 62, Variants: 3}, nil)
+	f.Fuzz(func(t *testing.T, n, tt int, kind uint8, z, x, y, variants, flaps int, seed, start, period, stab, ramp int64, rate int, settle uint64,
+		pair bool, phiKind uint8, phiY, phiVariants int, phiSeed, phiStart, phiRamp int64, phiRate int) {
+		fam := OracleFamily{
+			Kind: kinds[int(kind)%len(kinds)], Z: z, X: x, Y: y, Variants: variants, Flaps: flaps, Seed: seed,
+			Start: sim.Time(start), Period: sim.Time(period), StabilizeAt: sim.Time(stab), Ramp: sim.Time(ramp), RatePermille: rate,
+		}
+		for p := 1; settle != 0; p, settle = p+1, settle>>1 {
+			if settle&1 != 0 {
+				fam.Settle = append(fam.Settle, p)
+			}
+		}
+		// Bound one input's work: an accepted family costs variants·flaps
+		// timeline steps, and the table tests cover the largest counts.
+		if v, fl := max(variants, 1), max(flaps, 1); v <= MaxVariants && fl <= MaxFlaps && v*fl > 1<<12 {
+			return
+		}
+		g := OracleGen{N: n, T: tt}
+		expand := func() ([]OracleScript, error) { return g.Expand(fam) }
+		want := max(variants, 1)
+		if pair {
+			phi := OracleFamily{Kind: kinds[int(phiKind)%len(kinds)], Y: phiY, Variants: phiVariants, Seed: phiSeed,
+				Start: sim.Time(phiStart), Ramp: sim.Time(phiRamp), RatePermille: phiRate}
+			expand = func() ([]OracleScript, error) { return g.ExpandPair(OraclePairFamily{S: fam, Phi: phi}) }
+			want = max(want, phiVariants, 1)
+		}
+		a, errA := expand()
+		b, errB := expand()
+		if (errA == nil) != (errB == nil) || !reflect.DeepEqual(a, b) {
+			t.Fatalf("%+v (pair %v) at n=%d, t=%d expanded differently twice: %v / %v", fam, pair, n, tt, errA, errB)
+		}
+		if errA != nil {
+			return
+		}
+		if len(a) != want {
+			t.Fatalf("%+v (pair %v) expanded to %d scripts, want %d", fam, pair, len(a), want)
+		}
+		for _, s := range a {
+			checkOracleTicks(t, s)
+		}
+	})
+}

@@ -118,8 +118,8 @@ var errWorkerCrash = fmt.Errorf("dispatch: injected crash")
 // assignments one at a time, runs each via sweep.Run streaming every
 // CellResult as it lands, and reports done or error per unit.
 //
-// The worker process imports the sweep runner registry, so any
-// protocol the dispatcher's matrices name is runnable here; a matrix
+// Every worker runs the sweep package's built-in protocol table, so
+// any protocol the dispatcher's matrices name is runnable here; a matrix
 // naming an unknown protocol fails its unit with an error frame rather
 // than killing the worker.
 func ServeWorker(rw io.ReadWriteCloser, opt WorkerOptions) error {

@@ -16,43 +16,19 @@ import (
 
 // Runner executes one cell and fills in its result. Implementations must
 // be pure: build the cell's own sim.System, run it, derive the verdict —
-// no shared mutable state, so cells parallelize freely.
+// no shared mutable state, so cells parallelize freely. The built-in
+// runners are the protocol table in runners.go; Options.Runner runs a
+// matrix with any other.
 type Runner func(*Cell, *CellResult)
 
-var (
-	//detlint:allow runtoken -- the runner registry is host-side process-global state (package init + tests), not run state
-	runnersMu sync.RWMutex
-	runners   = make(map[string]Runner)
-)
-
-// Register installs a cell runner under a protocol name. Runners ship in
-// runners.go; tests may register their own.
-func Register(name string, r Runner) {
-	runnersMu.Lock()
-	defer runnersMu.Unlock()
-	if _, dup := runners[name]; dup {
-		panic(fmt.Sprintf("sweep: runner %q registered twice", name))
-	}
-	runners[name] = r
-}
-
-// Protocols lists the registered protocol names, sorted.
+// Protocols lists the built-in protocol names, sorted.
 func Protocols() []string {
-	runnersMu.RLock()
-	defer runnersMu.RUnlock()
 	out := make([]string, 0, len(runners))
 	for name := range runners {
 		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
-}
-
-func runnerFor(name string) (Runner, bool) {
-	runnersMu.RLock()
-	defer runnersMu.RUnlock()
-	r, ok := runners[name]
-	return r, ok
 }
 
 // Shard selects a deterministic slice of a matrix's cells: shard i of m
@@ -82,7 +58,8 @@ func (s Shard) validate() error {
 type Options struct {
 	// Workers is the worker-pool size; 0 means GOMAXPROCS.
 	Workers int
-	// Runner overrides the registry lookup (tests).
+	// Runner, when set, runs every cell in place of the matrix
+	// protocol's built-in runner (tests).
 	Runner Runner
 	// Shard restricts the run to one deterministic slice of the cells
 	// (zero value: run all).
@@ -143,9 +120,9 @@ func Run(m Matrix, opt Options) (*Report, error) {
 	}
 	runner := opt.Runner
 	if runner == nil {
-		r, ok := runnerFor(m.Protocol)
+		r, ok := runners[m.Protocol]
 		if !ok {
-			return nil, fmt.Errorf("sweep: no runner registered for protocol %q (have %v)", m.Protocol, Protocols())
+			return nil, fmt.Errorf("sweep: no runner for protocol %q (have %v)", m.Protocol, Protocols())
 		}
 		runner = r
 	}

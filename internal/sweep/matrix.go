@@ -92,7 +92,8 @@ func (c Combo) String() string {
 type Matrix struct {
 	// Name identifies the sweep in reports.
 	Name string `json:"name"`
-	// Protocol selects the registered cell runner (see runners.go).
+	// Protocol selects the cell runner from the protocol table (see
+	// runners.go).
 	Protocol string `json:"protocol"`
 	// Claim is the paper claim the sweep checks (report prose).
 	Claim string `json:"claim,omitempty"`

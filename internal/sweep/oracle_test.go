@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"fdgrid/internal/adversary"
+	"fdgrid/internal/core"
+	"fdgrid/internal/sim"
 )
 
 // oracleMatrix is a small kset-omega sweep with a generated-oracle
@@ -490,6 +492,153 @@ func TestOraclePairPerpetualMismatch(t *testing.T) {
 		}
 		if !strings.Contains(c.OraclePhi, "perpetual") {
 			t.Errorf("cell %d OraclePhi %q, want a perpetual-class violation", c.Index, c.OraclePhi)
+		}
+	}
+}
+
+// shapeColumns are the script shapes TestOracleShapes feeds every
+// protocol: no script, a leader timeline, a suspect timeline, a
+// parameter script, a parameter script declaring a scope the combo
+// does not want, and a pair.
+var shapeColumns = []string{"none", "leader", "suspect", "param", "param-scope", "pair"}
+
+// shapeRow is one protocol of TestOracleShapes: a small matrix it runs
+// on, the scopes its combo asks for (z, x, y) and, per shape column,
+// the detail substring of the expected config error ("" = the protocol
+// runs).
+type shapeRow struct {
+	m       Matrix
+	z, x, y int
+	mis     adversary.OracleFamily // the mismatched-scope parameter family
+	want    [6]string
+}
+
+// shapeRows builds one row per built-in protocol.
+func shapeRows() map[string]shapeRow {
+	small := func(protocol string, combo Combo, maxSteps sim.Time, params map[string]int64) Matrix {
+		return Matrix{
+			Name: "shapes-" + protocol, Protocol: protocol,
+			Seeds: []int64{0}, Sizes: []Size{{N: 5, T: 2}},
+			Combos: []Combo{combo}, GST: 400, MaxSteps: maxSteps, Params: params,
+		}
+	}
+	wheel := map[string]int64{"stable_for": 12_000, "margin": 10_000}
+	lateStab := func(f adversary.OracleFamily) adversary.OracleFamily {
+		f.Kind, f.Seed, f.Start, f.Ramp = adversary.OracleLateStab, 7, 200, 1
+		return f
+	}
+	none := "does not consume"
+	noOracle := [6]string{"", none, none, none, none, none}
+	grid := core.GridLine(1, 2)[2]
+
+	psi := small("psi-omega", Combo{Y: 1, Z: 2}, 6_000, map[string]int64{"margin": 1_000})
+	psi.Sizes, psi.GST, psi.Bandwidth = []Size{{N: 6, T: 2}}, 0, 1
+	phiO1 := small("phi-o1", Combo{Y: 1}, 2_000, map[string]int64{"at": 1_500, "ring_x": 3})
+	phiO1.Sizes, phiO1.GST, phiO1.Bandwidth = []Size{{N: 6, T: 3}}, 0, 1
+	irr := small("irreducibility", Combo{X: 3, Y: 1, Region: []int{4, 5}}, 2_500,
+		map[string]int64{"tau": 500, "crash_at": 100, "slack": 2_000})
+	irr.GST, irr.Bandwidth = 0, 1
+
+	return map[string]shapeRow{
+		"kset-grid": {m: small("kset-grid", Combo{Family: grid.Fam, Param: grid.Param, Z: 1}, 2_000_000, nil),
+			z: 1, x: 3, y: 1, mis: lateStab(adversary.OracleFamily{Z: 2}), want: noOracle},
+		"kset-omega": {m: small("kset-omega", Combo{Z: 1}, 2_000_000, nil),
+			z: 1, x: 3, y: 1, mis: lateStab(adversary.OracleFamily{Z: 2}),
+			want: [6]string{"", "", "reads a leader", "", "declares z=2, combo wants z=1", "reads a single leader"}},
+		"kset-seq": {m: small("kset-seq", Combo{Z: 1}, 2_000_000, map[string]int64{"instances": 2}),
+			z: 1, x: 3, y: 1, mis: lateStab(adversary.OracleFamily{Z: 2}),
+			want: [6]string{"", "", "reads a leader", "", "declares z=2, combo wants z=1", "reads a single leader"}},
+		"consensus-ds": {m: small("consensus-ds", Combo{}, 400_000, nil),
+			z: 1, x: 5, y: 1, mis: lateStab(adversary.OracleFamily{X: 4}),
+			want: [6]string{"", "reads a suspector", "", "", "declares x=4, combo wants x=5", "reads a single suspector"}},
+		"single-wheel": {m: small("single-wheel", Combo{}, 150_000, wheel),
+			z: 1, x: 5, y: 1, mis: lateStab(adversary.OracleFamily{X: 4}),
+			want: [6]string{"", "reads a suspector", "", "", "declares x=4, combo wants x=5", "reads a single suspector"}},
+		"lower-wheel": {m: small("lower-wheel", Combo{X: 2}, 100_000, nil),
+			z: 1, x: 2, y: 1, mis: lateStab(adversary.OracleFamily{X: 3}),
+			want: [6]string{"", "reads a suspector", "", "", "declares x=3, combo wants x=2", "reads a single suspector"}},
+		"psi-omega": {m: psi,
+			z: 2, x: 3, y: 1, mis: lateStab(adversary.OracleFamily{Y: 2}),
+			want: [6]string{"", "reads a querier", "reads a querier", "", "declares y=2, combo wants y=1", "reads a single querier"}},
+		"two-wheels": {m: small("two-wheels", Combo{X: 2, Y: 1}, 80_000, wheel),
+			z: 1, x: 2, y: 1, mis: lateStab(adversary.OracleFamily{Y: 2}),
+			want: [6]string{"", "reads a suspector", "", "", "declares y=2, combo wants y=1", ""}},
+		"add-s": {m: small("add-s", Combo{Name: "memory", X: 2, Y: 1}, 160_000, map[string]int64{"perpetual": 0, "margin": 10_000}),
+			z: 1, x: 2, y: 1, mis: lateStab(adversary.OracleFamily{Y: 2}),
+			want: [6]string{"", none, none, none, none, ""}},
+		"phi-o1": {m: phiO1,
+			z: 1, x: 3, y: 1, mis: lateStab(adversary.OracleFamily{Y: 2}), want: noOracle},
+		"irreducibility": {m: irr,
+			z: 1, x: 3, y: 1, mis: lateStab(adversary.OracleFamily{Y: 2}), want: noOracle},
+	}
+}
+
+// TestOracleShapes is the protocol × script-shape table of the
+// generated-oracle dimension: every built-in protocol against every
+// script shape, each cell either running the protocol over the
+// resolved oracles or failing as a config error — with its detail
+// substring, no steps taken and the script's class on the row.
+func TestOracleShapes(t *testing.T) {
+	rows := shapeRows()
+	for _, protocol := range Protocols() {
+		row, ok := rows[protocol]
+		if !ok {
+			t.Errorf("protocol %q has no row in the shape table", protocol)
+			continue
+		}
+		settle := make([]int, row.x)
+		for i := range settle {
+			settle[i] = i + 1
+		}
+		for col, shape := range shapeColumns {
+			t.Run(protocol+"/"+shape, func(t *testing.T) {
+				m := row.m
+				switch shape {
+				case "leader":
+					m.OracleFamilies = []adversary.OracleFamily{{Kind: adversary.OracleLeaderFlap, Z: row.z, Seed: 3, Settle: []int{1}}}
+				case "suspect":
+					m.OracleFamilies = []adversary.OracleFamily{{Kind: adversary.OracleScopeChurn, X: row.x, Seed: 5, Settle: settle}}
+				case "param":
+					m.OracleFamilies = []adversary.OracleFamily{{Kind: adversary.OracleLateStab, Seed: 4, Start: 200, Ramp: 1}}
+				case "param-scope":
+					m.OracleFamilies = []adversary.OracleFamily{row.mis}
+				case "pair":
+					m.OraclePairFamilies = []adversary.OraclePairFamily{{
+						S:   adversary.OracleFamily{Kind: adversary.OracleScopeChurn, X: row.x, Seed: 11, Settle: settle},
+						Phi: adversary.OracleFamily{Kind: adversary.OracleLateStab, Y: row.y, Seed: 12, Start: 200, Ramp: 1},
+					}}
+				}
+				r, err := Run(m, Options{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(r.Cells) != 1 {
+					t.Fatalf("expanded %d cells, want 1", len(r.Cells))
+				}
+				c := r.Cells[0]
+				want := row.want[col]
+				if want != "" {
+					if c.Verdict != ConfigError || !strings.Contains(c.Detail, want) {
+						t.Errorf("verdict %s detail %q, want config_error containing %q", c.Verdict, c.Detail, want)
+					}
+					if c.Steps != 0 {
+						t.Errorf("ran %d steps despite the config error", c.Steps)
+					}
+					if c.OracleClass == "" {
+						t.Error("config error row has no oracle class")
+					}
+					return
+				}
+				if c.Verdict != Pass && c.Verdict != Fail {
+					t.Fatalf("verdict %s — %s, want the protocol to run", c.Verdict, c.Detail)
+				}
+				if c.Steps == 0 && len(c.Measures) == 0 {
+					t.Errorf("verdict %s with no steps and no measures: the protocol did not run", c.Verdict)
+				}
+				if shape != "none" && c.OracleConformance != "conforms" {
+					t.Errorf("conformance %q, want conforms", c.OracleConformance)
+				}
+			})
 		}
 	}
 }

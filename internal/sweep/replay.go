@@ -206,9 +206,9 @@ func Replay(m Matrix, index int, pert *Perturbation, level trace.Level) (*Replay
 	if index < 0 || index >= len(cells) {
 		return nil, fmt.Errorf("sweep: replay index %d outside matrix %q (%d cells)", index, m.Name, len(cells))
 	}
-	runner, ok := runnerFor(m.Protocol)
+	runner, ok := runners[m.Protocol]
 	if !ok {
-		return nil, fmt.Errorf("sweep: no runner registered for protocol %q", m.Protocol)
+		return nil, fmt.Errorf("sweep: no runner for protocol %q", m.Protocol)
 	}
 
 	base := cells[index]

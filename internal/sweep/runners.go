@@ -14,9 +14,9 @@ import (
 	"fdgrid/internal/sim"
 )
 
-// The built-in cell runners: every experiment family of DESIGN.md §5
-// (the paper's figures and theorems) expressed as a protocol a Matrix
-// can sweep. Registered under these names:
+// runners is the protocol table: every experiment family of DESIGN.md
+// §5 (the paper's figures and theorems) expressed as a protocol a
+// Matrix can sweep, by name:
 //
 //	kset-grid      — grid class → prescribed transformation → Fig. 3 k-set
 //	kset-omega     — Fig. 3 directly over a (possibly pinned) Ω_z oracle
@@ -29,18 +29,18 @@ import (
 //	add-s          — S_x + φ_y → S_n (Fig. 9) over a register substrate
 //	phi-o1         — Observation O1: f ≤ t−y ⇒ informative queries false
 //	irreducibility — Theorem 9 crash-vs-delay run pair, one claimed τ
-func init() {
-	Register("kset-grid", runKSetGrid)
-	Register("kset-omega", runKSetOmega)
-	Register("kset-seq", runKSetSeq)
-	Register("consensus-ds", runConsensusDS)
-	Register("two-wheels", runTwoWheels)
-	Register("single-wheel", runSingleWheel)
-	Register("lower-wheel", runLowerWheel)
-	Register("psi-omega", runPsiOmega)
-	Register("add-s", runAddS)
-	Register("phi-o1", runPhiO1)
-	Register("irreducibility", runIrreducibility)
+var runners = map[string]Runner{
+	"kset-grid":      runKSetGrid,
+	"kset-omega":     runKSetOmega,
+	"kset-seq":       runKSetSeq,
+	"consensus-ds":   runConsensusDS,
+	"two-wheels":     runTwoWheels,
+	"single-wheel":   runSingleWheel,
+	"lower-wheel":    runLowerWheel,
+	"psi-omega":      runPsiOmega,
+	"add-s":          runAddS,
+	"phi-o1":         runPhiO1,
+	"irreducibility": runIrreducibility,
 }
 
 // recordRun copies the run report into the result.
@@ -89,7 +89,7 @@ func runKSetGrid(c *Cell, res *CellResult) {
 	if err != nil {
 		panic(err)
 	}
-	if !requireNoOracle(c, res) {
+	if _, ok := resolveOracles(c, sys, res, oracleUse{}); !ok {
 		return
 	}
 	out, err := core.SpawnKSetWith(sys, c.Combo.Class(), nil)
@@ -112,150 +112,223 @@ func runKSetGrid(c *Cell, res *CellResult) {
 	}
 }
 
-// tagOracle records the cell's generated-oracle identity and its
-// fd/check.go conformance verdict on the result. It returns false when
-// the script leaves its declared class under this cell's failure
-// pattern — the cell fails and the protocol run is skipped (running a
-// protocol over an out-of-class oracle proves nothing and can block
-// until the step cap).
-func tagOracle(c *Cell, sys *sim.System, res *CellResult) bool {
+// The oracle roles a runner can read from the cell's generated-oracle
+// dimension, as an oracleUse.roles mask.
+const (
+	readsLeader    = 1 << iota // Ω_z, at scope z
+	readsSuspector             // ◇S_x or S_x, at scope x
+	readsQuerier               // ◇φ_y or φ_y, at scope y
+)
+
+// oracleUse is what a runner reads from Cell.Oracle: the roles it builds
+// and each role's scope, whether its default and paired oracles are the
+// perpetual classes, and whether only paired scripts may feed it. The
+// zero value reads no oracle, so any script is a config error.
+type oracleUse struct {
+	roles      int
+	z, x, y    int
+	perpetual  bool
+	pairedOnly bool
+}
+
+// reads names the roles u reads, for config errors.
+func (u oracleUse) reads() string {
+	switch u.roles {
+	case readsLeader:
+		return "leader"
+	case readsSuspector:
+		return "suspector"
+	case readsQuerier:
+		return "querier"
+	}
+	return "suspector and a querier"
+}
+
+// oracles are the role oracles resolveOracles built; the roles a runner
+// does not read stay nil.
+type oracles struct {
+	leader fd.Leader
+	susp   fd.Suspector
+	quer   *fd.Phi
+}
+
+// resolveOracles turns the cell's generated-oracle dimension into the
+// oracles use reads. A script feeds the roles its shape names — a
+// leader timeline the leader, a suspect timeline the suspector, a
+// parameter script every role read, a pair its S and φ roles — and
+// every other role gets its default: Ω_z pinned by the stab0 param and
+// the combo's trusted set, the suspector and the querier perpetual or
+// eventual as use says. A single parameter script always builds the
+// eventual flavour: its whole point is a misbehaving prefix. ok=false
+// means the cell already failed and no oracle was built (see feeds).
+func resolveOracles(c *Cell, sys *sim.System, res *CellResult, use oracleUse) (o oracles, ok bool) {
+	lead, susp, quer, ok := use.feeds(c, sys, res)
+	if !ok {
+		return o, false
+	}
+	perpetual := func(r *adversary.OracleScript) bool { return use.perpetual && (r == nil || c.Oracle.IsPair()) }
+	if use.roles&readsLeader != 0 {
+		if lead != nil && len(lead.Leader) > 0 {
+			o.leader = fd.NewScriptedLeader(sys, lead.Leader)
+		} else {
+			// feeds rejects stab0 beside a leader-role script, so it pins
+			// only the default Ω here.
+			opts := options(lead)
+			if c.Param("stab0", 0) != 0 {
+				opts = append(opts, fd.WithStabilizeAt(0))
+			}
+			if len(c.Combo.Trusted) > 0 {
+				opts = append(opts, fd.WithTrusted(set(c.Combo.Trusted)))
+			}
+			o.leader = fd.NewOmega(sys, use.z, opts...)
+		}
+	}
+	if use.roles&readsSuspector != 0 {
+		switch {
+		case susp != nil && len(susp.Suspect) > 0:
+			o.susp = fd.NewScriptedSuspector(sys, susp.Suspect)
+		case perpetual(susp):
+			o.susp = fd.NewS(sys, use.x, options(susp)...)
+		default:
+			o.susp = fd.NewEvtS(sys, use.x, options(susp)...)
+		}
+	}
+	if use.roles&readsQuerier != 0 {
+		if perpetual(quer) {
+			o.quer = fd.NewPhi(sys, use.y, options(quer)...)
+		} else {
+			o.quer = fd.NewEvtPhi(sys, use.y, options(quer)...)
+		}
+	}
+	return o, true
+}
+
+// options renders a role's parameter script as ground-truth oracle
+// options; a default role (nil) has none.
+func options(s *adversary.OracleScript) []fd.Option {
+	if s == nil {
+		return nil
+	}
+	return s.Options()
+}
+
+// feeds checks the cell's script against u and returns the script that
+// feeds each role read (nil: the role keeps its default). The checks
+// run in one order for every protocol: shape, pinning conflicts,
+// declared scope, then conformance. The first three are matrix-author
+// mistakes, reported as ConfigError rather than Fail so they never read
+// as paper-claim counterexamples; a script that leaves its declared
+// class fails the cell (see conforms). Either way ok=false, and the
+// script's class is on the result.
+func (u oracleUse) feeds(c *Cell, sys *sim.System, res *CellResult) (lead, susp, quer *adversary.OracleScript, ok bool) {
 	s := &c.Oracle
 	if s.None() {
-		return true
+		return nil, nil, nil, true
 	}
+	reject := func(format string, args ...any) (_, _, _ *adversary.OracleScript, ok bool) {
+		res.OracleClass = s.Class()
+		res.failConfig(fmt.Sprintf(format, args...))
+		return nil, nil, nil, false
+	}
+	pair := s.IsPair()
+	switch {
+	case u.roles == 0:
+		return reject("protocol %q does not consume the generated-oracle dimension (script %s)", c.Protocol, s.Name)
+	case pair && u.roles != readsSuspector|readsQuerier:
+		return reject("oracle script %s is a pair; protocol %q reads a single %s oracle", s.Name, c.Protocol, u.reads())
+	case pair:
+		susp, quer = &s.Pair.S, &s.Pair.Phi
+	case u.pairedOnly:
+		return reject("protocol %q does not consume single oracle scripts, only pairs (script %s)", c.Protocol, s.Name)
+	case len(s.Leader) > 0 && u.roles&readsLeader == 0:
+		return reject("oracle script %s is a leader timeline; protocol %q reads a %s", s.Name, c.Protocol, u.reads())
+	case len(s.Suspect) > 0 && u.roles&readsSuspector == 0:
+		return reject("oracle script %s is a suspector timeline; protocol %q reads a %s", s.Name, c.Protocol, u.reads())
+	case len(s.Leader) > 0:
+		lead = s
+	case len(s.Suspect) > 0:
+		susp = s
+	default:
+		// A parameter script configures the whole oracle environment:
+		// two-wheels' querier gets the suspector's stabilization and
+		// anarchy, or the swept dimension would be half-applied.
+		if u.roles&readsLeader != 0 {
+			lead = s
+		}
+		if u.roles&readsSuspector != 0 {
+			susp = s
+		}
+		if u.roles&readsQuerier != 0 {
+			quer = s
+		}
+	}
+	// The default Ω's pinning must not be silently dropped: stab0
+	// contradicts a leader-role script and a pair (each fixes its own
+	// stabilization time), and a trusted set composes with a parameter
+	// script but contradicts a leader timeline, which fixes every
+	// output, and a pair, which scripts the suspector role.
+	noun, sRole, phiRole := "script", "", ""
+	if pair {
+		noun, sRole, phiRole = "pair", "S-role ", "phi-role "
+	}
+	if lead != nil || pair {
+		switch {
+		case c.Param("stab0", 0) != 0:
+			return reject("param stab0 conflicts with generated oracle %s %s (both pin the stabilization time)", noun, s.Name)
+		case pair && len(c.Combo.Trusted) > 0:
+			return reject("combo pins a trusted set but oracle pair %s scripts the suspector role", s.Name)
+		case len(s.Leader) > 0 && len(c.Combo.Trusted) > 0:
+			return reject("combo pins a trusted set but oracle script %s already fixes the timeline", s.Name)
+		}
+	}
+	// Timelines and pair roles always declare their scope; a parameter
+	// script declares one optionally, and an undeclared scope composes
+	// with any combo.
+	switch {
+	case lead != nil && lead.Z != 0 && lead.Z != u.z:
+		return reject("oracle %s %s declares z=%d, combo wants z=%d", noun, s.Name, lead.Z, u.z)
+	case susp != nil && susp.X != 0 && susp.X != u.x:
+		return reject("oracle %s %s declares %sx=%d, combo wants x=%d", noun, s.Name, sRole, susp.X, u.x)
+	case quer != nil && quer.Y != 0 && quer.Y != u.y:
+		return reject("oracle %s %s declares %sy=%d, combo wants y=%d", noun, s.Name, phiRole, quer.Y, u.y)
+	}
+	if !conforms(c, sys, res, u.perpetual) {
+		return nil, nil, nil, false
+	}
+	return lead, susp, quer, true
+}
+
+// conforms records the cell's script identity and its fd/check.go
+// conformance verdict under this cell's failure pattern. A pair is
+// checked role by role — against the perpetual classes when the
+// runner's paired roles are perpetual — with the per-role verdicts in
+// OracleS/OraclePhi and the joint one in OracleConformance. false means
+// the script leaves its declared class and the cell failed: the
+// protocol run is skipped, since running it over an out-of-class oracle
+// proves nothing and can block until the step cap.
+func conforms(c *Cell, sys *sim.System, res *CellResult, perpetual bool) bool {
+	s := &c.Oracle
 	res.OracleClass = s.Class()
-	if err := s.Conformance(sys.Pattern(), c.MaxSteps); err != nil {
-		res.OracleConformance = "violates: " + err.Error()
-		res.fail("generated oracle script leaves its declared class: " + err.Error())
+	what := "script leaves its declared class"
+	var err error
+	if p := s.Pair; p != nil {
+		what = "pair leaves its declared classes"
+		sErr := p.SConformance(sys.Pattern(), c.MaxSteps, perpetual)
+		phiErr := p.PhiConformance(sys.Pattern(), c.MaxSteps, perpetual)
+		res.OracleS, res.OraclePhi = roleVerdict(sErr), roleVerdict(phiErr)
+		err = jointViolation(sErr, phiErr)
+	} else {
+		err = s.Conformance(sys.Pattern(), c.MaxSteps)
+	}
+	res.OracleConformance = roleVerdict(err)
+	if err != nil {
+		res.fail("generated oracle " + what + ": " + err.Error())
 		return false
 	}
-	res.OracleConformance = "conforms"
 	return true
 }
 
-// failOracle marks a cell misconfigured over a script shape mismatch or
-// a pinning conflict — matrix-author mistakes, reported as ConfigError
-// rather than Fail so they never read as paper-claim counterexamples —
-// recording the script's class first so every rejection path keeps the
-// report row's class tag. Returns false for use in the resolvers'
-// return statements.
-func failOracle(res *CellResult, s *adversary.OracleScript, format string, args ...any) bool {
-	res.OracleClass = s.Class()
-	res.failConfig(fmt.Sprintf(format, args...))
-	return false
-}
-
-// requireNoOracle fails cells that declare a generated oracle for a
-// protocol that does not consume the oracle dimension — better a loud
-// failure than a sweep silently ignoring one of its axes.
-func requireNoOracle(c *Cell, res *CellResult) bool {
-	if c.Oracle.None() {
-		return true
-	}
-	return failOracle(res, &c.Oracle, "protocol %q does not consume the generated-oracle dimension (script %s)", c.Protocol, c.Oracle.Name)
-}
-
-// oracleLeader resolves the cell's oracle dimension for a leader-reading
-// protocol: a leader timeline becomes a ScriptedLeader, a parameter
-// script configures the ground-truth Ω_z, and the zero script falls back
-// to the cell's default Ω oracle. ok=false means the cell already
-// failed (nonconforming script or a script of the wrong shape).
-func oracleLeader(c *Cell, sys *sim.System, res *CellResult, z int) (oracle fd.Leader, ok bool) {
-	s := &c.Oracle
-	if s.None() {
-		return omegaOracle(c, sys, z), true
-	}
-	if s.IsPair() {
-		return nil, failOracle(res, s, "oracle script %s is a pair; protocol %q reads a single leader oracle", s.Name, c.Protocol)
-	}
-	if len(s.Suspect) > 0 {
-		return nil, failOracle(res, s, "oracle script %s is a suspector timeline; protocol %q reads a leader", s.Name, c.Protocol)
-	}
-	// The default path's oracle pinning must not be silently dropped:
-	// stab0 contradicts any generated script (both fix the stabilization
-	// time), and a pinned trusted set contradicts a timeline (the script
-	// already fixes every output) but composes with a parameter script.
-	if c.Param("stab0", 0) != 0 {
-		return nil, failOracle(res, s, "param stab0 conflicts with generated oracle script %s (both pin the stabilization time)", s.Name)
-	}
-	if len(s.Leader) > 0 && len(c.Combo.Trusted) > 0 {
-		return nil, failOracle(res, s, "combo pins a trusted set but oracle script %s already fixes the timeline", s.Name)
-	}
-	// Timelines always declare their bound; a parameter script declares
-	// one optionally, and an undeclared bound composes with any combo.
-	if s.Z != 0 && s.Z != z {
-		return nil, failOracle(res, s, "oracle script %s declares z=%d, combo wants z=%d", s.Name, s.Z, z)
-	}
-	if !tagOracle(c, sys, res) {
-		return nil, false
-	}
-	if len(s.Leader) > 0 {
-		return fd.NewScriptedLeader(sys, s.Leader), true
-	}
-	opts := s.Options()
-	if len(c.Combo.Trusted) > 0 {
-		opts = append(opts, fd.WithTrusted(set(c.Combo.Trusted)))
-	}
-	return fd.NewOmega(sys, z, opts...), true
-}
-
-// oracleSuspector is oracleLeader for suspector-reading protocols: a
-// suspect timeline becomes a ScriptedSuspector, a parameter script
-// configures the ground-truth ◇S_x, and the zero script falls back to
-// the plain ◇S_x.
-func oracleSuspector(c *Cell, sys *sim.System, res *CellResult, x int) (susp fd.Suspector, ok bool) {
-	s := &c.Oracle
-	if s.None() {
-		return fd.NewEvtS(sys, x), true
-	}
-	if s.IsPair() {
-		return nil, failOracle(res, s, "oracle script %s is a pair; protocol %q reads a single suspector oracle", s.Name, c.Protocol)
-	}
-	if len(s.Leader) > 0 {
-		return nil, failOracle(res, s, "oracle script %s is a leader timeline; protocol %q reads a suspector", s.Name, c.Protocol)
-	}
-	// Timelines always declare their scope; a parameter script declares
-	// one optionally, and an undeclared scope composes with any combo.
-	if s.X != 0 && s.X != x {
-		return nil, failOracle(res, s, "oracle script %s declares x=%d, combo wants x=%d", s.Name, s.X, x)
-	}
-	if !tagOracle(c, sys, res) {
-		return nil, false
-	}
-	if len(s.Suspect) > 0 {
-		return fd.NewScriptedSuspector(sys, s.Suspect), true
-	}
-	return fd.NewEvtS(sys, x, s.Options()...), true
-}
-
-// oraclePhiOpts resolves the cell's oracle dimension for a
-// querier-reading protocol, where only parameter scripts make sense:
-// it returns the ground-truth options plus whether the oracle is the
-// eventual flavor (a generated parameter script always is — its whole
-// point is a misbehaving prefix).
-func oraclePhiOpts(c *Cell, sys *sim.System, res *CellResult, y int) (opts []fd.Option, eventual, ok bool) {
-	s := &c.Oracle
-	if s.None() {
-		return nil, false, true
-	}
-	if s.IsPair() {
-		return nil, false, failOracle(res, s, "oracle script %s is a pair; protocol %q reads a single querier oracle", s.Name, c.Protocol)
-	}
-	if s.IsTimeline() {
-		return nil, false, failOracle(res, s, "oracle script %s is a timeline; protocol %q reads a querier", s.Name, c.Protocol)
-	}
-	// A parameter script declares its querier scope optionally; an
-	// undeclared scope composes with any combo.
-	if s.Y != 0 && s.Y != y {
-		return nil, false, failOracle(res, s, "oracle script %s declares y=%d, combo wants y=%d", s.Name, s.Y, y)
-	}
-	if !tagOracle(c, sys, res) {
-		return nil, false, false
-	}
-	return s.Options(), true, true
-}
-
-// roleVerdict renders one role's conformance error as a report verdict.
+// roleVerdict renders one conformance error as a report verdict.
 func roleVerdict(err error) string {
 	if err == nil {
 		return "conforms"
@@ -263,96 +336,18 @@ func roleVerdict(err error) string {
 	return "violates: " + err.Error()
 }
 
-// jointViolation renders the combined reason of a pair's role failures.
-func jointViolation(sErr, phiErr error) string {
+// jointViolation combines a pair's role failures into one error, nil
+// when both roles conform.
+func jointViolation(sErr, phiErr error) error {
 	switch {
 	case sErr != nil && phiErr != nil:
-		return fmt.Sprintf("S role: %v; phi role: %v", sErr, phiErr)
+		return fmt.Errorf("S role: %v; phi role: %v", sErr, phiErr)
 	case sErr != nil:
-		return fmt.Sprintf("S role: %v", sErr)
-	default:
-		return fmt.Sprintf("phi role: %v", phiErr)
+		return fmt.Errorf("S role: %v", sErr)
+	case phiErr != nil:
+		return fmt.Errorf("phi role: %v", phiErr)
 	}
-}
-
-// tagOraclePair is tagOracle for paired scripts: each role is checked
-// against its declared class — the perpetual flavors when the cell runs
-// the perpetual addition — under this cell's failure pattern, the
-// per-role verdicts land in OracleS/OraclePhi and the joint verdict in
-// OracleConformance. false means the pair leaves its declared classes
-// and the cell failed (the protocol run is skipped: running an addition
-// over an out-of-class input pair proves nothing).
-func tagOraclePair(c *Cell, sys *sim.System, res *CellResult, perpetual bool) bool {
-	s := &c.Oracle
-	res.OracleClass = s.Class()
-	sErr := s.Pair.SConformance(sys.Pattern(), c.MaxSteps, perpetual)
-	phiErr := s.Pair.PhiConformance(sys.Pattern(), c.MaxSteps, perpetual)
-	res.OracleS = roleVerdict(sErr)
-	res.OraclePhi = roleVerdict(phiErr)
-	if sErr == nil && phiErr == nil {
-		res.OracleConformance = "conforms"
-		return true
-	}
-	why := jointViolation(sErr, phiErr)
-	res.OracleConformance = "violates: " + why
-	res.fail("generated oracle pair leaves its declared classes: " + why)
-	return false
-}
-
-// oraclePair resolves a paired script into the two role oracles of an
-// addition protocol: the S role becomes a scripted suspector (suspect
-// timeline) or a parameterized ground-truth S_x/◇S_x, the φ role a
-// parameterized ground-truth φ_y/◇φ_y. ok=false means the cell already
-// failed — a role/scope mismatch (ConfigError) or a nonconforming pair
-// (Fail).
-func oraclePair(c *Cell, sys *sim.System, res *CellResult, x, y int, perpetual bool) (susp fd.Suspector, quer *fd.Phi, ok bool) {
-	s := &c.Oracle
-	p := s.Pair
-	if p.S.X != x {
-		failOracle(res, s, "oracle pair %s declares S-role x=%d, combo wants x=%d", s.Name, p.S.X, x)
-		return nil, nil, false
-	}
-	if p.Phi.Y != y {
-		failOracle(res, s, "oracle pair %s declares phi-role y=%d, combo wants y=%d", s.Name, p.Phi.Y, y)
-		return nil, nil, false
-	}
-	if c.Param("stab0", 0) != 0 {
-		failOracle(res, s, "param stab0 conflicts with generated oracle pair %s (both pin the stabilization time)", s.Name)
-		return nil, nil, false
-	}
-	if len(c.Combo.Trusted) > 0 {
-		failOracle(res, s, "combo pins a trusted set but oracle pair %s scripts the suspector role", s.Name)
-		return nil, nil, false
-	}
-	if !tagOraclePair(c, sys, res, perpetual) {
-		return nil, nil, false
-	}
-	switch {
-	case len(p.S.Suspect) > 0:
-		susp = fd.NewScriptedSuspector(sys, p.S.Suspect)
-	case perpetual:
-		susp = fd.NewS(sys, x, p.S.Options()...)
-	default:
-		susp = fd.NewEvtS(sys, x, p.S.Options()...)
-	}
-	if perpetual {
-		quer = fd.NewPhi(sys, y, p.Phi.Options()...)
-	} else {
-		quer = fd.NewEvtPhi(sys, y, p.Phi.Options()...)
-	}
-	return susp, quer, true
-}
-
-// omegaOracle builds the cell's Ω oracle with optional pinning.
-func omegaOracle(c *Cell, sys *sim.System, z int) *fd.Omega {
-	var opts []fd.Option
-	if c.Param("stab0", 0) != 0 {
-		opts = append(opts, fd.WithStabilizeAt(0))
-	}
-	if len(c.Combo.Trusted) > 0 {
-		opts = append(opts, fd.WithTrusted(set(c.Combo.Trusted)))
-	}
-	return fd.NewOmega(sys, z, opts...)
+	return nil
 }
 
 // runKSetOmega: the Fig. 3 algorithm over a ground-truth Ω_z oracle —
@@ -368,10 +363,11 @@ func runKSetOmega(c *Cell, res *CellResult) {
 	if z == 0 {
 		z = 1
 	}
-	oracle, ok := oracleLeader(c, sys, res, z)
+	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsLeader, z: z})
 	if !ok {
 		return
 	}
+	oracle := o.leader
 	fd.TraceLeader(sys, oracle, "oracle")
 	out := agreement.NewOutcome()
 	out.UseArena(c.arena)
@@ -405,10 +401,11 @@ func runKSetSeq(c *Cell, res *CellResult) {
 	if z == 0 {
 		z = 1
 	}
-	oracle, ok := oracleLeader(c, sys, res, z)
+	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsLeader, z: z})
 	if !ok {
 		return
 	}
+	oracle := o.leader
 	fd.TraceLeader(sys, oracle, "oracle")
 	instances := int(c.Param("instances", 4))
 	outs := make([]*agreement.Outcome, instances)
@@ -445,10 +442,11 @@ func runConsensusDS(c *Cell, res *CellResult) {
 	if err != nil {
 		panic(err)
 	}
-	susp, ok := oracleSuspector(c, sys, res, c.Size.N)
+	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsSuspector, x: c.Size.N})
 	if !ok {
 		return
 	}
+	susp := o.susp
 	fd.TraceSuspector(sys, susp, "oracle")
 	out := agreement.NewOutcome()
 	for p := 1; p <= c.Size.N; p++ {
@@ -512,35 +510,11 @@ func runTwoWheels(c *Cell, res *CellResult) {
 	if z == 0 {
 		z = c.Size.T + 2 - x - y
 	}
-	var susp fd.Suspector
-	var quer *fd.Phi
-	if c.Oracle.IsPair() {
-		// A paired script drives both roles independently: its own ◇S_x
-		// script for the suspector, its own ◇φ_y parameters for the
-		// querier, each conformance-checked against its declared class.
-		var ok bool
-		susp, quer, ok = oraclePair(c, sys, res, x, y, false)
-		if !ok {
-			return
-		}
-	} else {
-		var ok bool
-		susp, ok = oracleSuspector(c, sys, res, x)
-		if !ok {
-			return
-		}
-		// A single parameter script configures the whole oracle
-		// environment, and two-wheels reads two oracles: the ◇φ_y gets the
-		// same stabilization/anarchy configuration as the ◇S_x, or the
-		// swept dimension would be silently half-applied. (Timeline
-		// scripts name a single role — the suspector — and leave the
-		// querier default.)
-		if s := &c.Oracle; !s.None() && !s.IsTimeline() {
-			quer = fd.NewEvtPhi(sys, y, s.Options()...)
-		} else {
-			quer = fd.NewEvtPhi(sys, y)
-		}
+	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsSuspector | readsQuerier, x: x, y: y})
+	if !ok {
+		return
 	}
+	susp, quer := o.susp, o.quer
 	fd.TraceSuspector(sys, susp, "oracle-s")
 	emu, _ := reduction.SpawnTwoWheels(sys, susp, quer, x, y)
 	fd.TraceLeader(sys, emu, "emu")
@@ -590,10 +564,11 @@ func runSingleWheel(c *Cell, res *CellResult) {
 	if err != nil {
 		panic(err)
 	}
-	susp, ok := oracleSuspector(c, sys, res, c.Size.N)
+	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsSuspector, x: c.Size.N})
 	if !ok {
 		return
 	}
+	susp := o.susp
 	fd.TraceSuspector(sys, susp, "oracle")
 	emu := reduction.SpawnSingleWheel(sys, susp)
 	fd.TraceLeader(sys, emu, "emu")
@@ -619,10 +594,11 @@ func runLowerWheel(c *Cell, res *CellResult) {
 		panic(err)
 	}
 	x := c.Combo.X
-	susp, ok := oracleSuspector(c, sys, res, x)
+	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsSuspector, x: x})
 	if !ok {
 		return
 	}
+	susp := o.susp
 	fd.TraceSuspector(sys, susp, "oracle")
 	reprs := reduction.SpawnLowerWheel(sys, susp, x)
 	wire := rbcast.WireTag(sim.Intern("wheel.xmove"))
@@ -691,17 +667,11 @@ func psiOmegaSystem(c *Cell, res *CellResult) (*sim.System, *reduction.PsiOmega,
 		panic(err)
 	}
 	y, z := c.Combo.Y, c.Combo.Z
-	opts, eventual, ok := oraclePhiOpts(c, sys, res, y)
+	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsQuerier, y: y, perpetual: true})
 	if !ok {
 		return nil, nil, false
 	}
-	var phi *fd.Phi
-	if eventual {
-		phi = fd.NewEvtPhi(sys, y, opts...)
-	} else {
-		phi = fd.NewPhi(sys, y)
-	}
-	psi := fd.WrapPsi(phi)
+	psi := fd.WrapPsi(o.quer)
 	return sys, reduction.NewPsiOmega(c.Size.N, c.Size.T, y, z, psi), true
 }
 
@@ -736,28 +706,14 @@ func runAddS(c *Cell, res *CellResult) {
 	}
 	x, y := c.Combo.X, c.Combo.Y
 	perpetual := c.Param("perpetual", 1) != 0
-	var susp fd.Suspector
-	var quer fd.Querier
-	if c.Oracle.IsPair() {
-		// A paired script names one oracle per role — the only shape the
-		// generated dimension can take here, since add-s consumes two
-		// oracles and a single script would be ambiguous about which role
-		// it drives.
-		s, q, ok := oraclePair(c, sys, res, x, y, perpetual)
-		if !ok {
-			return
-		}
-		susp, quer = s, q
-	} else {
-		if !requireNoOracle(c, res) {
-			return
-		}
-		if perpetual {
-			susp, quer = fd.NewS(sys, x), fd.NewPhi(sys, y)
-		} else {
-			susp, quer = fd.NewEvtS(sys, x), fd.NewEvtPhi(sys, y)
-		}
+	// add-s reads two oracles, so a single script would be ambiguous
+	// about which role it drives: only pairs feed it.
+	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsSuspector | readsQuerier, x: x, y: y,
+		perpetual: perpetual, pairedOnly: true})
+	if !ok {
+		return
 	}
+	susp, quer := o.susp, o.quer
 	fd.TraceSuspector(sys, susp, "oracle-s")
 	emu := reduction.SpawnAddS(sys, susp, quer, c.Combo.Name)
 	fd.TraceSuspector(sys, emu, "emu")
@@ -784,7 +740,7 @@ func runPhiO1(c *Cell, res *CellResult) {
 	if err != nil {
 		panic(err)
 	}
-	if !requireNoOracle(c, res) {
+	if _, ok := resolveOracles(c, sys, res, oracleUse{}); !ok {
 		return
 	}
 	y := c.Combo.Y
@@ -819,7 +775,8 @@ func runPhiO1(c *Cell, res *CellResult) {
 // The region E comes from Combo.Region; Params: crash_at, slack (extra
 // horizon past τ).
 func runIrreducibility(c *Cell, res *CellResult) {
-	if !requireNoOracle(c, res) {
+	// The run pair builds its own systems and oracles.
+	if _, ok := resolveOracles(c, nil, res, oracleUse{}); !ok {
 		return
 	}
 	tau := sim.Time(c.Param("tau", 500))
