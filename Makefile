@@ -8,14 +8,10 @@
 #   make perf-smoke  one short perfbench pass per workload; fails unless its checks pass
 #   make fuzz-smoke  run every fuzz target for 10 s each
 #   make examples    go run every runnable example (drift gate)
-#   make bench       benchmarks (5 counts) → $(BENCH_OUT)
-#   make bench-gate  scheduler micro-benchmarks vs the committed baseline
-#
-# BENCH_OUT names the committed benchmark record; override it when
-# cutting a new baseline (e.g. `make bench BENCH_OUT=BENCH_PR4.json`).
+#   make bench       every benchmark, 5 counts, as benchstat-ready text
+#   make bench-gate  hot-path micro-benchmarks: this tree vs its parent commit
 
 GO ?= go
-BENCH_OUT ?= BENCH_PR7.json
 
 .PHONY: ci vet lint build test race fuzz-smoke smoke dispatch-smoke perf-smoke examples bench bench-gate clean
 
@@ -127,21 +123,25 @@ examples: build
 # Full benchmark pass: every benchmark 5 times (benchstat wants repeated
 # samples; a duration-based benchtime lets the nanosecond scheduler
 # micro-benchmarks amortize their setup while keeping the sweep-heavy
-# ones tractable). End-to-end suite timings are perfbench's job (make
-# perf-smoke, perfbench/README.md). The parsed record lands in
-# $(BENCH_OUT); a "baseline" section already present there (the
-# committed PR-1 reference) is preserved.
+# ones tractable). The output is plain `go test -bench` text: save two
+# runs and compare them with benchstat. End-to-end suite timings are
+# perfbench's job (make perf-smoke, perfbench/README.md).
 bench: build
-	$(GO) test -bench . -benchmem -count 5 -benchtime 300ms -run XXX . | tee /tmp/fdgrid-bench.txt
-	$(GO) run ./cmd/bench2json -bench /tmp/fdgrid-bench.txt -out $(BENCH_OUT)
+	$(GO) test -bench . -benchmem -count 5 -benchtime 300ms -run XXX .
 
-# The CI benchmark-regression gate: sample the scheduler and
-# batched-delivery micro-benchmarks a few times and compare medians
-# against the committed record; a >25% median regression fails (see
-# cmd/benchgate for why the threshold is generous).
-bench-gate: build
-	$(GO) test -bench 'BenchmarkScheduler|BenchmarkDeliverBatch|BenchmarkBroadcastFanout' -benchtime 200ms -count 5 -run XXX . | tee /tmp/fdgrid-bench-gate.txt
-	$(GO) run ./cmd/benchgate -baseline $(BENCH_OUT) -bench /tmp/fdgrid-bench-gate.txt -match 'BenchmarkScheduler|BenchmarkDeliverBatch|BenchmarkBroadcastFanout' -threshold 0.25
+# The micro-benchmark regression gate: build the root package's test
+# binary from the parent commit (HEAD^1) and from the working tree, and
+# let cmd/benchgate run the two alternately on this machine. A >25%
+# median regression of any scheduler, delivery or fan-out benchmark
+# fails (cmd/benchgate holds the gated set and the threshold). The raw
+# samples land in .bench_build/gate/base.txt and head.txt for benchstat.
+bench-gate:
+	rm -rf .bench_build/gate && mkdir -p .bench_build/gate/src
+	git archive HEAD^1 | tar -x -C .bench_build/gate/src
+	cd .bench_build/gate/src && $(GO) test -c -o ../base.test .
+	rm -rf .bench_build/gate/src
+	$(GO) test -c -o .bench_build/gate/head.test .
+	$(GO) run ./cmd/benchgate -base .bench_build/gate/base.test -head .bench_build/gate/head.test
 
 clean:
 	rm -f /tmp/fdgrid-smoke.md /tmp/fdgrid-smoke.json

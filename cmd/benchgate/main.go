@@ -1,147 +1,232 @@
-// Command benchgate is the CI benchmark-regression gate: it compares a
-// fresh `go test -bench` run against the committed benchmark record and
-// fails when any selected benchmark's median ns/op regressed beyond the
-// threshold.
+// Command benchgate is the micro-benchmark regression gate: it runs two
+// `go test -c` binaries of the root package, the parent commit's
+// (-base) and the change's (-head), on the same machine, and fails when
+// any gated benchmark's median ns/op regressed by more than a quarter.
 //
-// The committed record's numbers were measured on one machine and CI
-// runs on another, so the gate is a coarse tripwire for order-of-
-// magnitude breakage (a lock reintroduced on the token path, an
-// accidental allocation per tick), not a precision instrument — hence
-// the generous default threshold and the median-of-counts input.
+// A shared runner drifts by tens of percent over a minute, so the two
+// sides are sampled in lockstep: for each gated benchmark, sample i runs
+// base then head, sample i+1 head then base, and so on. Both sides of a
+// pair see the same host, and a comparison against a record taken
+// elsewhere (or on the same host at another time) cannot false-fail.
 //
-// -emit-raw writes the baseline's raw benchmark lines to a file so
-// benchstat can render a proper side-by-side comparison next to the
-// gate's verdict.
+// The gated set, sample count, benchtime and threshold are constants
+// below, not flags: the gate means one thing wherever it runs. The raw
+// `go test -bench` output of each side lands beside its binary as
+// base.txt and head.txt, ready for `benchstat base.txt head.txt`.
 //
-// Usage:
+// Usage (make bench-gate builds both binaries and calls this):
 //
-//	benchgate -baseline BENCH_PR3.json -bench fresh.txt [-match 'BenchmarkScheduler'] [-threshold 0.25]
+//	benchgate -base DIR/base.test -head DIR/head.test
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
-
-	"fdgrid/internal/benchrec"
 )
 
-func main() {
-	var (
-		baselinePath = flag.String("baseline", "BENCH_PR3.json", "committed benchmark record")
-		benchPath    = flag.String("bench", "", "fresh `go test -bench` output file")
-		match        = flag.String("match", "BenchmarkScheduler", "regexp selecting the gated benchmarks")
-		threshold    = flag.Float64("threshold", 0.25, "maximum tolerated median ns/op regression (0.25 = +25%)")
-		emitRaw      = flag.String("emit-raw", "", "write the baseline's raw benchmark lines here (for benchstat)")
-	)
-	flag.Parse()
+const (
+	// gatedRE selects the gated benchmarks: the scheduler, delivery and
+	// fan-out hot paths every sweep cell multiplies by millions.
+	// TestGateCoversHotPaths keeps every such benchmark inside it.
+	gatedRE = `^(BenchmarkScheduler|BenchmarkDeliverBatch|BenchmarkDeliverBacklog|BenchmarkBroadcastFanout)`
+	// samples is the number of runs per side of each benchmark.
+	samples = 5
+	// benchtime is each run's -test.benchtime: long enough to amortize
+	// the nanosecond benchmarks' setup, short enough for ~1 min per gate.
+	benchtime = "200ms"
+	// threshold is the largest tolerated median ns/op regression
+	// (0.25 = +25%).
+	threshold = 0.25
+)
 
-	fatal := func(err error) {
+var gated = regexp.MustCompile(gatedRE)
+
+func main() {
+	base := flag.String("base", "", "`go test -c` binary of the parent commit")
+	head := flag.String("head", "", "`go test -c` binary of the change")
+	flag.Parse()
+	if *base == "" || *head == "" || flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "usage: benchgate -base base.test -head head.test")
+		os.Exit(2)
+	}
+	if err := gate(*base, *head, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
 
-	sel, err := regexp.Compile(*match)
-	if err != nil {
-		fatal(err)
-	}
-	blob, err := os.ReadFile(*baselinePath)
-	if err != nil {
-		fatal(err)
-	}
-	var rec benchrec.Record
-	if err := json.Unmarshal(blob, &rec); err != nil {
-		fatal(fmt.Errorf("benchgate: unreadable record %s: %w", *baselinePath, err))
-	}
-
-	if *emitRaw != "" {
-		var lines []string
-		names := sortedNames(rec.Benchmarks)
-		for _, name := range names {
-			lines = append(lines, rec.Benchmarks[name].Raw...)
+// gate runs both binaries over the gated benchmarks in alternating
+// order, writes each side's raw output beside its binary and compares
+// the two.
+func gate(baseBin, headBin string, w io.Writer) error {
+	bins := [2]string{baseBin, headBin}
+	var lists [2][]string
+	for side, bin := range bins {
+		abs, err := filepath.Abs(bin)
+		if err != nil {
+			return err
 		}
-		if err := os.WriteFile(*emitRaw, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			fatal(err)
+		bins[side] = abs
+		if lists[side], err = listGated(abs); err != nil {
+			return err
 		}
 	}
-	if *benchPath == "" {
-		if *emitRaw == "" {
-			fatal(fmt.Errorf("benchgate: nothing to do (need -bench and/or -emit-raw)"))
+	names := union(lists[0], lists[1])
+
+	var raw [2]strings.Builder
+	for bi, name := range names {
+		fmt.Fprintf(os.Stderr, "benchgate: %s, %d samples per side\n", name, samples)
+		for i := range samples {
+			order := [2]int{0, 1}
+			if (bi+i)%2 == 1 {
+				order = [2]int{1, 0}
+			}
+			for _, side := range order {
+				if !slices.Contains(lists[side], name) {
+					continue
+				}
+				out, err := runBench(bins[side], name)
+				if err != nil {
+					return err
+				}
+				raw[side].Write(out)
+			}
 		}
-		return
 	}
+	for side, file := range [2]string{"base.txt", "head.txt"} {
+		path := filepath.Join(filepath.Dir(bins[side]), file)
+		if err := os.WriteFile(path, []byte(raw[side].String()), 0o644); err != nil {
+			return err
+		}
+	}
+	return compare(w, parseBenchOutput(raw[0].String()), parseBenchOutput(raw[1].String()))
+}
 
-	f, err := os.Open(*benchPath)
+// listGated returns the binary's top-level benchmarks that gatedRE
+// selects.
+func listGated(bin string) ([]string, error) {
+	out, err := exec.Command(bin, "-test.list", gatedRE).Output()
 	if err != nil {
-		fatal(err)
+		return nil, fmt.Errorf("benchgate: %s -test.list: %w", bin, err)
 	}
-	fresh, err := benchrec.ParseBenchOutput(f)
-	f.Close()
-	if err != nil {
-		fatal(err)
+	var names []string
+	for _, line := range strings.Fields(string(out)) {
+		if strings.HasPrefix(line, "Benchmark") {
+			names = append(names, line)
+		}
 	}
+	return names, nil
+}
 
-	gated, failed := 0, 0
-	for _, name := range sortedNames(fresh) {
-		if !sel.MatchString(name) {
+// runBench runs one top-level benchmark (with its sub-benchmarks) once.
+func runBench(bin, name string) ([]byte, error) {
+	cmd := exec.Command(bin, "-test.run", "^$", "-test.bench", "^"+regexp.QuoteMeta(name)+"$",
+		"-test.benchtime", benchtime, "-test.count", "1", "-test.timeout", "5m")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("benchgate: %s %s: %w\n%s", bin, name, err, out)
+	}
+	return out, nil
+}
+
+// compare gates head against base, both ns/op samples per benchmark
+// name, over the benchmarks gatedRE selects. It prints one line per
+// benchmark and fails on a median regression beyond threshold, on a
+// benchmark the base has and the head lacks (deleting or renaming a
+// gated benchmark must not shrink the gate silently), and when nothing
+// was compared. A benchmark only the head has is new: it passes.
+func compare(w io.Writer, base, head map[string][]float64) error {
+	compared, failed, missing := 0, 0, 0
+	worst := 0.0
+	for _, name := range union(slices.Collect(maps.Keys(base)), slices.Collect(maps.Keys(head))) {
+		if !gated.MatchString(name) {
 			continue
 		}
-		cur := benchrec.Median(fresh[name].NsOp)
-		if cur == 0 {
+		b, h := median(base[name]), median(head[name])
+		switch {
+		case b == 0:
+			fmt.Fprintf(w, "NEW  %-40s %12s → %10.1f ns/op  no parent sample\n", name, "", h)
+			continue
+		case h == 0:
+			fmt.Fprintf(w, "MISS %-40s gated in the parent but absent from the head run\n", name)
+			missing++
 			continue
 		}
-		base, ok := rec.Benchmarks[name]
-		if !ok || benchrec.Median(base.NsOp) == 0 {
-			fmt.Printf("SKIP %-48s no baseline sample\n", name)
-			continue
-		}
-		gated++
-		baseMed := benchrec.Median(base.NsOp)
-		ratio := cur / baseMed
+		compared++
+		ratio := h / b
+		worst = max(worst, ratio)
 		verdict := "ok  "
-		if ratio > 1+*threshold {
+		if ratio > 1+threshold {
 			verdict = "FAIL"
 			failed++
 		}
-		fmt.Printf("%s %-48s %10.1f → %10.1f ns/op  (%+.1f%%)\n",
-			verdict, name, baseMed, cur, (ratio-1)*100)
+		fmt.Fprintf(w, "%s %-40s %12.1f → %10.1f ns/op  (%+.1f%%)\n", verdict, name, b, h, (ratio-1)*100)
 	}
-	// Cross-check the other direction: every gated baseline benchmark
-	// must appear in the fresh run. Iterating fresh names alone would let
-	// a deleted (or renamed, or accidentally skipped) benchmark slip
-	// through — removing BenchmarkSchedulerTick must fail the gate, not
-	// silently shrink it.
-	missing := 0
-	for _, name := range sortedNames(rec.Benchmarks) {
-		if !sel.MatchString(name) || benchrec.Median(rec.Benchmarks[name].NsOp) == 0 {
-			continue
-		}
-		if b, ok := fresh[name]; !ok || benchrec.Median(b.NsOp) == 0 {
-			fmt.Printf("MISS %-48s gated in the baseline but absent from the fresh run\n", name)
-			missing++
-		}
+	switch {
+	case missing > 0:
+		return fmt.Errorf("benchgate: %d gated benchmarks of the parent missing from the head run", missing)
+	case compared == 0:
+		return errors.New("benchgate: no benchmark matched " + gatedRE + " on both sides; the gate gated nothing")
+	case failed > 0:
+		return fmt.Errorf("benchgate: %d of %d gated benchmarks regressed beyond +%.0f%%", failed, compared, threshold*100)
 	}
-	if gated == 0 && missing == 0 {
-		fatal(fmt.Errorf("benchgate: no benchmark matched %q with a baseline — the gate gated nothing", *match))
-	}
-	if missing > 0 {
-		fatal(fmt.Errorf("benchgate: %d gated baseline benchmarks missing from the fresh run", missing))
-	}
-	if failed > 0 {
-		fatal(fmt.Errorf("benchgate: %d of %d gated benchmarks regressed beyond +%.0f%%", failed, gated, *threshold*100))
-	}
-	fmt.Printf("benchgate: %d benchmarks within +%.0f%% of %s\n", gated, *threshold*100, *baselinePath)
+	fmt.Fprintf(w, "benchgate: %d benchmarks within +%.0f%% of the parent (largest ratio %.3f)\n", compared, threshold*100, worst)
+	return nil
 }
 
-func sortedNames(m map[string]*benchrec.Benchmark) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
+// union returns the sorted, de-duplicated names of a and b.
+func union(a, b []string) []string {
+	names := slices.Concat(a, b)
+	slices.Sort(names)
+	return slices.Compact(names)
+}
+
+// median of a sample slice (0 when empty): the upper-middle element of
+// the sorted samples for an even count. The input is not reordered.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
 	}
-	sort.Strings(names)
-	return names
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[len(s)/2]
+}
+
+// benchLine matches one `go test -bench` result line. The name group is
+// lazy so the `-N` GOMAXPROCS suffix (absent on a 1-CPU box) lands in
+// its own group and is stripped.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?\s+\d+\s+(.*)$`)
+
+// parseBenchOutput collects the ns/op samples of `go test -bench` text
+// per benchmark name (GOMAXPROCS suffix stripped). Other lines, and
+// result lines with no ns/op pair, add no sample.
+func parseBenchOutput(text string) map[string][]float64 {
+	out := map[string][]float64{}
+	for line := range strings.Lines(text) {
+		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
+		if m == nil {
+			continue
+		}
+		fields := strings.Fields(m[3])
+		for i := 0; i+1 < len(fields); i += 2 {
+			if fields[i+1] != "ns/op" {
+				continue
+			}
+			if v, err := strconv.ParseFloat(fields[i], 64); err == nil {
+				out[m[1]] = append(out[m[1]], v)
+			}
+		}
+	}
+	return out
 }

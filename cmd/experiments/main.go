@@ -27,13 +27,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"fdgrid/internal/adversary"
-	"fdgrid/internal/benchrec"
 	"fdgrid/internal/cliutil"
 	"fdgrid/internal/core"
 	"fdgrid/internal/ids"
@@ -51,7 +49,6 @@ func main() {
 		verbose   = flag.Bool("v", false, "print per-matrix progress to stderr")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the sweep here")
 		memprof   = flag.String("memprofile", "", "write a heap profile (after the sweep, post-GC) here")
-		benchFile = flag.String("bench", "BENCH_PR7.json", "benchmark record to render in the EXP-PERF section")
 		replay    = flag.String("replay", "", "re-run one suite cell with decision tracing on (format \"MATRIX:INDEX\"); skips the suite")
 		perturb   = flag.String("perturb", "", "with -replay: one counterfactual edit (\"gst±K\", \"stab±K\", \"crash=P@T\", \"hold[I]±K\") applied to a second run, diffed against the first")
 		traceLvl  = flag.String("trace", "", "with -replay: trace level (\"decisions\" or \"full\"; default decisions)")
@@ -95,7 +92,7 @@ func main() {
 	}
 
 	start := time.Now()
-	md, reports, err := buildSuite(*seeds, *workers, *benchFile, *verbose)
+	md, reports, err := buildSuite(*seeds, *workers, *verbose)
 	if err != nil {
 		fatal(err)
 	}
@@ -135,7 +132,7 @@ func main() {
 
 // buildSuite runs every experiment matrix on a pool of the given size
 // and renders the markdown report.
-func buildSuite(seeds, workers int, benchFile string, verbose bool) (string, []*sweep.Report, error) {
+func buildSuite(seeds, workers int, verbose bool) (string, []*sweep.Report, error) {
 	var b strings.Builder
 	b.WriteString(`# EXPERIMENTS — paper vs. measured
 
@@ -181,7 +178,6 @@ reproduction targets.
 	if runErr == nil {
 		runErr = expCounterfactual(&b, seeds)
 	}
-	expPerf(&b, benchFile)
 
 	if runErr != nil {
 		return "", nil, runErr
@@ -1209,66 +1205,4 @@ func expOracle(b *strings.Builder, run func(sweep.Matrix) *sweep.Report, seeds i
 		"every generated oracle script conforms to its declared class under the swept patterns, and "+
 			"k-set agreement, the Ψ→Ω chain and the two-wheels addition all keep their guarantees under "+
 			"flapping, bursty and scope-churning oracles up to n = 128")
-}
-
-// expPerf renders the committed benchmark record (EXP-PERF): the
-// record's baseline scheduler versus its current medians, per
-// micro-benchmark. Regenerate the record with `make bench`; this
-// section only formats the benchmark record, so the rendered report
-// stays a pure function of its inputs. Suite wall-clock is perfbench's
-// to measure, not this record's.
-func expPerf(b *strings.Builder, path string) {
-	section(b, "EXP-PERF · infrastructure — scheduler cost",
-		"(not a paper claim) Simulation-based exploration scales only if a virtual tick is nearly free: "+
-			"each process main is a coroutine and the run token passes by coroutine switch — a parking process "+
-			"runs the next tick on its own stack and keeps running when it is itself due next, and a process "+
-			"waiting in a guarded wait takes its steps on whichever stack holds the token, resumed only when "+
-			"its wait completes — with no locks on simulation state and interned-tag metrics.")
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(b, "No benchmark record at %s (run `make bench` to create it).\n", path)
-		return
-	}
-	var rec benchrec.Record
-	if err := json.Unmarshal(blob, &rec); err != nil {
-		fmt.Fprintf(b, "Unreadable benchmark record %s: %v\n", path, err)
-		return
-	}
-	var baseline *benchrec.Record
-	if len(rec.Baseline) > 0 {
-		baseline = new(benchrec.Record)
-		if err := json.Unmarshal(rec.Baseline, baseline); err != nil {
-			baseline = nil
-		}
-	}
-	tab := &cliutil.Table{Headers: []string{
-		"benchmark", "PR-1 median ns/op", "current median ns/op", "speedup"}}
-	names := make([]string, 0, len(rec.Benchmarks))
-	for name := range rec.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	others := 0
-	for _, name := range names {
-		cur := benchrec.Median(rec.Benchmarks[name].NsOp)
-		if cur == 0 {
-			continue
-		}
-		var base float64
-		if baseline != nil {
-			if bl, ok := baseline.Benchmarks[name]; ok {
-				base = benchrec.Median(bl.NsOp)
-			}
-		}
-		if base == 0 {
-			others++ // recorded, but with no PR-1 reference point
-			continue
-		}
-		tab.Add(name, fmt.Sprintf("%.1f", base), fmt.Sprintf("%.1f", cur),
-			fmt.Sprintf("%.2fx", base/cur))
-	}
-	b.WriteString(tab.String())
-	if others > 0 {
-		fmt.Fprintf(b, "\n(%d further benchmarks without a PR-1 reference are recorded in the file.)\n", others)
-	}
 }

@@ -33,7 +33,7 @@ func goldenPath(t *testing.T) string {
 
 func buildSuiteJSON(t *testing.T, seeds int) ([]byte, []*sweep.Report) {
 	t.Helper()
-	_, reports, err := buildSuite(seeds, 0, "no-such-bench-record.json", false)
+	_, reports, err := buildSuite(seeds, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -237,8 +237,9 @@ func NewOracleGen(n, t int) OracleGen { return OracleGen{N: n, T: t} }
 
 // Expand turns one family into its concrete scripts. It rejects a
 // generator size outside sim's bounds, a family with more than
-// MaxVariants variants or MaxFlaps flaps, and one whose ticks would
-// reach sim.Never (see oracleTicksFit).
+// MaxVariants variants or MaxFlaps flaps, a parameter family declaring
+// an anarchy rate outside 0..1000‰, and one whose ticks would reach
+// sim.Never (see oracleTicksFit).
 func (g OracleGen) Expand(f OracleFamily) ([]OracleScript, error) {
 	if g.N < 1 || g.N > ids.MaxProcs || g.T < 0 || g.T >= g.N {
 		return nil, fmt.Errorf("adversary: system size n=%d, t=%d out of range (1 ≤ n ≤ %d, 0 ≤ t < n)", g.N, g.T, ids.MaxProcs)
@@ -300,6 +301,11 @@ func (g OracleGen) Expand(f OracleFamily) ([]OracleScript, error) {
 		// undeclared scope composes with any combo's oracle.
 		if f.Z < 0 || f.Z > g.N || f.X < 0 || f.X > g.N || f.Y < 0 || f.Y > g.N {
 			return nil, fmt.Errorf("adversary: oracle family %q declares scope z=%d/x=%d/y=%d outside 0..%d", f.Kind, f.Z, f.X, f.Y, g.N)
+		}
+		// A declared rate is checked before the anarchy-burst ramp
+		// scales it, so rate·(v+1) cannot wrap.
+		if f.RatePermille < 0 || f.RatePermille > 1000 {
+			return nil, fmt.Errorf("adversary: oracle family %q declares anarchy rate %d‰ outside 0..1000", f.Kind, f.RatePermille)
 		}
 	default:
 		return nil, fmt.Errorf("adversary: unknown oracle family kind %q", f.Kind)

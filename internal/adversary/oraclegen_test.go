@@ -381,6 +381,12 @@ func TestOracleExpandBoundsTicks(t *testing.T) {
 		{"burst-stab-last", g, OracleFamily{Kind: OracleAnarchyBurst, StabilizeAt: sim.Never - 1}, true},
 		{"burst-stab-maxint", g, OracleFamily{Kind: OracleAnarchyBurst, StabilizeAt: 1<<63 - 1}, false},
 		{"burst-default-stab-overflow", g, OracleFamily{Kind: OracleAnarchyBurst, Period: 1 << 61, Flaps: 8}, false},
+		{"burst-rate-overflow", g, OracleFamily{Kind: OracleAnarchyBurst, RatePermille: 1 << 62, Variants: 4}, false},
+		{"burst-rate-max", g, OracleFamily{Kind: OracleAnarchyBurst, RatePermille: 1000, Variants: 4}, true},
+		{"burst-rate-over", g, OracleFamily{Kind: OracleAnarchyBurst, RatePermille: 1001}, false},
+		{"burst-rate-negative", g, OracleFamily{Kind: OracleAnarchyBurst, RatePermille: -1}, false},
+		{"late-stab-rate-over", g, OracleFamily{Kind: OracleLateStab, RatePermille: 1001}, false},
+		{"late-stab-rate-max", g, OracleFamily{Kind: OracleLateStab, RatePermille: 1000}, true},
 		{"late-stab-overflow", g, OracleFamily{Kind: OracleLateStab, Start: 1 << 62, Ramp: 1 << 62, Variants: 3}, false},
 		{"late-stab-ramp-overflow", g, OracleFamily{Kind: OracleLateStab, Start: 100, Ramp: 1 << 61, Variants: 3}, false},
 		{"late-stab-last-fits", g, OracleFamily{Kind: OracleLateStab, Start: sim.Never - 201, Ramp: 100, Variants: 3}, true},
@@ -426,26 +432,29 @@ func TestOracleExpandBoundsTicks(t *testing.T) {
 
 // checkOracleScripts asserts the invariants every accepted expansion
 // keeps: one script per variant, and in every script (each role of a
-// pair) a StabilizeAt and timeline steps in [0, sim.Never), the steps
-// strictly ascending.
+// pair) an anarchy rate in 0..1000‰, a StabilizeAt and timeline steps
+// in [0, sim.Never), the steps strictly ascending.
 func checkOracleScripts(t *testing.T, f OracleFamily, ss []OracleScript) {
 	t.Helper()
 	if want := max(f.Variants, 1); len(ss) != want {
 		t.Fatalf("%+v expanded to %d scripts, want %d", f, len(ss), want)
 	}
 	for _, s := range ss {
-		checkOracleTicks(t, s)
+		checkOracleScript(t, s)
 	}
 }
 
-// checkOracleTicks asserts one script's tick invariants (see
+// checkOracleScript asserts one script's rate and tick invariants (see
 // checkOracleScripts).
-func checkOracleTicks(t *testing.T, s OracleScript) {
+func checkOracleScript(t *testing.T, s OracleScript) {
 	t.Helper()
 	if s.Pair != nil {
-		checkOracleTicks(t, s.Pair.S)
-		checkOracleTicks(t, s.Pair.Phi)
+		checkOracleScript(t, s.Pair.S)
+		checkOracleScript(t, s.Pair.Phi)
 		return
+	}
+	if s.RatePermille < 0 || s.RatePermille > 1000 {
+		t.Fatalf("%s anarchy rate %d‰ outside 0..1000", s.Name, s.RatePermille)
 	}
 	if s.StabilizeAt < 0 || s.StabilizeAt >= sim.Never {
 		t.Fatalf("%s stabilizes at %d, outside [0, sim.Never)", s.Name, s.StabilizeAt)
@@ -469,12 +478,12 @@ func checkOracleTicks(t *testing.T, s OracleScript) {
 
 // FuzzOracleGen: expansion of arbitrary single and pair families is
 // deterministic, yields one script per variant (the zipped count for a
-// pair), and every accepted script keeps checkOracleTicks' invariants,
-// so no tick arithmetic wraps. The seeds are the committed suite's
-// oracle families (ORACLE-kset-flap, ORACLE-psi-burst,
-// ORACLE-wheels-churn) and pair families (F2-additivity-pairs,
-// F9-add-s-pairs) at their matrices' sizes, plus the two families that
-// used to overflow.
+// pair), and every accepted script keeps checkOracleScript's
+// invariants, so no tick or rate arithmetic wraps. The seeds are the
+// committed suite's oracle families (ORACLE-kset-flap,
+// ORACLE-psi-burst, ORACLE-wheels-churn) and pair families
+// (F2-additivity-pairs, F9-add-s-pairs) at their matrices' sizes, plus
+// the three families that used to overflow.
 func FuzzOracleGen(f *testing.F) {
 	kinds := []string{OracleLeaderFlap, OracleScopeChurn, OracleAnarchyBurst, OracleLateStab, "solar-flare"}
 	kindOf := map[string]uint8{}
@@ -518,6 +527,7 @@ func FuzzOracleGen(f *testing.F) {
 	}
 	add(8, 3, OracleFamily{Kind: OracleLeaderFlap, Z: 2, Start: 1 << 62, Period: 1 << 61, Flaps: 4}, nil)
 	add(8, 3, OracleFamily{Kind: OracleLateStab, Start: 1 << 62, Ramp: 1 << 62, Variants: 3}, nil)
+	add(8, 3, OracleFamily{Kind: OracleAnarchyBurst, RatePermille: 1 << 62, Variants: 4}, nil)
 	f.Fuzz(func(t *testing.T, n, tt int, kind uint8, z, x, y, variants, flaps int, seed, start, period, stab, ramp int64, rate int, settle uint64,
 		pair bool, phiKind uint8, phiY, phiVariants int, phiSeed, phiStart, phiRamp int64, phiRate int) {
 		fam := OracleFamily{
@@ -555,7 +565,7 @@ func FuzzOracleGen(f *testing.F) {
 			t.Fatalf("%+v (pair %v) expanded to %d scripts, want %d", fam, pair, len(a), want)
 		}
 		for _, s := range a {
-			checkOracleTicks(t, s)
+			checkOracleScript(t, s)
 		}
 	})
 }

@@ -223,7 +223,7 @@ func TestScopes(t *testing.T) {
 	}{
 		{"wallclock", "internal/sim", true, true},
 		{"wallclock", "cmd/experiments", true, false},
-		{"wallclock", "internal/benchrec", true, false},
+		{"wallclock", "internal/cliutil", true, false},
 		{"wallclock", "internal/dispatch", true, false},
 		{"wallclock", "cmd/sweepd", true, false},
 		{"globalrand", "internal/sweep", true, true},

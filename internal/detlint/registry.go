@@ -20,8 +20,7 @@ var Registry = []*Analyzer{
 // of the run Config. internal/sweep is included — its engine is the
 // host-side boundary, and exactly the documented worker-pool and
 // report-timing sites carry allows. Host-side utilities that never
-// touch a run (benchrec's benchmark parsing, cliutil's tables) and
-// cmd/* are out of scope for these rules; maporder still covers them
+// touch a run (cliutil's tables) and cmd/* are out of scope for these rules; maporder still covers them
 // through ScopeModule.
 var deterministicPkgs = map[string]bool{
 	"internal/sim":       true,
@@ -50,7 +49,6 @@ var deterministicPkgs = map[string]bool{
 // maps; TestInternalPackagesClassified enforces the partition, so a
 // new package cannot land without a deliberate classification.
 var hostSidePkgs = map[string]bool{
-	"internal/benchrec": true, // benchmark-record parsing, never inside a run
 	"internal/cliutil":  true, // terminal table rendering
 	"internal/detlint":  true, // this linter: shells out to the go toolchain
 	"internal/dispatch": true, // distributed dispatcher: heartbeats, suspicion timeouts, worker I/O
