@@ -5,9 +5,10 @@
 //
 // A shared runner drifts by tens of percent over a minute, so the two
 // sides are sampled in lockstep: for each gated benchmark, sample i runs
-// base then head, sample i+1 head then base, and so on. Both sides of a
-// pair see the same host, and a comparison against a record taken
-// elsewhere (or on the same host at another time) cannot false-fail.
+// base then head, sample i+1 head then base, and so on (see baseFirst).
+// Both sides of a pair see the same host, and a comparison against a
+// record taken elsewhere (or on the same host at another time) cannot
+// false-fail.
 //
 // The gated set, sample count, benchtime and threshold are constants
 // below, not flags: the gate means one thing wherever it runs. The raw
@@ -39,8 +40,9 @@ const (
 	// fan-out hot paths every sweep cell multiplies by millions.
 	// TestGateCoversHotPaths keeps every such benchmark inside it.
 	gatedRE = `^(BenchmarkScheduler|BenchmarkDeliverBatch|BenchmarkDeliverBacklog|BenchmarkBroadcastFanout)`
-	// samples is the number of runs per side of each benchmark.
-	samples = 5
+	// samples is the number of runs per side of each benchmark. It is
+	// even, so each side runs first in half of a benchmark's pairs.
+	samples = 6
 	// benchtime is each run's -test.benchtime: long enough to amortize
 	// the nanosecond benchmarks' setup, short enough for ~1 min per gate.
 	benchtime = "200ms"
@@ -88,7 +90,7 @@ func gate(baseBin, headBin string, w io.Writer) error {
 		fmt.Fprintf(os.Stderr, "benchgate: %s, %d samples per side\n", name, samples)
 		for i := range samples {
 			order := [2]int{0, 1}
-			if (bi+i)%2 == 1 {
+			if !baseFirst(bi, i) {
 				order = [2]int{1, 0}
 			}
 			for _, side := range order {
@@ -110,6 +112,15 @@ func gate(baseBin, headBin string, w io.Writer) error {
 		}
 	}
 	return compare(w, parseBenchOutput(raw[0].String()), parseBenchOutput(raw[1].String()))
+}
+
+// baseFirst reports whether sample i of the bi-th gated benchmark runs
+// base before head. The order alternates from sample to sample, and the
+// first sample's order from benchmark to benchmark; with an even sample
+// count each side goes first in exactly half of every benchmark's pairs,
+// so a first-in-pair advantage cannot tilt a median.
+func baseFirst(bi, i int) bool {
+	return (bi+i)%2 == 0
 }
 
 // listGated returns the binary's top-level benchmarks that gatedRE

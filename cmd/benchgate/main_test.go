@@ -140,6 +140,29 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestRunOrderBalanced: for every benchmark index, base runs first in
+// exactly half of the benchmark's sample pairs, and consecutive
+// benchmarks start on different sides.
+func TestRunOrderBalanced(t *testing.T) {
+	if samples%2 != 0 {
+		t.Fatalf("samples = %d is odd: one side would run first more often", samples)
+	}
+	for bi := range 64 {
+		first := 0
+		for i := range samples {
+			if baseFirst(bi, i) {
+				first++
+			}
+		}
+		if first != samples/2 {
+			t.Errorf("benchmark %d: base runs first in %d of %d pairs, want %d", bi, first, samples, samples/2)
+		}
+		if baseFirst(bi, 0) == baseFirst(bi+1, 0) {
+			t.Errorf("benchmarks %d and %d start on the same side", bi, bi+1)
+		}
+	}
+}
+
 // TestGateCoversHotPaths: every scheduler, delivery and fan-out
 // micro-benchmark in the root package's bench_test.go is inside
 // gatedRE, so a new one cannot silently fall outside the gate.

@@ -19,11 +19,13 @@ type Omega struct {
 	sys   *sim.System
 	z     int
 	opt   options
+	stab  sim.Time
 	final ids.Set
 
-	// anarchy memoizes the pure per-(reader, epoch) pre-stabilization
-	// draw (run-token owned; outputs unchanged by the cache).
-	anarchy []anarchyEpoch // index by reader id
+	// win and out memoize the change-hint window and each reader's
+	// output within it, as in Suspect.
+	win window
+	out []output
 }
 
 var _ Leader = (*Omega)(nil)
@@ -39,7 +41,7 @@ func NewOmega(sys *sim.System, z int, opts ...Option) *Omega {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	w := &Omega{sys: sys, z: z, opt: o, anarchy: make([]anarchyEpoch, n+1)}
+	w := &Omega{sys: sys, z: z, opt: o, stab: o.stab(sys), out: make([]output, n+1)}
 	w.final = drawTrusted(sys, z, o)
 	return w
 }
@@ -78,24 +80,28 @@ func (w *Omega) Final() ids.Set { return w.final }
 // Trusted returns trusted_p at the current time.
 func (w *Omega) Trusted(p ids.ProcID) ids.Set {
 	now := w.sys.Now()
-	pat := w.sys.Pattern()
-	if pat.Crashed(p, now) {
+	win := w.window(now)
+	o := &w.out[p]
+	if !o.in(win) {
+		*o = output{from: win.from, till: win.till, set: w.trusted(p, now)}
+	}
+	return o.set
+}
+
+// trusted computes trusted_p at now.
+func (w *Omega) trusted(p ids.ProcID, now sim.Time) ids.Set {
+	if w.sys.Pattern().Crashed(p, now) {
 		return ids.EmptySet()
 	}
-	if now >= w.opt.stab(w.sys) {
+	if now >= w.stab {
 		return w.final
 	}
 	// Anarchy: an arbitrary set of at most z processes, per process and
-	// per epoch — memoized, the draw is a pure function of both.
+	// per epoch.
 	epoch := epochOf(now, w.opt.epoch)
-	if c := &w.anarchy[p]; c.ok && c.epoch == epoch {
-		return c.set
-	}
 	n := w.sys.Config().N
 	seed := uint64(w.sys.Config().Seed)
 	size := boundedDraw(w.z+1, seed, 0x63, uint64(p), epoch, w.opt.leaderSalt)
-	set := pickDistinct(ids.EmptySet(), ids.FullSet(n), size,
+	return pickDistinct(ids.EmptySet(), ids.FullSet(n), size,
 		mix(seed, 0x64, uint64(p), epoch, w.opt.leaderSalt))
-	w.anarchy[p] = anarchyEpoch{epoch: epoch, ok: true, set: set}
-	return set
 }

@@ -23,11 +23,12 @@ type Phi struct {
 	y         int
 	perpetual bool
 	opt       options
+	stab      sim.Time
 
-	// crashed memoizes the crashed-by set between crash events, turning
-	// the post-stabilization AllCrashed scan into one subset test
-	// (run-token owned; answers unchanged).
-	crashed crashWindow
+	// win memoizes the change-hint window, whose crashed set turns the
+	// post-stabilization AllCrashed scan into one subset test (run-token
+	// owned; answers unchanged).
+	win window
 }
 
 var _ Querier = (*Phi)(nil)
@@ -63,7 +64,7 @@ func newPhi(sys *sim.System, y int, perpetual bool, opts []Option) *Phi {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	return &Phi{sys: sys, y: y, perpetual: perpetual, opt: o}
+	return &Phi{sys: sys, y: y, perpetual: perpetual, opt: o, stab: o.stab(sys)}
 }
 
 // Y returns the scope parameter y.
@@ -81,14 +82,10 @@ func (f *Phi) Query(p ids.ProcID, x ids.Set) bool {
 		return false
 	}
 	now := f.sys.Now()
-	if !f.perpetual && now < f.opt.stab(f.sys) {
+	if !f.perpetual && now < f.stab {
 		// Anarchy: arbitrary answer, stable within an epoch.
 		return chance(0.5, uint64(f.sys.Config().Seed), 0x71, uint64(p),
 			setKey(x), epochOf(now, f.opt.epoch))
 	}
-	at := now - f.opt.lag
-	if !f.crashed.covers(at) {
-		f.crashed = crashedWindowAt(f.sys.Pattern(), at)
-	}
-	return x.SubsetOf(f.crashed.set)
+	return x.SubsetOf(f.window(now).crashed)
 }

@@ -25,7 +25,12 @@ func leaderStepAt(steps []LeaderStep, now sim.Time) int {
 
 // leaderValueAt evaluates a sorted timeline for reader p at time now.
 func leaderValueAt(steps []LeaderStep, p ids.ProcID, now sim.Time) ids.Set {
-	i := leaderStepAt(steps, now)
+	return leaderValue(steps, leaderStepAt(steps, now), p)
+}
+
+// leaderValue reads step i of a timeline for reader p (the empty set
+// before the first step, i < 0).
+func leaderValue(steps []LeaderStep, i int, p ids.ProcID) ids.Set {
 	if i < 0 {
 		return ids.EmptySet()
 	}
@@ -43,6 +48,7 @@ func leaderValueAt(steps []LeaderStep, p ids.ProcID, now sim.Time) ids.Set {
 type ScriptedLeader struct {
 	sys   *sim.System
 	steps []LeaderStep
+	win   window // change-hint window of the last read, with its step
 }
 
 var _ Leader = (*ScriptedLeader)(nil)
@@ -59,7 +65,7 @@ func NewScriptedLeader(sys *sim.System, steps []LeaderStep) *ScriptedLeader {
 
 // Trusted implements Leader.
 func (s *ScriptedLeader) Trusted(p ids.ProcID) ids.Set {
-	return leaderValueAt(s.steps, p, s.sys.Now())
+	return leaderValue(s.steps, s.window(s.sys.Now()).step, p)
 }
 
 // SuspectStep is one segment of a scripted suspector timeline.
@@ -77,7 +83,11 @@ func suspectStepAt(steps []SuspectStep, now sim.Time) int {
 // suspectValueAt evaluates a sorted timeline for reader p at time now
 // (ignoring the crashed-reader rule, which depends on the pattern).
 func suspectValueAt(steps []SuspectStep, p ids.ProcID, now sim.Time) ids.Set {
-	i := suspectStepAt(steps, now)
+	return suspectValue(steps, suspectStepAt(steps, now), p)
+}
+
+// suspectValue is leaderValue for suspector timelines.
+func suspectValue(steps []SuspectStep, i int, p ids.ProcID) ids.Set {
 	if i < 0 {
 		return ids.EmptySet()
 	}
@@ -94,6 +104,7 @@ func suspectValueAt(steps []SuspectStep, p ids.ProcID, now sim.Time) ids.Set {
 type ScriptedSuspector struct {
 	sys   *sim.System
 	steps []SuspectStep
+	win   window // change-hint window of the last read, with its step
 }
 
 var _ Suspector = (*ScriptedSuspector)(nil)
@@ -108,9 +119,9 @@ func NewScriptedSuspector(sys *sim.System, steps []SuspectStep) *ScriptedSuspect
 
 // Suspected implements Suspector. Crashed processes suspect nobody.
 func (s *ScriptedSuspector) Suspected(p ids.ProcID) ids.Set {
-	now := s.sys.Now()
-	if s.sys.Pattern().Crashed(p, now) {
+	w := s.window(s.sys.Now())
+	if w.crashed.Contains(p) {
 		return ids.EmptySet()
 	}
-	return suspectValueAt(s.steps, p, now)
+	return suspectValue(s.steps, w.step, p)
 }

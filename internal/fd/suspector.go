@@ -22,31 +22,18 @@ type Suspect struct {
 	x         int
 	perpetual bool
 	opt       options
+	stab      sim.Time
 	leader    ids.ProcID
 	scope     ids.Set
 
-	// Memoization of the pure per-epoch draws (run-token owned, like all
-	// oracle reads — see the internal/sim concurrency contract). Outputs
-	// are unchanged: the anarchy set is a pure function of (reader,
-	// epoch) and the crashed set a step function of time, so caching
-	// only skips recomputation.
-	anarchy []anarchyEpoch // index by reader id
-	crashed crashWindow
-}
-
-// anarchyEpoch caches one reader's spurious-suspicion draw for an epoch.
-type anarchyEpoch struct {
-	epoch uint64
-	ok    bool
-	set   ids.Set
-}
-
-// crashWindow caches the crashed-by set over the half-open time window
-// [from, till) within which it cannot change.
-type crashWindow struct {
-	ok         bool
-	from, till sim.Time
-	set        ids.Set
+	// win is the change-hint window of the last read, and out each
+	// reader's output within it, index by reader id (run-token owned,
+	// like all oracle reads — see the internal/sim concurrency
+	// contract). By the window invariant (ChangeHinted) an output is
+	// constant on its window, so a reader's first read in a window
+	// computes it and every later read returns it.
+	win window
+	out []output
 }
 
 var _ Suspector = (*Suspect)(nil)
@@ -71,8 +58,8 @@ func newSuspect(sys *sim.System, x int, perpetual bool, opts []Option) *Suspect 
 	for _, fn := range opts {
 		fn(&o)
 	}
-	s := &Suspect{sys: sys, x: x, perpetual: perpetual, opt: o,
-		anarchy: make([]anarchyEpoch, n+1)}
+	s := &Suspect{sys: sys, x: x, perpetual: perpetual, opt: o, stab: o.stab(sys),
+		out: make([]output, n+1)}
 	s.leader, s.scope = drawScope(sys, x, o)
 	return s
 }
@@ -121,31 +108,35 @@ func (s *Suspect) X() int { return s.x }
 // and, under the accuracy scope, the protected leader.
 func (s *Suspect) Suspected(p ids.ProcID) ids.Set {
 	now := s.sys.Now()
-	pat := s.sys.Pattern()
-	if pat.Crashed(p, now) {
+	w := s.window(now)
+	o := &s.out[p]
+	if !o.in(w) {
+		*o = output{from: w.from, till: w.till, set: s.suspected(p, now, w)}
+	}
+	return o.set
+}
+
+// suspected computes suspected_p at now, inside window w.
+func (s *Suspect) suspected(p ids.ProcID, now sim.Time, w *window) ids.Set {
+	if s.sys.Pattern().Crashed(p, now) {
 		return ids.EmptySet() // a crashed process suspects no process
 	}
-	stab := s.opt.stab(s.sys)
-	out := s.crashedBy(now - s.opt.lag)
-	if now < stab || s.opt.hostile {
+	out := w.crashed
+	if now < s.stab || s.opt.hostile {
 		out = out.Union(s.anarchyDraw(p, epochOf(now, s.opt.epoch)))
 	}
 	out = out.Remove(p)
 	// Limited-scope accuracy: members of Q do not suspect the leader —
 	// always for S_x, after stabilization for ◇S_x.
-	if s.scope.Contains(p) && (s.perpetual || now >= stab) {
+	if s.scope.Contains(p) && (s.perpetual || now >= s.stab) {
 		out = out.Remove(s.leader)
 	}
 	return out
 }
 
-// anarchyDraw returns reader p's spurious-suspicion set for an epoch,
-// memoized: one splitmix chain per process pair per epoch instead of
-// per read.
+// anarchyDraw returns reader p's spurious-suspicion set for an epoch:
+// one splitmix chain per process pair.
 func (s *Suspect) anarchyDraw(p ids.ProcID, epoch uint64) ids.Set {
-	if c := &s.anarchy[p]; c.ok && c.epoch == epoch {
-		return c.set
-	}
 	n := s.sys.Config().N
 	seed := uint64(s.sys.Config().Seed)
 	var set ids.Set
@@ -157,28 +148,5 @@ func (s *Suspect) anarchyDraw(p ids.ProcID, epoch uint64) ids.Set {
 			set = set.Add(ids.ProcID(q))
 		}
 	}
-	s.anarchy[p] = anarchyEpoch{epoch: epoch, ok: true, set: set}
 	return set
-}
-
-// crashedBy returns the set of processes crashed at or before t,
-// memoized over the window between crash events.
-func (s *Suspect) crashedBy(t sim.Time) ids.Set {
-	if !s.crashed.covers(t) {
-		s.crashed = crashedWindowAt(s.sys.Pattern(), t)
-	}
-	return s.crashed.set
-}
-
-// covers reports whether the cached window is valid at t.
-func (w crashWindow) covers(t sim.Time) bool {
-	return w.ok && t >= w.from && t < w.till
-}
-
-// crashedWindowAt computes the crashed-by set at t and the window
-// [from, till) of times sharing it — a binary search over the pattern's
-// precomputed crash windows, not a per-process scan.
-func crashedWindowAt(pat *sim.Pattern, t sim.Time) crashWindow {
-	set, from, till := pat.CrashedWindow(t)
-	return crashWindow{ok: true, from: from, till: till, set: set}
 }

@@ -18,24 +18,24 @@ const (
 // Fig. 9 addition into a failure detector of class S (x+y > t, perpetual
 // inputs) or ◇S (eventual inputs), readable through fd.Suspector.
 type SEmulation struct {
-	sets map[ids.ProcID]ids.Set
+	sets procTable[ids.Set]
 }
 
 var _ fd.Suspector = (*SEmulation)(nil)
 
 // NewSEmulation returns an empty aggregator.
 func NewSEmulation() *SEmulation {
-	return &SEmulation{sets: make(map[ids.ProcID]ids.Set)}
+	return &SEmulation{}
 }
 
 func (e *SEmulation) set(p ids.ProcID, s ids.Set) {
-	e.sets[p] = s
+	e.sets.set(p, s)
 }
 
 // Suspected implements fd.Suspector. A process that has not yet computed
 // an output suspects nobody.
 func (e *SEmulation) Suspected(p ids.ProcID) ids.Set {
-	return e.sets[p]
+	return e.sets.get(p)
 }
 
 // NextChange implements fd.ChangeHinted: the emulation changes only when

@@ -14,8 +14,8 @@ import (
 // processes start; an unregistered process reads the empty set (it has
 // taken no step yet).
 type OmegaEmulation struct {
-	q      fd.Querier
-	wheels map[ids.ProcID]*UpperWheel
+	hint   fd.ChangeHinted // the querier's, resolved once
+	wheels procTable[*UpperWheel]
 }
 
 var _ fd.Leader = (*OmegaEmulation)(nil)
@@ -23,12 +23,12 @@ var _ fd.Leader = (*OmegaEmulation)(nil)
 // NewOmegaEmulation returns an empty aggregator for upper wheels that
 // consult querier q.
 func NewOmegaEmulation(q fd.Querier) *OmegaEmulation {
-	return &OmegaEmulation{q: q, wheels: make(map[ids.ProcID]*UpperWheel)}
+	return &OmegaEmulation{hint: fd.HintOf(q)}
 }
 
 // Register binds process p's upper wheel.
 func (e *OmegaEmulation) Register(p ids.ProcID, w *UpperWheel) {
-	e.wheels[p] = w
+	e.wheels.set(p, w)
 }
 
 // NextChange implements fd.ChangeHinted: wheel positions change only when
@@ -36,12 +36,12 @@ func (e *OmegaEmulation) Register(p ids.ProcID, w *UpperWheel) {
 // changes only with the querier's answers, which it consults live — so
 // the querier's hint is the emulation's.
 func (e *OmegaEmulation) NextChange(now sim.Time) sim.Time {
-	return fd.NextChangeOf(e.q, now)
+	return e.hint.NextChange(now)
 }
 
 // Trusted implements fd.Leader.
 func (e *OmegaEmulation) Trusted(p ids.ProcID) ids.Set {
-	w := e.wheels[p]
+	w := e.wheels.get(p)
 	if w == nil {
 		return ids.EmptySet()
 	}
@@ -51,23 +51,23 @@ func (e *OmegaEmulation) Trusted(p ids.ProcID) ids.Set {
 // ReprView aggregates per-process lower wheels, exposing the emulated
 // representatives of Theorem 6 (diagnostics and tests).
 type ReprView struct {
-	wheels map[ids.ProcID]*LowerWheel
+	wheels procTable[*LowerWheel]
 }
 
 // NewReprView returns an empty aggregator.
 func NewReprView() *ReprView {
-	return &ReprView{wheels: make(map[ids.ProcID]*LowerWheel)}
+	return &ReprView{}
 }
 
 // Register binds process p's lower wheel.
 func (v *ReprView) Register(p ids.ProcID, w *LowerWheel) {
-	v.wheels[p] = w
+	v.wheels.set(p, w)
 }
 
 // Repr returns process p's current representative (p itself before the
 // process registered).
 func (v *ReprView) Repr(p ids.ProcID) ids.ProcID {
-	w := v.wheels[p]
+	w := v.wheels.get(p)
 	if w == nil {
 		return p
 	}
@@ -77,11 +77,30 @@ func (v *ReprView) Repr(p ids.ProcID) ids.ProcID {
 // Pos returns process p's current lower-ring position and whether p has
 // registered.
 func (v *ReprView) Pos(p ids.ProcID) (ids.XPos, bool) {
-	w := v.wheels[p]
+	w := v.wheels.get(p)
 	if w == nil {
 		return ids.XPos{}, false
 	}
 	return w.Pos(), true
+}
+
+// procTable is a per-process table indexed by process id, as the
+// emulations register their processes' layers: it grows on set, and get
+// reads the zero value for a process that never registered.
+type procTable[T any] []T
+
+func (t *procTable[T]) set(p ids.ProcID, v T) {
+	if int(p) >= len(*t) {
+		*t = append(*t, make([]T, int(p)+1-len(*t))...)
+	}
+	(*t)[p] = v
+}
+
+func (t procTable[T]) get(p ids.ProcID) (v T) {
+	if p >= 0 && int(p) < len(t) {
+		v = t[p]
+	}
+	return v
 }
 
 // InstallTwoWheels builds the full ◇S_x + ◇φ_y → Ω_z stack for one

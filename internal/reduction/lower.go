@@ -47,9 +47,10 @@ type LowerWheel struct {
 	env  *sim.Env
 	rb   *rbcast.Layer
 	susp fd.Suspector
+	hint fd.ChangeHinted // susp's, resolved once
 
 	ring          *ids.XRing
-	buffered      map[ids.XPos]int
+	buffered      moveBuffer[ids.XPos]
 	sentThisVisit bool
 	moves         int // consumed moves (diagnostics)
 
@@ -66,12 +67,12 @@ func NewLowerWheel(env *sim.Env, rb *rbcast.Layer, susp fd.Suspector, x int) *Lo
 		panic(fmt.Sprintf("reduction: lower wheel x=%d out of range 1..%d", x, env.N()))
 	}
 	w := &LowerWheel{
-		env:      env,
-		rb:       rb,
-		susp:     susp,
-		ring:     ids.NewXRing(env.N(), x),
-		buffered: make(map[ids.XPos]int),
-		repr:     env.ID(),
+		env:  env,
+		rb:   rb,
+		susp: susp,
+		hint: fd.HintOf(susp),
+		ring: ids.NewXRing(env.N(), x),
+		repr: env.ID(),
 	}
 	w.pos = w.ring.Current()
 	return w
@@ -100,7 +101,7 @@ func (w *LowerWheel) Moves() int {
 // suspicious-poll in task T1); buffered moves are consumed on the message
 // wake that delivered them.
 func (w *LowerWheel) NextWake(now sim.Time) sim.Time {
-	return fd.NextChangeOf(w.susp, now)
+	return w.hint.NextChange(now)
 }
 
 // Handle implements node.Layer: it buffers x_move messages (already
@@ -113,37 +114,71 @@ func (w *LowerWheel) Handle(m *sim.Message) bool {
 	if !ok {
 		panic(fmt.Sprintf("reduction: x_move payload %T", m.Payload))
 	}
-	w.buffered[mv.Pos]++
+	w.buffered.add(mv.Pos, w.pos)
 	return false
 }
 
-// takeBuffered consumes one buffered move at pos, reporting whether
-// there was one. An entry is deleted when its count reaches zero, so an
-// empty buffer is checked without hashing pos and the map holds only
-// positions with moves still pending.
-func takeBuffered[K comparable](buffered map[K]int, pos K) bool {
-	if len(buffered) == 0 {
-		return false
-	}
-	c := buffered[pos]
-	if c == 0 {
-		return false
-	}
-	if c == 1 {
-		delete(buffered, pos)
+// moveBuffer holds a wheel's R-delivered move messages until their
+// position comes up (task T2's deferred matching rule): a count for the
+// wheel's current position, and per-position counts for the others. A
+// move for the current position, and a Poll with none pending, hash
+// nothing; the map is touched only when a move arrives for another
+// position or the wheel moves.
+type moveBuffer[P comparable] struct {
+	here   int       // moves pending at the current position
+	others map[P]int // moves pending elsewhere; no zero counts
+}
+
+// add buffers one move for position p, the wheel being at at.
+func (b *moveBuffer[P]) add(p, at P) {
+	if p == at {
+		b.here++
 	} else {
-		buffered[pos] = c - 1
+		b.stash(p, 1)
 	}
+}
+
+// stash buffers c moves for position p, which is not the current one.
+func (b *moveBuffer[P]) stash(p P, c int) {
+	if b.others == nil {
+		b.others = make(map[P]int)
+	}
+	b.others[p] += c
+}
+
+// take consumes one move pending at the current position, reporting
+// whether there was one.
+func (b *moveBuffer[P]) take() bool {
+	if b.here == 0 {
+		return false
+	}
+	b.here--
 	return true
+}
+
+// moved follows the wheel from position from to position to: the moves
+// still pending at from wait there for the ring to come round again, and
+// those buffered for to become pending.
+func (b *moveBuffer[P]) moved(from, to P) {
+	if b.here > 0 {
+		b.stash(from, b.here)
+	}
+	b.here = 0
+	if c, ok := b.others[to]; ok {
+		b.here = c
+		delete(b.others, to)
+	}
 }
 
 // Poll implements node.Layer: consume matching buffered moves (task T2),
 // then run one iteration of task T1.
 func (w *LowerWheel) Poll() {
 	moved := false
-	for takeBuffered(w.buffered, w.pos) {
+	for w.buffered.take() {
+		from := w.pos
 		w.ring.Next()
 		w.pos = w.ring.Current()
+		w.buffered.moved(from, w.pos)
 		w.sentThisVisit = false
 		w.moves++
 		moved = true

@@ -22,6 +22,7 @@ import (
 // No messages are exchanged: the transformation is local to each process.
 type PsiOmega struct {
 	q     fd.Querier
+	hint  fd.ChangeHinted // q's, resolved once
 	chain []ids.Set
 	z     int
 }
@@ -45,7 +46,7 @@ func NewPsiOmega(n, t, y, z int, q fd.Querier) *PsiOmega {
 	for m := z; m <= n; m++ {
 		chain = append(chain, ids.FullSet(m))
 	}
-	return &PsiOmega{q: q, chain: chain, z: z}
+	return &PsiOmega{q: q, hint: fd.HintOf(q), chain: chain, z: z}
 }
 
 // Z returns the produced leader-set size bound.
@@ -55,7 +56,7 @@ func (po *PsiOmega) Z() int { return po.z }
 // the querier's answers at the current tick, so it can change only when
 // they can.
 func (po *PsiOmega) NextChange(now sim.Time) sim.Time {
-	return fd.NextChangeOf(po.q, now)
+	return po.hint.NextChange(now)
 }
 
 // Trusted implements fd.Leader.

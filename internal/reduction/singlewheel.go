@@ -29,7 +29,7 @@ type SingleWheelOmega struct {
 	rb   *rbcast.Layer
 	susp fd.Suspector
 
-	buffered      map[ids.ProcID]int
+	buffered      moveBuffer[ids.ProcID]
 	sentThisVisit bool
 
 	candidate ids.ProcID
@@ -51,7 +51,6 @@ func NewSingleWheelOmega(env *sim.Env, rb *rbcast.Layer, susp fd.Suspector) *Sin
 		env:       env,
 		rb:        rb,
 		susp:      susp,
-		buffered:  make(map[ids.ProcID]int),
 		candidate: 1,
 	}
 }
@@ -76,7 +75,7 @@ func (w *SingleWheelOmega) Handle(m *sim.Message) bool {
 	if !ok {
 		panic(fmt.Sprintf("reduction: c_move payload %T", m.Payload))
 	}
-	w.buffered[mv.Candidate]++
+	w.buffered.add(mv.Candidate, w.candidate)
 	return false
 }
 
@@ -84,11 +83,13 @@ func (w *SingleWheelOmega) Handle(m *sim.Message) bool {
 // the current candidate (one broadcast per visit).
 func (w *SingleWheelOmega) Poll() {
 	n := ids.ProcID(w.env.N())
-	for takeBuffered(w.buffered, w.candidate) {
+	for w.buffered.take() {
+		from := w.candidate
 		w.candidate++
 		if w.candidate > n {
 			w.candidate = 1
 		}
+		w.buffered.moved(from, w.candidate)
 		w.sentThisVisit = false
 		w.moves++
 	}
@@ -106,24 +107,24 @@ func (w *SingleWheelOmega) Poll() {
 // SingleWheelEmulation aggregates per-process single wheels into an
 // fd.Leader of class Ω (= Ω_1).
 type SingleWheelEmulation struct {
-	wheels map[ids.ProcID]*SingleWheelOmega
+	wheels procTable[*SingleWheelOmega]
 }
 
 var _ fd.Leader = (*SingleWheelEmulation)(nil)
 
 // NewSingleWheelEmulation returns an empty aggregator.
 func NewSingleWheelEmulation() *SingleWheelEmulation {
-	return &SingleWheelEmulation{wheels: make(map[ids.ProcID]*SingleWheelOmega)}
+	return &SingleWheelEmulation{}
 }
 
 // Register binds process p's wheel.
 func (e *SingleWheelEmulation) Register(p ids.ProcID, w *SingleWheelOmega) {
-	e.wheels[p] = w
+	e.wheels.set(p, w)
 }
 
 // Trusted implements fd.Leader.
 func (e *SingleWheelEmulation) Trusted(p ids.ProcID) ids.Set {
-	w := e.wheels[p]
+	w := e.wheels.get(p)
 	if w == nil {
 		return ids.EmptySet()
 	}

@@ -45,10 +45,11 @@ type UpperWheel struct {
 	env   *sim.Env
 	rb    *rbcast.Layer
 	q     fd.Querier
+	hint  fd.ChangeHinted // q's, resolved once
 	lower *LowerWheel
 
 	ring        *ids.LYRing
-	buffered    map[ids.LYPos]int
+	buffered    moveBuffer[ids.LYPos]
 	seq         int
 	responses   []ids.ProcID // index by responder; ids.None = none this round
 	waiting     bool
@@ -57,6 +58,15 @@ type UpperWheel struct {
 	lmoves      int
 
 	pos ids.LYPos
+
+	// The querier's view of the current position, kept until the
+	// querier's next change or the wheel's next move (viewTill 0: none
+	// yet): query(Y_i) and the T4 output derived from it. Both read only
+	// the position and the querier's answers at the current tick, which
+	// are constant on the querier's change window.
+	yCrashed bool
+	trusted  ids.Set
+	viewTill sim.Time
 }
 
 var _ node.Layer = (*UpperWheel)(nil)
@@ -76,9 +86,9 @@ func NewUpperWheel(env *sim.Env, rb *rbcast.Layer, q fd.Querier, lower *LowerWhe
 		env:         env,
 		rb:          rb,
 		q:           q,
+		hint:        fd.HintOf(q),
 		lower:       lower,
 		ring:        ids.NewLYRing(n, ySize, z),
-		buffered:    make(map[ids.LYPos]int),
 		responses:   make([]ids.ProcID, n+1),
 		gap:         sim.Time(4 * n),
 		lastInquiry: -1 << 30,
@@ -103,29 +113,49 @@ func (w *UpperWheel) LMoves() int {
 	return w.lmoves
 }
 
-// Trusted computes the Ω_z output (task T4): if query(Y_i) says the whole
-// candidate region crashed, the smallest provably-live process outside
-// Y_i; otherwise the current leader-set candidate L_i. Run-token
+// Trusted returns the Ω_z output (task T4): if query(Y_i) says the
+// whole candidate region crashed, the smallest provably-live process
+// outside Y_i; otherwise the current leader-set candidate L_i. Run-token
 // owned, like all emulated outputs.
 func (w *UpperWheel) Trusted() ids.Set {
+	w.view()
+	return w.trusted
+}
+
+// queryY returns query(Y_i) at the current tick.
+func (w *UpperWheel) queryY() bool {
+	w.view()
+	return w.yCrashed
+}
+
+// view brings yCrashed and trusted up to date with the current tick.
+func (w *UpperWheel) view() {
+	now := w.env.Now()
+	if now < w.viewTill {
+		return
+	}
+	w.viewTill = w.hint.NextChange(now)
 	pos := w.pos
 	me := w.env.ID()
-	if !w.q.Query(me, pos.Y) {
-		return pos.L
+	w.yCrashed = w.q.Query(me, pos.Y)
+	w.trusted = pos.L
+	if !w.yCrashed {
+		return
 	}
 	// All of Y_i crashed: at most t−y+1 of the ≤ t crashes are inside
 	// Y_i, so querying Y_i ∪ {j} stays within the informative region and
 	// returns false exactly when j is alive.
+	w.trusted = ids.EmptySet() // unreachable while crashes ≤ t
 	for j := 1; j <= w.env.N(); j++ {
 		id := ids.ProcID(j)
 		if pos.Y.Contains(id) {
 			continue
 		}
 		if !w.q.Query(me, pos.Y.Add(id)) {
-			return ids.NewSet(id)
+			w.trusted = ids.NewSet(id)
+			return
 		}
 	}
-	return ids.EmptySet() // unreachable while crashes ≤ t
 }
 
 // NextWake implements node.WakeHinter: between inquiry rounds the wheel
@@ -136,7 +166,7 @@ func (w *UpperWheel) NextWake(now sim.Time) sim.Time {
 	if !w.waiting {
 		return w.lastInquiry + w.gap
 	}
-	return fd.NextChangeOf(w.q, now)
+	return w.hint.NextChange(now)
 }
 
 // Handle implements node.Layer.
@@ -164,7 +194,7 @@ func (w *UpperWheel) Handle(m *sim.Message) bool {
 		if !ok {
 			panic(fmt.Sprintf("reduction: l_move payload %T", m.Payload))
 		}
-		w.buffered[mv.Pos]++
+		w.buffered.add(mv.Pos, w.pos)
 		return false
 	default:
 		return true
@@ -175,13 +205,16 @@ func (w *UpperWheel) Handle(m *sim.Message) bool {
 // advance task T1's inquire/wait state machine.
 func (w *UpperWheel) Poll() {
 	moved := false
-	for takeBuffered(w.buffered, w.pos) {
+	for w.buffered.take() {
+		from := w.pos
 		w.ring.Next()
 		w.pos = w.ring.Current()
+		w.buffered.moved(from, w.pos)
 		w.lmoves++
 		moved = true
 	}
 	if moved {
+		w.viewTill = 0
 		// The upper wheel's position has no single leader; trace the
 		// candidate leader set L and leave the leader slot 0.
 		w.env.Trace().Wheel(int64(w.env.Now()), int(w.env.ID()), "upper",
@@ -189,7 +222,6 @@ func (w *UpperWheel) Poll() {
 	}
 	pos := w.pos
 
-	me := w.env.ID()
 	if !w.waiting {
 		now := w.env.Now()
 		if now-w.lastInquiry < w.gap {
@@ -216,7 +248,7 @@ func (w *UpperWheel) Poll() {
 			recFrom = recFrom.Add(repr)
 		}
 	}
-	if !gotResponder && !w.q.Query(me, pos.Y) {
+	if !gotResponder && !w.queryY() {
 		return // keep waiting
 	}
 	// Lines 04-06: move on if responses arrived and none exhibits a

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"maps"
 	"strings"
 	"testing"
 
@@ -394,10 +395,10 @@ func TestOraclePairRejections(t *testing.T) {
 		}, "phi-role y=1, combo wants y=0"},
 		{"stab0-conflict", func(m *Matrix) {
 			m.Params = map[string]int64{"stab0": 1, "stable_for": 12_000, "margin": 10_000}
-		}, "stab0 conflicts"},
+		}, "stab0 pins the default leader"},
 		{"trusted-conflict", func(m *Matrix) {
 			m.Combos = []Combo{{X: 2, Y: 1, Trusted: []int{1}}}
-		}, "scripts the suspector role"},
+		}, "pins a trusted set, but protocol"},
 		{"single-script-on-add-s", func(m *Matrix) {
 			m.Protocol = "add-s"
 			m.Combos = []Combo{{Name: "memory", X: 2, Y: 1}}
@@ -499,8 +500,9 @@ func TestOraclePairPerpetualMismatch(t *testing.T) {
 // shapeColumns are the script shapes TestOracleShapes feeds every
 // protocol: no script, a leader timeline, a suspect timeline, a
 // parameter script, a parameter script declaring a scope the combo
-// does not want, and a pair.
-var shapeColumns = []string{"none", "leader", "suspect", "param", "param-scope", "pair"}
+// does not want, a pair, and no script beside each pin of the default
+// Ω (the stab0 param, a combo trusted set).
+var shapeColumns = []string{"none", "leader", "suspect", "param", "param-scope", "pair", "pin-stab0", "pin-trusted"}
 
 // shapeRow is one protocol of TestOracleShapes: a small matrix it runs
 // on, the scopes its combo asks for (z, x, y) and, per shape column,
@@ -510,7 +512,7 @@ type shapeRow struct {
 	m       Matrix
 	z, x, y int
 	mis     adversary.OracleFamily // the mismatched-scope parameter family
-	want    [6]string
+	want    [8]string
 }
 
 // shapeRows builds one row per built-in protocol.
@@ -527,8 +529,8 @@ func shapeRows() map[string]shapeRow {
 		f.Kind, f.Seed, f.Start, f.Ramp = adversary.OracleLateStab, 7, 200, 1
 		return f
 	}
-	none := "does not consume"
-	noOracle := [6]string{"", none, none, none, none, none}
+	none, pin := "does not consume", "reads no leader"
+	noOracle := [8]string{"", none, none, none, none, none, pin, pin}
 	grid := core.GridLine(1, 2)[2]
 
 	psi := small("psi-omega", Combo{Y: 1, Z: 2}, 6_000, map[string]int64{"margin": 1_000})
@@ -544,28 +546,28 @@ func shapeRows() map[string]shapeRow {
 			z: 1, x: 3, y: 1, mis: lateStab(adversary.OracleFamily{Z: 2}), want: noOracle},
 		"kset-omega": {m: small("kset-omega", Combo{Z: 1}, 2_000_000, nil),
 			z: 1, x: 3, y: 1, mis: lateStab(adversary.OracleFamily{Z: 2}),
-			want: [6]string{"", "", "reads a leader", "", "declares z=2, combo wants z=1", "reads a single leader"}},
+			want: [8]string{"", "", "reads a leader", "", "declares z=2, combo wants z=1", "reads a single leader", "", ""}},
 		"kset-seq": {m: small("kset-seq", Combo{Z: 1}, 2_000_000, map[string]int64{"instances": 2}),
 			z: 1, x: 3, y: 1, mis: lateStab(adversary.OracleFamily{Z: 2}),
-			want: [6]string{"", "", "reads a leader", "", "declares z=2, combo wants z=1", "reads a single leader"}},
+			want: [8]string{"", "", "reads a leader", "", "declares z=2, combo wants z=1", "reads a single leader", "", ""}},
 		"consensus-ds": {m: small("consensus-ds", Combo{}, 400_000, nil),
 			z: 1, x: 5, y: 1, mis: lateStab(adversary.OracleFamily{X: 4}),
-			want: [6]string{"", "reads a suspector", "", "", "declares x=4, combo wants x=5", "reads a single suspector"}},
+			want: [8]string{"", "reads a suspector", "", "", "declares x=4, combo wants x=5", "reads a single suspector", pin, pin}},
 		"single-wheel": {m: small("single-wheel", Combo{}, 150_000, wheel),
 			z: 1, x: 5, y: 1, mis: lateStab(adversary.OracleFamily{X: 4}),
-			want: [6]string{"", "reads a suspector", "", "", "declares x=4, combo wants x=5", "reads a single suspector"}},
+			want: [8]string{"", "reads a suspector", "", "", "declares x=4, combo wants x=5", "reads a single suspector", pin, pin}},
 		"lower-wheel": {m: small("lower-wheel", Combo{X: 2}, 100_000, nil),
 			z: 1, x: 2, y: 1, mis: lateStab(adversary.OracleFamily{X: 3}),
-			want: [6]string{"", "reads a suspector", "", "", "declares x=3, combo wants x=2", "reads a single suspector"}},
+			want: [8]string{"", "reads a suspector", "", "", "declares x=3, combo wants x=2", "reads a single suspector", pin, pin}},
 		"psi-omega": {m: psi,
 			z: 2, x: 3, y: 1, mis: lateStab(adversary.OracleFamily{Y: 2}),
-			want: [6]string{"", "reads a querier", "reads a querier", "", "declares y=2, combo wants y=1", "reads a single querier"}},
+			want: [8]string{"", "reads a querier", "reads a querier", "", "declares y=2, combo wants y=1", "reads a single querier", pin, pin}},
 		"two-wheels": {m: small("two-wheels", Combo{X: 2, Y: 1}, 80_000, wheel),
 			z: 1, x: 2, y: 1, mis: lateStab(adversary.OracleFamily{Y: 2}),
-			want: [6]string{"", "reads a suspector", "", "", "declares y=2, combo wants y=1", ""}},
+			want: [8]string{"", "reads a suspector", "", "", "declares y=2, combo wants y=1", "", pin, pin}},
 		"add-s": {m: small("add-s", Combo{Name: "memory", X: 2, Y: 1}, 160_000, map[string]int64{"perpetual": 0, "margin": 10_000}),
 			z: 1, x: 2, y: 1, mis: lateStab(adversary.OracleFamily{Y: 2}),
-			want: [6]string{"", none, none, none, none, ""}},
+			want: [8]string{"", none, none, none, none, "", pin, pin}},
 		"phi-o1": {m: phiO1,
 			z: 1, x: 3, y: 1, mis: lateStab(adversary.OracleFamily{Y: 2}), want: noOracle},
 		"irreducibility": {m: irr,
@@ -607,7 +609,18 @@ func TestOracleShapes(t *testing.T) {
 						S:   adversary.OracleFamily{Kind: adversary.OracleScopeChurn, X: row.x, Seed: 11, Settle: settle},
 						Phi: adversary.OracleFamily{Kind: adversary.OracleLateStab, Y: row.y, Seed: 12, Start: 200, Ramp: 1},
 					}}
+				case "pin-stab0":
+					m.Params = maps.Clone(m.Params)
+					if m.Params == nil {
+						m.Params = map[string]int64{}
+					}
+					m.Params["stab0"] = 1
+				case "pin-trusted":
+					combo := m.Combos[0]
+					combo.Trusted = []int{1}
+					m.Combos = []Combo{combo}
 				}
+				scripted := shape != "none" && !strings.HasPrefix(shape, "pin-")
 				r, err := Run(m, Options{Workers: 1})
 				if err != nil {
 					t.Fatal(err)
@@ -624,8 +637,8 @@ func TestOracleShapes(t *testing.T) {
 					if c.Steps != 0 {
 						t.Errorf("ran %d steps despite the config error", c.Steps)
 					}
-					if c.OracleClass == "" {
-						t.Error("config error row has no oracle class")
+					if scripted != (c.OracleClass != "") {
+						t.Errorf("config error row has oracle class %q, want one exactly when a script is set", c.OracleClass)
 					}
 					return
 				}
@@ -635,7 +648,7 @@ func TestOracleShapes(t *testing.T) {
 				if c.Steps == 0 && len(c.Measures) == 0 {
 					t.Errorf("verdict %s with no steps and no measures: the protocol did not run", c.Verdict)
 				}
-				if shape != "none" && c.OracleConformance != "conforms" {
+				if scripted && c.OracleConformance != "conforms" {
 					t.Errorf("conformance %q, want conforms", c.OracleConformance)
 				}
 			})

@@ -214,21 +214,34 @@ func options(s *adversary.OracleScript) []fd.Option {
 
 // feeds checks the cell's script against u and returns the script that
 // feeds each role read (nil: the role keeps its default). The checks
-// run in one order for every protocol: shape, pinning conflicts,
-// declared scope, then conformance. The first three are matrix-author
+// run in one order for every protocol: pinning of a leader the protocol
+// does not read (with or without a script), shape, pinning conflicts,
+// declared scope, then conformance. The first four are matrix-author
 // mistakes, reported as ConfigError rather than Fail so they never read
 // as paper-claim counterexamples; a script that leaves its declared
 // class fails the cell (see conforms). Either way ok=false, and the
-// script's class is on the result.
+// script's class, if there is a script, is on the result.
 func (u oracleUse) feeds(c *Cell, sys *sim.System, res *CellResult) (lead, susp, quer *adversary.OracleScript, ok bool) {
 	s := &c.Oracle
-	if s.None() {
-		return nil, nil, nil, true
-	}
 	reject := func(format string, args ...any) (_, _, _ *adversary.OracleScript, ok bool) {
-		res.OracleClass = s.Class()
+		if !s.None() {
+			res.OracleClass = s.Class()
+		}
 		res.failConfig(fmt.Sprintf(format, args...))
 		return nil, nil, nil, false
+	}
+	// stab0 and a trusted set pin the default Ω: a protocol that reads
+	// no leader would drop them silently, with or without a script.
+	if u.roles&readsLeader == 0 {
+		switch {
+		case c.Param("stab0", 0) != 0:
+			return reject("param stab0 pins the default leader, but protocol %q reads no leader", c.Protocol)
+		case len(c.Combo.Trusted) > 0:
+			return reject("combo pins a trusted set, but protocol %q reads no leader", c.Protocol)
+		}
+	}
+	if s.None() {
+		return nil, nil, nil, true
 	}
 	pair := s.IsPair()
 	switch {
@@ -262,24 +275,20 @@ func (u oracleUse) feeds(c *Cell, sys *sim.System, res *CellResult) (lead, susp,
 			quer = s
 		}
 	}
-	// The default Ω's pinning must not be silently dropped: stab0
-	// contradicts a leader-role script and a pair (each fixes its own
-	// stabilization time), and a trusted set composes with a parameter
-	// script but contradicts a leader timeline, which fixes every
-	// output, and a pair, which scripts the suspector role.
+	// The default Ω's pinning must not be silently dropped either when a
+	// script feeds the leader: stab0 contradicts any leader-role script
+	// (each fixes its own stabilization time), and a trusted set composes
+	// with a parameter script but contradicts a leader timeline, which
+	// fixes every output.
+	switch {
+	case lead != nil && c.Param("stab0", 0) != 0:
+		return reject("param stab0 conflicts with generated oracle script %s (both pin the stabilization time)", s.Name)
+	case len(s.Leader) > 0 && len(c.Combo.Trusted) > 0:
+		return reject("combo pins a trusted set but oracle script %s already fixes the timeline", s.Name)
+	}
 	noun, sRole, phiRole := "script", "", ""
 	if pair {
 		noun, sRole, phiRole = "pair", "S-role ", "phi-role "
-	}
-	if lead != nil || pair {
-		switch {
-		case c.Param("stab0", 0) != 0:
-			return reject("param stab0 conflicts with generated oracle %s %s (both pin the stabilization time)", noun, s.Name)
-		case pair && len(c.Combo.Trusted) > 0:
-			return reject("combo pins a trusted set but oracle pair %s scripts the suspector role", s.Name)
-		case len(s.Leader) > 0 && len(c.Combo.Trusted) > 0:
-			return reject("combo pins a trusted set but oracle script %s already fixes the timeline", s.Name)
-		}
 	}
 	// Timelines and pair roles always declare their scope; a parameter
 	// script declares one optionally, and an undeclared scope composes
