@@ -12,7 +12,7 @@ import (
 )
 
 // The benchmarks regenerate the paper's "evaluation": each corresponds
-// to an experiment of DESIGN.md §5 (EXP-*) and reports, besides wall
+// to an experiment of EXPERIMENTS.md (EXP-*) and reports, besides wall
 // time, the virtual-time and message-count shapes the paper's results
 // predict. cmd/experiments renders the same measurements as the tables
 // of EXPERIMENTS.md.
@@ -469,7 +469,8 @@ func BenchmarkRepeatedInstances(b *testing.B) {
 }
 
 // BenchmarkAblationOmegaRoutes compares the two routes to Ω (= Ω_1)
-// from a full-scope ◇S — a design-choice ablation DESIGN.md calls out:
+// from a full-scope ◇S — the design-choice ablation of EXPERIMENTS.md's
+// EXP-ABL:
 //
 //   - the quiescent single wheel of the companion report [17]
 //     (internal/reduction.SingleWheelOmega), message traffic stops;

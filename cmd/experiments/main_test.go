@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"fdgrid/internal/sweep"
@@ -31,7 +33,7 @@ func goldenPath(t *testing.T) string {
 	return filepath.Join("testdata", "suite.golden.json")
 }
 
-func buildSuiteJSON(t *testing.T, seeds int) ([]byte, []*sweep.Report) {
+func buildSuiteJSON(t *testing.T, seeds int) []byte {
 	t.Helper()
 	_, reports, err := buildSuite(seeds, 0, false)
 	if err != nil {
@@ -41,15 +43,49 @@ func buildSuiteJSON(t *testing.T, seeds int) ([]byte, []*sweep.Report) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return suite, reports
+	return suite
 }
 
+// experimentsMD is the committed rendering of the suite at goldenSeeds.
+const experimentsMD = "../../EXPERIMENTS.md"
+
+// TestSuiteGolden runs the suite once and pins both of its outputs: the
+// rendered markdown against the committed EXPERIMENTS.md and the
+// canonical JSON against the suite golden.
 func TestSuiteGolden(t *testing.T) {
-	got, reports := buildSuiteJSON(t, goldenSeeds)
+	md, reports, err := buildSuite(goldenSeeds, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range reports {
 		if !r.OK() {
 			t.Errorf("matrix %s", r.Summary())
 		}
+	}
+	wantMD, err := os.ReadFile(experimentsMD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if md != string(wantMD) {
+		got, want := strings.Split(md, "\n"), strings.Split(string(wantMD), "\n")
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		var gotLine, wantLine string
+		if i < len(got) {
+			gotLine = got[i]
+		}
+		if i < len(want) {
+			wantLine = want[i]
+		}
+		t.Errorf("rendered suite differs from %s at line %d:\n got  %q\n want %q\na deliberate change regenerates it with `go run ./cmd/experiments`",
+			experimentsMD, i+1, gotLine, wantLine)
+	}
+
+	got, err := sweep.SuiteJSON(reports)
+	if err != nil {
+		t.Fatal(err)
 	}
 	path := goldenPath(t)
 	if *updateSuiteGolden {
@@ -78,7 +114,7 @@ func TestSuiteGolden(t *testing.T) {
 // the contract sweepd's units and merge rest on.
 func TestShardMergeMatchesUnsharded(t *testing.T) {
 	const seeds = 2 // smaller than the golden run: this test checks the pipeline, not the values
-	want, _ := buildSuiteJSON(t, seeds)
+	want := buildSuiteJSON(t, seeds)
 
 	const count = 3
 	var merged []*sweep.Report
@@ -147,6 +183,90 @@ func TestMatricesExportRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("seeds=%d: matrix %s expands to different cells after the export round trip", seeds, m.Name)
 			}
+		}
+	}
+}
+
+// TestSuiteMatrixNamesUnique: -replay and EXP-CF resolve a matrix by
+// its first name match, so a duplicate name would shadow a suite cell.
+func TestSuiteMatrixNamesUnique(t *testing.T) {
+	for _, seeds := range []int{1, goldenSeeds, 12} {
+		seen := map[string]bool{}
+		for _, m := range suiteMatrices(seeds) {
+			if seen[m.Name] {
+				t.Errorf("seeds=%d: two suite matrices named %q", seeds, m.Name)
+			}
+			seen[m.Name] = true
+		}
+	}
+}
+
+// TestRunReplay drives -replay end to end: a replayed cell reports the
+// seed, size, verdict and step count the suite golden holds for that
+// cell, with tracing on; a perturbed replay's base run is that same
+// cell, byte for byte; bad names and indices are refused.
+func TestRunReplay(t *testing.T) {
+	blob, err := os.ReadFile(goldenPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []*sweep.Report
+	if err := json.Unmarshal(blob, &golden); err != nil {
+		t.Fatal(err)
+	}
+	// suiteCell renders the untraced prefix of a replay line from the
+	// golden's copy of the cell.
+	suiteCell := func(label, name string, index int) string {
+		for _, r := range golden {
+			if r.Matrix.Name == name {
+				c := r.Cells[index]
+				return fmt.Sprintf("  %-9s seed=%d n=%d t=%d verdict=%s steps=%d trace_events=",
+					label, c.Seed, c.Size.N, c.Size.T, c.Verdict, c.Steps)
+			}
+		}
+		t.Fatalf("no golden matrix %q", name)
+		return ""
+	}
+	replay := func(spec, perturb string) []string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := runReplay(&out, spec, perturb, "", goldenSeeds, 0); err != nil {
+			t.Fatalf("-replay %s -perturb %q: %v", spec, perturb, err)
+		}
+		return strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	}
+
+	plain := replay("F3-scaling:0", "")
+	if len(plain) != 2 || plain[0] != "replay F3-scaling:0 (kset-omega, trace=decisions)" ||
+		!strings.HasPrefix(plain[1], suiteCell("cell", "F3-scaling", 0)) {
+		t.Errorf("-replay F3-scaling:0 printed\n%s", strings.Join(plain, "\n"))
+	}
+
+	cell := replay("F2-additivity:3", "")
+	pert := replay("F2-additivity:3", "crash=2@600")
+	if len(pert) != 4 || pert[0] != "replay F2-additivity:3 (two-wheels, trace=decisions, perturb crash=2@600)" ||
+		!strings.HasPrefix(pert[1], suiteCell("base", "F2-additivity", 3)) ||
+		!strings.HasPrefix(pert[2], "  perturbed ") ||
+		!strings.HasPrefix(pert[3], "divergence: diverge after ") {
+		t.Fatalf("-replay F2-additivity:3 -perturb crash=2@600 printed\n%s", strings.Join(pert, "\n"))
+	}
+	if strings.TrimPrefix(cell[1], "  cell     ") != strings.TrimPrefix(pert[1], "  base     ") {
+		t.Errorf("perturbed replay's base run differs from the plain replay of the cell:\n%s\n%s", cell[1], pert[1])
+	}
+
+	for _, c := range []struct{ spec, perturb, want string }{
+		{"nope:0", "", `no suite matrix named "nope"`},
+		{"nope:0", "gst+1", `no suite matrix named "nope"`},
+		{"F3-scaling:12", "", `replay index 12 outside matrix "F3-scaling" (12 cells)`},
+		{"F3-scaling:12", "gst+1", `replay index 12 outside matrix "F3-scaling" (12 cells)`},
+	} {
+		var out bytes.Buffer
+		err := runReplay(&out, c.spec, c.perturb, "", goldenSeeds, 0)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-replay %s -perturb %q: error %v, want one containing %q", c.spec, c.perturb, err, c.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-replay %s -perturb %q printed %q before failing", c.spec, c.perturb, out.String())
 		}
 	}
 }

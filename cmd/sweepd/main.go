@@ -27,10 +27,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -260,7 +262,9 @@ func runDispatcher(f dispatcherFlags) error {
 	return nil
 }
 
-// loadMatrices reads and sanity-checks the suite spec.
+// loadMatrices reads and sanity-checks the suite spec. It decodes
+// strictly: a misspelled field (say "gts" for "gst") or trailing data
+// is an error, not a matrix silently run with that edit dropped.
 func loadMatrices(path string) ([]sweep.Matrix, error) {
 	if path == "" {
 		return nil, fmt.Errorf("sweepd: -matrices is required (export one with `experiments -matrices suite-spec.json`)")
@@ -269,9 +273,14 @@ func loadMatrices(path string) ([]sweep.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
 	var matrices []sweep.Matrix
-	if err := json.Unmarshal(blob, &matrices); err != nil {
+	if err := dec.Decode(&matrices); err != nil {
 		return nil, fmt.Errorf("sweepd: %s: %w (want a JSON array of sweep matrices)", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("sweepd: %s: trailing data after the matrix array", path)
 	}
 	if len(matrices) == 0 {
 		return nil, fmt.Errorf("sweepd: %s holds no matrices", path)

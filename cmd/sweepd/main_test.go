@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -37,6 +38,8 @@ func TestLoadMatrices(t *testing.T) {
 		{filepath.Join(dir, "missing.json"), "no such file"},
 		{write("bad.json", `{"not":"an array"}`), "JSON array"},
 		{write("empty.json", `[]`), "no matrices"},
+		{write("trailing.json", `[{"name":"m","protocol":"kset-omega","seeds":[0],"sizes":[{"n":5,"t":2}]}] x`), "trailing data"},
+		{write("two.json", `[{"name":"m","protocol":"kset-omega","seeds":[0],"sizes":[{"n":5,"t":2}]}][]`), "trailing data"},
 	}
 	for _, c := range cases {
 		_, err := loadMatrices(c.path)
@@ -46,6 +49,79 @@ func TestLoadMatrices(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("loadMatrices(%q) error %q does not mention %q", c.path, err, c.want)
+		}
+	}
+}
+
+// TestLoadMatricesStrict: the suite's own -matrices export loads at the
+// suite's seed count (3) and the paper benchmark's (12), and one
+// exported matrix with a misspelled field ("gts" for "gst") or a stray
+// one ("bandwith") is refused instead of running as the unedited matrix.
+func TestLoadMatricesStrict(t *testing.T) {
+	dir := t.TempDir()
+	exe := filepath.Join(dir, "experiments")
+	if out, err := exec.Command("go", "build", "-o", exe, "../experiments").CombinedOutput(); err != nil {
+		t.Fatalf("building cmd/experiments: %v\n%s", err, out)
+	}
+	for _, seeds := range []string{"3", "12"} {
+		p := filepath.Join(dir, "suite-"+seeds+".json")
+		if out, err := exec.Command(exe, "-seeds", seeds, "-matrices", p).CombinedOutput(); err != nil {
+			t.Fatalf("experiments -seeds %s -matrices: %v\n%s", seeds, err, out)
+		}
+		ms, err := loadMatrices(p)
+		if err != nil {
+			t.Fatalf("suite export at %s seeds: %v", seeds, err)
+		}
+		if len(ms) != 28 {
+			t.Errorf("suite export at %s seeds: %d matrices, want 28", seeds, len(ms))
+		}
+	}
+
+	// F2-additivity: the export's second matrix, with gst and bandwidth set.
+	blob, err := os.ReadFile(filepath.Join(dir, "suite-3.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported []json.RawMessage
+	if err := json.Unmarshal(blob, &exported); err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(exported[1], &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["gst"]; !ok {
+		t.Fatalf("exported matrix has no gst field: %s", exported[1])
+	}
+	edit := func(name string, change func(map[string]json.RawMessage)) string {
+		m := map[string]json.RawMessage{}
+		for k, v := range fields {
+			m[k] = v
+		}
+		change(m)
+		blob, err := json.Marshal([]map[string]json.RawMessage{m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if _, err := loadMatrices(edit("same.json", func(map[string]json.RawMessage) {})); err != nil {
+		t.Fatalf("unedited matrix refused: %v", err)
+	}
+	for _, c := range []struct {
+		name, field string
+		change      func(map[string]json.RawMessage)
+	}{
+		{"gts.json", "gts", func(m map[string]json.RawMessage) { m["gts"] = m["gst"]; delete(m, "gst") }},
+		{"bandwith.json", "bandwith", func(m map[string]json.RawMessage) { m["bandwith"] = json.RawMessage("10") }},
+	} {
+		_, err := loadMatrices(edit(c.name, c.change))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+c.field+`"`) {
+			t.Errorf("matrix with field %q: error %v, want an unknown-field error", c.field, err)
 		}
 	}
 }

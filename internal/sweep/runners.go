@@ -14,9 +14,9 @@ import (
 	"fdgrid/internal/sim"
 )
 
-// runners is the protocol table: every experiment family of DESIGN.md
-// §5 (the paper's figures and theorems) expressed as a protocol a
-// Matrix can sweep, by name:
+// runners is the protocol table: every experiment family of the suite
+// (cmd/experiments/suite.go; the paper's figures and theorems)
+// expressed as a protocol a Matrix can sweep, by name:
 //
 //	kset-grid      — grid class → prescribed transformation → Fig. 3 k-set
 //	kset-omega     — Fig. 3 directly over a (possibly pinned) Ω_z oracle
