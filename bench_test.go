@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"fdgrid/internal/adversary"
+	"fdgrid/internal/agreement"
+	"fdgrid/internal/core"
+	"fdgrid/internal/fd"
 	"fdgrid/internal/ids"
 	"fdgrid/internal/node"
 	"fdgrid/internal/reduction"
@@ -18,17 +21,32 @@ import (
 // of EXPERIMENTS.md.
 
 // benchPing is the tag of the scheduler micro-benchmarks.
-var benchPing = Intern("bench.ping")
+var benchPing = sim.Intern("bench.ping")
 
 // benchCfg is the common workload: n processes, t = ⌊(n−1)/2⌋, one late
 // crash, late stabilization.
-func benchCfg(n int, seed int64) Config {
+func benchCfg(n int, seed int64) sim.Config {
 	t := (n - 1) / 2
-	crashes := map[ProcID]Time{ProcID(n): 400}
-	return Config{
+	crashes := map[ids.ProcID]sim.Time{ids.ProcID(n): 400}
+	return sim.Config{
 		N: n, T: t, Seed: seed, MaxSteps: 2_000_000,
 		GST: 600, Crashes: crashes, Bandwidth: n,
 	}
+}
+
+// runTwoWheels runs the two-wheels addition ◇S_x + ◇φ_y → Ω_z on a
+// system built from cfg, with ground-truth sources, and returns the
+// emulated output's trace with the system and the run report. The run
+// ends once the output has been stable for stableFor ticks at every
+// correct process; pick it above the config's GST and last crash time.
+func runTwoWheels(cfg sim.Config, x, y int, stableFor sim.Time) (*fd.SetTrace, *sim.System, sim.Report) {
+	sys := sim.MustNew(cfg)
+	susp := fd.NewEvtS(sys, x)
+	quer := fd.NewEvtPhi(sys, y)
+	emu, _ := reduction.SpawnTwoWheels(sys, susp, quer, x, y)
+	trace := fd.WatchLeader(sys, emu)
+	rep := sys.Run(trace.StableFor(sys.Pattern().Correct(), stableFor))
+	return trace, sys, rep
 }
 
 // BenchmarkGridLine (EXP-F1, paper Fig. 1): every class of every grid
@@ -39,13 +57,13 @@ func BenchmarkGridLine(b *testing.B) {
 		t = 2
 	)
 	for z := 1; z <= t+1; z++ {
-		for _, c := range GridLine(z, t) {
+		for _, c := range core.GridLine(z, t) {
 			b.Run(fmt.Sprintf("z=%d/%s", z, c), func(b *testing.B) {
 				var ticks, rounds float64
 				for i := 0; i < b.N; i++ {
 					cfg := benchCfg(n, int64(i))
-					sys := MustNewSystem(cfg)
-					out, err := SpawnKSetWith(sys, c, nil)
+					sys := sim.MustNew(cfg)
+					out, err := core.SpawnKSetWith(sys, c, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -76,11 +94,11 @@ func BenchmarkKSetOmega(b *testing.B) {
 			var ticks, rounds, msgs float64
 			for i := 0; i < b.N; i++ {
 				cfg := benchCfg(n, int64(i))
-				sys := MustNewSystem(cfg)
-				oracle := NewOmega(sys, 2)
-				out := NewOutcome()
+				sys := sim.MustNew(cfg)
+				oracle := fd.NewOmega(sys, 2)
+				out := agreement.NewOutcome()
 				for p := 1; p <= n; p++ {
-					sys.Spawn(ProcID(p), KSetMain(oracle, Value(100+p), out))
+					sys.Spawn(ids.ProcID(p), agreement.KSetMain(oracle, agreement.Value(100+p), out))
 				}
 				rep := sys.Run(out.AllDecided(sys.Pattern().Correct()))
 				if !rep.StoppedEarly {
@@ -105,12 +123,12 @@ func BenchmarkKSetOmega(b *testing.B) {
 func BenchmarkKSetOracleEfficient(b *testing.B) {
 	const n = 7
 	for i := 0; i < b.N; i++ {
-		cfg := Config{N: n, T: 3, Seed: int64(i), MaxSteps: 500_000, GST: 0, Bandwidth: n}
-		sys := MustNewSystem(cfg)
-		oracle := NewOmega(sys, 2, WithStabilizeAt(0))
-		out := NewOutcome()
+		cfg := sim.Config{N: n, T: 3, Seed: int64(i), MaxSteps: 500_000, GST: 0, Bandwidth: n}
+		sys := sim.MustNew(cfg)
+		oracle := fd.NewOmega(sys, 2, fd.WithStabilizeAt(0))
+		out := agreement.NewOutcome()
 		for p := 1; p <= n; p++ {
-			sys.Spawn(ProcID(p), KSetMain(oracle, Value(p), out))
+			sys.Spawn(ids.ProcID(p), agreement.KSetMain(oracle, agreement.Value(p), out))
 		}
 		rep := sys.Run(out.AllDecided(sys.Pattern().Correct()))
 		if !rep.StoppedEarly {
@@ -130,15 +148,15 @@ func BenchmarkKSetOracleEfficient(b *testing.B) {
 func BenchmarkKSetZeroDegradation(b *testing.B) {
 	const n = 7
 	for i := 0; i < b.N; i++ {
-		cfg := Config{
+		cfg := sim.Config{
 			N: n, T: 3, Seed: int64(i), MaxSteps: 500_000, GST: 0, Bandwidth: n,
-			Crashes: map[ProcID]Time{2: 0, 5: 0},
+			Crashes: map[ids.ProcID]sim.Time{2: 0, 5: 0},
 		}
-		sys := MustNewSystem(cfg)
-		oracle := NewOmega(sys, 2, WithStabilizeAt(0), WithTrusted(NewSet(1, 4)))
-		out := NewOutcome()
+		sys := sim.MustNew(cfg)
+		oracle := fd.NewOmega(sys, 2, fd.WithStabilizeAt(0), fd.WithTrusted(ids.NewSet(1, 4)))
+		out := agreement.NewOutcome()
 		for p := 1; p <= n; p++ {
-			sys.Spawn(ProcID(p), KSetMain(oracle, Value(p), out))
+			sys.Spawn(ids.ProcID(p), agreement.KSetMain(oracle, agreement.Value(p), out))
 		}
 		rep := sys.Run(out.AllDecided(sys.Pattern().Correct()))
 		if !rep.StoppedEarly {
@@ -158,12 +176,12 @@ func BenchmarkKSetZeroDegradation(b *testing.B) {
 // ◇S consensus of ref. [18].
 func BenchmarkConsensusBaselines(b *testing.B) {
 	const n = 7
-	run := func(b *testing.B, spawn func(sys *System, out *Outcome)) {
+	run := func(b *testing.B, spawn func(sys *sim.System, out *agreement.Outcome)) {
 		var ticks, rounds float64
 		for i := 0; i < b.N; i++ {
 			cfg := benchCfg(n, int64(i))
-			sys := MustNewSystem(cfg)
-			out := NewOutcome()
+			sys := sim.MustNew(cfg)
+			out := agreement.NewOutcome()
 			spawn(sys, out)
 			rep := sys.Run(out.AllDecided(sys.Pattern().Correct()))
 			if !rep.StoppedEarly {
@@ -179,18 +197,18 @@ func BenchmarkConsensusBaselines(b *testing.B) {
 		b.ReportMetric(rounds/float64(b.N), "rounds/run")
 	}
 	b.Run("omega-fig3", func(b *testing.B) {
-		run(b, func(sys *System, out *Outcome) {
-			oracle := NewOmega(sys, 1)
+		run(b, func(sys *sim.System, out *agreement.Outcome) {
+			oracle := fd.NewOmega(sys, 1)
 			for p := 1; p <= n; p++ {
-				sys.Spawn(ProcID(p), KSetMain(oracle, Value(p), out))
+				sys.Spawn(ids.ProcID(p), agreement.KSetMain(oracle, agreement.Value(p), out))
 			}
 		})
 	})
 	b.Run("evtS-rotating", func(b *testing.B) {
-		run(b, func(sys *System, out *Outcome) {
-			susp := NewEvtS(sys, n)
+		run(b, func(sys *sim.System, out *agreement.Outcome) {
+			susp := fd.NewEvtS(sys, n)
 			for p := 1; p <= n; p++ {
-				sys.Spawn(ProcID(p), ConsensusDSMain(susp, Value(p), out))
+				sys.Spawn(ids.ProcID(p), agreement.ConsensusDSMain(susp, agreement.Value(p), out))
 			}
 		})
 	})
@@ -222,17 +240,17 @@ func BenchmarkLowerWheel(b *testing.B) {
 	)
 	var moves, xmoves float64
 	for i := 0; i < b.N; i++ {
-		cfg := Config{
+		cfg := sim.Config{
 			N: n, T: 2, Seed: int64(i), MaxSteps: 60_000, GST: 600,
-			Crashes: map[ProcID]Time{3: 500}, Bandwidth: n,
+			Crashes: map[ids.ProcID]sim.Time{3: 500}, Bandwidth: n,
 		}
-		sys := MustNewSystem(cfg)
-		susp := NewEvtS(sys, x)
-		reprs := SpawnLowerWheel(sys, susp, x)
+		sys := sim.MustNew(cfg)
+		susp := fd.NewEvtS(sys, x)
+		reprs := reduction.SpawnLowerWheel(sys, susp, x)
 		rep := sys.Run(nil)
 		var consumed int
 		for p := 1; p <= n; p++ {
-			if pos, ok := reprs.Pos(ProcID(p)); ok {
+			if pos, ok := reprs.Pos(ids.ProcID(p)); ok {
 				_ = pos
 				consumed++
 			}
@@ -256,19 +274,16 @@ func BenchmarkTwoWheels(b *testing.B) {
 		b.Run(fmt.Sprintf("x=%d,y=%d,z=%d", p.x, p.y, z), func(b *testing.B) {
 			var stab, msgs float64
 			for i := 0; i < b.N; i++ {
-				cfg := Config{
+				cfg := sim.Config{
 					N: n, T: t, Seed: int64(i), MaxSteps: 120_000, GST: 600,
-					Crashes: map[ProcID]Time{4: 800}, Bandwidth: n,
+					Crashes: map[ids.ProcID]sim.Time{4: 800}, Bandwidth: n,
 				}
-				trace, sys, rep, err := AddOmega(cfg, p.x, p.y, 15_000)
-				if err != nil {
-					b.Fatal(err)
-				}
+				trace, sys, rep := runTwoWheels(cfg, p.x, p.y, 15_000)
 				if err := trace.CheckOmega(sys.Pattern(), z, 10_000); err != nil {
 					b.Fatalf("seed %d: %v", i, err)
 				}
-				var last Time
-				sys.Pattern().Correct().ForEach(func(q ProcID) bool {
+				var last sim.Time
+				sys.Pattern().Correct().ForEach(func(q ids.ProcID) bool {
 					if lc := trace.LastChange(q); lc > last {
 						last = lc
 					}
@@ -290,14 +305,14 @@ func BenchmarkPsiToOmega(b *testing.B) {
 		t = 2
 	)
 	for i := 0; i < b.N; i++ {
-		cfg := Config{
+		cfg := sim.Config{
 			N: n, T: t, Seed: int64(i), MaxSteps: 6_000, GST: 0,
-			Crashes: map[ProcID]Time{1: 200, 2: 500},
+			Crashes: map[ids.ProcID]sim.Time{1: 200, 2: 500},
 		}
-		sys := MustNewSystem(cfg)
-		psi := WrapPsi(NewPhi(sys, 1))
-		po := NewPsiOmega(n, t, 1, 2, psi)
-		trace := WatchLeader(sys, po)
+		sys := sim.MustNew(cfg)
+		psi := fd.WrapPsi(fd.NewPhi(sys, 1))
+		po := reduction.NewPsiOmega(n, t, 1, 2, psi)
+		trace := fd.WatchLeader(sys, po)
 		sys.Run(nil)
 		if err := trace.CheckOmega(sys.Pattern(), 2, 1_000); err != nil {
 			b.Fatal(err)
@@ -311,15 +326,15 @@ func BenchmarkAddToS(b *testing.B) {
 	for _, substrate := range []string{"memory", "heartbeat", "abd"} {
 		b.Run(substrate, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := Config{
+				cfg := sim.Config{
 					N: 5, T: 2, Seed: int64(i), MaxSteps: 120_000, GST: 0,
-					Crashes: map[ProcID]Time{3: 800}, Bandwidth: 5,
+					Crashes: map[ids.ProcID]sim.Time{3: 800}, Bandwidth: 5,
 				}
-				sys := MustNewSystem(cfg)
-				susp := NewS(sys, 2)
-				quer := NewPhi(sys, 1)
-				emu := SpawnAddS(sys, susp, quer, substrate)
-				trace := WatchSuspector(sys, emu)
+				sys := sim.MustNew(cfg)
+				susp := fd.NewS(sys, 2)
+				quer := fd.NewPhi(sys, 1)
+				emu := reduction.SpawnAddS(sys, susp, quer, substrate)
+				trace := fd.WatchSuspector(sys, emu)
 				sys.Run(nil)
 				if err := trace.CheckSuspector(sys.Pattern(), 5, true, 20_000); err != nil {
 					b.Fatal(err)
@@ -341,15 +356,15 @@ func BenchmarkT5Boundary(b *testing.B) {
 	)
 	maxDistinct := 0
 	for i := 0; i < b.N; i++ {
-		cfg := Config{N: n, T: t, Seed: int64(i), MaxSteps: 500_000, GST: 0, Bandwidth: n}
-		sys := MustNewSystem(cfg)
+		cfg := sim.Config{N: n, T: t, Seed: int64(i), MaxSteps: 500_000, GST: 0, Bandwidth: n}
+		sys := sim.MustNew(cfg)
 		// A perfect Ω_2 trusting two correct processes with distinct
 		// proposals: a legal oracle for 2-set agreement and the
 		// adversary's best case against 1-set (consensus).
-		oracle := NewOmega(sys, z, WithStabilizeAt(0), WithTrusted(NewSet(1, 2)))
-		out := NewOutcome()
+		oracle := fd.NewOmega(sys, z, fd.WithStabilizeAt(0), fd.WithTrusted(ids.NewSet(1, 2)))
+		out := agreement.NewOutcome()
 		for p := 1; p <= n; p++ {
-			sys.Spawn(ProcID(p), KSetMain(oracle, Value(p), out))
+			sys.Spawn(ids.ProcID(p), agreement.KSetMain(oracle, agreement.Value(p), out))
 		}
 		rep := sys.Run(out.AllDecided(sys.Pattern().Correct()))
 		if !rep.StoppedEarly {
@@ -378,11 +393,8 @@ func BenchmarkT8Boundary(b *testing.B) {
 	)
 	tighterFails := 0
 	for i := 0; i < b.N; i++ {
-		cfg := Config{N: n, T: t, Seed: int64(i), MaxSteps: 120_000, GST: 600, Bandwidth: n}
-		trace, sys, _, err := AddOmega(cfg, x, y, 15_000)
-		if err != nil {
-			b.Fatal(err)
-		}
+		cfg := sim.Config{N: n, T: t, Seed: int64(i), MaxSteps: 120_000, GST: 600, Bandwidth: n}
+		trace, sys, _ := runTwoWheels(cfg, x, y, 15_000)
 		if err := trace.CheckOmega(sys.Pattern(), z, 10_000); err != nil {
 			b.Fatal(err)
 		}
@@ -402,16 +414,16 @@ func BenchmarkIrreducibility(b *testing.B) {
 		n   = 5
 		t   = 2
 		y   = 1
-		tau = Time(1_000)
+		tau = sim.Time(1_000)
 	)
-	e := NewSet(4, 5)
+	e := ids.NewSet(4, 5)
 	var violatedSum float64
 	for i := 0; i < b.N; i++ {
 		rp := adversary.RunPair{N: n, T: t, E: e, CrashAt: 100, Horizon: tau + 1_000, Seed: int64(i)}
-		sys := MustNewSystem(rp.ConfigRPrime(tau + 2_000))
+		sys := sim.MustNew(rp.ConfigRPrime(tau + 2_000))
 		reducer := adversary.NewPhiFromS(rp.SuspectorForRPrime(sys, 3, 1), t, y)
-		var violatedAt Time = -1
-		sys.OnTick(func(now Time) {
+		var violatedAt sim.Time = -1
+		sys.OnTick(func(now sim.Time) {
 			if violatedAt < 0 && now > tau && reducer.Query(1, e) {
 				violatedAt = now
 			}
@@ -436,25 +448,25 @@ func BenchmarkRepeatedInstances(b *testing.B) {
 	)
 	var ticks float64
 	for i := 0; i < b.N; i++ {
-		cfg := Config{
+		cfg := sim.Config{
 			N: n, T: 3, Seed: int64(i), MaxSteps: 4_000_000, GST: 0, Bandwidth: n,
-			Crashes: map[ProcID]Time{2: 0, 6: 0},
+			Crashes: map[ids.ProcID]sim.Time{2: 0, 6: 0},
 		}
-		sys := MustNewSystem(cfg)
-		oracle := NewOmega(sys, 2, WithStabilizeAt(0), WithTrusted(NewSet(1, 4)))
-		outs := make([]*Outcome, r)
+		sys := sim.MustNew(cfg)
+		oracle := fd.NewOmega(sys, 2, fd.WithStabilizeAt(0), fd.WithTrusted(ids.NewSet(1, 4)))
+		outs := make([]*agreement.Outcome, r)
 		for j := range outs {
-			outs[j] = NewOutcome()
+			outs[j] = agreement.NewOutcome()
 		}
 		for p := 1; p <= n; p++ {
-			id := ProcID(p)
-			vals := make([]Value, r)
+			id := ids.ProcID(p)
+			vals := make([]agreement.Value, r)
 			for j := range vals {
-				vals[j] = Value(100*(j+1) + p)
+				vals[j] = agreement.Value(100*(j+1) + p)
 			}
-			sys.Spawn(id, SequenceMain(oracle, vals, outs))
+			sys.Spawn(id, agreement.SequenceMain(oracle, vals, outs))
 		}
-		rep := sys.Run(AllInstancesDecided(outs, sys.Pattern().Correct()))
+		rep := sys.Run(agreement.AllInstancesDecided(outs, sys.Pattern().Correct()))
 		if !rep.StoppedEarly {
 			b.Fatal("timed out")
 		}
@@ -481,19 +493,19 @@ func BenchmarkAblationOmegaRoutes(b *testing.B) {
 		n = 5
 		t = 2
 	)
-	mkCfg := func(i int) Config {
-		return Config{
+	mkCfg := func(i int) sim.Config {
+		return sim.Config{
 			N: n, T: t, Seed: int64(i), MaxSteps: 150_000, GST: 500,
-			Crashes: map[ProcID]Time{4: 700}, Bandwidth: n,
+			Crashes: map[ids.ProcID]sim.Time{4: 700}, Bandwidth: n,
 		}
 	}
 	b.Run("single-wheel", func(b *testing.B) {
 		var msgs float64
 		for i := 0; i < b.N; i++ {
-			sys := MustNewSystem(mkCfg(i))
-			susp := NewEvtS(sys, n)
+			sys := sim.MustNew(mkCfg(i))
+			susp := fd.NewEvtS(sys, n)
 			emu := reduction.SpawnSingleWheel(sys, susp)
-			trace := WatchLeader(sys, emu)
+			trace := fd.WatchLeader(sys, emu)
 			rep := sys.Run(trace.StableFor(sys.Pattern().Correct(), 15_000))
 			if err := trace.CheckOmega(sys.Pattern(), 1, 10_000); err != nil {
 				b.Fatal(err)
@@ -505,10 +517,7 @@ func BenchmarkAblationOmegaRoutes(b *testing.B) {
 	b.Run("two-wheels", func(b *testing.B) {
 		var msgs float64
 		for i := 0; i < b.N; i++ {
-			trace, sys, rep, err := AddOmega(mkCfg(i), t+1, 0, 15_000)
-			if err != nil {
-				b.Fatal(err)
-			}
+			trace, sys, rep := runTwoWheels(mkCfg(i), t+1, 0, 15_000)
 			if err := trace.CheckOmega(sys.Pattern(), 1, 10_000); err != nil {
 				b.Fatal(err)
 			}
@@ -530,14 +539,14 @@ func BenchmarkAblationOmegaRoutes(b *testing.B) {
 // (The PR-1 version of this benchmark spawned no processes, so the
 // clock jumped straight to MaxSteps and it measured nothing.)
 func BenchmarkSchedulerTick(b *testing.B) {
-	sys := MustNewSystem(Config{N: 8, T: 3, Seed: 1, MaxSteps: sim.Time(b.N) + 1})
+	sys := sim.MustNew(sim.Config{N: 8, T: 3, Seed: 1, MaxSteps: sim.Time(b.N) + 1})
 	sys.Spawn(1, func(env *sim.Env) {
 		for {
 			env.Step()
 		}
 	})
 	for p := 2; p <= 8; p++ {
-		sys.Spawn(ProcID(p), func(env *sim.Env) {
+		sys.Spawn(ids.ProcID(p), func(env *sim.Env) {
 			for {
 				env.StepUntil(sim.Never)
 			}
@@ -560,7 +569,7 @@ func reportSwitches(b *testing.B, rep sim.Report) {
 // and one op is 16 switches. Coroutine switch cost is the floor here.
 func BenchmarkSchedulerWakeStorm(b *testing.B) {
 	const n = 8
-	sys := MustNewSystem(Config{N: n, T: 3, Seed: 1, MaxSteps: sim.Time(b.N) + 1})
+	sys := sim.MustNew(sim.Config{N: n, T: 3, Seed: 1, MaxSteps: sim.Time(b.N) + 1})
 	sys.SpawnAll(func(env *sim.Env) {
 		for {
 			env.Step()
@@ -578,7 +587,7 @@ func BenchmarkSchedulerWakeStorm(b *testing.B) {
 // WakeStorm's 16.
 func BenchmarkSchedulerAwaitStorm(b *testing.B) {
 	const n = 8
-	sys := MustNewSystem(Config{N: n, T: 3, Seed: 1, MaxSteps: sim.Time(b.N) + 1})
+	sys := sim.MustNew(sim.Config{N: n, T: 3, Seed: 1, MaxSteps: sim.Time(b.N) + 1})
 	sys.SpawnAll(func(env *sim.Env) {
 		node.New(env).WaitUntil(func() bool { return false }, nil)
 	})
@@ -589,7 +598,7 @@ func BenchmarkSchedulerAwaitStorm(b *testing.B) {
 // BenchmarkSchedulerSend measures one tick carrying one message: a send
 // (tag metrics, hold lookup, network enqueue), a delivery and two wakes.
 func BenchmarkSchedulerSend(b *testing.B) {
-	sys := MustNewSystem(Config{N: 2, T: 0, Seed: 1, MaxSteps: sim.Time(b.N) + 1, Bandwidth: 2})
+	sys := sim.MustNew(sim.Config{N: 2, T: 0, Seed: 1, MaxSteps: sim.Time(b.N) + 1, Bandwidth: 2})
 	sys.Spawn(1, func(env *sim.Env) {
 		for {
 			env.Send(2, benchPing, nil)
@@ -615,7 +624,7 @@ func BenchmarkSchedulerSend(b *testing.B) {
 func BenchmarkDeliverBatch(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			sys := MustNewSystem(Config{
+			sys := sim.MustNew(sim.Config{
 				N: n, T: 0, Seed: 1, MaxSteps: sim.Time(b.N) + 1, Bandwidth: n * n,
 			})
 			sys.SpawnAll(func(env *sim.Env) {
@@ -646,7 +655,7 @@ func BenchmarkDeliverBatch(b *testing.B) {
 func BenchmarkDeliverBacklog(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			sys := MustNewSystem(Config{
+			sys := sim.MustNew(sim.Config{
 				N: n, T: 0, Seed: 1, MaxSteps: sim.Time(b.N) + 1, Bandwidth: n,
 			})
 			sys.SpawnAll(func(env *sim.Env) {
@@ -679,7 +688,7 @@ func BenchmarkBroadcastFanout(b *testing.B) {
 	const burst = 64
 	for _, n := range []int{64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			sys := MustNewSystem(Config{
+			sys := sim.MustNew(sim.Config{
 				N: n, T: 0, Seed: 1, MaxSteps: sim.Time(b.N) + 1, Bandwidth: burst * n,
 			})
 			sys.Spawn(1, func(env *sim.Env) {
@@ -696,7 +705,7 @@ func BenchmarkBroadcastFanout(b *testing.B) {
 				}
 			})
 			for p := 2; p <= n; p++ {
-				sys.Spawn(ProcID(p), func(env *sim.Env) {
+				sys.Spawn(ids.ProcID(p), func(env *sim.Env) {
 					for {
 						env.StepUntil(sim.Never)
 					}
@@ -713,11 +722,11 @@ func BenchmarkBroadcastFanout(b *testing.B) {
 // adversary with 16 hold rules (all released at tick 1, so delivery
 // behaviour matches): the per-send cost of resolving holds.
 func BenchmarkSchedulerSendHolds(b *testing.B) {
-	holds := make([]Hold, 16)
+	holds := make([]sim.Hold, 16)
 	for i := range holds {
-		holds[i] = Hold{From: NewSet(1), To: NewSet(2), Until: 1}
+		holds[i] = sim.Hold{From: ids.NewSet(1), To: ids.NewSet(2), Until: 1}
 	}
-	sys := MustNewSystem(Config{N: 2, T: 0, Seed: 1, MaxSteps: sim.Time(b.N) + 1, Bandwidth: 2, Holds: holds})
+	sys := sim.MustNew(sim.Config{N: 2, T: 0, Seed: 1, MaxSteps: sim.Time(b.N) + 1, Bandwidth: 2, Holds: holds})
 	sys.Spawn(1, func(env *sim.Env) {
 		for {
 			env.Send(2, benchPing, nil)

@@ -83,7 +83,7 @@ func TestReportSchemaDocumented(t *testing.T) {
 	}
 	// Keys the golden cannot show (untraced suite, replay-only field)
 	// still need rows: they are the artifact's documented extension.
-	for _, k := range []string{"trace_level", "trace_digest", "trace_events", "divergence", "shard"} {
+	for _, k := range []string{"trace_level", "trace_digest", "trace_events", "divergence"} {
 		if !keys[k] {
 			t.Errorf("key %q must be documented in %s", k, schemaDoc)
 		}

@@ -70,7 +70,7 @@ func main() {
 	}
 
 	if *replay != "" {
-		if err := runReplay(os.Stdout, *replay, *perturb, *traceLvl, *seeds, *workers); err != nil {
+		if err := runReplay(os.Stdout, *replay, *perturb, *traceLvl, *seeds); err != nil {
 			fatal(err)
 		}
 		return
@@ -198,7 +198,7 @@ func writeMatrices(path string, seeds int) (int, error) {
 // decision tracing forced on and print its trace fingerprint to w;
 // with a -perturb spec, run the perturbed variant too and report the
 // first divergence between the two traces.
-func runReplay(w io.Writer, spec, pertSpec, level string, seeds, workers int) error {
+func runReplay(w io.Writer, spec, pertSpec, level string, seeds int) error {
 	name, index, err := parseReplaySpec(spec)
 	if err != nil {
 		return err
@@ -211,40 +211,22 @@ func runReplay(w io.Writer, spec, pertSpec, level string, seeds, workers int) er
 	if err != nil {
 		return err
 	}
-	if lvl == trace.Off {
-		lvl = trace.Decisions
-	}
-
-	if pertSpec == "" {
-		// No counterfactual: trace the one cell as declared. A shard of
-		// Count = len(cells) owns exactly the cells with index ≡ INDEX
-		// (mod Count) — that is, the one cell.
-		m.TraceLevel = lvl.String()
-		cells, err := m.Cells()
-		if err != nil {
+	var pert *sweep.Perturbation
+	if pertSpec != "" {
+		if pert, err = sweep.ParsePerturbation(pertSpec); err != nil {
 			return err
 		}
-		if index < 0 || index >= len(cells) {
-			return fmt.Errorf("experiments: replay index %d outside matrix %q (%d cells)", index, name, len(cells))
-		}
-		r, err := sweep.Run(m, sweep.Options{Workers: workers, Shard: sweep.Shard{Index: index, Count: len(cells)}})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "replay %s:%d (%s, trace=%s)\n", name, index, m.Protocol, lvl)
-		printReplayCell(w, "cell", r.Cells[0])
-		return nil
-	}
-
-	pert, err := sweep.ParsePerturbation(pertSpec)
-	if err != nil {
-		return err
 	}
 	rr, err := sweep.Replay(m, index, pert, lvl)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "replay %s:%d (%s, trace=%s, perturb %s)\n", name, index, m.Protocol, lvl, pert)
+	if pert == nil {
+		fmt.Fprintf(w, "replay %s:%d (%s, trace=%s)\n", name, index, m.Protocol, rr.Level)
+		printReplayCell(w, "cell", rr.Base)
+		return nil
+	}
+	fmt.Fprintf(w, "replay %s:%d (%s, trace=%s, perturb %s)\n", name, index, m.Protocol, rr.Level, pert)
 	printReplayCell(w, "base", rr.Base)
 	printReplayCell(w, "perturbed", rr.Perturbed)
 	if rr.Div == nil {

@@ -108,10 +108,10 @@ func TestSuiteGolden(t *testing.T) {
 }
 
 // TestShardMergeMatchesUnsharded checks shard/merge byte-identity over
-// the full suite: every matrix runs as independent shards whose reports
-// travel through their JSON form, sweep.MergeReports recombines them,
-// and the merged suite reproduces the unsharded suite bytes. This is
-// the contract sweepd's units and merge rest on.
+// the full suite: every matrix runs as independent shards whose cells
+// travel through their JSON form, sweep.NewReport joins them, and the
+// merged suite reproduces the unsharded suite bytes. This is the
+// contract sweepd's units and merge rest on.
 func TestShardMergeMatchesUnsharded(t *testing.T) {
 	const seeds = 2 // smaller than the golden run: this test checks the pipeline, not the values
 	want := buildSuiteJSON(t, seeds)
@@ -119,21 +119,27 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 	const count = 3
 	var merged []*sweep.Report
 	for _, m := range suiteMatrices(seeds) {
-		parts := make([]*sweep.Report, count)
-		for i := range parts {
+		all, err := m.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cells []sweep.CellResult
+		for i := 0; i < count; i++ {
 			r, err := sweep.Run(m, sweep.Options{Shard: sweep.Shard{Index: i, Count: count}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			blob, err := json.Marshal(r)
+			blob, err := json.Marshal(r.Cells)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := json.Unmarshal(blob, &parts[i]); err != nil {
+			var part []sweep.CellResult
+			if err := json.Unmarshal(blob, &part); err != nil {
 				t.Fatal(err)
 			}
+			cells = append(cells, part...)
 		}
-		r, err := sweep.MergeReports(parts)
+		r, err := sweep.NewReport(m, len(all), cells)
 		if err != nil {
 			t.Fatalf("matrix %s: %v", m.Name, err)
 		}
@@ -230,7 +236,7 @@ func TestRunReplay(t *testing.T) {
 	replay := func(spec, perturb string) []string {
 		t.Helper()
 		var out bytes.Buffer
-		if err := runReplay(&out, spec, perturb, "", goldenSeeds, 0); err != nil {
+		if err := runReplay(&out, spec, perturb, "", goldenSeeds); err != nil {
 			t.Fatalf("-replay %s -perturb %q: %v", spec, perturb, err)
 		}
 		return strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
@@ -261,7 +267,7 @@ func TestRunReplay(t *testing.T) {
 		{"F3-scaling:12", "gst+1", `replay index 12 outside matrix "F3-scaling" (12 cells)`},
 	} {
 		var out bytes.Buffer
-		err := runReplay(&out, c.spec, c.perturb, "", goldenSeeds, 0)
+		err := runReplay(&out, c.spec, c.perturb, "", goldenSeeds)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("-replay %s -perturb %q: error %v, want one containing %q", c.spec, c.perturb, err, c.want)
 		}

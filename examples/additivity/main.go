@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"fdgrid/internal/agreement"
 	"fdgrid/internal/core"
@@ -64,8 +65,8 @@ func main() {
 	kS := core.KSetPower(core.Class{Fam: core.FamEvtS, Param: x}, t)
 	d, err := solveWith(core.Class{Fam: core.FamEvtS, Param: x}, kS, 1)
 	if err != nil {
-		fmt.Println("◇S_t run failed:", err)
-		return
+		fmt.Fprintln(os.Stderr, "◇S_t run failed:", err)
+		os.Exit(1)
 	}
 	fmt.Printf("  ◇S_%d alone      → %d-set agreement (measured %d distinct)\n", x, kS, d)
 
@@ -73,8 +74,8 @@ func main() {
 	kP := core.KSetPower(core.Class{Fam: core.FamEvtPhi, Param: y}, t)
 	d, err = solveWith(core.Class{Fam: core.FamEvtPhi, Param: y}, kP, 2)
 	if err != nil {
-		fmt.Println("◇φ_1 run failed:", err)
-		return
+		fmt.Fprintln(os.Stderr, "◇φ_1 run failed:", err)
+		os.Exit(1)
 	}
 	fmt.Printf("  ◇φ_%d alone      → %d-set agreement (measured %d distinct)\n", y, kP, d)
 
@@ -101,12 +102,12 @@ func main() {
 	}
 	rep := sys.Run(out.AllDecided(sys.Pattern().Correct()))
 	if !rep.StoppedEarly {
-		fmt.Println("addition run timed out")
-		return
+		fmt.Fprintln(os.Stderr, "addition run timed out")
+		os.Exit(1)
 	}
 	if err := out.Check(sys.Pattern(), 1); err != nil {
-		fmt.Println("CONSENSUS FAILED:", err)
-		return
+		fmt.Fprintln(os.Stderr, "CONSENSUS FAILED:", err)
+		os.Exit(1)
 	}
 	fmt.Printf("\n  added together they solve CONSENSUS: all correct processes decided %v\n",
 		out.DistinctValues())

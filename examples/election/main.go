@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sort"
 
 	"fdgrid/internal/fd"
@@ -75,8 +76,8 @@ func main() {
 	}
 
 	if err := trace.CheckOmega(sys.Pattern(), z, 10_000); err != nil {
-		fmt.Println("\nFAILED:", err)
-		return
+		fmt.Fprintln(os.Stderr, "FAILED:", err)
+		os.Exit(1)
 	}
 	final, _ := trace.FinalValue(sys.Pattern().Correct().Min())
 	fmt.Printf("\nstable committee: %s (size ≤ %d, contains a correct process) — Ω_%d verified\n",

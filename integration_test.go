@@ -4,7 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"fdgrid/internal/agreement"
 	"fdgrid/internal/core"
+	"fdgrid/internal/fd"
+	"fdgrid/internal/ids"
 	"fdgrid/internal/sim"
 )
 
@@ -23,9 +26,9 @@ func TestRandomizedGridSweep(t *testing.T) {
 		n := 5 + 2*rng.Intn(3) // 5, 7, 9
 		tt := (n - 1) / 2
 		// Random crash schedule: up to t crashes, random times (0 = initial).
-		crashes := make(map[ProcID]Time)
+		crashes := make(map[ids.ProcID]sim.Time)
 		for _, p := range rng.Perm(n)[:rng.Intn(tt+1)] {
-			crashes[ProcID(p+1)] = Time(rng.Intn(1_500))
+			crashes[ids.ProcID(p+1)] = sim.Time(rng.Intn(1_500))
 		}
 		z := 1 + rng.Intn(tt+1)
 		line := core.GridLine(z, tt)
@@ -35,8 +38,8 @@ func TestRandomizedGridSweep(t *testing.T) {
 			N: n, T: tt, Seed: rng.Int63(), MaxSteps: 3_000_000,
 			GST: sim.Time(200 + rng.Intn(1_000)), Crashes: crashes, Bandwidth: n,
 		}
-		sys := MustNewSystem(cfg)
-		out, err := SpawnKSetWith(sys, c, nil)
+		sys := sim.MustNew(cfg)
+		out, err := core.SpawnKSetWith(sys, c, nil)
 		if err != nil {
 			t.Fatalf("run %d (%v, n=%d, t=%d): %v", i, c, n, tt, err)
 		}
@@ -62,20 +65,20 @@ func TestCascadingCrashesDuringAgreement(t *testing.T) {
 			n  = 9
 			tt = 4
 		)
-		cfg := Config{
+		cfg := sim.Config{
 			N: n, T: tt, Seed: seed, MaxSteps: 3_000_000, GST: 1_000, Bandwidth: n,
-			Crashes: map[ProcID]Time{
+			Crashes: map[ids.ProcID]sim.Time{
 				2: 0,     // initial
 				4: 500,   // pre-GST
 				6: 1_000, // at GST
 				8: 1_500, // post-GST
 			},
 		}
-		sys := MustNewSystem(cfg)
-		oracle := NewOmega(sys, 2)
-		out := NewOutcome()
+		sys := sim.MustNew(cfg)
+		oracle := fd.NewOmega(sys, 2)
+		out := agreement.NewOutcome()
 		for p := 1; p <= n; p++ {
-			sys.Spawn(ProcID(p), KSetMain(oracle, Value(1000+p), out))
+			sys.Spawn(ids.ProcID(p), agreement.KSetMain(oracle, agreement.Value(1000+p), out))
 		}
 		rep := sys.Run(out.AllDecided(sys.Pattern().Correct()))
 		if !rep.StoppedEarly {
@@ -96,15 +99,15 @@ func TestAgreementSafetyNeverViolated(t *testing.T) {
 		z = 2
 	)
 	for seed := int64(0); seed < 20; seed++ {
-		cfg := Config{
+		cfg := sim.Config{
 			N: n, T: 2, Seed: seed, MaxSteps: 1_500_000,
 			GST: 2_500, Bandwidth: n, // long anarchy: maximal adversarial window
 		}
-		sys := MustNewSystem(cfg)
-		oracle := NewOmega(sys, z)
-		out := NewOutcome()
+		sys := sim.MustNew(cfg)
+		oracle := fd.NewOmega(sys, z)
+		out := agreement.NewOutcome()
 		for p := 1; p <= n; p++ {
-			sys.Spawn(ProcID(p), KSetMain(oracle, Value(p), out))
+			sys.Spawn(ids.ProcID(p), agreement.KSetMain(oracle, agreement.Value(p), out))
 		}
 		rep := sys.Run(out.AllDecided(sys.Pattern().Correct()))
 		if !rep.StoppedEarly {

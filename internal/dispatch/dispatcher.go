@@ -1,10 +1,12 @@
 package dispatch
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os/exec"
+	"sort"
 	"time"
 
 	"fdgrid/internal/sweep"
@@ -154,17 +156,21 @@ type Stats struct {
 // completion.
 type unitState struct {
 	unit     Unit
-	matrix   int            // index into Config.Matrices
-	owned    []int          // cell indices the unit's shard owns
-	got      map[int][]byte // cell index → canonical cell JSON (first delivery)
-	cells    map[int]sweep.CellResult
-	attempts int  // dispatch attempts (speculation not counted)
-	done     bool // report assembled
-	local    bool // deferred to local fallback
-	report   *sweep.Report
+	matrix   int                      // index into Config.Matrices
+	owned    []int                    // cell indices the unit's shard owns, ascending
+	cells    map[int]sweep.CellResult // cell index → first delivery
+	attempts int                      // dispatch attempts (speculation not counted)
+	done     bool                     // every owned cell collected
+	local    bool                     // deferred to local fallback
 }
 
-func (u *unitState) complete() bool { return len(u.got) == len(u.owned) }
+func (u *unitState) complete() bool { return len(u.cells) == len(u.owned) }
+
+// owns reports whether cell index i belongs to the unit's shard.
+func (u *unitState) owns(i int) bool {
+	j := sort.SearchInts(u.owned, i)
+	return j < len(u.owned) && u.owned[j] == i
+}
 
 // workerState tracks one transport in the fleet.
 type workerState struct {
@@ -264,7 +270,6 @@ func buildUnits(cfg Config) ([]*unitState, error) {
 				},
 				matrix: mi,
 				owned:  shard.OwnedIndices(total),
-				got:    make(map[int][]byte),
 				cells:  make(map[int]sweep.CellResult),
 			}
 			units = append(units, u)
@@ -422,8 +427,8 @@ func (d *dispatcher) handle(e event, now time.Time) {
 }
 
 // handleCell records one streamed cell result, discarding duplicates by
-// (unit, cell index) identity and treating content mismatches as
-// corruption.
+// (unit, cell index) identity and treating content mismatches, and
+// indices the unit does not own, as corruption.
 func (d *dispatcher) handleCell(wi int, m *Msg, now time.Time) {
 	w := d.workers[wi]
 	if m.Cell == nil {
@@ -436,17 +441,16 @@ func (d *dispatcher) handleCell(wi int, m *Msg, now time.Time) {
 		d.dismiss(wi, fmt.Sprintf("cell for unknown unit %q", m.UnitID))
 		return
 	}
+	if !u.owns(m.Cell.Index) {
+		d.dismiss(wi, fmt.Sprintf("cell %d is not owned by %s", m.Cell.Index, m.UnitID))
+		return
+	}
 	if u.done {
 		d.stats.Duplicates++ // late result from a speculated or slow attempt
 		return
 	}
-	blob, err := json.Marshal(m.Cell)
-	if err != nil {
-		d.dismiss(wi, fmt.Sprintf("unmarshalable cell: %v", err))
-		return
-	}
-	if prev, dup := u.got[m.Cell.Index]; dup {
-		if string(prev) != string(blob) {
+	if prev, dup := u.cells[m.Cell.Index]; dup {
+		if !sameCell(&prev, m.Cell) {
 			// Same deterministic cell, different bytes: one of the two
 			// deliveries is corrupt. Kill the later messenger; the unit
 			// keeps the first delivery and a retry will arbitrate.
@@ -456,10 +460,17 @@ func (d *dispatcher) handleCell(wi int, m *Msg, now time.Time) {
 		d.stats.Duplicates++
 		return
 	}
-	u.got[m.Cell.Index] = blob
 	u.cells[m.Cell.Index] = *m.Cell
 	d.stats.Cells++
 	d.stats.CellsByWorker[w.name]++
+}
+
+// sameCell reports whether two deliveries of one cell carry the same
+// bytes.
+func sameCell(a, b *sweep.CellResult) bool {
+	ja, errA := json.Marshal(a)
+	jb, errB := json.Marshal(b)
+	return errA == nil && errB == nil && bytes.Equal(ja, jb)
 }
 
 // handleDone finalizes a unit when its coverage is complete.
@@ -476,41 +487,22 @@ func (d *dispatcher) handleDone(wi int, m *Msg) {
 	}
 	if !u.done && !u.local {
 		if u.complete() {
-			if err := d.finish(u); err != nil {
-				// Assembly rejected the collected cells (should be
-				// impossible given the identity checks) — re-run from
-				// scratch.
-				u.got = make(map[int][]byte)
-				u.cells = make(map[int]sweep.CellResult)
-				d.requeue(u, err.Error())
-			}
+			d.finish(u)
 		} else {
 			// Done without full coverage: frames were lost (e.g. the
 			// corrupt-frame injector swallowed one). Retry.
-			d.requeue(u, fmt.Sprintf("done with %d/%d cells", len(u.got), len(u.owned)))
+			d.requeue(u, fmt.Sprintf("done with %d/%d cells", len(u.cells), len(u.owned)))
 		}
 	}
 	d.assign(wi)
 }
 
-// finish assembles a completed unit's report.
-func (d *dispatcher) finish(u *unitState) error {
-	cells := make([]sweep.CellResult, 0, len(u.owned))
-	for _, idx := range u.owned {
-		cells = append(cells, u.cells[idx])
-	}
-	// Assemble against the dispatcher's own matrix, not the wire copy:
-	// the local struct is the byte-identity reference.
-	rep, err := sweep.AssembleShardReport(d.cfg.Matrices[u.matrix], u.unit.Shard, u.unit.TotalCells, cells)
-	if err != nil {
-		return err
-	}
-	u.report = rep
+// finish settles a unit whose every owned cell has arrived.
+func (d *dispatcher) finish(u *unitState) {
 	u.done = true
 	// A speculated twin may still be queued: drop it.
 	d.dropPending(u.unit.ID)
-	d.cfg.logf("dispatch: %s complete (%d cells)", u.unit.ID, len(cells))
-	return nil
+	d.cfg.logf("dispatch: %s complete (%d cells)", u.unit.ID, len(u.cells))
 }
 
 // requeue schedules a unit for another dispatch attempt, deferring to
@@ -701,7 +693,9 @@ func (d *dispatcher) runLocalUnits() error {
 		if err != nil {
 			return fmt.Errorf("dispatch: local run of %s: %w", u.unit.ID, err)
 		}
-		u.report = rep
+		for _, c := range rep.Cells {
+			u.cells[c.Index] = c
+		}
 		u.done = true
 		d.stats.LocalUnits++
 		d.stats.Cells += len(rep.Cells)
@@ -710,26 +704,29 @@ func (d *dispatcher) runLocalUnits() error {
 	return nil
 }
 
-// mergeSuite recombines unit reports into per-matrix reports, suite
-// order, using the same MergeReports path the sharded CI sweep trusts.
+// mergeSuite builds the per-matrix reports, suite order, from the
+// units' collected cells. Each report is built against the
+// dispatcher's own matrix, not a wire copy: the local struct is the
+// byte-identity reference.
 func (d *dispatcher) mergeSuite() ([]*sweep.Report, error) {
-	reports := make([]*sweep.Report, 0, len(d.cfg.Matrices))
-	for mi := range d.cfg.Matrices {
-		var parts []*sweep.Report
-		for _, u := range d.units {
-			if u.matrix != mi {
-				continue
-			}
-			if u.report == nil {
-				return nil, fmt.Errorf("dispatch: unit %s never completed", u.unit.ID)
-			}
-			parts = append(parts, u.report)
+	cells := make([][]sweep.CellResult, len(d.cfg.Matrices))
+	totals := make([]int, len(d.cfg.Matrices))
+	for _, u := range d.units {
+		if !u.done {
+			return nil, fmt.Errorf("dispatch: unit %s never completed", u.unit.ID)
 		}
-		merged, err := sweep.MergeReports(parts)
+		for _, i := range u.owned {
+			cells[u.matrix] = append(cells[u.matrix], u.cells[i])
+		}
+		totals[u.matrix] = u.unit.TotalCells
+	}
+	reports := make([]*sweep.Report, 0, len(d.cfg.Matrices))
+	for mi, m := range d.cfg.Matrices {
+		rep, err := sweep.NewReport(m, totals[mi], cells[mi])
 		if err != nil {
 			return nil, err
 		}
-		reports = append(reports, merged)
+		reports = append(reports, rep)
 	}
 	return reports, nil
 }

@@ -219,6 +219,66 @@ func TestDispatchFaultMatrix(t *testing.T) {
 	}
 }
 
+// TestDispatchDismissesStrayCell: a worker that sends a cell index its
+// unit does not own is dismissed on that frame and its unit re-run by
+// a peer; the stray cell never counts toward the unit's coverage, so
+// the merged suite still equals the unsharded run.
+func TestDispatchDismissesStrayCell(t *testing.T) {
+	matrices := testSuite()
+	want := baselineSuite(t, matrices)
+
+	host, worker := net.Pipe()
+	go func() {
+		defer worker.Close()
+		for {
+			m, err := ReadFrame(worker)
+			if err != nil {
+				return
+			}
+			if m.Kind != KindUnit {
+				continue
+			}
+			// Every unit's shard count is above 1, so the next shard's
+			// first index is never this unit's.
+			stray := sweep.CellResult{Index: m.Unit.Shard.Index + 1, Verdict: sweep.Pass}
+			for _, f := range []*Msg{
+				{Kind: KindCell, Worker: "stray", UnitID: m.Unit.ID, Cell: &stray},
+				{Kind: KindDone, Worker: "stray", UnitID: m.Unit.ID},
+			} {
+				if WriteFrame(worker, f) != nil {
+					return
+				}
+			}
+		}
+	}()
+	fleet := append(pipeFleet(1, nil), Transport{Name: "stray", RW: host, Kill: func() { worker.Close() }})
+
+	var logs []string
+	cfg := testConfig(matrices)
+	cfg.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
+	reports, stats, err := Run(cfg, fleet)
+	if err != nil {
+		t.Fatalf("dispatch failed: %v (stats %+v)", err, stats)
+	}
+	got, err := sweep.SuiteJSON(reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("dispatched suite differs from unsharded run (stats %+v)", stats)
+	}
+	if stats.WorkersLost != 1 {
+		t.Errorf("lost %d workers, want the stray sender only", stats.WorkersLost)
+	}
+	dismissed := false
+	for _, l := range logs {
+		dismissed = dismissed || strings.Contains(l, "dismissing w1:stray: cell") && strings.Contains(l, "is not owned by")
+	}
+	if !dismissed {
+		t.Errorf("stray sender not dismissed for its stray cell; log:\n%s", strings.Join(logs, "\n"))
+	}
+}
+
 // TestDispatchNoFallbackFails: with the fleet gone and local fallback
 // disabled, the run fails loudly instead of silently shrinking.
 func TestDispatchNoFallbackFails(t *testing.T) {

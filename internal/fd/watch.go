@@ -165,10 +165,16 @@ func (tr *SetTrace) StableFor(procs ids.Set, margin sim.Time) func() bool {
 		})
 		if !stable && lastChange >= 0 {
 			// Tell the scheduler when this predicate can next flip, so
-			// clock jumps land on (not past) the earliest stopping tick:
-			// the margin-th tick after the change for a trace whose
-			// horizon is its last sample, one later for an exact trace,
-			// whose horizon trails the clock by a tick.
+			// clock jumps do not pass the earliest stopping tick. An
+			// exact trace's horizon trails the clock by a tick, so the
+			// wake one tick after the margin-th tick past the change
+			// stops the run there. A sparse trace's horizon is its last
+			// sample, and a tick checks the stop predicate before its
+			// samplers run: at this wake (the margin-th tick after the
+			// change) the predicate still reads the previous horizon, so
+			// the wake cannot end the run, which stops at the next
+			// scheduled tick instead. Waking sparse traces one tick
+			// later is left open: it moves suite report bytes.
 			wake := lastChange + margin
 			if tr.exact {
 				wake++

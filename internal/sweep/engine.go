@@ -34,9 +34,9 @@ func Protocols() []string {
 // Shard selects a deterministic slice of a matrix's cells: shard i of m
 // owns exactly the cells whose index ≡ i (mod m). The zero value means
 // "run everything". m independent invocations with shards 0..m−1
-// together cover the matrix exactly once, and MergeReports recombines
-// their reports into the bytes the unsharded run would have produced —
-// the mechanism behind CI fan-out and multi-machine sweeps.
+// together cover the matrix exactly once, and NewReport builds their
+// cells into the bytes the unsharded run would have produced — the
+// mechanism behind the dispatcher's work units.
 type Shard struct {
 	Index, Count int
 }
@@ -107,16 +107,12 @@ func Run(m Matrix, opt Options) (*Report, error) {
 		return nil, err
 	}
 	cells := all
-	var shardMeta *ShardMeta
 	if opt.Shard.enabled() {
-		owned := make([]Cell, 0, len(all)/opt.Shard.Count+1)
-		for _, c := range all {
-			if c.Index%opt.Shard.Count == opt.Shard.Index {
-				owned = append(owned, c)
-			}
+		owned := opt.Shard.OwnedIndices(len(all))
+		cells = make([]Cell, len(owned))
+		for j, i := range owned {
+			cells[j] = all[i]
 		}
-		cells = owned
-		shardMeta = &ShardMeta{Index: opt.Shard.Index, Count: opt.Shard.Count, TotalCells: len(all)}
 	}
 	runner := opt.Runner
 	if runner == nil {
@@ -195,19 +191,8 @@ func Run(m Matrix, opt Options) (*Report, error) {
 	}
 
 	//detlint:allow wallclock -- sweep report timing: WallNS is json:"-" and never reaches canonical bytes
-	rep := &Report{Matrix: m, Cells: results, Shard: shardMeta, WallNS: time.Since(start).Nanoseconds()}
-	for i := range results {
-		switch results[i].Verdict {
-		case Pass:
-			rep.Passed++
-		case Fail:
-			rep.Failed++
-		case ConfigError:
-			rep.ConfigErrors++
-		default:
-			rep.Errored++
-		}
-	}
+	rep := &Report{Matrix: m, Cells: results, WallNS: time.Since(start).Nanoseconds()}
+	rep.tally()
 	return rep, runErr
 }
 

@@ -170,31 +170,32 @@ func cloneCellDims(c *Cell) {
 	}
 }
 
-// ReplayResult is the outcome of a counterfactual replay: the baseline
-// cell re-run traced, the perturbed variant, and the minimal
-// divergence point between their traces (nil when the perturbation
-// changed nothing observable).
+// ReplayResult is the outcome of a replay: the baseline cell re-run
+// traced and, under a perturbation, the perturbed variant and the
+// minimal divergence point between their traces.
 type ReplayResult struct {
 	// Cell is the baseline cell (traced at Level).
 	Cell Cell
-	// Perturbation echoes the applied spec.
+	// Perturbation echoes the applied spec ("" without one).
 	Perturbation string
-	// Level is the trace level both runs recorded at.
+	// Level is the trace level the runs recorded at.
 	Level trace.Level
 	// Base and Perturbed are the two runs' results; Perturbed carries
-	// the divergence summary in its Divergence key.
+	// the divergence summary in its Divergence key, and is the zero
+	// result without a perturbation.
 	Base, Perturbed CellResult
 	// Div is the structured divergence, nil when the traces (and hence
-	// the runs) are identical.
+	// the runs) are identical or nothing was perturbed.
 	Div *trace.Divergence
 }
 
-// Replay re-runs cell index of matrix m twice — as declared, and under
-// a single declarative perturbation — with decision tracing forced on,
-// and diffs the two traces. Because each run is deterministic, the
-// diff's first differing event is the first observable consequence of
-// the perturbation: the minimal divergence point. level Off defaults
-// to Decisions.
+// Replay re-runs cell index of matrix m with decision tracing forced
+// on. With a perturbation it runs the cell twice — as declared, and
+// under that single declarative edit — and diffs the two traces.
+// Because each run is deterministic, the diff's first differing event
+// is the first observable consequence of the perturbation: the minimal
+// divergence point. A nil pert runs the declared cell only. level Off
+// defaults to Decisions.
 func Replay(m Matrix, index int, pert *Perturbation, level trace.Level) (*ReplayResult, error) {
 	if level == trace.Off {
 		level = trace.Decisions
@@ -213,6 +214,11 @@ func Replay(m Matrix, index int, pert *Perturbation, level trace.Level) (*Replay
 
 	base := cells[index]
 	base.TraceLevel = level.String()
+	rr := &ReplayResult{Cell: base, Level: level}
+	if pert == nil {
+		rr.Base = runCell(runner, &base)
+		return rr, nil
+	}
 	perturbed := base
 	cloneCellDims(&perturbed)
 	if err := pert.apply(&perturbed); err != nil {
@@ -222,7 +228,7 @@ func Replay(m Matrix, index int, pert *Perturbation, level trace.Level) (*Replay
 		return nil, fmt.Errorf("sweep: perturbation %s makes the cell invalid: %w", pert, err)
 	}
 
-	rr := &ReplayResult{Cell: base, Perturbation: pert.String(), Level: level}
+	rr.Perturbation = pert.String()
 	rr.Base = runCell(runner, &base)
 	rr.Perturbed = runCell(runner, &perturbed)
 	rr.Div = trace.Diff(base.rec.Events(), perturbed.rec.Events())

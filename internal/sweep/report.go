@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -114,19 +113,11 @@ func (r *CellResult) failConfig(why string) {
 	r.Verdict = ConfigError
 }
 
-// ShardMeta records which slice of the matrix a sharded run covered.
-type ShardMeta struct {
-	Index      int `json:"index"`
-	Count      int `json:"count"`
-	TotalCells int `json:"total_cells"`
-}
-
-// Report aggregates a matrix run. A sharded run's report carries only
-// its own cells plus Shard metadata; MergeReports recombines a full
-// shard family into the unsharded report.
+// Report aggregates a matrix run: its cells in index order and their
+// verdict tallies. Run builds it for the cells it ran; NewReport builds
+// it from cells collected elsewhere (a dispatched fleet's shards).
 type Report struct {
 	Matrix  Matrix       `json:"matrix"`
-	Shard   *ShardMeta   `json:"shard,omitempty"`
 	Cells   []CellResult `json:"cells"`
 	Passed  int          `json:"passed"`
 	Failed  int          `json:"failed"`
@@ -136,7 +127,8 @@ type Report struct {
 	// omitted while zero so pre-existing reports keep their bytes.
 	ConfigErrors int `json:"config_errors,omitempty"`
 
-	// WallNS is the sweep's wall-clock cost (not canonical).
+	// WallNS is the sweep's wall-clock cost (not canonical; set by Run
+	// only).
 	WallNS int64 `json:"-"`
 }
 
@@ -153,88 +145,57 @@ func (r *Report) CanonicalJSON() ([]byte, error) {
 
 // Summary is a one-line human rendering.
 func (r *Report) Summary() string {
-	shard := ""
-	if r.Shard != nil {
-		shard = fmt.Sprintf(" [shard %d/%d]", r.Shard.Index, r.Shard.Count)
-	}
 	cfg := ""
 	if r.ConfigErrors > 0 {
 		cfg = fmt.Sprintf(", %d config", r.ConfigErrors)
 	}
-	return fmt.Sprintf("%s%s: %d/%d pass (%d fail, %d error%s)",
-		r.Matrix.Name, shard, r.Passed, len(r.Cells), r.Failed, r.Errored, cfg)
+	return fmt.Sprintf("%s: %d/%d pass (%d fail, %d error%s)",
+		r.Matrix.Name, r.Passed, len(r.Cells), r.Failed, r.Errored, cfg)
 }
 
-// MergeReports recombines the reports of a complete shard family into
-// the report the unsharded run would have produced: same matrix, cells
-// reassembled in index order, tallies recomputed, shard metadata
-// dropped. Canonical JSON of the merged report is byte-identical to the
-// unsharded run's — the property the sharded CI sweep verifies.
-//
-// Every part must cover the same matrix, and together the parts must
-// cover each cell index exactly once. The same-matrix check compares
-// the matrices' JSON forms — as strong as the report artifact itself,
-// which carries every matrix field, explicit Hold From/To sets
-// included. Shards of the same invocation, the intended use, always
-// carry identical matrix bytes.
-func MergeReports(parts []*Report) (*Report, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("sweep: merge of zero reports")
-	}
-	refMatrix, err := json.Marshal(parts[0].Matrix)
-	if err != nil {
-		return nil, err
-	}
-	total := -1
-	if parts[0].Shard != nil {
-		total = parts[0].Shard.TotalCells
-	}
-	seen := make(map[int]bool)
-	merged := &Report{Matrix: parts[0].Matrix}
-	for i, p := range parts {
-		m, err := json.Marshal(p.Matrix)
-		if err != nil {
-			return nil, err
-		}
-		if !bytes.Equal(m, refMatrix) {
-			return nil, fmt.Errorf("sweep: merge part %d covers matrix %q, part 0 covers %q", i, p.Matrix.Name, parts[0].Matrix.Name)
-		}
-		if p.Shard != nil {
-			if total >= 0 && p.Shard.TotalCells != total {
-				return nil, fmt.Errorf("sweep: merge part %d expects %d total cells, part 0 expects %d", i, p.Shard.TotalCells, total)
-			}
-			total = p.Shard.TotalCells
-		}
-		for _, c := range p.Cells {
-			if seen[c.Index] {
-				return nil, fmt.Errorf("sweep: merge of %q: cell %d appears in more than one part (overlapping shards — each cell must be covered exactly once)", merged.Matrix.Name, c.Index)
-			}
-			seen[c.Index] = true
-			merged.Cells = append(merged.Cells, c)
-			merged.WallNS += c.WallNS
-		}
-	}
-	if total < 0 {
-		total = len(merged.Cells) // no shard metadata: trust the parts
-	}
-	if len(merged.Cells) != total {
-		return nil, fmt.Errorf("sweep: merge of %q covers %d of %d cells (missing shard or truncated part)", merged.Matrix.Name, len(merged.Cells), total)
-	}
-	sort.Slice(merged.Cells, func(i, j int) bool { return merged.Cells[i].Index < merged.Cells[j].Index })
-	for i, c := range merged.Cells {
-		if c.Index != i {
-			return nil, fmt.Errorf("sweep: merge of %q has a gap in coverage: cell %d is missing (parts do not form a complete shard family)", merged.Matrix.Name, i)
-		}
-		switch c.Verdict {
+// tally counts the report's cells by verdict.
+func (r *Report) tally() {
+	for i := range r.Cells {
+		switch r.Cells[i].Verdict {
 		case Pass:
-			merged.Passed++
+			r.Passed++
 		case Fail:
-			merged.Failed++
+			r.Failed++
 		case ConfigError:
-			merged.ConfigErrors++
+			r.ConfigErrors++
 		default:
-			merged.Errored++
+			r.Errored++
 		}
 	}
-	return merged, nil
+}
+
+// NewReport builds matrix m's report from its cells, collected in any
+// order from any number of runs (the shards of a dispatched sweep):
+// sorted by index, they must be exactly 0..total−1, where total is m's
+// cell count. A duplicate, a stray index or a missing cell is an error,
+// never a silently partial report. Canonical JSON of the result is
+// byte-identical to Run(m)'s, which is what lets a dispatcher merge a
+// remote fleet's streamed cells as if one process had run the matrix.
+func NewReport(m Matrix, total int, cells []CellResult) (*Report, error) {
+	for _, c := range cells {
+		if c.Index < 0 || c.Index >= total {
+			return nil, fmt.Errorf("sweep: report of %q: cell index %d outside the matrix's %d cells (stray result)", m.Name, c.Index, total)
+		}
+	}
+	sorted := append(make([]CellResult, 0, len(cells)), cells...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
+	for i, c := range sorted {
+		switch {
+		case c.Index < i:
+			return nil, fmt.Errorf("sweep: report of %q: cell %d appears more than once (duplicate result)", m.Name, c.Index)
+		case c.Index > i:
+			return nil, fmt.Errorf("sweep: report of %q: cell %d is missing (gap in coverage)", m.Name, i)
+		}
+	}
+	if len(sorted) != total {
+		return nil, fmt.Errorf("sweep: report of %q covers %d of %d cells (missing part)", m.Name, len(sorted), total)
+	}
+	rep := &Report{Matrix: m, Cells: sorted}
+	rep.tally()
+	return rep, nil
 }

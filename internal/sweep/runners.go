@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"fmt"
-	"sort"
 
 	"fdgrid/internal/adversary"
 	"fdgrid/internal/agreement"
@@ -837,21 +836,4 @@ func MaxDistinct(cells []CellResult) int {
 		}
 	}
 	return max
-}
-
-// SortedTags returns the union of wire tags across cells, sorted
-// (report rendering helper).
-func SortedTags(cells []CellResult) []string {
-	seen := map[string]bool{}
-	for i := range cells {
-		for tag := range cells[i].SentByTag {
-			seen[tag] = true
-		}
-	}
-	tags := make([]string, 0, len(seen))
-	for tag := range seen {
-		tags = append(tags, tag)
-	}
-	sort.Strings(tags)
-	return tags
 }

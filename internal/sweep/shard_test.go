@@ -8,10 +8,30 @@ import (
 	"fdgrid/internal/adversary"
 )
 
+// shardCells runs every shard of a count-way split of m and returns the
+// shards' cells, in shard order, with m's total cell count.
+func shardCells(t *testing.T, m Matrix, count int) ([]CellResult, int) {
+	t.Helper()
+	all, err := m.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []CellResult
+	for i := 0; i < count; i++ {
+		r, err := Run(m, Options{Workers: 2, Shard: Shard{Index: i, Count: count}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, r.Cells...)
+	}
+	return cells, len(all)
+}
+
 // TestShardMergeByteIdentical is the sharding contract: running every
-// shard of m independently and merging the reports yields canonical
-// bytes identical to the unsharded run — for several shard counts,
-// including one larger than the cell count (some shards own nothing).
+// shard of m independently and joining their cells with NewReport
+// yields canonical bytes identical to the unsharded run — for several
+// shard counts, including one larger than the cell count (some shards
+// own nothing).
 func TestShardMergeByteIdentical(t *testing.T) {
 	m := smokeMatrix()
 	full, err := Run(m, Options{Workers: 2})
@@ -23,17 +43,8 @@ func TestShardMergeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, count := range []int{1, 2, 3, 4, 16} {
-		parts := make([]*Report, count)
-		for i := 0; i < count; i++ {
-			parts[i], err = Run(m, Options{Workers: 2, Shard: Shard{Index: i, Count: count}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if parts[i].Shard == nil || parts[i].Shard.Count != count {
-				t.Fatalf("shard %d/%d report missing shard metadata", i, count)
-			}
-		}
-		merged, err := MergeReports(parts)
+		cells, total := shardCells(t, m, count)
+		merged, err := NewReport(m, total, cells)
 		if err != nil {
 			t.Fatalf("merge %d shards: %v", count, err)
 		}
@@ -47,9 +58,9 @@ func TestShardMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShardMergeSurvivesJSONRoundTrip mirrors the CI pipeline: shard
-// reports travel between jobs as JSON artifacts, so merging must work
-// on unmarshaled reports and still reproduce the unsharded bytes.
+// TestShardMergeSurvivesJSONRoundTrip mirrors the dispatcher's wire:
+// cells travel between processes as JSON, so joining must work on
+// unmarshaled cells and still reproduce the unsharded bytes.
 func TestShardMergeSurvivesJSONRoundTrip(t *testing.T) {
 	m := smokeMatrix()
 	full, err := Run(m, Options{})
@@ -57,23 +68,16 @@ func TestShardMergeSurvivesJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := full.CanonicalJSON()
-	const count = 3
-	parts := make([]*Report, count)
-	for i := 0; i < count; i++ {
-		r, err := Run(m, Options{Shard: Shard{Index: i, Count: count}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := r.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[i] = new(Report)
-		if err := json.Unmarshal(blob, parts[i]); err != nil {
-			t.Fatal(err)
-		}
+	cells, total := shardCells(t, m, 3)
+	blob, err := json.Marshal(cells)
+	if err != nil {
+		t.Fatal(err)
 	}
-	merged, err := MergeReports(parts)
+	var decoded []CellResult
+	if err := json.Unmarshal(blob, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := NewReport(m, total, decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,46 +114,6 @@ func TestShardPartition(t *testing.T) {
 	}
 	if len(owned) != len(cells) {
 		t.Fatalf("shards covered %d of %d cells", len(owned), len(cells))
-	}
-}
-
-// TestShardErrors: invalid shards and incomplete merges are rejected.
-func TestShardErrors(t *testing.T) {
-	m := smokeMatrix()
-	if _, err := Run(m, Options{Shard: Shard{Index: 4, Count: 4}}); err == nil {
-		t.Error("out-of-range shard accepted")
-	}
-	if _, err := Run(m, Options{Shard: Shard{Index: -1, Count: 2}}); err == nil {
-		t.Error("negative shard accepted")
-	}
-	a, err := Run(m, Options{Shard: Shard{Index: 0, Count: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergeReports([]*Report{a}); err == nil {
-		t.Error("merge of an incomplete shard family accepted")
-	}
-	if _, err := MergeReports([]*Report{a, a}); err == nil {
-		t.Error("merge with duplicate cells accepted")
-	}
-	b, err := Run(m, Options{Shard: Shard{Index: 1, Count: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := smokeMatrix()
-	other.Name = "different"
-	c, err := Run(other, Options{Shard: Shard{Index: 1, Count: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergeReports([]*Report{a, c}); err == nil {
-		t.Error("merge across different matrices accepted")
-	}
-	if _, err := MergeReports(nil); err == nil {
-		t.Error("merge of nothing accepted")
-	}
-	if _, err := MergeReports([]*Report{a, b}); err != nil {
-		t.Errorf("complete merge rejected: %v", err)
 	}
 }
 
@@ -243,15 +207,8 @@ func TestShardedFamilySweepMerges(t *testing.T) {
 		t.Fatalf("family sweep failed: %s", full.Summary())
 	}
 	want, _ := full.CanonicalJSON()
-	var parts []*Report
-	for i := 0; i < 3; i++ {
-		p, err := Run(m, Options{Shard: Shard{Index: i, Count: 3}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, p)
-	}
-	merged, err := MergeReports(parts)
+	cells, total := shardCells(t, m, 3)
+	merged, err := NewReport(m, total, cells)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -202,6 +203,30 @@ func TestReplayCrashPerturbation(t *testing.T) {
 	}
 	if len(rr.Cell.Pattern.Crashes) != 1 {
 		t.Fatalf("baseline pattern mutated: %+v", rr.Cell.Pattern.Crashes)
+	}
+}
+
+// TestReplayWithoutPerturbation: a replay with no perturbation runs
+// the declared cell once, and its result is byte for byte that cell of
+// the matrix swept traced at the same level.
+func TestReplayWithoutPerturbation(t *testing.T) {
+	m := smokeMatrix()
+	rr, err := Replay(m, 2, nil, trace.Off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Perturbation != "" || rr.Div != nil || rr.Perturbed.Verdict != "" {
+		t.Fatalf("unperturbed replay reports a perturbed run: %+v", rr)
+	}
+	m.TraceLevel = trace.Decisions.String()
+	swept, err := Run(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(rr.Base)
+	want, _ := json.Marshal(swept.Cells[2])
+	if !bytes.Equal(got, want) {
+		t.Fatalf("replayed cell differs from the traced sweep's:\n%s\n%s", got, want)
 	}
 }
 

@@ -2,18 +2,16 @@ package sweep
 
 import (
 	"encoding/json"
-	"fmt"
-	"sort"
 )
 
 // This file is the sweep side of distributed dispatch
 // (internal/dispatch): a dispatcher splits a matrix into shard-shaped
 // work units, collects each unit's CellResults as they stream back from
 // remote workers (possibly out of order, possibly duplicated, possibly
-// from a retried or speculatively re-dispatched attempt), and
-// reassembles the exact report a local sharded Run would have produced.
-// Byte-identity of the final merge rests on AssembleShardReport
-// reproducing Run's report construction bit for bit.
+// from a retried or speculatively re-dispatched attempt), and builds
+// each matrix's report from the collected cells with NewReport, the
+// same tally Run uses, so the merged suite is byte-identical to a local
+// run's.
 
 // OwnedIndices lists the cell indices shard s owns out of total cells,
 // ascending. The zero-value (disabled) shard owns everything.
@@ -30,52 +28,6 @@ func (s Shard) OwnedIndices(total int) []int {
 		out = append(out, i)
 	}
 	return out
-}
-
-// AssembleShardReport rebuilds the report Run(m, Options{Shard: s})
-// would have produced from independently collected cell results: cells
-// may arrive in any order, but together they must cover exactly the
-// indices the shard owns out of total — a duplicate index, a stray
-// index the shard does not own, or a gap is an error, not a silent
-// partial report. Canonical JSON of the assembled report is
-// byte-identical to the locally run one (TestAssembleShardReport pins
-// this), which is what lets a dispatcher merge streamed results from a
-// remote worker fleet as if one process had run the whole sweep.
-func AssembleShardReport(m Matrix, s Shard, total int, cells []CellResult) (*Report, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	owned := s.OwnedIndices(total)
-	if len(cells) != len(owned) {
-		return nil, fmt.Errorf("sweep: assemble %q shard %d/%d: have %d cells, shard owns %d",
-			m.Name, s.Index, s.Count, len(cells), len(owned))
-	}
-	sorted := append(make([]CellResult, 0, len(cells)), cells...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
-	for i, c := range sorted {
-		if c.Index != owned[i] {
-			return nil, fmt.Errorf("sweep: assemble %q shard %d/%d: cell index %d where %d belongs (duplicate or stray result)",
-				m.Name, s.Index, s.Count, c.Index, owned[i])
-		}
-	}
-	rep := &Report{Matrix: m, Cells: sorted}
-	if s.enabled() {
-		rep.Shard = &ShardMeta{Index: s.Index, Count: s.Count, TotalCells: total}
-	}
-	for _, c := range sorted {
-		switch c.Verdict {
-		case Pass:
-			rep.Passed++
-		case Fail:
-			rep.Failed++
-		case ConfigError:
-			rep.ConfigErrors++
-		default:
-			rep.Errored++
-		}
-		rep.WallNS += c.WallNS
-	}
-	return rep, nil
 }
 
 // SuiteJSON renders a suite — one report per matrix, in suite order —

@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// TestOwnedIndices pins the shard→cell-index mapping AssembleShardReport
-// validates against.
+// TestOwnedIndices pins the shard→cell-index mapping that Run selects
+// a shard's cells by and the dispatcher checks deliveries against.
 func TestOwnedIndices(t *testing.T) {
 	cases := []struct {
 		shard Shard
@@ -41,133 +41,132 @@ func TestOwnedIndices(t *testing.T) {
 	}
 }
 
-// TestAssembleShardReport is the dispatcher's byte-identity foundation:
-// reassembling a shard's streamed cells — in scrambled arrival order —
-// must reproduce the canonical bytes of the locally sharded Run.
-func TestAssembleShardReport(t *testing.T) {
+// splitSmoke runs the smoke matrix unsharded and as a two-way shard
+// split. It returns the unsharded canonical bytes, the total cell
+// count and the two shards' cells.
+func splitSmoke(t *testing.T) (Matrix, []byte, int, []CellResult, []CellResult) {
+	t.Helper()
 	m := smokeMatrix()
-	cells, err := m.Cells()
+	full, err := Run(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := len(cells)
-	for _, s := range []Shard{{}, {Index: 0, Count: 2}, {Index: 1, Count: 2}, {Index: 2, Count: 3}} {
-		ran, err := Run(m, Options{Shard: s})
-		if err != nil {
-			t.Fatal(err)
+	want, err := full.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Run(m, Options{Shard: Shard{Index: 0, Count: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(m, Options{Shard: Shard{Index: 1, Count: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, want, len(full.Cells), a.Cells, b.Cells
+}
+
+// scrambled concatenates the parts in reverse arrival order.
+func scrambled(parts ...[]CellResult) []CellResult {
+	var out []CellResult
+	for i := len(parts) - 1; i >= 0; i-- {
+		for j := len(parts[i]) - 1; j >= 0; j-- {
+			out = append(out, parts[i][j])
 		}
-		want, err := ran.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Scramble arrival order: reverse.
-		scrambled := make([]CellResult, 0, len(ran.Cells))
-		for i := len(ran.Cells) - 1; i >= 0; i-- {
-			scrambled = append(scrambled, ran.Cells[i])
-		}
-		asm, err := AssembleShardReport(m, s, total, scrambled)
-		if err != nil {
-			t.Fatalf("assemble shard %+v: %v", s, err)
-		}
-		got, err := asm.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("assembled shard %+v differs from locally run report:\n--- assembled ---\n%s\n--- run ---\n%s", s, got, want)
+	}
+	return out
+}
+
+// reportRejection is one set of cells NewReport must refuse, with a
+// substring its error must contain besides the matrix name.
+type reportRejection struct {
+	name  string
+	total int
+	cells []CellResult
+	want  string
+}
+
+func checkRejections(t *testing.T, m Matrix, cases []reportRejection) {
+	t.Helper()
+	for _, c := range cases {
+		_, err := NewReport(m, c.total, c.cells)
+		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), m.Name) {
+			t.Errorf("%s: error %v, want one naming %q and containing %q", c.name, err, m.Name, c.want)
 		}
 	}
 }
 
-// TestAssembleShardReportRejects: wrong counts, duplicate indices and
-// stray indices are errors, not silently wrong reports.
-func TestAssembleShardReportRejects(t *testing.T) {
-	m := smokeMatrix()
-	r, err := Run(m, Options{Shard: Shard{Index: 0, Count: 2}})
+// TestAssembleShardReport is the dispatcher's byte-identity foundation:
+// the cells of a two-way shard split, joined with NewReport in
+// scrambled arrival order, build the canonical bytes of the unsharded
+// Run.
+func TestAssembleShardReport(t *testing.T) {
+	m, want, total, a, b := splitSmoke(t)
+	rep, err := NewReport(m, total, scrambled(a, b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, _ := m.Cells()
-	total := len(cells)
-	s := Shard{Index: 0, Count: 2}
+	got, err := rep.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("built report differs from the unsharded run:\n--- built ---\n%s\n--- run ---\n%s", got, want)
+	}
+}
 
-	if _, err := AssembleShardReport(m, s, total, r.Cells[:len(r.Cells)-1]); err == nil {
-		t.Error("short cell set accepted")
-	}
-	dup := append(append([]CellResult(nil), r.Cells...), r.Cells[0])
-	if _, err := AssembleShardReport(m, s, total, dup); err == nil {
-		t.Error("duplicate cell accepted")
-	}
-	stray := append([]CellResult(nil), r.Cells...)
-	stray[0].Index = 1 // index owned by the other shard
-	if _, err := AssembleShardReport(m, s, total, stray); err == nil {
-		t.Error("stray cell index accepted")
-	}
-	if _, err := AssembleShardReport(m, Shard{Index: 5, Count: 2}, total, r.Cells); err == nil {
-		t.Error("invalid shard accepted")
-	}
+// TestAssembleShardReportRejects: a short cell set, a duplicate index
+// and a stray index are errors naming the matrix, not silently wrong
+// reports.
+func TestAssembleShardReportRejects(t *testing.T) {
+	m, _, total, a, b := splitSmoke(t)
+	stray := append([]CellResult(nil), b...)
+	stray[0].Index = total
+	checkRejections(t, m, []reportRejection{
+		{"short", total, scrambled(a, b[:len(b)-1]), "covers 3 of 4 cells"},
+		{"duplicate", total, scrambled(a, b, a[:1]), "more than once"},
+		{"stray", total, scrambled(a, stray), "outside the matrix"},
+	})
 }
 
 // TestMergeRejectsOverlap: two parts covering the same cell index fail
-// with an error that names the matrix and calls out the overlap.
+// with an error that names the matrix and calls out the duplicate.
 func TestMergeRejectsOverlap(t *testing.T) {
-	m := smokeMatrix()
-	a, err := Run(m, Options{Shard: Shard{Index: 0, Count: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(m, Options{Shard: Shard{Index: 1, Count: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Overlap: part b carries a cell part a already owns.
-	b.Cells = append(b.Cells, a.Cells[0])
-	_, err = MergeReports([]*Report{a, b})
-	if err == nil {
-		t.Fatal("overlapping shards merged silently")
-	}
-	if !strings.Contains(err.Error(), "overlapping") || !strings.Contains(err.Error(), m.Name) {
-		t.Errorf("overlap error not descriptive: %v", err)
-	}
+	m, _, total, a, b := splitSmoke(t)
+	// Part b carries a cell part a already owns.
+	overlap := append(append([]CellResult(nil), b...), a[0])
+	checkRejections(t, m, []reportRejection{
+		{"overlap", total, scrambled(a, overlap), "duplicate result"},
+	})
 }
 
 // TestMergeRejectsGap: parts that skip a cell index fail with an error
-// that names the missing cell, whether or not shard metadata says how
-// many cells to expect.
+// that names the missing cell, whether the gap is interior or the
+// last cell.
 func TestMergeRejectsGap(t *testing.T) {
-	m := smokeMatrix()
-	a, err := Run(m, Options{Shard: Shard{Index: 0, Count: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(m, Options{Shard: Shard{Index: 1, Count: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drop one of b's cells: total count (from shard metadata) no longer
-	// matches.
-	dropped := *b
-	dropped.Cells = b.Cells[:len(b.Cells)-1]
-	_, err = MergeReports([]*Report{a, &dropped})
-	if err == nil {
-		t.Fatal("merge with a missing cell accepted")
-	}
-	if !strings.Contains(err.Error(), m.Name) {
-		t.Errorf("missing-cell error does not name the matrix: %v", err)
-	}
+	m, _, total, a, b := splitSmoke(t)
+	checkRejections(t, m, []reportRejection{
+		{"interior gap", total, scrambled(a, b[1:]), "cell 1 is missing"},
+		{"missing last cell", total, scrambled(a, b[:len(b)-1]), "covers 3 of 4 cells"},
+	})
+}
 
-	// Without shard metadata the count is trusted, so the gap must be
-	// caught by the index walk instead: drop an interior cell (index 1).
-	a2, b2 := *a, *b
-	a2.Shard, b2.Shard = nil, nil
-	b2.Cells = b.Cells[1:]
-	_, err = MergeReports([]*Report{&a2, &b2})
-	if err == nil {
-		t.Fatal("gap in coverage merged silently")
+// TestShardErrors: Run refuses a shard outside its count, and a report
+// built from an incomplete shard family, from a wrong total or from
+// nothing is an error.
+func TestShardErrors(t *testing.T) {
+	m, _, total, a, b := splitSmoke(t)
+	if _, err := Run(m, Options{Shard: Shard{Index: 4, Count: 4}}); err == nil {
+		t.Error("out-of-range shard accepted")
 	}
-	if !strings.Contains(err.Error(), "gap") {
-		t.Errorf("gap error not descriptive: %v", err)
+	if _, err := Run(m, Options{Shard: Shard{Index: -1, Count: 2}}); err == nil {
+		t.Error("negative shard accepted")
 	}
+	checkRejections(t, m, []reportRejection{
+		{"missing part", total, a, "is missing"},
+		{"wrong total", total + 1, scrambled(a, b), "covers 4 of 5 cells"},
+		{"nothing", total, nil, "covers 0 of 4 cells"},
+	})
 }
 
 // TestOnResultStreamsEveryCell: the OnResult hook sees each completed
