@@ -164,22 +164,32 @@ func TestRunOrderBalanced(t *testing.T) {
 }
 
 // TestGateCoversHotPaths: every scheduler, delivery and fan-out
-// micro-benchmark in the root package's bench_test.go is inside
-// gatedRE, so a new one cannot silently fall outside the gate.
+// micro-benchmark in the root package's bench_test.go, and the
+// two-wheels and Fig. 9 protocol-step benchmarks, are inside gatedRE, so
+// a new one cannot silently fall outside the gate.
 func TestGateCoversHotPaths(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("..", "..", "bench_test.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot := regexp.MustCompile(`^Benchmark(Scheduler|Deliver|BroadcastFanout)`)
+	hot := regexp.MustCompile(`^Benchmark(Scheduler|Deliver|BroadcastFanout|TwoWheels|AddToS)`)
 	n := 0
+	protocol := map[string]bool{"BenchmarkTwoWheels": false, "BenchmarkAddToS": false}
 	for _, m := range regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`).FindAllStringSubmatch(string(src), -1) {
 		if !hot.MatchString(m[1]) {
 			continue
 		}
 		n++
+		if _, ok := protocol[m[1]]; ok {
+			protocol[m[1]] = true
+		}
 		if !gated.MatchString(m[1]) {
 			t.Errorf("%s is a hot-path benchmark outside the gate's %s", m[1], gatedRE)
+		}
+	}
+	for name, found := range protocol {
+		if !found {
+			t.Errorf("bench_test.go has no %s, a protocol-step benchmark the gate requires", name)
 		}
 	}
 	if n == 0 {

@@ -277,6 +277,28 @@ func TestRunReplay(t *testing.T) {
 	}
 }
 
+// TestReplayDigestsPinned pins the decision-trace digests of two replayed
+// cells whose emulated outputs are sampled twice on one emulation, by
+// the trace sampler and the run's watcher (two-wheels at trace level
+// full, add-s at decisions). Neither sampler may consume a change the
+// other still needs, and sampling only what changed must record the same
+// events as sampling every process: a digest that moves here means the
+// samplers of an emulation disagree with each other or with its outputs.
+func TestReplayDigestsPinned(t *testing.T) {
+	for _, c := range []struct{ spec, level, digest string }{
+		{"F2-additivity:3", "full", "d3abcd134372636a3e3e627dbff96612"},
+		{"F9-add-s:1", "decisions", "bf970a770d55aaa12fd10611e37e1338"},
+	} {
+		var out bytes.Buffer
+		if err := runReplay(&out, c.spec, "", c.level, goldenSeeds); err != nil {
+			t.Fatalf("-replay %s -trace %s: %v", c.spec, c.level, err)
+		}
+		if !strings.HasSuffix(strings.TrimSpace(out.String()), "trace_digest="+c.digest) {
+			t.Errorf("-replay %s -trace %s printed\n%s\nwant trace_digest=%s", c.spec, c.level, out.String(), c.digest)
+		}
+	}
+}
+
 func TestParseReplaySpec(t *testing.T) {
 	name, idx, err := parseReplaySpec("kset-grid:12")
 	if err != nil || name != "kset-grid" || idx != 12 {

@@ -42,6 +42,54 @@ type everyTick struct{}
 
 func (everyTick) NextChange(now sim.Time) sim.Time { return now + 1 }
 
+// ChangeMarked is an optional extension of an emulated output that is
+// also ChangeHinted: its Marks record the processes whose output may
+// have changed through a step of their host process (a wheel moved, an
+// output was recomputed). Every other change falls on the hint's ticks.
+// So between two hint ticks, a process whose output nobody marked reads
+// what it read last, and a sampler reads only the marked processes (see
+// watchSets).
+type ChangeMarked interface {
+	ChangeMarks() *Marks
+}
+
+// Marks is a change log for any number of readers: a version counter,
+// bumped by each mark, and the version of each process's last mark. A
+// reader keeps the version it last read at and asks for the processes
+// marked since, so no reader consumes a mark another one still needs.
+// The zero value is ready to use; marking through a nil *Marks does
+// nothing.
+type Marks struct {
+	ver uint64
+	at  []uint64 // index 1..n: version of the process's last mark
+}
+
+// Mark records that p's output may have changed.
+func (m *Marks) Mark(p ids.ProcID) {
+	if m == nil {
+		return
+	}
+	if int(p) >= len(m.at) {
+		m.at = append(m.at, make([]uint64, int(p)+1-len(m.at))...)
+	}
+	m.ver++
+	m.at[p] = m.ver
+}
+
+// Since returns the processes marked after version v, and the current
+// version for the reader's next call.
+func (m *Marks) Since(v uint64) (ids.Set, uint64) {
+	var changed ids.Set
+	if m.ver != v {
+		for p := 1; p < len(m.at); p++ {
+			if m.at[p] > v {
+				changed = changed.Add(ids.ProcID(p))
+			}
+		}
+	}
+	return changed, m.ver
+}
+
 // window is the span [from, till) of ticks over which an oracle's change
 // hint is till, so that by the window invariant nothing the oracle
 // outputs changes inside it. Each oracle keeps the window of the last

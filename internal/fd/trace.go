@@ -10,7 +10,8 @@ import (
 // trace, one event per (process, change), labeled src ("oracle",
 // "emu", …). A no-op when the run is untraced or the trace level is
 // below Decisions. Like the Watch* samplers it observes every alive
-// process; unlike them it installs sparsely (OnAdvance), so it never
+// process (between hint ticks, for an output with change marks, the
+// marked ones); unlike them it installs sparsely (OnAdvance), so it never
 // forces the clock dense — a traced run schedules exactly the ticks an
 // untraced one does, which is what keeps traced and untraced reports
 // byte-identical. The cost is that time-driven churn between scheduled
@@ -18,17 +19,18 @@ import (
 // decision trace loses nothing decision-relevant. Must be called
 // before System.Run.
 func TraceLeader(sys *sim.System, l Leader, src string) {
-	traceSets(sys, trace.KindLeader, src, l.Trusted)
+	traceSets(sys, l, trace.KindLeader, src, l.Trusted)
 }
 
 // TraceSuspector is TraceLeader for suspect-set outputs.
 func TraceSuspector(sys *sim.System, s Suspector, src string) {
-	traceSets(sys, trace.KindSuspect, src, s.Suspected)
+	traceSets(sys, s, trace.KindSuspect, src, s.Suspected)
 }
 
-// traceSets installs a change-compressed sparse sampler (the watchSets
-// shape) that records into the trace recorder instead of a SetTrace.
-func traceSets(sys *sim.System, kind trace.Kind, src string, read func(ids.ProcID) ids.Set) {
+// traceSets installs a change-compressed sparse sampler of o (the
+// watchSets shape, with its own read plan) that records into the trace
+// recorder instead of a SetTrace.
+func traceSets(sys *sim.System, o any, kind trace.Kind, src string, read func(ids.ProcID) ids.Set) {
 	rec := sys.Recorder()
 	if !rec.On(trace.Decisions) {
 		return
@@ -36,9 +38,9 @@ func traceSets(sys *sim.System, kind trace.Kind, src string, read func(ids.ProcI
 	n := sys.Config().N
 	last := make([]ids.Set, n+1)
 	started := make([]bool, n+1)
+	plan := newReadPlan(sys, o)
 	sys.OnAdvance(func(now sim.Time) {
-		alive := ids.FullSet(n).Minus(sys.Pattern().CrashedSet(now))
-		alive.ForEachIn(n, func(p ids.ProcID) bool {
+		plan.procs(now).ForEachIn(n, func(p ids.ProcID) bool {
 			v := read(p)
 			if !started[p] || !last[p].Equal(v) {
 				started[p] = true

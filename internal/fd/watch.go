@@ -22,7 +22,10 @@ type SetTrace struct {
 	byProc  [][]SetSample // index 1..n
 	last    []ids.Set
 	started []bool
-	horizon sim.Time
+	// recorded counts the samples recorded so far: StableFor works its
+	// aggregate out again only when it has moved.
+	recorded int
+	horizon  sim.Time
 	// exact marks a trace that samples every change tick (WatchLeader,
 	// WatchSuspector): its last sample holds through the tick before the
 	// clock's current one, so Horizon reads the clock (see watchSets).
@@ -51,6 +54,10 @@ func newSetTrace(sys *sim.System) *SetTrace {
 //     (this forces the clock dense), else on every scheduled tick only,
 //     which suffices for emulated outputs because those change only when
 //     a process takes a step.
+//   - At a scheduled tick, a source with change marks (ChangeMarked) has
+//     only its marked processes read, except on the first tick and on
+//     the first scheduled tick at or after each tick its hint announced,
+//     where every alive process is read (see readPlan).
 //
 // With exact set, a hinted trace equals the dense one, horizon included:
 // the dense horizon is the tick before the clock's final one, and a
@@ -60,12 +67,9 @@ func watchSets(sys *sim.System, src any, exact bool, read func(ids.ProcID) ids.S
 	tr := newSetTrace(sys)
 	tr.exact = exact
 	h, hinted := src.(ChangeHinted)
+	plan := newReadPlan(sys, src)
 	sample := func(now sim.Time) {
-		// One crashed-set lookup per tick, then a masked sweep over the
-		// alive processes — membership and ascending order are exactly
-		// those of a 1..n loop with a per-process Crashed check.
-		alive := ids.FullSet(tr.n).Minus(sys.Pattern().CrashedSet(now))
-		alive.ForEachIn(tr.n, func(id ids.ProcID) bool {
+		plan.procs(now).ForEachIn(tr.n, func(id ids.ProcID) bool {
 			tr.observe(id, now, read(id))
 			return true
 		})
@@ -73,10 +77,14 @@ func watchSets(sys *sim.System, src any, exact bool, read func(ids.ProcID) ids.S
 	}
 	switch {
 	case hinted:
+		// A wake already asked for is still pending, or has passed and
+		// would be dropped again: asking twice changes nothing.
+		var woken sim.Time = -1
 		sys.OnAdvance(func(now sim.Time) {
 			sample(now)
-			if next := h.NextChange(now); next < sim.Never {
+			if next := h.NextChange(now); next < sim.Never && next != woken {
 				sys.WakeAt(next)
+				woken = next
 			}
 		})
 	case exact:
@@ -85,6 +93,50 @@ func watchSets(sys *sim.System, src any, exact bool, read func(ids.ProcID) ids.S
 		sys.OnAdvance(sample)
 	}
 	return tr
+}
+
+// readPlan chooses the processes a sampler of src reads at each tick it
+// runs: every alive process, or, for a source with change marks, only
+// the alive processes marked since the sampler's last tick. Every alive
+// process is read on the first tick and on the first tick at or after
+// the hint's next change, which covers the changes no mark records.
+// Each sampler keeps its own plan, so samplers of one source (a trace
+// beside a watcher) each see every mark.
+type readPlan struct {
+	sys   *sim.System
+	all   ids.Set // 1..n
+	marks *Marks  // nil: read every alive process on every tick
+	hint  ChangeHinted
+	seen  uint64   // marks version at the last tick
+	due   sim.Time // read every alive process at or after this tick
+	begun bool
+}
+
+func newReadPlan(sys *sim.System, src any) *readPlan {
+	plan := &readPlan{sys: sys, all: ids.FullSet(sys.Config().N), hint: HintOf(src)}
+	if m, ok := src.(ChangeMarked); ok {
+		plan.marks = m.ChangeMarks()
+	}
+	return plan
+}
+
+// procs returns the processes to read at tick now: a set the sampler
+// sweeps in ascending order, with the crashed set looked up at most once
+// per tick, so membership and order are exactly those of a 1..n loop
+// with a per-process Crashed check.
+func (r *readPlan) procs(now sim.Time) ids.Set {
+	read := r.all
+	if r.marks != nil {
+		changed, ver := r.marks.Since(r.seen)
+		r.seen = ver
+		if !r.begun || now >= r.due {
+			r.begun = true
+			r.due = r.hint.NextChange(now)
+		} else if read = changed; read.IsEmpty() {
+			return read
+		}
+	}
+	return read.Minus(r.sys.Pattern().CrashedSet(now))
 }
 
 // WatchLeader records l.Trusted(p) for every process, exactly: a hinted
@@ -130,6 +182,7 @@ func (tr *SetTrace) observe(p ids.ProcID, now sim.Time, v ids.Set) {
 	tr.started[p] = true
 	tr.last[p] = v
 	tr.byProc[p] = append(tr.byProc[p], SetSample{At: now, Value: v})
+	tr.recorded++
 }
 
 func (tr *SetTrace) tick(now sim.Time) {
@@ -141,29 +194,19 @@ func (tr *SetTrace) tick(now sim.Time) {
 // has changed during the last margin ticks. Pick margin larger than the
 // run's GST and last crash time so the observed stability covers a
 // genuinely post-stabilization window.
+//
+// The predicate keeps its aggregate over procs, whether all have
+// started and their last change, and works it out again only when the
+// trace has recorded a sample since.
 func (tr *SetTrace) StableFor(procs ids.Set, margin sim.Time) func() bool {
+	agg := stableAgg{recorded: -1}
+	var woken sim.Time = -1
 	return func() bool {
-		horizon := tr.Horizon()
-		stable := true
-		var lastChange sim.Time = -1
-		procs.ForEach(func(p ids.ProcID) bool {
-			if !tr.started[p] {
-				stable = false
-				return false
-			}
-			ss := tr.byProc[p]
-			if len(ss) > 0 {
-				at := ss[len(ss)-1].At
-				if at > lastChange {
-					lastChange = at
-				}
-				if horizon-at < margin {
-					stable = false
-				}
-			}
-			return true
-		})
-		if !stable && lastChange >= 0 {
+		if agg.recorded != tr.recorded {
+			agg = tr.stableAgg(procs)
+		}
+		stable := agg.started && (agg.lastChange < 0 || tr.Horizon()-agg.lastChange >= margin)
+		if !stable && agg.lastChange >= 0 {
 			// Tell the scheduler when this predicate can next flip, so
 			// clock jumps do not pass the earliest stopping tick. An
 			// exact trace's horizon trails the clock by a tick, so the
@@ -175,14 +218,45 @@ func (tr *SetTrace) StableFor(procs ids.Set, margin sim.Time) func() bool {
 			// the wake cannot end the run, which stops at the next
 			// scheduled tick instead. Waking sparse traces one tick
 			// later is left open: it moves suite report bytes.
-			wake := lastChange + margin
+			wake := agg.lastChange + margin
 			if tr.exact {
 				wake++
 			}
-			tr.sys.WakeAt(wake)
+			// A wake already asked for is still pending, or has passed
+			// and would be dropped again: asking twice changes nothing.
+			if wake != woken {
+				tr.sys.WakeAt(wake)
+				woken = wake
+			}
 		}
 		return stable
 	}
+}
+
+// stableAgg is StableFor's aggregate over its processes at the moment
+// the trace had recorded recorded samples: started reports that every
+// process had been sampled, and lastChange is the latest last change
+// (−1: none) among the processes up to the first one never sampled, in
+// ascending order, or among all of them when started.
+type stableAgg struct {
+	recorded   int
+	started    bool
+	lastChange sim.Time
+}
+
+func (tr *SetTrace) stableAgg(procs ids.Set) stableAgg {
+	agg := stableAgg{recorded: tr.recorded, started: true, lastChange: -1}
+	procs.ForEach(func(p ids.ProcID) bool {
+		if !tr.started[p] {
+			agg.started = false
+			return false
+		}
+		if at := tr.byProc[p][len(tr.byProc[p])-1].At; at > agg.lastChange {
+			agg.lastChange = at
+		}
+		return true
+	})
+	return agg
 }
 
 // Horizon returns the last tick the trace covers: the last sampled

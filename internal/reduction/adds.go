@@ -8,20 +8,25 @@ import (
 	"fdgrid/internal/sim"
 )
 
-// Register names used by the Fig. 9 algorithm.
+// The registers of the Fig. 9 algorithm.
 const (
-	regAlive   = "alive"
-	regSuspect = "suspect"
+	regAlive register.Reg = iota
+	regSuspect
 )
 
 // SEmulation aggregates the per-process SUSPECTED_i sets produced by the
 // Fig. 9 addition into a failure detector of class S (x+y > t, perpetual
-// inputs) or ◇S (eventual inputs), readable through fd.Suspector.
+// inputs) or ◇S (eventual inputs), readable through fd.Suspector. Its
+// change marks record each output set that differs from the last.
 type SEmulation struct {
-	sets procTable[ids.Set]
+	sets  procTable[ids.Set]
+	marks fd.Marks
 }
 
-var _ fd.Suspector = (*SEmulation)(nil)
+var (
+	_ fd.Suspector    = (*SEmulation)(nil)
+	_ fd.ChangeMarked = (*SEmulation)(nil)
+)
 
 // NewSEmulation returns an empty aggregator.
 func NewSEmulation() *SEmulation {
@@ -29,8 +34,14 @@ func NewSEmulation() *SEmulation {
 }
 
 func (e *SEmulation) set(p ids.ProcID, s ids.Set) {
-	e.sets.set(p, s)
+	if !e.sets.get(p).Equal(s) {
+		e.sets.set(p, s)
+		e.marks.Mark(p)
+	}
 }
+
+// ChangeMarks implements fd.ChangeMarked.
+func (e *SEmulation) ChangeMarks() *fd.Marks { return &e.marks }
 
 // Suspected implements fd.Suspector. A process that has not yet computed
 // an output suspects nobody.
@@ -63,6 +74,10 @@ func RunAddS(nd *node.Node, store register.Store, susp fd.Suspector, quer fd.Que
 	var aliveC int64
 	prev := make([]int64, n+1)
 	cur := make([]int64, n+1)
+	// The suspicions last published, boxed once per distinct set: a
+	// write of an unchanged set reuses the box instead of allocating.
+	var suspected ids.Set
+	var suspectedBox any
 
 	for {
 		last := env.Now()
@@ -70,7 +85,10 @@ func RunAddS(nd *node.Node, store register.Store, susp fd.Suspector, quer fd.Que
 		// T1: heartbeat and publish suspicions.
 		aliveC++
 		store.Write(regAlive, aliveC)
-		store.Write(regSuspect, susp.Suspected(me))
+		if s := susp.Suspected(me); suspectedBox == nil || !s.Equal(suspected) {
+			suspected, suspectedBox = s, s
+		}
+		store.Write(regSuspect, suspectedBox)
 
 		// T2, one inner iteration: scan and split.
 		var live ids.Set

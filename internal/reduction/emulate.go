@@ -12,13 +12,19 @@ import (
 // detector of class Ω_z readable through the fd.Leader interface — the
 // "output" of the two-wheels transformation. Wheels register as their
 // processes start; an unregistered process reads the empty set (it has
-// taken no step yet).
+// taken no step yet). A process's output changes with its wheel's
+// position, which the change marks record (registration and every
+// move), and with the querier's answers, on the querier's hint ticks.
 type OmegaEmulation struct {
 	hint   fd.ChangeHinted // the querier's, resolved once
 	wheels procTable[*UpperWheel]
+	marks  fd.Marks
 }
 
-var _ fd.Leader = (*OmegaEmulation)(nil)
+var (
+	_ fd.Leader       = (*OmegaEmulation)(nil)
+	_ fd.ChangeMarked = (*OmegaEmulation)(nil)
+)
 
 // NewOmegaEmulation returns an empty aggregator for upper wheels that
 // consult querier q.
@@ -29,7 +35,12 @@ func NewOmegaEmulation(q fd.Querier) *OmegaEmulation {
 // Register binds process p's upper wheel.
 func (e *OmegaEmulation) Register(p ids.ProcID, w *UpperWheel) {
 	e.wheels.set(p, w)
+	w.marks = &e.marks
+	e.marks.Mark(p)
 }
+
+// ChangeMarks implements fd.ChangeMarked.
+func (e *OmegaEmulation) ChangeMarks() *fd.Marks { return &e.marks }
 
 // NextChange implements fd.ChangeHinted: wheel positions change only when
 // a host process takes a step, and the exposed Trusted value otherwise

@@ -56,6 +56,18 @@ type LowerWheel struct {
 
 	pos  ids.XPos
 	repr ids.ProcID
+
+	// quiet is the tick before which Poll provably does nothing while no
+	// move is pending (0: none yet). Poll reads only the position, the
+	// pending moves and the suspector's output, and a full Poll leaves
+	// nothing to do for the same three, so the next one can act only
+	// once a move is pending or, if the wheel may still send at this
+	// position, once the suspector's output can change: quiet is then
+	// the end of the suspector's change window, else sim.Never.
+	quiet sim.Time
+	// wake caches NextWake: the end of the suspector's change window at
+	// the last tick the hint was read.
+	wake sim.Time
 }
 
 var _ node.Layer = (*LowerWheel)(nil)
@@ -99,9 +111,13 @@ func (w *LowerWheel) Moves() int {
 // NextWake implements node.WakeHinter: with no message in play, the
 // wheel only needs to act when the suspector's output can change (the
 // suspicious-poll in task T1); buffered moves are consumed on the message
-// wake that delivered them.
+// wake that delivered them. Inside the change window the hint was last
+// read in, the hint is that window's end.
 func (w *LowerWheel) NextWake(now sim.Time) sim.Time {
-	return w.hint.NextChange(now)
+	if now >= w.wake {
+		w.wake = w.hint.NextChange(now)
+	}
+	return w.wake
 }
 
 // Handle implements node.Layer: it buffers x_move messages (already
@@ -171,8 +187,16 @@ func (b *moveBuffer[P]) moved(from, to P) {
 }
 
 // Poll implements node.Layer: consume matching buffered moves (task T2),
-// then run one iteration of task T1.
+// then run one iteration of task T1. Before the quiet tick, with no move
+// pending, it returns at once.
 func (w *LowerWheel) Poll() {
+	if w.buffered.here == 0 && w.quiet == sim.Never {
+		return
+	}
+	now := w.env.Now()
+	if w.buffered.here == 0 && now < w.quiet {
+		return
+	}
 	moved := false
 	for w.buffered.take() {
 		from := w.pos
@@ -184,7 +208,7 @@ func (w *LowerWheel) Poll() {
 		moved = true
 	}
 	if moved {
-		w.env.Trace().Wheel(int64(w.env.Now()), int(w.env.ID()), "lower",
+		w.env.Trace().Wheel(int64(now), int(w.env.ID()), "lower",
 			int64(w.pos.Leader), w.pos.X, w.moves)
 	}
 	pos := w.pos
@@ -194,13 +218,14 @@ func (w *LowerWheel) Poll() {
 	} else {
 		w.repr = me
 	}
-	shouldSend := pos.X.Contains(me) && !w.sentThisVisit &&
-		w.susp.Suspected(me).Contains(pos.Leader)
-	if shouldSend {
-		w.sentThisVisit = true
+	if !pos.X.Contains(me) || w.sentThisVisit {
+		w.quiet = sim.Never // nothing to send before the next move
+		return
 	}
-
-	if shouldSend {
+	w.quiet = w.NextWake(now)
+	if w.susp.Suspected(me).Contains(pos.Leader) {
+		w.sentThisVisit = true
+		w.quiet = sim.Never
 		w.rb.Broadcast(tagXMove, xMoveMsg{Pos: pos})
 	}
 }

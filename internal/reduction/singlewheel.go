@@ -34,6 +34,16 @@ type SingleWheelOmega struct {
 
 	candidate ids.ProcID
 	moves     int
+
+	// hint and quiet are LowerWheel's: while no move is pending, Poll
+	// provably does nothing before quiet, the end of the suspector's
+	// change window at the last full Poll, or sim.Never once the wheel
+	// has sent at its candidate.
+	hint  fd.ChangeHinted
+	quiet sim.Time
+	// marks, once the process registered with a SingleWheelEmulation,
+	// records each move there.
+	marks *fd.Marks
 }
 
 var _ node.Layer = (*SingleWheelOmega)(nil)
@@ -51,6 +61,7 @@ func NewSingleWheelOmega(env *sim.Env, rb *rbcast.Layer, susp fd.Suspector) *Sin
 		env:       env,
 		rb:        rb,
 		susp:      susp,
+		hint:      fd.HintOf(susp),
 		candidate: 1,
 	}
 }
@@ -80,8 +91,13 @@ func (w *SingleWheelOmega) Handle(m *sim.Message) bool {
 }
 
 // Poll implements node.Layer: consume matching moves, then suspect-check
-// the current candidate (one broadcast per visit).
+// the current candidate (one broadcast per visit). Before the quiet
+// tick, with no move pending, it returns at once.
 func (w *SingleWheelOmega) Poll() {
+	now := w.env.Now()
+	if w.buffered.here == 0 && now < w.quiet {
+		return
+	}
 	n := ids.ProcID(w.env.N())
 	for w.buffered.take() {
 		from := w.candidate
@@ -92,25 +108,32 @@ func (w *SingleWheelOmega) Poll() {
 		w.buffered.moved(from, w.candidate)
 		w.sentThisVisit = false
 		w.moves++
+		w.marks.Mark(w.env.ID())
 	}
-	cand := w.candidate
-	shouldSend := !w.sentThisVisit && w.susp.Suspected(w.env.ID()).Contains(cand)
-	if shouldSend {
+	if w.sentThisVisit {
+		w.quiet = sim.Never // nothing to send before the next move
+		return
+	}
+	w.quiet = w.hint.NextChange(now)
+	if cand := w.candidate; w.susp.Suspected(w.env.ID()).Contains(cand) {
 		w.sentThisVisit = true
-	}
-
-	if shouldSend {
+		w.quiet = sim.Never
 		w.rb.Broadcast(tagCMove, cMoveMsg{Candidate: cand})
 	}
 }
 
 // SingleWheelEmulation aggregates per-process single wheels into an
-// fd.Leader of class Ω (= Ω_1).
+// fd.Leader of class Ω (= Ω_1). A process's output is its wheel's
+// candidate, which changes only on the moves its change marks record.
 type SingleWheelEmulation struct {
 	wheels procTable[*SingleWheelOmega]
+	marks  fd.Marks
 }
 
-var _ fd.Leader = (*SingleWheelEmulation)(nil)
+var (
+	_ fd.Leader       = (*SingleWheelEmulation)(nil)
+	_ fd.ChangeMarked = (*SingleWheelEmulation)(nil)
+)
 
 // NewSingleWheelEmulation returns an empty aggregator.
 func NewSingleWheelEmulation() *SingleWheelEmulation {
@@ -120,7 +143,17 @@ func NewSingleWheelEmulation() *SingleWheelEmulation {
 // Register binds process p's wheel.
 func (e *SingleWheelEmulation) Register(p ids.ProcID, w *SingleWheelOmega) {
 	e.wheels.set(p, w)
+	w.marks = &e.marks
+	e.marks.Mark(p)
 }
+
+// NextChange implements fd.ChangeHinted: the output changes only when a
+// host process takes a step, never from time passing alone, so it
+// schedules no tick.
+func (e *SingleWheelEmulation) NextChange(sim.Time) sim.Time { return sim.Never }
+
+// ChangeMarks implements fd.ChangeMarked.
+func (e *SingleWheelEmulation) ChangeMarks() *fd.Marks { return &e.marks }
 
 // Trusted implements fd.Leader.
 func (e *SingleWheelEmulation) Trusted(p ids.ProcID) ids.Set {

@@ -2,6 +2,7 @@ package reduction
 
 import (
 	"fmt"
+	"math"
 
 	"fdgrid/internal/fd"
 	"fdgrid/internal/ids"
@@ -17,13 +18,49 @@ var (
 	tagLMove    = sim.Intern("wheel.lmove")
 )
 
+// inquiryMsg is one inquiry round: the round's table of responses, one
+// per representative a responder can report (index Repr−1), so a
+// responder sends a pointer into the table instead of boxing a fresh
+// response. A table is never reused: a late response of an old round
+// still reads that round's Seq.
 type inquiryMsg struct {
-	Seq int
+	responses []responseMsg
 }
 
+// responseMsg is 8 bytes, since every inquiry round allocates n of them.
 type responseMsg struct {
-	Seq  int
-	Repr ids.ProcID
+	Seq  int32
+	Repr int32
+}
+
+// inquiryBatch is how many rounds' inquiries a wheel allocates at once.
+const inquiryBatch = 16
+
+// inquirySlab carves a wheel's inquiries and their response tables out
+// of blocks of inquiryBatch rounds: two allocations per block instead of
+// two per round. A block lives on while any message points into it.
+type inquirySlab struct {
+	msgs      []inquiryMsg
+	responses []responseMsg
+}
+
+// next returns round seq's inquiry for a system of n processes.
+func (s *inquirySlab) next(seq, n int) *inquiryMsg {
+	if seq > math.MaxInt32 {
+		panic(fmt.Sprintf("reduction: upper wheel inquiry round %d overflows its response table", seq))
+	}
+	if len(s.msgs) == 0 {
+		s.msgs = make([]inquiryMsg, inquiryBatch)
+		s.responses = make([]responseMsg, inquiryBatch*n)
+	}
+	iq := &s.msgs[0]
+	s.msgs = s.msgs[1:]
+	iq.responses = s.responses[:n:n]
+	s.responses = s.responses[n:]
+	for r := range iq.responses {
+		iq.responses[r] = responseMsg{Seq: int32(seq), Repr: int32(r + 1)}
+	}
+	return iq
 }
 
 type lMoveMsg struct {
@@ -51,6 +88,7 @@ type UpperWheel struct {
 	ring        *ids.LYRing
 	buffered    moveBuffer[ids.LYPos]
 	seq         int
+	inquiries   inquirySlab
 	responses   []ids.ProcID // index by responder; ids.None = none this round
 	waiting     bool
 	lastInquiry sim.Time
@@ -67,6 +105,18 @@ type UpperWheel struct {
 	yCrashed bool
 	trusted  ids.Set
 	viewTill sim.Time
+
+	// quiet is the tick before which Poll provably does nothing while no
+	// move is pending (0: the next Poll runs in full). Between inquiries
+	// it is the next inquiry's tick. While waiting it caches the "keep
+	// waiting" result, which holds until a response of the round arrives
+	// from a member of Y_i (Handle clears quiet), the wheel moves, or
+	// viewTill passes; a wait that ends leaves the next inquiry's tick
+	// instead.
+	quiet sim.Time
+	// marks, once the process registered with an OmegaEmulation, records
+	// each move there (the Trusted output follows the position).
+	marks *fd.Marks
 }
 
 var _ node.Layer = (*UpperWheel)(nil)
@@ -161,8 +211,13 @@ func (w *UpperWheel) view() {
 // NextWake implements node.WakeHinter: between inquiry rounds the wheel
 // sleeps until the pacing gap elapses; while waiting for responses it
 // only needs a pure time wake when the querier's answer to query(Y_i)
-// can change (responses themselves arrive as messages).
+// can change (responses themselves arrive as messages). Before the quiet
+// tick the hint is that tick: the next inquiry's, or the end of the
+// querier's window the wait was last checked in.
 func (w *UpperWheel) NextWake(now sim.Time) sim.Time {
+	if now < w.quiet {
+		return w.quiet
+	}
 	if !w.waiting {
 		return w.lastInquiry + w.gap
 	}
@@ -173,20 +228,23 @@ func (w *UpperWheel) NextWake(now sim.Time) sim.Time {
 func (w *UpperWheel) Handle(m *sim.Message) bool {
 	switch m.Tag {
 	case tagInquiry:
-		iq, ok := m.Payload.(inquiryMsg)
+		iq, ok := m.Payload.(*inquiryMsg)
 		if !ok {
 			panic(fmt.Sprintf("reduction: inquiry payload %T", m.Payload))
 		}
 		// Task T3: answer with the lower wheel's current representative.
-		w.env.Send(m.From, tagResponse, responseMsg{Seq: iq.Seq, Repr: w.lower.Repr()})
+		w.env.Send(m.From, tagResponse, &iq.responses[w.lower.Repr()-1])
 		return false
 	case tagResponse:
-		rp, ok := m.Payload.(responseMsg)
+		rp, ok := m.Payload.(*responseMsg)
 		if !ok {
 			panic(fmt.Sprintf("reduction: response payload %T", m.Payload))
 		}
-		if rp.Seq == w.seq {
-			w.responses[m.From] = rp.Repr
+		if int(rp.Seq) == w.seq {
+			w.responses[m.From] = ids.ProcID(rp.Repr)
+			if w.waiting && w.pos.Y.Contains(m.From) {
+				w.quiet = 0 // the wait may end
+			}
 		}
 		return false
 	case tagLMove:
@@ -202,8 +260,14 @@ func (w *UpperWheel) Handle(m *sim.Message) bool {
 }
 
 // Poll implements node.Layer: consume matching l_moves (task T2), then
-// advance task T1's inquire/wait state machine.
+// advance task T1's inquire/wait state machine. Before the quiet tick,
+// with no move pending, it returns at once.
 func (w *UpperWheel) Poll() {
+	now := w.env.Now()
+	if w.buffered.here == 0 && now < w.quiet {
+		return
+	}
+	w.quiet = 0
 	moved := false
 	for w.buffered.take() {
 		from := w.pos
@@ -215,16 +279,17 @@ func (w *UpperWheel) Poll() {
 	}
 	if moved {
 		w.viewTill = 0
+		w.marks.Mark(w.env.ID())
 		// The upper wheel's position has no single leader; trace the
 		// candidate leader set L and leave the leader slot 0.
-		w.env.Trace().Wheel(int64(w.env.Now()), int(w.env.ID()), "upper",
+		w.env.Trace().Wheel(int64(now), int(w.env.ID()), "upper",
 			0, w.pos.L, w.lmoves)
 	}
 	pos := w.pos
 
 	if !w.waiting {
-		now := w.env.Now()
 		if now-w.lastInquiry < w.gap {
+			w.quiet = w.lastInquiry + w.gap
 			return
 		}
 		w.seq++
@@ -233,7 +298,7 @@ func (w *UpperWheel) Poll() {
 		}
 		w.waiting = true
 		w.lastInquiry = now
-		w.env.Broadcast(tagInquiry, inquiryMsg{Seq: w.seq})
+		w.env.Broadcast(tagInquiry, w.inquiries.next(w.seq, w.env.N()))
 		return
 	}
 
@@ -249,6 +314,7 @@ func (w *UpperWheel) Poll() {
 		}
 	}
 	if !gotResponder && !w.queryY() {
+		w.quiet = w.viewTill
 		return // keep waiting
 	}
 	// Lines 04-06: move on if responses arrived and none exhibits a
@@ -257,4 +323,5 @@ func (w *UpperWheel) Poll() {
 		w.rb.Broadcast(tagLMove, lMoveMsg{Pos: pos})
 	}
 	w.waiting = false
+	w.quiet = w.lastInquiry + w.gap
 }

@@ -19,11 +19,16 @@ var (
 	tagABDWBAck     = sim.Intern("abd.wback")
 )
 
+// The phases' messages travel as pointers, so no reply is boxed: a
+// write or write-back carries the one ack every replica returns, and a
+// read carries a table of replies, one slot per replica, which the
+// replica fills once and sends a pointer to.
+
 type abdWrite struct {
-	Op   int64
-	Name string
-	TS   int64
-	Val  any
+	Reg Reg
+	TS  int64
+	Val any
+	Ack *abdAck
 }
 
 type abdAck struct {
@@ -31,9 +36,10 @@ type abdAck struct {
 }
 
 type abdRead struct {
-	Op    int64
-	Owner ids.ProcID
-	Name  string
+	Op      int64
+	Owner   ids.ProcID
+	Reg     Reg
+	Replies []abdReadVal // index replica−1
 }
 
 type abdReadVal struct {
@@ -43,11 +49,11 @@ type abdReadVal struct {
 }
 
 type abdWriteBack struct {
-	Op    int64
 	Owner ids.ProcID
-	Name  string
+	Reg   Reg
 	TS    int64
 	Val   any
+	Ack   *abdAck
 }
 
 type tsVal struct {
@@ -67,14 +73,25 @@ type ABD struct {
 	env *sim.Env
 	nd  *node.Node
 
-	replicas map[key]tsVal
+	replicas slots[tsVal]
 	wts      int64
 	nextOp   int64
-	// acks collects the responders per operation as an identity set —
-	// each replica acks an op at most once, so the quorum test is a
-	// word-level popcount (Set.CountIn) instead of a tally.
-	acks    map[int64]ids.Set
-	replies map[int64][]tsVal
+
+	// The state of the process's one operation phase in progress (op 0:
+	// none). A process runs one phase at a time, and replies carry their
+	// phase's op, so replies to a finished phase, which keep arriving
+	// from the replicas outside its quorum, are dropped. acked holds the
+	// replicas that acked a write or write-back as an identity set (each
+	// acks a phase at most once, so the quorum test is a word-level
+	// popcount); a read phase counts its replies and keeps the freshest
+	// (ts, val) among them, the first of equal timestamps winning.
+	op      int64
+	acked   ids.Set
+	replies int
+	best    tsVal
+
+	// The wait predicates, built once so an operation allocates none.
+	ackQuorum, replyQuorum func() bool
 }
 
 var (
@@ -87,107 +104,118 @@ func NewABD(env *sim.Env) *ABD {
 	if 2*env.T() >= env.N() {
 		panic(fmt.Sprintf("register: ABD requires t < n/2, got n=%d t=%d", env.N(), env.T()))
 	}
-	return &ABD{
-		env:      env,
-		replicas: make(map[key]tsVal),
-		acks:     make(map[int64]ids.Set),
-		replies:  make(map[int64][]tsVal),
-	}
+	a := &ABD{env: env}
+	quorum := env.N()/2 + 1
+	a.ackQuorum = func() bool { return a.acked.CountIn(a.env.N()) >= quorum }
+	a.replyQuorum = func() bool { return a.replies >= quorum }
+	return a
 }
 
 // Bind attaches the node whose event loop blocking operations pump. Must
 // be called once, before the first Write or Read.
 func (a *ABD) Bind(nd *node.Node) { a.nd = nd }
 
-func (a *ABD) quorum() int { return a.env.N()/2 + 1 }
+// begin opens the next operation phase, with no replies yet.
+func (a *ABD) begin() int64 {
+	a.nextOp++
+	a.op, a.acked, a.replies, a.best = a.nextOp, ids.Set{}, 0, tsVal{}
+	return a.op
+}
 
 // Write implements Store: it completes once a majority acknowledged.
-func (a *ABD) Write(name string, v any) {
+func (a *ABD) Write(r Reg, v any) {
 	a.wts++
-	a.nextOp++
-	op := a.nextOp
-	a.env.Broadcast(tagABDWrite, abdWrite{Op: op, Name: name, TS: a.wts, Val: v})
-	a.nd.WaitOn(func() bool { return a.acks[op].CountIn(a.env.N()) >= a.quorum() }, nil)
-	delete(a.acks, op)
+	op := a.begin()
+	a.env.Broadcast(tagABDWrite, &abdWrite{Reg: r, TS: a.wts, Val: v, Ack: &abdAck{Op: op}})
+	a.nd.WaitOn(a.ackQuorum, nil)
+	a.op = 0
 }
 
 // Read implements Store: a quorum read phase picks the freshest replica,
 // then a write-back phase secures atomicity before returning.
-func (a *ABD) Read(owner ids.ProcID, name string) any {
-	a.nextOp++
-	op := a.nextOp
-	a.env.Broadcast(tagABDRead, abdRead{Op: op, Owner: owner, Name: name})
-	a.nd.WaitOn(func() bool { return len(a.replies[op]) >= a.quorum() }, nil)
-	best := tsVal{}
-	for _, r := range a.replies[op] {
-		if r.ts > best.ts {
-			best = r
-		}
-	}
-	delete(a.replies, op)
+func (a *ABD) Read(owner ids.ProcID, r Reg) any {
+	op := a.begin()
+	a.env.Broadcast(tagABDRead, &abdRead{Op: op, Owner: owner, Reg: r, Replies: make([]abdReadVal, a.env.N())})
+	a.nd.WaitOn(a.replyQuorum, nil)
+	best := a.best
+	a.op = 0
 	if best.ts == 0 {
 		return nil // never written
 	}
 
-	a.nextOp++
-	wb := a.nextOp
-	a.env.Broadcast(tagABDWriteBack, abdWriteBack{Op: wb, Owner: owner, Name: name, TS: best.ts, Val: best.val})
-	a.nd.WaitOn(func() bool { return a.acks[wb].CountIn(a.env.N()) >= a.quorum() }, nil)
-	delete(a.acks, wb)
+	wb := a.begin()
+	a.env.Broadcast(tagABDWriteBack, &abdWriteBack{Owner: owner, Reg: r, TS: best.ts, Val: best.val, Ack: &abdAck{Op: wb}})
+	a.nd.WaitOn(a.ackQuorum, nil)
+	a.op = 0
 	return best.val
 }
 
-// Handle implements node.Layer: the replica/server side.
+// Handle implements node.Layer: the replica/server side, and the replies
+// to this process's phase in progress.
 func (a *ABD) Handle(m *sim.Message) bool {
 	switch m.Tag {
 	case tagABDWrite:
-		w, ok := m.Payload.(abdWrite)
+		w, ok := m.Payload.(*abdWrite)
 		if !ok {
 			panic(fmt.Sprintf("register: abd write payload %T", m.Payload))
 		}
-		a.apply(key{owner: m.From, name: w.Name}, w.TS, w.Val)
-		a.env.Send(m.From, tagABDWriteAck, abdAck{Op: w.Op})
+		a.apply(m.From, w.Reg, w.TS, w.Val)
+		a.env.Send(m.From, tagABDWriteAck, w.Ack)
 	case tagABDWriteAck:
-		ack, ok := m.Payload.(abdAck)
+		ack, ok := m.Payload.(*abdAck)
 		if !ok {
 			panic(fmt.Sprintf("register: abd ack payload %T", m.Payload))
 		}
-		a.acks[ack.Op] = a.acks[ack.Op].Add(m.From)
+		a.ack(ack.Op, m.From)
 	case tagABDRead:
-		r, ok := m.Payload.(abdRead)
+		r, ok := m.Payload.(*abdRead)
 		if !ok {
 			panic(fmt.Sprintf("register: abd read payload %T", m.Payload))
 		}
-		rep := a.replicas[key{owner: r.Owner, name: r.Name}]
-		a.env.Send(m.From, tagABDReadVal, abdReadVal{Op: r.Op, TS: rep.ts, Val: rep.val})
+		rep := a.replicas.get(r.Owner, r.Reg)
+		rv := &r.Replies[a.env.ID()-1]
+		*rv = abdReadVal{Op: r.Op, TS: rep.ts, Val: rep.val}
+		a.env.Send(m.From, tagABDReadVal, rv)
 	case tagABDReadVal:
-		rv, ok := m.Payload.(abdReadVal)
+		rv, ok := m.Payload.(*abdReadVal)
 		if !ok {
 			panic(fmt.Sprintf("register: abd readval payload %T", m.Payload))
 		}
-		a.replies[rv.Op] = append(a.replies[rv.Op], tsVal{ts: rv.TS, val: rv.Val})
+		if rv.Op == a.op && a.op != 0 {
+			a.replies++
+			if rv.TS > a.best.ts {
+				a.best = tsVal{ts: rv.TS, val: rv.Val}
+			}
+		}
 	case tagABDWriteBack:
-		wb, ok := m.Payload.(abdWriteBack)
+		wb, ok := m.Payload.(*abdWriteBack)
 		if !ok {
 			panic(fmt.Sprintf("register: abd writeback payload %T", m.Payload))
 		}
-		a.apply(key{owner: wb.Owner, name: wb.Name}, wb.TS, wb.Val)
-		a.env.Send(m.From, tagABDWBAck, abdAck{Op: wb.Op})
+		a.apply(wb.Owner, wb.Reg, wb.TS, wb.Val)
+		a.env.Send(m.From, tagABDWBAck, wb.Ack)
 	case tagABDWBAck:
-		ack, ok := m.Payload.(abdAck)
+		ack, ok := m.Payload.(*abdAck)
 		if !ok {
 			panic(fmt.Sprintf("register: abd wback payload %T", m.Payload))
 		}
-		a.acks[ack.Op] = a.acks[ack.Op].Add(m.From)
+		a.ack(ack.Op, m.From)
 	default:
 		return true
 	}
 	return false
 }
 
-func (a *ABD) apply(k key, ts int64, val any) {
-	if a.replicas[k].ts < ts {
-		a.replicas[k] = tsVal{ts: ts, val: val}
+// ack counts from's ack of phase op if op is the phase in progress.
+func (a *ABD) ack(op int64, from ids.ProcID) {
+	if op == a.op && a.op != 0 {
+		a.acked = a.acked.Add(from)
+	}
+}
+
+func (a *ABD) apply(owner ids.ProcID, r Reg, ts int64, val any) {
+	if rep := a.replicas.at(owner, r); rep.ts < ts {
+		*rep = tsVal{ts: ts, val: val}
 	}
 }
 

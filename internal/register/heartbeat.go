@@ -12,9 +12,9 @@ import (
 var tagHBUpdate = sim.Intern("reg.hb")
 
 type hbUpdate struct {
-	Name string
-	Seq  int64
-	Val  any
+	Reg Reg
+	Seq int64
+	Val any
 }
 
 // Heartbeat is the message-passing translation of single-writer
@@ -30,7 +30,7 @@ type Heartbeat struct {
 	env *sim.Env
 	seq int64
 
-	cache map[key]hbEntry
+	cache slots[hbEntry]
 }
 
 type hbEntry struct {
@@ -45,22 +45,21 @@ var (
 
 // NewHeartbeat returns the heartbeat register layer for one process.
 func NewHeartbeat(env *sim.Env) *Heartbeat {
-	return &Heartbeat{env: env, cache: make(map[key]hbEntry)}
+	return &Heartbeat{env: env}
 }
 
 // Write implements Store: broadcast the update (own registers only by
 // construction; the layer stores its own copy immediately so local
 // read-own-write is never stale).
-func (h *Heartbeat) Write(name string, v any) {
+func (h *Heartbeat) Write(r Reg, v any) {
 	h.seq++
-	k := key{owner: h.env.ID(), name: name}
-	h.cache[k] = hbEntry{seq: h.seq, val: v}
-	h.env.Broadcast(tagHBUpdate, hbUpdate{Name: name, Seq: h.seq, Val: v})
+	*h.cache.at(h.env.ID(), r) = hbEntry{seq: h.seq, val: v}
+	h.env.Broadcast(tagHBUpdate, hbUpdate{Reg: r, Seq: h.seq, Val: v})
 }
 
 // Read implements Store.
-func (h *Heartbeat) Read(owner ids.ProcID, name string) any {
-	return h.cache[key{owner: owner, name: name}].val
+func (h *Heartbeat) Read(owner ids.ProcID, r Reg) any {
+	return h.cache.get(owner, r).val
 }
 
 // Handle implements node.Layer: absorb updates, newest per register wins.
@@ -72,9 +71,8 @@ func (h *Heartbeat) Handle(m *sim.Message) bool {
 	if !ok {
 		panic(fmt.Sprintf("register: heartbeat payload %T", m.Payload))
 	}
-	k := key{owner: m.From, name: up.Name}
-	if h.cache[k].seq < up.Seq {
-		h.cache[k] = hbEntry{seq: up.Seq, val: up.Val}
+	if e := h.cache.at(m.From, up.Reg); e.seq < up.Seq {
+		*e = hbEntry{seq: up.Seq, val: up.Val}
 	}
 	return false
 }

@@ -15,27 +15,55 @@
 //
 // Each process interacts with its substrate through the Store interface:
 // Write writes one of the calling process's own registers, Read reads any
-// process's register.
+// process's register. A register is named by its owner and a Reg, a
+// small index the algorithm assigns its registers (Fig. 9 has two,
+// alive and suspect), so every substrate keeps its values in
+// [owner][reg] slots and no access hashes a name.
 package register
 
 import (
 	"fdgrid/internal/ids"
 )
 
+// Reg names one of a process's registers. Algorithms number theirs from
+// 0 up, as constants; a substrate sizes its slots by the largest index
+// it has seen, so keep the numbers small.
+type Reg uint8
+
 // Store is one process's handle on the register space. Register values
 // must be immutable (ints, ids.Set, …): they are shared across processes
 // without copying.
 type Store interface {
-	// Write updates this process's register name.
-	Write(name string, v any)
-	// Read returns owner's register name, or nil if never written.
-	Read(owner ids.ProcID, name string) any
+	// Write updates this process's register r.
+	Write(r Reg, v any)
+	// Read returns owner's register r, or nil if never written.
+	Read(owner ids.ProcID, r Reg) any
 }
 
-// key identifies a register: single-writer by construction.
-type key struct {
-	owner ids.ProcID
-	name  string
+// slots holds one value per register, indexed [owner][reg]. It grows
+// on demand, so a register never written reads the zero value.
+type slots[T any] [][]T
+
+// at returns the slot of owner's register r, growing the table to hold
+// it.
+func (s *slots[T]) at(owner ids.ProcID, r Reg) *T {
+	if int(owner) >= len(*s) {
+		*s = append(*s, make([][]T, int(owner)+1-len(*s))...)
+	}
+	row := &(*s)[owner]
+	if int(r) >= len(*row) {
+		*row = append(*row, make([]T, int(r)+1-len(*row))...)
+	}
+	return &(*row)[r]
+}
+
+// get returns owner's register r, or the zero value if it was never
+// stored.
+func (s slots[T]) get(owner ids.ProcID, r Reg) (v T) {
+	if owner >= 0 && int(owner) < len(s) && int(r) < len(s[owner]) {
+		v = s[owner][r]
+	}
+	return v
 }
 
 // Memory is a shared-memory register space: the substrate of the paper's
@@ -48,25 +76,17 @@ type key struct {
 // with the rest of the ownership contract). The atomicity the paper's
 // model asks of a register is exactly what token serialization gives.
 type Memory struct {
-	regs map[key]any
+	regs slots[any]
 }
 
 // NewMemory returns an empty shared register space.
 func NewMemory() *Memory {
-	return &Memory{regs: make(map[key]any)}
+	return &Memory{}
 }
 
 // View returns process p's Store handle.
 func (m *Memory) View(p ids.ProcID) Store {
 	return &memView{mem: m, me: p}
-}
-
-func (m *Memory) write(k key, v any) {
-	m.regs[k] = v
-}
-
-func (m *Memory) read(k key) any {
-	return m.regs[k]
 }
 
 type memView struct {
@@ -76,10 +96,10 @@ type memView struct {
 
 var _ Store = (*memView)(nil)
 
-func (v *memView) Write(name string, val any) {
-	v.mem.write(key{owner: v.me, name: name}, val)
+func (v *memView) Write(r Reg, val any) {
+	*v.mem.regs.at(v.me, r) = val
 }
 
-func (v *memView) Read(owner ids.ProcID, name string) any {
-	return v.mem.read(key{owner: owner, name: name})
+func (v *memView) Read(owner ids.ProcID, r Reg) any {
+	return v.mem.regs.get(owner, r)
 }

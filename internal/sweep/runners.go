@@ -509,26 +509,20 @@ func stabilizationOf(trace *fd.SetTrace, correct ids.Set) sim.Time {
 // expect_tight (the Ω_{z−1} check must fail: the resting set has full
 // size z).
 func runTwoWheels(c *Cell, res *CellResult) {
-	sys, err := c.System()
-	if err != nil {
-		panic(err)
+	sys, emu, ok := twoWheelsSystem(c, res)
+	if !ok {
+		return
 	}
 	x, y := c.Combo.X, c.Combo.Y
 	z := c.Combo.Z
 	if z == 0 {
 		z = c.Size.T + 2 - x - y
 	}
-	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsSuspector | readsQuerier, x: x, y: y})
-	if !ok {
-		return
-	}
-	susp, quer := o.susp, o.quer
-	fd.TraceSuspector(sys, susp, "oracle-s")
-	emu, _ := reduction.SpawnTwoWheels(sys, susp, quer, x, y)
 	fd.TraceLeader(sys, emu, "emu")
 	// The emulated Trusted consults the querier live; the emulation's
 	// change hint is the querier's, so the sparse watcher schedules every
-	// tick the output can change at.
+	// tick the output can change at, and reads the processes whose
+	// wheels moved in between.
 	trace := fd.WatchLeaderSparse(sys, emu)
 	watchMark(sys, sim.Intern("wheel.inquiry"), sim.Time(c.Param("mark", 0)), res, "inquiries_at_mark")
 	var stop func() bool
@@ -563,6 +557,25 @@ func runTwoWheels(c *Cell, res *CellResult) {
 			}
 		}
 	}
+}
+
+// twoWheelsSystem builds a two-wheels cell's system with the stack
+// spawned on every process, and returns its emulated Ω_z: runTwoWheels's
+// run before its samplers. ok is false when the cell's oracle script was
+// rejected (res then carries the verdict).
+func twoWheelsSystem(c *Cell, res *CellResult) (*sim.System, *reduction.OmegaEmulation, bool) {
+	sys, err := c.System()
+	if err != nil {
+		panic(err)
+	}
+	x, y := c.Combo.X, c.Combo.Y
+	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsSuspector | readsQuerier, x: x, y: y})
+	if !ok {
+		return nil, nil, false
+	}
+	fd.TraceSuspector(sys, o.susp, "oracle-s")
+	emu, _ := reduction.SpawnTwoWheels(sys, o.susp, o.quer, x, y)
+	return sys, emu, true
 }
 
 // runSingleWheel: the companion transformation [17] — quiescent, needs
@@ -708,36 +721,49 @@ func PsiOmegaTrace(c Cell, watch func(*sim.System, fd.Leader) *fd.SetTrace) (*fd
 // classes), margin (checker stable suffix), stop_slack (extra rest time
 // past the margin before the early stop; default margin/5).
 func runAddS(c *Cell, res *CellResult) {
+	sys, emu, ok := addSSystem(c, res)
+	if !ok {
+		return
+	}
+	fd.TraceSuspector(sys, emu, "emu")
+	trace := fd.WatchSuspectorSparse(sys, emu)
+	margin := sim.Time(c.Param("margin", 20_000))
+	rep := sys.Run(trace.StableFor(sys.Pattern().Correct(), addSRest(c)))
+	recordRun(res, rep)
+	if err := trace.CheckSuspector(sys.Pattern(), c.Size.N, c.Param("perpetual", 1) != 0, margin); err != nil {
+		res.fail(err.Error())
+	}
+}
+
+// addSSystem builds an add-s cell's system with Fig. 9 spawned on every
+// process over the combo's register substrate, and returns its emulated
+// S_n/◇S_n: runAddS's run before its samplers. ok is false when the
+// cell's oracle script was rejected (res then carries the verdict).
+func addSSystem(c *Cell, res *CellResult) (*sim.System, *reduction.SEmulation, bool) {
 	sys, err := c.System()
 	if err != nil {
 		panic(err)
 	}
 	x, y := c.Combo.X, c.Combo.Y
-	perpetual := c.Param("perpetual", 1) != 0
 	// add-s reads two oracles, so a single script would be ambiguous
 	// about which role it drives: only pairs feed it.
 	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsSuspector | readsQuerier, x: x, y: y,
-		perpetual: perpetual, pairedOnly: true})
+		perpetual: c.Param("perpetual", 1) != 0, pairedOnly: true})
 	if !ok {
-		return
+		return nil, nil, false
 	}
-	susp, quer := o.susp, o.quer
-	fd.TraceSuspector(sys, susp, "oracle-s")
-	emu := reduction.SpawnAddS(sys, susp, quer, c.Combo.Name)
-	fd.TraceSuspector(sys, emu, "emu")
-	trace := fd.WatchSuspectorSparse(sys, emu)
+	fd.TraceSuspector(sys, o.susp, "oracle-s")
+	return sys, reduction.SpawnAddS(sys, o.susp, o.quer, c.Combo.Name), true
+}
+
+// addSRest is how long an add-s cell's outputs must rest before the run
+// stops: every correct process's output has then rested well past the
+// checker's stable-suffix margin, and running further cannot change the
+// verdict, only burn virtual time. The rest slack scales with the margin
+// so large-margin cells don't stop inside the checker's window.
+func addSRest(c *Cell) sim.Time {
 	margin := sim.Time(c.Param("margin", 20_000))
-	// Stop once every correct process's output has rested well past the
-	// checker's stable-suffix margin: running further cannot change the
-	// verdict, only burn virtual time. The rest slack scales with the
-	// margin so large-margin cells don't stop inside the checker's
-	// window.
-	slack := sim.Time(c.Param("stop_slack", int64(margin/5)))
-	rep := sys.Run(trace.StableFor(sys.Pattern().Correct(), margin+slack))
-	recordRun(res, rep)
-	if err := trace.CheckSuspector(sys.Pattern(), c.Size.N, perpetual, margin); err != nil {
-		res.fail(err.Error())
-	}
+	return margin + sim.Time(c.Param("stop_slack", int64(margin/5)))
 }
 
 // runPhiO1: Observation O1 — with f ≤ t−y crashes, a φ_y answers every
