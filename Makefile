@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPickDistinct$$' -fuzztime 10s ./internal/fd
 	$(GO) test -run '^$$' -fuzz '^FuzzScheduleGen$$' -fuzztime 10s ./internal/adversary
 	$(GO) test -run '^$$' -fuzz '^FuzzOracleGen$$' -fuzztime 10s ./internal/adversary
+	$(GO) test -run '^$$' -fuzz '^FuzzMatrixJSON$$' -fuzztime 10s ./cmd/sweepd
 
 # A short end-to-end sweep: every experiment matrix runs (the full
 # matrix takes a couple of seconds), the rendered report and canonical

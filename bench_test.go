@@ -484,8 +484,9 @@ func BenchmarkRepeatedInstances(b *testing.B) {
 // from a full-scope ◇S — the design-choice ablation of EXPERIMENTS.md's
 // EXP-ABL:
 //
-//   - the quiescent single wheel of the companion report [17]
-//     (internal/reduction.SingleWheelOmega), message traffic stops;
+//   - the quiescent single wheel of the companion report [17], the
+//     lower wheel at x = n whose representatives are the Ω output;
+//     message traffic stops;
 //   - the two-wheels addition with y = 0 and x = t+1, which also works
 //     from the weaker ◇S_{t+1} but keeps inquiring forever.
 func BenchmarkAblationOmegaRoutes(b *testing.B) {
@@ -504,8 +505,8 @@ func BenchmarkAblationOmegaRoutes(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sys := sim.MustNew(mkCfg(i))
 			susp := fd.NewEvtS(sys, n)
-			emu := reduction.SpawnSingleWheel(sys, susp)
-			trace := fd.WatchLeader(sys, emu)
+			reprs := reduction.SpawnLowerWheel(sys, susp, n)
+			trace := fd.WatchLeader(sys, reprs)
 			rep := sys.Run(trace.StableFor(sys.Pattern().Correct(), 15_000))
 			if err := trace.CheckOmega(sys.Pattern(), 1, 10_000); err != nil {
 				b.Fatal(err)

@@ -27,12 +27,10 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -262,9 +260,7 @@ func runDispatcher(f dispatcherFlags) error {
 	return nil
 }
 
-// loadMatrices reads and sanity-checks the suite spec. It decodes
-// strictly: a misspelled field (say "gts" for "gst") or trailing data
-// is an error, not a matrix silently run with that edit dropped.
+// loadMatrices reads and sanity-checks the suite spec.
 func loadMatrices(path string) ([]sweep.Matrix, error) {
 	if path == "" {
 		return nil, fmt.Errorf("sweepd: -matrices is required (export one with `experiments -matrices suite-spec.json`)")
@@ -273,17 +269,24 @@ func loadMatrices(path string) ([]sweep.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(blob))
-	dec.DisallowUnknownFields()
-	var matrices []sweep.Matrix
-	if err := dec.Decode(&matrices); err != nil {
-		return nil, fmt.Errorf("sweepd: %s: %w (want a JSON array of sweep matrices)", path, err)
+	matrices, err := decodeMatrices(blob)
+	if err != nil {
+		return nil, fmt.Errorf("sweepd: %s: %w", path, err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("sweepd: %s: trailing data after the matrix array", path)
+	return matrices, nil
+}
+
+// decodeMatrices decodes a suite spec: a non-empty JSON array of sweep
+// matrices. It decodes strictly (dispatch.DecodeStrict): a misspelled
+// field (say "gts" for "gst") or trailing data is an error, not a
+// matrix silently run with that edit dropped.
+func decodeMatrices(blob []byte) ([]sweep.Matrix, error) {
+	var matrices []sweep.Matrix
+	if err := dispatch.DecodeStrict(blob, &matrices); err != nil {
+		return nil, fmt.Errorf("%w (want one JSON array of sweep matrices)", err)
 	}
 	if len(matrices) == 0 {
-		return nil, fmt.Errorf("sweepd: %s holds no matrices", path)
+		return nil, errors.New("holds no matrices")
 	}
 	return matrices, nil
 }

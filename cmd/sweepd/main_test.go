@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,77 +56,173 @@ func TestLoadMatrices(t *testing.T) {
 	}
 }
 
+// exportSuite builds cmd/experiments into dir and returns the path of
+// its -matrices export of the suite at the given seed count.
+func exportSuite(tb testing.TB, dir, seeds string) string {
+	tb.Helper()
+	exe := filepath.Join(dir, "experiments")
+	if _, err := os.Stat(exe); err != nil {
+		if out, err := exec.Command("go", "build", "-o", exe, "../experiments").CombinedOutput(); err != nil {
+			tb.Fatalf("building cmd/experiments: %v\n%s", err, out)
+		}
+	}
+	p := filepath.Join(dir, "suite-"+seeds+".json")
+	if out, err := exec.Command(exe, "-seeds", seeds, "-matrices", p).CombinedOutput(); err != nil {
+		tb.Fatalf("experiments -seeds %s -matrices: %v\n%s", seeds, err, out)
+	}
+	return p
+}
+
+// goldenSpec returns the matrices of the committed suite golden as a
+// suite spec: the suite's -matrices export at its own 3 seeds, as
+// TestLoadMatricesStrict checks, read without building cmd/experiments.
+func goldenSpec(tb testing.TB) []byte {
+	tb.Helper()
+	blob, err := os.ReadFile("../experiments/testdata/suite.golden.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var reports []struct {
+		Matrix json.RawMessage `json:"matrix"`
+	}
+	if err := json.Unmarshal(blob, &reports); err != nil {
+		tb.Fatal(err)
+	}
+	matrices := make([]json.RawMessage, len(reports))
+	for i, r := range reports {
+		matrices[i] = r.Matrix
+	}
+	spec, err := json.Marshal(matrices)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return spec
+}
+
+// matrixEdits returns one-matrix specs cut from a suite export: its
+// second matrix (F2-additivity, which sets gst, bandwidth and params)
+// as exported, and with each of the edits a hand-written spec may
+// carry: "gst" misspelled "gts", a stray "bandwith", and an unknown
+// param key "stab_0".
+func matrixEdits(tb testing.TB, export []byte) map[string][]byte {
+	tb.Helper()
+	var exported []json.RawMessage
+	if err := json.Unmarshal(export, &exported); err != nil {
+		tb.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(exported[1], &fields); err != nil {
+		tb.Fatal(err)
+	}
+	if _, ok := fields["gst"]; !ok {
+		tb.Fatalf("exported matrix has no gst field: %s", exported[1])
+	}
+	edits := map[string]func(map[string]json.RawMessage){
+		"same":     func(map[string]json.RawMessage) {},
+		"gts":      func(m map[string]json.RawMessage) { m["gts"] = m["gst"]; delete(m, "gst") },
+		"bandwith": func(m map[string]json.RawMessage) { m["bandwith"] = json.RawMessage("10") },
+		"stab_0": func(m map[string]json.RawMessage) {
+			m["params"] = json.RawMessage(strings.Replace(string(m["params"]), "{", `{"stab_0":9,`, 1))
+		},
+	}
+	specs := map[string][]byte{}
+	for name, edit := range edits {
+		m := maps.Clone(fields)
+		edit(m)
+		blob, err := json.Marshal([]map[string]json.RawMessage{m})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		specs[name] = blob
+	}
+	return specs
+}
+
 // TestLoadMatricesStrict: the suite's own -matrices export loads at the
 // suite's seed count (3) and the paper benchmark's (12), and one
 // exported matrix with a misspelled field ("gts" for "gst") or a stray
 // one ("bandwith") is refused instead of running as the unedited matrix.
+// An unknown param key ("stab_0") is still accepted: params are a free
+// map, and no runner declares the keys it reads. The export at 3 seeds
+// holds the suite golden's matrices, which FuzzMatrixJSON seeds from.
 func TestLoadMatricesStrict(t *testing.T) {
 	dir := t.TempDir()
-	exe := filepath.Join(dir, "experiments")
-	if out, err := exec.Command("go", "build", "-o", exe, "../experiments").CombinedOutput(); err != nil {
-		t.Fatalf("building cmd/experiments: %v\n%s", err, out)
-	}
 	for _, seeds := range []string{"3", "12"} {
-		p := filepath.Join(dir, "suite-"+seeds+".json")
-		if out, err := exec.Command(exe, "-seeds", seeds, "-matrices", p).CombinedOutput(); err != nil {
-			t.Fatalf("experiments -seeds %s -matrices: %v\n%s", seeds, err, out)
-		}
-		ms, err := loadMatrices(p)
+		ms, err := loadMatrices(exportSuite(t, dir, seeds))
 		if err != nil {
 			t.Fatalf("suite export at %s seeds: %v", seeds, err)
 		}
 		if len(ms) != 28 {
 			t.Errorf("suite export at %s seeds: %d matrices, want 28", seeds, len(ms))
 		}
+		if seeds != "3" {
+			continue
+		}
+		golden, err := decodeMatrices(goldenSpec(t))
+		if err != nil {
+			t.Fatalf("suite golden's matrices: %v", err)
+		}
+		if !reflect.DeepEqual(ms, golden) {
+			t.Error("the suite export at 3 seeds differs from the suite golden's matrices")
+		}
 	}
 
-	// F2-additivity: the export's second matrix, with gst and bandwidth set.
-	blob, err := os.ReadFile(filepath.Join(dir, "suite-3.json"))
+	export, err := os.ReadFile(filepath.Join(dir, "suite-3.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	specs := matrixEdits(t, export)
+	for _, name := range []string{"same", "stab_0"} {
+		if _, err := decodeMatrices(specs[name]); err != nil {
+			t.Errorf("matrix edit %q refused: %v", name, err)
+		}
+	}
+	for _, field := range []string{"gts", "bandwith"} {
+		_, err := decodeMatrices(specs[field])
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+field+`"`) {
+			t.Errorf("matrix with field %q: error %v, want an unknown-field error", field, err)
+		}
+	}
+}
+
+// FuzzMatrixJSON: decoding a suite spec never panics, and a spec it
+// accepts encodes to bytes that decode and re-encode to the same bytes
+// (equal as encoded, since an empty list or map under omitempty comes
+// back nil). Seeds are the suite's -matrices export (read from the
+// suite golden, see goldenSpec), each of its matrices alone, and the
+// hand edits of matrixEdits, "gts" and "bandwith" among them, which
+// TestLoadMatricesStrict requires refused.
+func FuzzMatrixJSON(f *testing.F) {
+	export := goldenSpec(f)
+	f.Add(export)
 	var exported []json.RawMessage
-	if err := json.Unmarshal(blob, &exported); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(export, &exported); err != nil {
+		f.Fatal(err)
 	}
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(exported[1], &fields); err != nil {
-		t.Fatal(err)
+	for _, m := range exported {
+		f.Add([]byte("[" + string(m) + "]"))
 	}
-	if _, ok := fields["gst"]; !ok {
-		t.Fatalf("exported matrix has no gst field: %s", exported[1])
+	specs := matrixEdits(f, export)
+	for _, name := range slices.Sorted(maps.Keys(specs)) {
+		f.Add(specs[name])
 	}
-	edit := func(name string, change func(map[string]json.RawMessage)) string {
-		m := map[string]json.RawMessage{}
-		for k, v := range fields {
-			m[k] = v
-		}
-		change(m)
-		blob, err := json.Marshal([]map[string]json.RawMessage{m})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ms, err := decodeMatrices(data)
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, blob, 0o644); err != nil {
-			t.Fatal(err)
+		enc, err := json.Marshal(ms)
+		if err != nil {
+			t.Fatalf("decoded %+v, which does not encode: %v", ms, err)
 		}
-		return p
-	}
-	if _, err := loadMatrices(edit("same.json", func(map[string]json.RawMessage) {})); err != nil {
-		t.Fatalf("unedited matrix refused: %v", err)
-	}
-	for _, c := range []struct {
-		name, field string
-		change      func(map[string]json.RawMessage)
-	}{
-		{"gts.json", "gts", func(m map[string]json.RawMessage) { m["gts"] = m["gst"]; delete(m, "gst") }},
-		{"bandwith.json", "bandwith", func(m map[string]json.RawMessage) { m["bandwith"] = json.RawMessage("10") }},
-	} {
-		_, err := loadMatrices(edit(c.name, c.change))
-		if err == nil || !strings.Contains(err.Error(), `unknown field "`+c.field+`"`) {
-			t.Errorf("matrix with field %q: error %v, want an unknown-field error", c.field, err)
+		back, err := decodeMatrices(enc)
+		if err != nil {
+			t.Fatalf("encoded spec %s does not decode: %v", enc, err)
 		}
-	}
+		if again, err := json.Marshal(back); err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("spec %s decodes to matrices that encode to %s (%v)", enc, again, err)
+		}
+	})
 }
 
 // TestMatrixSpecRoundTrip pins the contract between `experiments

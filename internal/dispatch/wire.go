@@ -31,6 +31,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -169,8 +170,24 @@ func ReadFrame(r io.Reader) (*Msg, error) {
 		return nil, &ErrCorruptFrame{Want: want, Got: got}
 	}
 	var m Msg
-	if err := json.Unmarshal(payload, &m); err != nil {
+	if err := DecodeStrict(payload, &m); err != nil {
 		return nil, fmt.Errorf("dispatch: bad frame payload: %w", err)
 	}
 	return &m, nil
+}
+
+// DecodeStrict decodes data, which must hold exactly one JSON value,
+// into v. A field v does not declare is an error at every level, and so
+// is anything but white space after the value: a misspelled or stray
+// key is refused instead of being silently dropped.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }

@@ -91,6 +91,35 @@ func TestFrameTruncationAndOversize(t *testing.T) {
 	}
 }
 
+// TestReadFrameStrict: a payload with a valid checksum is still refused
+// when it carries a key Msg does not declare, at the top or inside a
+// cell, or anything after its JSON value; the same frame without the
+// edit reads.
+func TestReadFrameStrict(t *testing.T) {
+	for _, c := range []struct {
+		name, payload, want string
+	}{
+		{"valid", `{"kind":"cell","unit_id":"m#0/1","cell":{"index":2,"verdict":"pass"}} `, ""},
+		{"unknown-key", `{"kind":"cell","unit_id":"m#0/1","unitid":"m#0/1"}`, `unknown field "unitid"`},
+		{"unknown-cell-key", `{"kind":"cell","cell":{"index":2,"verdict":"pass","stpes":9}}`, `unknown field "stpes"`},
+		{"trailing-value", `{"kind":"done","unit_id":"m#0/1"}{"kind":"done"}`, "trailing data"},
+	} {
+		var buf bytes.Buffer
+		if err := writeRawFrame(&buf, []byte(c.payload), crc32.ChecksumIEEE([]byte(c.payload))); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadFrame(&buf)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want == "" && (m.Cell == nil || m.Cell.Index != 2):
+			t.Errorf("%s: read %+v", c.name, m)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err=%v, want one mentioning %q", c.name, err, c.want)
+		}
+	}
+}
+
 // TestReadFrameTruncatedAllocBounded: a header declaring a MaxFrame
 // payload that never arrives costs what arrived, not the declared 64 MiB,
 // and keeps its truncation error.

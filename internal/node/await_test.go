@@ -16,9 +16,9 @@ var (
 
 // logLayer appends every Handle and Poll call to a shared log and
 // broadcasts a heartbeat from Poll every period ticks, consuming
-// heartbeats on the way up. It declares no wake hint, so it pins its
-// node to every tick; hintedLogLayer adds a logged NextWake hinting the
-// next heartbeat.
+// heartbeats on the way up. Its NextWake is the next tick, so it pins
+// its node to every tick; hintedLogLayer's logged NextWake hints the
+// next heartbeat instead.
 type logLayer struct {
 	env    *sim.Env
 	log    *[]string
@@ -42,6 +42,8 @@ func (l *logLayer) Poll() {
 		l.env.Broadcast(tagBeat, int(now))
 	}
 }
+
+func (l *logLayer) NextWake(now sim.Time) sim.Time { return now + 1 }
 
 type hintedLogLayer struct{ logLayer }
 
@@ -143,8 +145,8 @@ var tillOffsets = [...]sim.Time{-3, 0, 1, 7, 20}
 
 // nodeProtocol runs rounds of "broadcast a ping, WaitOn n−t pings,
 // WaitUntil a few ticks pass, then WaitTill a deadline" over a logging
-// layer stack, then RunForever. Process 3's stack has a dense
-// (unhinted) layer, so both the hinted and the every-tick wake paths
+// layer stack, then RunForever. Process 3's stack has a layer that
+// wakes on every tick, so both the hinted and the every-tick wake paths
 // run. The log records every layer call, every message the top level
 // sees and the time each WaitTill returns.
 func nodeProtocol(cfg sim.Config, w waits) (sim.Report, []string) {

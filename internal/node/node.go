@@ -7,7 +7,10 @@
 // while the top-level protocol drives the event loop in blocking style
 // (WaitOn / WaitUntil / WaitTill / RunForever). Every step also gives
 // each layer a Poll call, which is where the layers' autonomous tasks
-// ("repeat forever" in the paper's pseudo-code) make progress.
+// ("repeat forever" in the paper's pseudo-code) make progress. Every
+// layer declares its wake, the next tick its Poll needs without a
+// message (Layer.NextWake), and between messages the node sleeps until
+// the earliest one.
 //
 // The waits are the node's only blocking API, and each is one
 // sim.Env.Await: while a node waits, its steps run on whichever stack
@@ -39,16 +42,12 @@ type Layer interface {
 	// Poll runs the layer's autonomous tasks. It is called at least once
 	// per event-loop step (message or tick).
 	Poll()
-}
-
-// WakeHinter is an optional Layer extension declaring when the layer's
-// Poll next needs to run without a message having arrived: NextWake
-// returns the earliest future tick at which the layer's autonomous tasks
-// may have something to do (sim.Never for purely message-driven layers).
-// The node sleeps until the earliest layer hint — a layer that does not
-// implement WakeHinter keeps the node waking every tick, which is always
-// correct but prevents the scheduler from skipping idle virtual time.
-type WakeHinter interface {
+	// NextWake declares when Poll next needs to run without a message
+	// having arrived: the earliest future tick at which the layer's
+	// autonomous tasks may have something to do. A purely
+	// message-driven layer returns sim.Never; a layer that must run on
+	// every tick returns now+1, which keeps the scheduler from skipping
+	// idle virtual time. The node sleeps until the earliest layer wake.
 	NextWake(now sim.Time) sim.Time
 }
 
@@ -56,12 +55,6 @@ type WakeHinter interface {
 type Node struct {
 	env    *sim.Env
 	layers []Layer // bottom (closest to the network) first
-
-	// hinters caches the layers' WakeHinter views; dense is set when any
-	// layer lacks one, pinning the node to every-tick wakes. Cached at
-	// assembly so the per-step path does no interface assertions.
-	hinters []WakeHinter
-	dense   bool
 
 	// The wait in progress (see await): the callbacks handed to
 	// sim.Env.Await, built once here so a wait allocates nothing, and the
@@ -94,22 +87,12 @@ func (nd *Node) Env() *sim.Env { return nd.env }
 // Push appends a layer on top of the stack.
 func (nd *Node) Push(l Layer) {
 	nd.layers = append(nd.layers, l)
-	if h, ok := l.(WakeHinter); ok {
-		nd.hinters = append(nd.hinters, h)
-	} else {
-		nd.dense = true
-	}
 }
 
-// hinted lowers wake to the earliest layer hint, or to 0 (every tick;
-// Await clamps a past wake to the next tick) when some layer declares
-// no hint.
+// hinted lowers wake to the earliest layer wake.
 func (nd *Node) hinted(now, wake sim.Time) sim.Time {
-	if nd.dense {
-		return 0
-	}
-	for _, h := range nd.hinters {
-		if w := h.NextWake(now); w < wake {
+	for _, l := range nd.layers {
+		if w := l.NextWake(now); w < wake {
 			wake = w
 		}
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // countingLayer records Handle/Poll calls and optionally consumes or
-// rewrites messages.
+// rewrites messages. It wakes on every tick.
 type countingLayer struct {
 	mu      sync.Mutex
 	handled int
@@ -35,6 +35,8 @@ func (l *countingLayer) Poll() {
 	l.polled++
 	l.mu.Unlock()
 }
+
+func (l *countingLayer) NextWake(now sim.Time) sim.Time { return now + 1 }
 
 func (l *countingLayer) counts() (int, int) {
 	l.mu.Lock()

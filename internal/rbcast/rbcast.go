@@ -81,7 +81,7 @@ func WireTag(tag sim.Tag) sim.Tag { return sim.Intern(framePrefix + tag.String()
 // Poll implements node.Layer; the relay logic is purely message-driven.
 func (l *Layer) Poll() {}
 
-// NextWake implements node.WakeHinter: the relay never needs a pure time
+// NextWake implements node.Layer: the relay never needs a pure time
 // wake.
 func (l *Layer) NextWake(sim.Time) sim.Time { return sim.Never }
 

@@ -41,8 +41,8 @@ func TestWheelBuffersDropDrainedMoves(t *testing.T) {
 	rb := rbcast.New(env)
 	susp := fd.NewScriptedSuspector(sys, []fd.SuspectStep{{At: 0}})
 
-	xPositions := func(count int) []ids.XPos {
-		ring := ids.NewXRing(4, 2)
+	xPositions := func(x, count int) []ids.XPos {
+		ring := ids.NewXRing(4, x)
 		pos := make([]ids.XPos, count)
 		for i := range pos {
 			pos[i] = ring.Current()
@@ -61,11 +61,10 @@ func TestWheelBuffersDropDrainedMoves(t *testing.T) {
 	}
 	xMove := func(p ids.XPos) *sim.Message { return &sim.Message{Tag: tagXMove, Payload: xMoveMsg{Pos: p}} }
 	lMove := func(p ids.LYPos) *sim.Message { return &sim.Message{Tag: tagLMove, Payload: lMoveMsg{Pos: p}} }
-	cMove := func(c ids.ProcID) *sim.Message { return &sim.Message{Tag: tagCMove, Payload: cMoveMsg{Candidate: c}} }
 
 	t.Run("lower", func(t *testing.T) {
 		w := NewLowerWheel(env, rb, susp, 2)
-		pos := xPositions(4)
+		pos := xPositions(2, 4)
 		for _, p := range []ids.XPos{pos[0], pos[1], pos[2], pos[2]} {
 			w.Handle(xMove(p))
 		}
@@ -79,7 +78,7 @@ func TestWheelBuffersDropDrainedMoves(t *testing.T) {
 	t.Run("lower-wrap", func(t *testing.T) {
 		w := NewLowerWheel(env, rb, susp, 2)
 		size := int(ids.NewXRing(4, 2).Len())
-		pos := xPositions(size)
+		pos := xPositions(2, size)
 		w.Handle(xMove(pos[0]))
 		for _, p := range pos {
 			w.Handle(xMove(p))
@@ -120,26 +119,30 @@ func TestWheelBuffersDropDrainedMoves(t *testing.T) {
 		checkBuffer(t, &w.buffered, 0, nil)
 	})
 
+	// The single wheel is the lower wheel at x = n: its ring is the
+	// candidates 1..n, each with X = Π.
 	t.Run("single", func(t *testing.T) {
-		w := NewSingleWheelOmega(env, rb, susp)
-		for _, c := range []ids.ProcID{1, 2, 4} {
-			w.Handle(cMove(c))
+		w := NewLowerWheel(env, rb, susp, 4)
+		pos := xPositions(4, 4)
+		for _, p := range []ids.XPos{pos[0], pos[1], pos[3]} {
+			w.Handle(xMove(p))
 		}
 		w.Poll()
-		if w.Moves() != 2 || w.candidate != 3 {
-			t.Fatalf("consumed %d moves, at candidate %v; want 2, at 3", w.Moves(), w.candidate)
+		if w.Moves() != 2 || w.Pos() != pos[2] || w.Repr() != 3 {
+			t.Fatalf("consumed %d moves, at %v with repr %v; want 2, at %v with repr 3", w.Moves(), w.Pos(), w.Repr(), pos[2])
 		}
-		checkBuffer(t, &w.buffered, 0, map[ids.ProcID]int{4: 1})
+		checkBuffer(t, &w.buffered, 0, map[ids.XPos]int{pos[3]: 1})
 	})
 
 	t.Run("single-wrap", func(t *testing.T) {
-		w := NewSingleWheelOmega(env, rb, susp)
-		for _, c := range []ids.ProcID{1, 1, 2, 3, 4} {
-			w.Handle(cMove(c))
+		w := NewLowerWheel(env, rb, susp, 4)
+		pos := xPositions(4, 4)
+		for _, p := range []ids.XPos{pos[0], pos[0], pos[1], pos[2], pos[3]} {
+			w.Handle(xMove(p))
 		}
 		w.Poll()
-		if w.Moves() != 5 || w.candidate != 2 {
-			t.Fatalf("consumed %d moves, at candidate %v; want 5, at 2", w.Moves(), w.candidate)
+		if w.Moves() != 5 || w.Pos() != pos[1] || w.Repr() != 2 {
+			t.Fatalf("consumed %d moves, at %v with repr %v; want 5, at %v with repr 2", w.Moves(), w.Pos(), w.Repr(), pos[1])
 		}
 		checkBuffer(t, &w.buffered, 0, nil)
 	})

@@ -60,10 +60,24 @@ func (e *OmegaEmulation) Trusted(p ids.ProcID) ids.Set {
 }
 
 // ReprView aggregates per-process lower wheels, exposing the emulated
-// representatives of Theorem 6 (diagnostics and tests).
+// representatives of Theorem 6. At x = n every process is in X, so each
+// representative is the position's leader, and the view read as an
+// fd.Leader, {Repr(p)}, is the Ω (= Ω_1) output of the companion
+// quiescent ◇S → Ω transformation the paper cites [17] ("From ◇W to Ω:
+// a simple bounded quiescent reliable-broadcast-based transformation"):
+// the ring reduces to the candidates 1, 2, …, n, and all processes
+// advance together past suspected candidates until they rest on the
+// eventually-never-suspected correct process. It needs the full
+// accuracy scope ◇S = ◇S_n; compare the two-wheels construction, which
+// buys Ω_1 from ◇S_{t+1} with a second, non-quiescent wheel.
 type ReprView struct {
 	wheels procTable[*LowerWheel]
 }
+
+var (
+	_ fd.Leader       = (*ReprView)(nil)
+	_ fd.ChangeHinted = (*ReprView)(nil)
+)
 
 // NewReprView returns an empty aggregator.
 func NewReprView() *ReprView {
@@ -84,6 +98,17 @@ func (v *ReprView) Repr(p ids.ProcID) ids.ProcID {
 	}
 	return w.Repr()
 }
+
+// Trusted implements fd.Leader: process p's representative as a
+// singleton, the Ω output of the wheel at x = n.
+func (v *ReprView) Trusted(p ids.ProcID) ids.Set {
+	return ids.NewSet(v.Repr(p))
+}
+
+// NextChange implements fd.ChangeHinted: a representative changes only
+// when its host process takes a step, never from time passing alone, so
+// it schedules no tick.
+func (v *ReprView) NextChange(sim.Time) sim.Time { return sim.Never }
 
 // Pos returns process p's current lower-ring position and whether p has
 // registered.
@@ -146,7 +171,8 @@ func SpawnTwoWheels(sys *sim.System, susp fd.Suspector, q fd.Querier, x, y int) 
 }
 
 // SpawnLowerWheel registers lower-wheel-only mains on every process
-// (for the Fig. 5 experiments), returning the representatives view.
+// (for the Fig. 5 experiments, and at x = n for the companion ◇S → Ω
+// transformation), returning the representatives view.
 func SpawnLowerWheel(sys *sim.System, susp fd.Suspector, x int) *ReprView {
 	reprs := NewReprView()
 	sys.SpawnAll(func(env *sim.Env) {

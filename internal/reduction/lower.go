@@ -108,7 +108,7 @@ func (w *LowerWheel) Moves() int {
 	return w.moves
 }
 
-// NextWake implements node.WakeHinter: with no message in play, the
+// NextWake implements node.Layer: with no message in play, the
 // wheel only needs to act when the suspector's output can change (the
 // suspicious-poll in task T1); buffered moves are consumed on the message
 // wake that delivered them. Inside the change window the hint was last

@@ -68,16 +68,9 @@ func (w *UpperWheel) yResponded() bool {
 	return false
 }
 
-type fullSingle struct{ *SingleWheelOmega }
-
-func (f fullSingle) Poll() {
-	f.quiet = 0
-	f.SingleWheelOmega.Poll()
-}
-
-// wheelRun is what a two-wheels or single-wheel run exposes: the
-// emulated output's sampled changes, the representatives, the moves each
-// wheel consumed and the run's report.
+// wheelRun is what a wheel run exposes: the emulated output's sampled
+// changes, the representatives, the moves each wheel consumed and the
+// run's report.
 type wheelRun struct {
 	trace      map[ids.ProcID][]fd.SetSample
 	reprs      map[ids.ProcID]ids.ProcID
@@ -94,35 +87,60 @@ func (r *wheelRun) record(sys *sim.System, tr *fd.SetTrace, rep sim.Report) {
 	}
 }
 
-// runQuietTwoWheels runs the two-wheels stack over fresh oracles from mk, its
-// wheels forced down their full path when full is set.
-func runQuietTwoWheels(cfg sim.Config, mk func(*sim.System) (fd.Suspector, fd.Querier), x, y int, full bool) wheelRun {
+// runQuietWheels runs the two-wheels stack over fresh oracles from mk,
+// its wheels forced down their full path when full is set. When mk
+// gives no querier, it runs the lower wheel alone instead, whose
+// representatives are the output: at x = n, the single-wheel ◇S → Ω
+// transformation, watched exactly as its runner watches it.
+func runQuietWheels(cfg sim.Config, mk func(*sim.System) (fd.Suspector, fd.Querier), x, y int, full bool) wheelRun {
 	sys := sim.MustNew(cfg)
 	susp, quer := mk(sys)
-	emu := NewOmegaEmulation(quer)
 	lowers := make([]*LowerWheel, cfg.N+1)
 	uppers := make([]*UpperWheel, cfg.N+1)
 	var run wheelRun
-	sys.SpawnAll(func(env *sim.Env) {
-		rb := rbcast.New(env)
-		lower, upper := InstallTwoWheels(env, rb, susp, quer, x, y, emu, nil)
-		lowers[env.ID()], uppers[env.ID()] = lower, upper
-		if full {
-			node.New(env, rb, fullLower{lower}, fullUpper{upper}).RunForever()
-		} else {
-			node.New(env, rb, lower, quietUpper{upper, &run.queryExits}).RunForever()
-		}
-	})
-	tr := fd.WatchLeaderSparse(sys, emu)
+	var tr *fd.SetTrace
+	if quer == nil {
+		reprs := NewReprView()
+		sys.SpawnAll(func(env *sim.Env) {
+			rb := rbcast.New(env)
+			lower := NewLowerWheel(env, rb, susp, x)
+			reprs.Register(env.ID(), lower)
+			lowers[env.ID()] = lower
+			var l node.Layer = lower
+			if full {
+				l = fullLower{lower}
+			}
+			node.New(env, rb, l).RunForever()
+		})
+		tr = fd.WatchLeader(sys, reprs)
+	} else {
+		emu := NewOmegaEmulation(quer)
+		sys.SpawnAll(func(env *sim.Env) {
+			rb := rbcast.New(env)
+			lower, upper := InstallTwoWheels(env, rb, susp, quer, x, y, emu, nil)
+			lowers[env.ID()], uppers[env.ID()] = lower, upper
+			if full {
+				node.New(env, rb, fullLower{lower}, fullUpper{upper}).RunForever()
+			} else {
+				node.New(env, rb, lower, quietUpper{upper, &run.queryExits}).RunForever()
+			}
+		})
+		tr = fd.WatchLeaderSparse(sys, emu)
+	}
 	rep := sys.Run(tr.StableFor(sys.Pattern().Correct(), 12_000))
 	run.record(sys, tr, rep)
 	run.reprs = map[ids.ProcID]ids.ProcID{}
 	run.moves = map[ids.ProcID][2]int{}
 	for p := 1; p <= cfg.N; p++ {
-		if lowers[p] != nil {
-			run.reprs[ids.ProcID(p)] = lowers[p].Repr()
-			run.moves[ids.ProcID(p)] = [2]int{lowers[p].Moves(), uppers[p].LMoves()}
+		if lowers[p] == nil {
+			continue
 		}
+		moves := [2]int{lowers[p].Moves()}
+		if uppers[p] != nil {
+			moves[1] = uppers[p].LMoves()
+		}
+		run.reprs[ids.ProcID(p)] = lowers[p].Repr()
+		run.moves[ids.ProcID(p)] = moves
 	}
 	return run
 }
@@ -194,16 +212,9 @@ func sameRun(t *testing.T, name string, quiet, full wheelRun) {
 // query(Y_i) turns true in the middle of waits, ending them with no
 // response (the quiet run must show such exits).
 func TestQuietPollsExact(t *testing.T) {
-	type tcase struct {
-		name      string
-		cfg       sim.Config
-		mk        func(*sim.System) (fd.Suspector, fd.Querier)
-		x, y      int
-		wantQuery bool
-	}
-	var cases []tcase
+	var cases []quietCase
 	for seed := int64(0); seed < 4; seed++ {
-		cases = append(cases, tcase{
+		cases = append(cases, quietCase{
 			name: fmt.Sprintf("ground-truth/seed=%d", seed),
 			cfg: sim.Config{N: 5, T: 2, Seed: seed, MaxSteps: 80_000, GST: 600, Bandwidth: 5,
 				Crashes: map[ids.ProcID]sim.Time{4: 800}},
@@ -215,7 +226,7 @@ func TestQuietPollsExact(t *testing.T) {
 	}
 	for i, s := range f2Pairs(t) {
 		for seed := int64(0); seed < 2; seed++ {
-			cases = append(cases, tcase{
+			cases = append(cases, quietCase{
 				name: fmt.Sprintf("f2-pair-%d/%s/seed=%d", i, s.Name, seed),
 				cfg: sim.Config{N: 5, T: 2, Seed: seed, MaxSteps: 160_000, GST: 600, Bandwidth: 10,
 					Crashes: map[ids.ProcID]sim.Time{4: 800}},
@@ -229,7 +240,7 @@ func TestQuietPollsExact(t *testing.T) {
 	// members of Y_i crash at 1000, and the perpetual φ_1 vouches for
 	// it 300 ticks later: the waits begun in between hear from nobody in
 	// Y_i and end when query(Y_i) turns true.
-	cases = append(cases, tcase{
+	cases = append(cases, quietCase{
 		name: "query-turns-true",
 		cfg: sim.Config{N: 5, T: 2, Seed: 3, MaxSteps: 40_000, GST: 0, Bandwidth: 5,
 			Crashes: map[ids.ProcID]sim.Time{1: 1_000, 2: 1_000}},
@@ -238,48 +249,48 @@ func TestQuietPollsExact(t *testing.T) {
 		},
 		x: 1, y: 1, wantQuery: true,
 	})
+	checkQuietRuns(t, cases)
+}
+
+// TestQuietSingleWheelExact is TestQuietPollsExact for the lower wheel
+// alone at x = n, the single-wheel ◇S → Ω transformation, over several
+// seeds.
+func TestQuietSingleWheelExact(t *testing.T) {
+	var cases []quietCase
+	for seed := int64(0); seed < 4; seed++ {
+		cases = append(cases, quietCase{
+			name: fmt.Sprintf("seed=%d", seed),
+			cfg: sim.Config{N: 5, T: 2, Seed: seed, MaxSteps: 60_000, GST: 600, Bandwidth: 5,
+				Crashes: map[ids.ProcID]sim.Time{1: 700}},
+			mk: func(sys *sim.System) (fd.Suspector, fd.Querier) {
+				return fd.NewEvtS(sys, 5), nil
+			},
+			x: 5,
+		})
+	}
+	checkQuietRuns(t, cases)
+}
+
+// quietCase is one run compared with and without the wheels' quiet
+// ticks.
+type quietCase struct {
+	name      string
+	cfg       sim.Config
+	mk        func(*sim.System) (fd.Suspector, fd.Querier)
+	x, y      int
+	wantQuery bool
+}
+
+// checkQuietRuns runs each case once with quiet ticks and once with full
+// polls and fails unless the two runs agree.
+func checkQuietRuns(t *testing.T, cases []quietCase) {
+	t.Helper()
 	for _, c := range cases {
-		quiet := runQuietTwoWheels(c.cfg, c.mk, c.x, c.y, false)
-		full := runQuietTwoWheels(c.cfg, c.mk, c.x, c.y, true)
+		quiet := runQuietWheels(c.cfg, c.mk, c.x, c.y, false)
+		full := runQuietWheels(c.cfg, c.mk, c.x, c.y, true)
 		sameRun(t, c.name, quiet, full)
 		if c.wantQuery && quiet.queryExits == 0 {
 			t.Errorf("%s: no wait ended through query(Y_i) after a cached keep-waiting", c.name)
 		}
-	}
-}
-
-// TestQuietSingleWheelExact is TestQuietPollsExact for the single wheel.
-func TestQuietSingleWheelExact(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		cfg := sim.Config{N: 5, T: 2, Seed: seed, MaxSteps: 60_000, GST: 600, Bandwidth: 5,
-			Crashes: map[ids.ProcID]sim.Time{1: 700}}
-		run := func(full bool) wheelRun {
-			sys := sim.MustNew(cfg)
-			susp := fd.NewEvtS(sys, 5)
-			emu := NewSingleWheelEmulation()
-			wheels := make([]*SingleWheelOmega, cfg.N+1)
-			sys.SpawnAll(func(env *sim.Env) {
-				rb := rbcast.New(env)
-				w := NewSingleWheelOmega(env, rb, susp)
-				emu.Register(env.ID(), w)
-				wheels[env.ID()] = w
-				var l node.Layer = w
-				if full {
-					l = fullSingle{w}
-				}
-				node.New(env, rb, l).RunForever()
-			})
-			tr := fd.WatchLeaderSparse(sys, emu)
-			var r wheelRun
-			r.record(sys, tr, sys.Run(tr.StableFor(sys.Pattern().Correct(), 10_000)))
-			r.moves = map[ids.ProcID][2]int{}
-			for p := 1; p <= cfg.N; p++ {
-				if wheels[p] != nil {
-					r.moves[ids.ProcID(p)] = [2]int{wheels[p].Moves()}
-				}
-			}
-			return r
-		}
-		sameRun(t, fmt.Sprintf("seed=%d", seed), run(false), run(true))
 	}
 }

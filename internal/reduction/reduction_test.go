@@ -5,8 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"fdgrid/internal/agreement"
 	"fdgrid/internal/fd"
 	"fdgrid/internal/ids"
+	"fdgrid/internal/node"
 	"fdgrid/internal/rbcast"
 	"fdgrid/internal/sim"
 )
@@ -142,31 +144,127 @@ func TestLowerWheelStabilizes(t *testing.T) {
 
 // TestLowerWheelQuiescent: eventually no more x_move messages are sent
 // (Corollary 1). We assert no x_move traffic in the final fifth of a
-// long run.
+// long run, at x = 2 and at x = n, where the lower wheel is the
+// single-wheel ◇S → Ω transformation.
 func TestLowerWheelQuiescent(t *testing.T) {
-	cfg := sim.Config{
-		N: 5, T: 2, Seed: 7, MaxSteps: 100_000, GST: 500,
-		Crashes: map[ids.ProcID]sim.Time{4: 700}, Bandwidth: 5,
+	for _, tc := range []struct {
+		name string
+		cfg  sim.Config
+		x    int
+		mark sim.Time
+	}{
+		{"x2", sim.Config{N: 5, T: 2, Seed: 7, MaxSteps: 100_000, GST: 500,
+			Crashes: map[ids.ProcID]sim.Time{4: 700}, Bandwidth: 5}, 2, 80_000},
+		{"x-equals-n", sim.Config{N: 5, T: 2, Seed: 4, MaxSteps: 120_000, GST: 500,
+			Crashes: map[ids.ProcID]sim.Time{2: 600}, Bandwidth: 5}, 5, 100_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := sim.MustNew(tc.cfg)
+			susp := fd.NewEvtS(sys, tc.x)
+			_ = SpawnLowerWheel(sys, susp, tc.x)
+			wire := rbcast.WireTag(tagXMove)
+			var atMark int64 = -1
+			sys.OnTick(func(now sim.Time) {
+				if now == tc.mark {
+					atMark = sys.Metrics().Sent(wire)
+				}
+			})
+			rep := sys.Run(nil)
+			if atMark < 0 {
+				t.Fatal("sampling tick never hit")
+			}
+			if final := rep.Messages.Sent[wire.String()]; final != atMark {
+				t.Errorf("x_move traffic after tick %d: %d → %d (not quiescent)", tc.mark, atMark, final)
+			}
+			if rep.Messages.Sent[wire.String()] == 0 {
+				t.Error("no x_move was ever sent; anarchy did not exercise the wheel")
+			}
+		})
 	}
-	sys := sim.MustNew(cfg)
-	susp := fd.NewEvtS(sys, 2)
-	_ = SpawnLowerWheel(sys, susp, 2)
-	wire := rbcast.WireTag(tagXMove)
-	var at80 int64 = -1
-	sys.OnTick(func(now sim.Time) {
-		if now == 80_000 {
-			at80 = sys.Metrics().Sent(wire)
+}
+
+// The single wheel, the paper's companion ◇S → Ω transformation [17],
+// is the lower wheel at x = n: every process is in X, so each
+// representative is the position's leader and ReprView, read as an
+// fd.Leader, is the emulated Ω.
+
+// TestSingleWheelBuildsOmega: ◇S (full scope) → Ω via the lower wheel
+// at x = n, across seeds and crash patterns.
+func TestSingleWheelBuildsOmega(t *testing.T) {
+	cases := []struct {
+		name    string
+		crashes map[ids.ProcID]sim.Time
+	}{
+		{"no-crash", nil},
+		{"initial-crash", map[ids.ProcID]sim.Time{1: 0}},
+		{"late-crashes", map[ids.ProcID]sim.Time{1: 500, 3: 1_200}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(0); seed < 3; seed++ {
+				cfg := sim.Config{
+					N: 5, T: 2, Seed: seed, MaxSteps: 200_000, GST: 800,
+					Crashes: tc.crashes, Bandwidth: 5,
+				}
+				sys := sim.MustNew(cfg)
+				susp := fd.NewEvtS(sys, 5) // ◇S = ◇S_n required
+				reprs := SpawnLowerWheel(sys, susp, 5)
+				trace := fd.WatchLeader(sys, reprs)
+				sys.Run(trace.StableFor(sys.Pattern().Correct(), 15_000))
+				if err := trace.CheckOmega(sys.Pattern(), 1, 10_000); err != nil {
+					t.Errorf("seed %d: %v", seed, err)
+				}
+			}
+		})
+	}
+}
+
+// TestSingleWheelFeedsConsensus: the emulated Ω drives the Fig. 3
+// algorithm at k = 1 — the classic ◇S → Ω → consensus pipeline.
+func TestSingleWheelFeedsConsensus(t *testing.T) {
+	for seed := int64(0); seed < 3; seed++ {
+		cfg := sim.Config{
+			N: 5, T: 2, Seed: seed, MaxSteps: 1_000_000, GST: 600,
+			Crashes: map[ids.ProcID]sim.Time{5: 400}, Bandwidth: 5,
 		}
-	})
+		sys := sim.MustNew(cfg)
+		susp := fd.NewEvtS(sys, 5)
+		reprs := NewReprView()
+		out := agreement.NewOutcome()
+		sys.SpawnAll(func(env *sim.Env) {
+			rb := rbcast.New(env)
+			w := NewLowerWheel(env, rb, susp, 5)
+			reprs.Register(env.ID(), w)
+			nd := node.New(env, rb, w)
+			agreement.KSet(nd, rb, reprs, agreement.Value(10*int(env.ID())), out)
+			nd.RunForever()
+		})
+		rep := sys.Run(out.AllDecided(sys.Pattern().Correct()))
+		if !rep.StoppedEarly {
+			t.Fatalf("seed %d: timed out", seed)
+		}
+		if err := out.Check(sys.Pattern(), 1); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestSingleWheelSleepsBetweenChanges: with nothing to suspect, the
+// wheels at x = n never wake after their first poll. n = 4 under a
+// perfect, non-hostile ◇S for 50,000 ticks: the separate single-wheel
+// layer this construction replaces declared no wake and woke every
+// process on every tick, 200,000 wakes here.
+func TestSingleWheelSleepsBetweenChanges(t *testing.T) {
+	sys := sim.MustNew(sim.Config{N: 4, T: 1, Seed: 1, MaxSteps: 50_000, Bandwidth: 4})
+	susp := fd.NewEvtS(sys, 4, fd.WithStabilizeAt(0), fd.WithHostile(false))
+	reprs := SpawnLowerWheel(sys, susp, 4)
+	trace := fd.WatchLeader(sys, reprs)
 	rep := sys.Run(nil)
-	if at80 < 0 {
-		t.Fatal("sampling tick never hit")
+	if rep.Wakes != 0 {
+		t.Errorf("the wheels woke %d times, want 0", rep.Wakes)
 	}
-	if final := rep.Messages.Sent[wire.String()]; final != at80 {
-		t.Errorf("x_move traffic after tick 80k: %d → %d (not quiescent)", at80, final)
-	}
-	if rep.Messages.Sent[wire.String()] == 0 {
-		t.Error("no x_move was ever sent; anarchy did not exercise the wheel")
+	if err := trace.CheckOmega(sys.Pattern(), 1, 10_000); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -208,7 +208,7 @@ func (w *UpperWheel) view() {
 	}
 }
 
-// NextWake implements node.WakeHinter: between inquiry rounds the wheel
+// NextWake implements node.Layer: between inquiry rounds the wheel
 // sleeps until the pacing gap elapses; while waiting for responses it
 // only needs a pure time wake when the querier's answer to query(Y_i)
 // can change (responses themselves arrive as messages). Before the quiet

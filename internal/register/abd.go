@@ -222,6 +222,6 @@ func (a *ABD) apply(owner ids.ProcID, r Reg, ts int64, val any) {
 // Poll implements node.Layer.
 func (a *ABD) Poll() {}
 
-// NextWake implements node.WakeHinter: the substrate is purely
+// NextWake implements node.Layer: the substrate is purely
 // message-driven.
 func (a *ABD) NextWake(sim.Time) sim.Time { return sim.Never }

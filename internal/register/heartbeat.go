@@ -80,6 +80,6 @@ func (h *Heartbeat) Handle(m *sim.Message) bool {
 // Poll implements node.Layer.
 func (h *Heartbeat) Poll() {}
 
-// NextWake implements node.WakeHinter: the substrate is purely
+// NextWake implements node.Layer: the substrate is purely
 // message-driven.
 func (h *Heartbeat) NextWake(sim.Time) sim.Time { return sim.Never }

@@ -22,7 +22,8 @@ import (
 //	kset-seq       — repeated Fig. 3 instances (zero-degradation)
 //	consensus-ds   — the ◇S rotating-coordinator consensus ancestor
 //	two-wheels     — ◇S_x + ◇φ_y → Ω_z (Figs. 5–6), trace-checked
-//	single-wheel   — the companion quiescent ◇S → Ω transformation
+//	single-wheel   — the companion quiescent ◇S → Ω transformation: the
+//	                 lower wheel at x = n
 //	lower-wheel    — Fig. 5 alone: representatives + quiescence
 //	psi-omega      — Ψ_y → Ω_z (Fig. 8), message-free
 //	add-s          — S_x + φ_y → S_n (Fig. 9) over a register substrate
@@ -579,7 +580,10 @@ func twoWheelsSystem(c *Cell, res *CellResult) (*sim.System, *reduction.OmegaEmu
 }
 
 // runSingleWheel: the companion transformation [17] — quiescent, needs
-// full-scope ◇S (the EXP-ABL counterpart of two-wheels with y=0).
+// full-scope ◇S (the EXP-ABL counterpart of two-wheels with y=0). It is
+// the lower wheel at x = n, whose representatives are the Ω output; they
+// change only on a wheel's moves, so the exact trace samples them at the
+// scheduled ticks alone.
 func runSingleWheel(c *Cell, res *CellResult) {
 	sys, err := c.System()
 	if err != nil {
@@ -591,9 +595,9 @@ func runSingleWheel(c *Cell, res *CellResult) {
 	}
 	susp := o.susp
 	fd.TraceSuspector(sys, susp, "oracle")
-	emu := reduction.SpawnSingleWheel(sys, susp)
+	emu := reduction.SpawnLowerWheel(sys, susp, c.Size.N)
 	fd.TraceLeader(sys, emu, "emu")
-	trace := fd.WatchLeaderSparse(sys, emu)
+	trace := fd.WatchLeader(sys, emu)
 	var stop func() bool
 	if sf := sim.Time(c.Param("stable_for", 0)); sf > 0 {
 		stop = trace.StableFor(sys.Pattern().Correct(), sf)
