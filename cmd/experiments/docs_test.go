@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"fdgrid/internal/sweep"
 )
 
 // schemaDoc is the key reference the suite artifact is documented by.
@@ -87,6 +89,49 @@ func TestReportSchemaDocumented(t *testing.T) {
 		if !keys[k] {
 			t.Errorf("key %q must be documented in %s", k, schemaDoc)
 		}
+	}
+}
+
+// paramRowRe matches a row of REPORT_SCHEMA.md's params table:
+// `| `protocol` | `key` | default | meaning |`.
+var paramRowRe = regexp.MustCompile("(?m)^\\| `([a-z0-9-]+)` \\| `([a-z_0-9]+)` \\| ([^|]+) \\| ([^|]+) \\|$")
+
+// TestParamsDocumented cross-checks REPORT_SCHEMA.md's params table
+// against the params the protocol table declares: every declared key
+// has a row and every row names a declared key, with the same meaning,
+// and the same default where the default is a number (a default the
+// cell derives is documented in words).
+func TestParamsDocumented(t *testing.T) {
+	blob, err := os.ReadFile(schemaDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct{ def, meaning string }
+	documented := map[[2]string]row{}
+	for _, m := range paramRowRe.FindAllStringSubmatch(string(blob), -1) {
+		documented[[2]string{m[1], m[2]}] = row{m[3], m[4]}
+	}
+	declared := sweep.DeclaredParams()
+	if len(declared) == 0 {
+		t.Fatal("no protocol declares a param")
+	}
+	for _, d := range declared {
+		id := [2]string{d.Protocol, d.Key}
+		r, ok := documented[id]
+		switch {
+		case !ok:
+			t.Errorf("protocol %q declares param %q, which has no row in %s", d.Protocol, d.Key, schemaDoc)
+		case r.meaning != d.Doc:
+			t.Errorf("%s param %q: documented meaning %q, declared %q", d.Protocol, d.Key, r.meaning, d.Doc)
+		case d.Default != "" && r.def != d.Default:
+			t.Errorf("%s param %q: documented default %q, declared %s", d.Protocol, d.Key, r.def, d.Default)
+		case d.Default == "" && strings.Trim(r.def, "0123456789") == "":
+			t.Errorf("%s param %q: documented default %q is a number, but the cell derives it", d.Protocol, d.Key, r.def)
+		}
+		delete(documented, id)
+	}
+	for id := range documented {
+		t.Errorf("%s documents param %q of protocol %q, which no protocol declares", schemaDoc, id[1], id[0])
 	}
 }
 

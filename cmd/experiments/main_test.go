@@ -155,12 +155,13 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 }
 
 // TestMatricesExportRoundTrip pins the hand-off between this tool and
-// cmd/sweepd: the exact bytes -matrices writes, decoded the way sweepd
-// loads them, expand every suite matrix into the cells the original
-// matrix expands to. Seed counts are the suite's (3) and the paper
-// benchmark workload's (12).
+// cmd/sweepd: the exact bytes -matrices writes, decoded with unknown
+// fields disallowed as sweepd loads them, expand every suite matrix
+// into the cells the original matrix expands to. Seed counts are 1,
+// the suite's (3) and the paper benchmark workload's (12); at 1 seed
+// every decoded matrix also runs to the original's canonical report.
 func TestMatricesExportRoundTrip(t *testing.T) {
-	for _, seeds := range []int{goldenSeeds, 12} {
+	for _, seeds := range []int{1, goldenSeeds, 12} {
 		path := filepath.Join(t.TempDir(), "suite-spec.json")
 		if _, err := writeMatrices(path, seeds); err != nil {
 			t.Fatal(err)
@@ -170,7 +171,9 @@ func TestMatricesExportRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		var decoded []sweep.Matrix
-		if err := json.Unmarshal(blob, &decoded); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(blob))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&decoded); err != nil {
 			t.Fatal(err)
 		}
 		orig := suiteMatrices(seeds)
@@ -189,8 +192,25 @@ func TestMatricesExportRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("seeds=%d: matrix %s expands to different cells after the export round trip", seeds, m.Name)
 			}
+			if seeds == 1 && !bytes.Equal(canonicalRun(t, decoded[i]), canonicalRun(t, m)) {
+				t.Errorf("matrix %s runs to a different report after the export round trip", m.Name)
+			}
 		}
 	}
+}
+
+// canonicalRun runs m and returns its canonical report.
+func canonicalRun(t *testing.T, m sweep.Matrix) []byte {
+	t.Helper()
+	r, err := sweep.Run(m, sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := r.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 // TestSuiteMatrixNamesUnique: -replay and EXP-CF resolve a matrix by

@@ -68,7 +68,7 @@ func init() {
 					combo := cells[0].Combo
 					tab.Add(combo.Z, combo.Class().String(), len(cells),
 						cells[len(cells)-1].Decisions,
-						maxOf(cells, func(c sweep.CellResult) int { return len(c.Decided) }),
+						maxOf(cells, distinct),
 						maxOf(cells, func(c sweep.CellResult) int { return c.MaxRound }),
 						avg(cells, steps), allPass(cells))
 				}
@@ -389,7 +389,7 @@ func init() {
 			render: func(b *strings.Builder, rs []*sweep.Report, _ int) bool {
 				r := rs[0]
 				z := r.Matrix.Combos[0].Z
-				maxDistinct := sweep.MaxDistinct(r.Cells)
+				maxDistinct := maxOf(r.Cells, distinct)
 				_, err := core.SpawnKSetWith(sim.MustNew(sim.Config{N: 4, T: 2, Seed: 1, MaxSteps: 1_000}),
 					core.Class{Fam: core.FamOmega, Param: 1}, nil)
 				refused := err != nil
@@ -595,7 +595,7 @@ func init() {
 					"n", "t", "schedule", "runs", "max distinct", "avg rounds", "avg vticks", "avg msgs", "ok"}}
 				for _, cells := range groups(rKSet, byPattern) {
 					c := cells[0]
-					tab.Add(c.Size.N, c.Size.T, c.Pattern, len(cells), sweep.MaxDistinct(cells),
+					tab.Add(c.Size.N, c.Size.T, c.Pattern, len(cells), maxOf(cells, distinct),
 						avg(cells, rounds), avg(cells, steps), avg(cells, msgs), allPass(cells))
 				}
 				b.WriteString(tab.String())
@@ -674,7 +674,7 @@ func init() {
 					"n", "oracle", "class", "conformance", "runs", "max distinct", "avg rounds", "avg vticks", "ok"}}
 				for _, g := range groups(rFlap, byOracle) {
 					tab.Add(g[0].Size.N, g[0].Oracle, g[0].OracleClass, roleOf(g, conformance), len(g),
-						sweep.MaxDistinct(g), avg(g, rounds), avg(g, steps), allPass(g))
+						maxOf(g, distinct), avg(g, rounds), avg(g, steps), allPass(g))
 				}
 				b.WriteString(tab.String())
 				tab2 := &cliutil.Table{Headers: []string{
@@ -849,12 +849,14 @@ func measure(name string) func(sweep.CellResult) int64 {
 	return func(c sweep.CellResult) int64 { return c.Measures[name] }
 }
 
+// distinct is an agreement cell's count of distinct decided values:
+// the EXP-T5 aggregate (Ω_z runs must reach, but never exceed, z).
+func distinct(c sweep.CellResult) int { return len(c.Decided) }
+
 func maxOf(cells []sweep.CellResult, f func(sweep.CellResult) int) int {
 	m := 0
 	for _, c := range cells {
-		if v := f(c); v > m {
-			m = v
-		}
+		m = max(m, f(c))
 	}
 	return m
 }

@@ -277,9 +277,11 @@ func loadMatrices(path string) ([]sweep.Matrix, error) {
 }
 
 // decodeMatrices decodes a suite spec: a non-empty JSON array of sweep
-// matrices. It decodes strictly (dispatch.DecodeStrict): a misspelled
-// field (say "gts" for "gst") or trailing data is an error, not a
-// matrix silently run with that edit dropped.
+// matrices. It decodes strictly (dispatch.DecodeStrict) and checks each
+// matrix with sweep.Lookup: a misspelled field ("gts" for "gst"), a
+// param its protocol does not declare ("stab_0" for "stab0"), an
+// unknown protocol or trailing data is an error before any worker
+// starts, not a matrix silently run with that edit dropped.
 func decodeMatrices(blob []byte) ([]sweep.Matrix, error) {
 	var matrices []sweep.Matrix
 	if err := dispatch.DecodeStrict(blob, &matrices); err != nil {
@@ -287,6 +289,11 @@ func decodeMatrices(blob []byte) ([]sweep.Matrix, error) {
 	}
 	if len(matrices) == 0 {
 		return nil, errors.New("holds no matrices")
+	}
+	for i := range matrices {
+		if _, err := sweep.Lookup(&matrices[i]); err != nil {
+			return nil, err
+		}
 	}
 	return matrices, nil
 }

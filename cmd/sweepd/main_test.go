@@ -102,8 +102,8 @@ func goldenSpec(tb testing.TB) []byte {
 // matrixEdits returns one-matrix specs cut from a suite export: its
 // second matrix (F2-additivity, which sets gst, bandwidth and params)
 // as exported, and with each of the edits a hand-written spec may
-// carry: "gst" misspelled "gts", a stray "bandwith", and an unknown
-// param key "stab_0".
+// carry: "gst" misspelled "gts", a stray "bandwith", an unknown param
+// key "stab_0", and the protocol misspelled "two-wheel".
 func matrixEdits(tb testing.TB, export []byte) map[string][]byte {
 	tb.Helper()
 	var exported []json.RawMessage
@@ -124,6 +124,7 @@ func matrixEdits(tb testing.TB, export []byte) map[string][]byte {
 		"stab_0": func(m map[string]json.RawMessage) {
 			m["params"] = json.RawMessage(strings.Replace(string(m["params"]), "{", `{"stab_0":9,`, 1))
 		},
+		"two-wheel": func(m map[string]json.RawMessage) { m["protocol"] = json.RawMessage(`"two-wheel"`) },
 	}
 	specs := map[string][]byte{}
 	for name, edit := range edits {
@@ -140,11 +141,14 @@ func matrixEdits(tb testing.TB, export []byte) map[string][]byte {
 
 // TestLoadMatricesStrict: the suite's own -matrices export loads at the
 // suite's seed count (3) and the paper benchmark's (12), and one
-// exported matrix with a misspelled field ("gts" for "gst") or a stray
-// one ("bandwith") is refused instead of running as the unedited matrix.
-// An unknown param key ("stab_0") is still accepted: params are a free
-// map, and no runner declares the keys it reads. The export at 3 seeds
-// holds the suite golden's matrices, which FuzzMatrixJSON seeds from.
+// exported matrix with a misspelled field ("gts" for "gst"), a stray
+// one ("bandwith"), a param key its protocol does not declare ("stab_0"
+// for "stab0") or an unknown protocol ("two-wheel") is refused instead
+// of running as the unedited matrix or reaching the workers. Params
+// were a free map, which ran "stab_0" silently on the default; now each
+// protocol declares its keys and sweep.Lookup checks them. The export
+// at 3 seeds holds the suite golden's matrices, which FuzzMatrixJSON
+// seeds from.
 func TestLoadMatricesStrict(t *testing.T) {
 	dir := t.TempDir()
 	for _, seeds := range []string{"3", "12"} {
@@ -172,15 +176,18 @@ func TestLoadMatricesStrict(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := matrixEdits(t, export)
-	for _, name := range []string{"same", "stab_0"} {
-		if _, err := decodeMatrices(specs[name]); err != nil {
-			t.Errorf("matrix edit %q refused: %v", name, err)
-		}
+	if _, err := decodeMatrices(specs["same"]); err != nil {
+		t.Errorf("unedited matrix refused: %v", err)
 	}
-	for _, field := range []string{"gts", "bandwith"} {
-		_, err := decodeMatrices(specs[field])
-		if err == nil || !strings.Contains(err.Error(), `unknown field "`+field+`"`) {
-			t.Errorf("matrix with field %q: error %v, want an unknown-field error", field, err)
+	for edit, want := range map[string]string{
+		"gts":       `unknown field "gts"`,
+		"bandwith":  `unknown field "bandwith"`,
+		"stab_0":    `protocol "two-wheels" declares no param "stab_0" (its params: [stable_for margin`,
+		"two-wheel": `no protocol "two-wheel"`,
+	} {
+		_, err := decodeMatrices(specs[edit])
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("matrix edit %q: error %v, want one containing %q", edit, err, want)
 		}
 	}
 }
@@ -190,7 +197,7 @@ func TestLoadMatricesStrict(t *testing.T) {
 // (equal as encoded, since an empty list or map under omitempty comes
 // back nil). Seeds are the suite's -matrices export (read from the
 // suite golden, see goldenSpec), each of its matrices alone, and the
-// hand edits of matrixEdits, "gts" and "bandwith" among them, which
+// hand edits of matrixEdits, all of which but the unedited one
 // TestLoadMatricesStrict requires refused.
 func FuzzMatrixJSON(f *testing.F) {
 	export := goldenSpec(f)
@@ -303,6 +310,26 @@ func TestDispatcherRejectsFaultPastFleet(t *testing.T) {
 		err := runDispatcher(dispatcherFlags{matricesF: spec, workersN: c.workers, faults: c.faults, units: 1})
 		if err == nil || !strings.Contains(err.Error(), "no such worker") {
 			t.Errorf("-workers %d -fault %q: err=%v, want a no-such-worker error", c.workers, c.faults, err)
+		}
+	}
+}
+
+// TestDispatcherRefusesBadSpec: a spec naming an unknown protocol, or
+// a param its protocol does not declare, fails the run before the
+// fleet is spawned, not after every unit's retries.
+func TestDispatcherRefusesBadSpec(t *testing.T) {
+	for body, want := range map[string]string{
+		`"protocol":"consensus-dss"`:                      `no protocol "consensus-dss"`,
+		`"protocol":"consensus-ds","params":{"stab_0":9}`: `protocol "consensus-ds" declares no param "stab_0"`,
+	} {
+		p := filepath.Join(t.TempDir(), "bad.json")
+		spec := `[{"name":"bad",` + body + `,"seeds":[0],"sizes":[{"n":5,"t":2}],"max_steps":400000}]`
+		if err := os.WriteFile(p, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := runDispatcher(dispatcherFlags{matricesF: p, workersN: 2, units: 3})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("spec %s: err=%v, want one containing %q", spec, err, want)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,19 +16,9 @@ import (
 // Runner executes one cell and fills in its result. Implementations must
 // be pure: build the cell's own sim.System, run it, derive the verdict —
 // no shared mutable state, so cells parallelize freely. The built-in
-// runners are the protocol table in runners.go; Options.Runner runs a
-// matrix with any other.
+// runner is the driver of the protocol table in runners.go (see Lookup);
+// Options.Runner runs a matrix with any other.
 type Runner func(*Cell, *CellResult)
-
-// Protocols lists the built-in protocol names, sorted.
-func Protocols() []string {
-	out := make([]string, 0, len(runners))
-	for name := range runners {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Shard selects a deterministic slice of a matrix's cells: shard i of m
 // owns exactly the cells whose index ≡ i (mod m). The zero value means
@@ -116,11 +105,9 @@ func Run(m Matrix, opt Options) (*Report, error) {
 	}
 	runner := opt.Runner
 	if runner == nil {
-		r, ok := runners[m.Protocol]
-		if !ok {
-			return nil, fmt.Errorf("sweep: no runner for protocol %q (have %v)", m.Protocol, Protocols())
+		if runner, err = Lookup(&m); err != nil {
+			return nil, err
 		}
-		runner = r
 	}
 
 	//detlint:allow wallclock -- sweep report timing: WallNS is json:"-" and never reaches canonical bytes

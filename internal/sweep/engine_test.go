@@ -57,17 +57,30 @@ func TestDeterministicReport(t *testing.T) {
 	}
 }
 
-// TestDeterministicAgreement repeats the determinism check on an
-// agreement workload (decided values, rounds and message counts are all
-// part of the canonical bytes).
-func TestDeterministicAgreement(t *testing.T) {
-	m := Matrix{
+// ksetSmokeMatrix is a small kset-omega workload, with a late crash of
+// the last process.
+func ksetSmokeMatrix() Matrix {
+	return Matrix{
 		Name: "kset-smoke", Protocol: "kset-omega",
 		Seeds: []int64{0, 1, 2}, Sizes: []Size{{N: 5, T: 2}},
 		Patterns: []CrashPattern{{Name: "late-crash", Crashes: []CrashSpec{{Proc: 0, At: 400}}}},
 		Combos:   []Combo{{Z: 2}},
 		GST:      300, MaxSteps: 500_000,
 	}
+}
+
+// kset256Matrix is one kset-omega cell at n = 256.
+func kset256Matrix() Matrix {
+	m := ksetSmokeMatrix()
+	m.Name, m.Seeds, m.Sizes, m.MaxSteps = "kset-smoke-256", []int64{0}, []Size{{N: 256, T: 127}}, 4_000_000
+	return m
+}
+
+// TestDeterministicAgreement repeats the determinism check on an
+// agreement workload (decided values, rounds and message counts are all
+// part of the canonical bytes).
+func TestDeterministicAgreement(t *testing.T) {
+	m := ksetSmokeMatrix()
 	r1, err := Run(m, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -91,13 +104,7 @@ func TestDeterministicAgreement(t *testing.T) {
 // single-cell smoke keeps it exercised in every `go test` run (the big
 // EXP-SCALE cells only run in the experiments suite).
 func TestSmokeN256(t *testing.T) {
-	m := Matrix{
-		Name: "kset-smoke-256", Protocol: "kset-omega",
-		Seeds: []int64{0}, Sizes: []Size{{N: 256, T: 127}},
-		Patterns: []CrashPattern{{Name: "late-crash", Crashes: []CrashSpec{{Proc: 0, At: 400}}}},
-		Combos:   []Combo{{Z: 2}},
-		GST:      300, MaxSteps: 4_000_000,
-	}
+	m := kset256Matrix()
 	r, err := Run(m, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -128,8 +135,7 @@ func TestResultsOrderedByIndex(t *testing.T) {
 // TestPanickingCellIsContained: a protocol bug in one cell yields one
 // errored cell, not a crashed sweep.
 func TestPanickingCellIsContained(t *testing.T) {
-	m := Matrix{Name: "boom", Protocol: "p", Seeds: []int64{0, 1},
-		Sizes: []Size{{N: 3, T: 1}}, MaxSteps: 100}
+	m := stubMatrix()
 	r, err := Run(m, Options{Runner: func(c *Cell, res *CellResult) {
 		if c.Seed == 1 {
 			panic(fmt.Sprintf("bug in seed %d", c.Seed))
@@ -147,6 +153,13 @@ func TestPanickingCellIsContained(t *testing.T) {
 	if r.OK() {
 		t.Fatal("report with an errored cell claims OK")
 	}
+}
+
+// stubMatrix is a two-cell matrix of a protocol the table lacks ("p"),
+// for tests that run it with their own runner or only expand it.
+func stubMatrix() Matrix {
+	return Matrix{Name: "stub", Protocol: "p", Seeds: []int64{0, 1},
+		Sizes: []Size{{N: 3, T: 1}}, MaxSteps: 100}
 }
 
 // TestWallClockExcludedFromCanonicalBytes: WallNS varies run to run and

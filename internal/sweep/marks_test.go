@@ -54,17 +54,18 @@ func sampleTwoWheels(t *testing.T, c Cell, marked bool) sampledRun {
 	t.Helper()
 	c.rec = trace.New(trace.Full)
 	var res CellResult
-	sys, emu, ok := twoWheelsSystem(&c, &res)
+	sys, o, ok := c.proto.setup(&c, &res)
 	if !ok {
 		t.Fatalf("cell %d: %s", c.Index, res.Detail)
 	}
+	emu := spawnTwoWheels(&c, sys, o)
 	var l fd.Leader = emu
 	if !marked {
 		l = unmarkedLeader{emu}
 	}
 	fd.TraceLeader(sys, l, "emu")
 	tr := fd.WatchLeaderSparse(sys, l)
-	rep := sys.Run(tr.StableFor(sys.Pattern().Correct(), sim.Time(c.Param("stable_for", 0))))
+	rep := sys.Run(tr.StableFor(sys.Pattern().Correct(), sim.Time(c.Param("stable_for"))))
 	return collect(sys, tr, rep, c.rec)
 }
 
@@ -73,10 +74,11 @@ func sampleAddS(t *testing.T, c Cell, marked bool) sampledRun {
 	t.Helper()
 	c.rec = trace.New(trace.Full)
 	var res CellResult
-	sys, emu, ok := addSSystem(&c, &res)
+	sys, o, ok := c.proto.setup(&c, &res)
 	if !ok {
 		t.Fatalf("cell %d: %s", c.Index, res.Detail)
 	}
+	emu := spawnAddS(&c, sys, o)
 	var s fd.Suspector = emu
 	if !marked {
 		s = unmarkedSuspector{emu}
@@ -85,6 +87,36 @@ func sampleAddS(t *testing.T, c Cell, marked bool) sampledRun {
 	tr := fd.WatchSuspectorSparse(sys, s)
 	rep := sys.Run(tr.StableFor(sys.Pattern().Correct(), addSRest(&c)))
 	return collect(sys, tr, rep, c.rec)
+}
+
+// markedMatrices are the sweeps TestChangeMarkedSamplingExact samples,
+// traced at level full: two-wheels over the three F2-additivity-pairs
+// oracle pairs, and add-s on all three register substrates.
+func markedMatrices() []Matrix {
+	return []Matrix{{
+		Name: "two-wheels-pairs", Protocol: "two-wheels", Seeds: []int64{0, 1, 2},
+		Sizes:    []Size{{N: 5, T: 2}},
+		Patterns: []CrashPattern{{Name: "late-crash", Crashes: []CrashSpec{{Proc: 4, At: 800}}}},
+		Combos:   []Combo{{X: 2, Y: 1}},
+		OraclePairFamilies: []adversary.OraclePairFamily{
+			{S: adversary.OracleFamily{Kind: adversary.OracleScopeChurn, X: 2, Seed: 61, Settle: []int{1, 2}},
+				Phi: adversary.OracleFamily{Kind: adversary.OracleLateStab, Y: 1, Seed: 62, Start: 20_000, Ramp: 1}},
+			{S: adversary.OracleFamily{Kind: adversary.OracleScopeChurn, X: 2, Seed: 63, Flaps: 10, Period: 120, Settle: []int{1, 2}},
+				Phi: adversary.OracleFamily{Kind: adversary.OracleAnarchyBurst, Y: 1, Seed: 64, RatePermille: 950}},
+			{S: adversary.OracleFamily{Kind: adversary.OracleLateStab, X: 2, Seed: 65, Start: 8_000, Ramp: 1},
+				Phi: adversary.OracleFamily{Kind: adversary.OracleLateStab, Y: 1, Seed: 66, Start: 12_000, Ramp: 1}},
+		},
+		Bandwidth: 10, GST: 600, MaxSteps: 160_000,
+		Params:     map[string]int64{"stable_for": 12_000, "margin": 10_000},
+		TraceLevel: trace.Full.String(),
+	}, {
+		Name: "add-s-substrates", Protocol: "add-s", Seeds: []int64{0, 1, 2},
+		Sizes:    []Size{{N: 5, T: 2}},
+		Patterns: []CrashPattern{{Name: "mid-crash", Crashes: []CrashSpec{{Proc: 3, At: 800}}}},
+		Combos:   []Combo{{Name: "memory", X: 2, Y: 1}, {Name: "heartbeat", X: 2, Y: 1}, {Name: "abd", X: 2, Y: 1}},
+		MaxSteps: 120_000, Params: map[string]int64{"margin": 10_000, "perpetual": 1},
+		TraceLevel: trace.Full.String(),
+	}}
 }
 
 // TestChangeMarkedSamplingExact: the sparse samplers of an emulation
@@ -98,43 +130,17 @@ func sampleAddS(t *testing.T, c Cell, marked bool) sampledRun {
 // digest, and that digest, with the trace sampler beside the watcher on
 // one emulation, must be the runner's own.
 func TestChangeMarkedSamplingExact(t *testing.T) {
-	late := []CrashPattern{{Name: "late-crash", Crashes: []CrashSpec{{Proc: 4, At: 800}}}}
-	mid := []CrashPattern{{Name: "mid-crash", Crashes: []CrashSpec{{Proc: 3, At: 800}}}}
-	matrices := []struct {
-		m      Matrix
-		runner Runner
-		sample func(*testing.T, Cell, bool) sampledRun
-	}{
-		{Matrix{
-			Name: "two-wheels-pairs", Protocol: "two-wheels", Seeds: []int64{0, 1, 2},
-			Sizes: []Size{{N: 5, T: 2}}, Patterns: late, Combos: []Combo{{X: 2, Y: 1}},
-			OraclePairFamilies: []adversary.OraclePairFamily{
-				{S: adversary.OracleFamily{Kind: adversary.OracleScopeChurn, X: 2, Seed: 61, Settle: []int{1, 2}},
-					Phi: adversary.OracleFamily{Kind: adversary.OracleLateStab, Y: 1, Seed: 62, Start: 20_000, Ramp: 1}},
-				{S: adversary.OracleFamily{Kind: adversary.OracleScopeChurn, X: 2, Seed: 63, Flaps: 10, Period: 120, Settle: []int{1, 2}},
-					Phi: adversary.OracleFamily{Kind: adversary.OracleAnarchyBurst, Y: 1, Seed: 64, RatePermille: 950}},
-				{S: adversary.OracleFamily{Kind: adversary.OracleLateStab, X: 2, Seed: 65, Start: 8_000, Ramp: 1},
-					Phi: adversary.OracleFamily{Kind: adversary.OracleLateStab, Y: 1, Seed: 66, Start: 12_000, Ramp: 1}},
-			},
-			Bandwidth: 10, GST: 600, MaxSteps: 160_000,
-			Params: map[string]int64{"stable_for": 12_000, "margin": 10_000},
-		}, runTwoWheels, sampleTwoWheels},
-		{Matrix{
-			Name: "add-s-substrates", Protocol: "add-s", Seeds: []int64{0, 1, 2},
-			Sizes: []Size{{N: 5, T: 2}}, Patterns: mid,
-			Combos:   []Combo{{Name: "memory", X: 2, Y: 1}, {Name: "heartbeat", X: 2, Y: 1}, {Name: "abd", X: 2, Y: 1}},
-			MaxSteps: 120_000, Params: map[string]int64{"margin": 10_000, "perpetual": 1},
-		}, runAddS, sampleAddS},
+	sample := map[string]func(*testing.T, Cell, bool) sampledRun{
+		"two-wheels": sampleTwoWheels, "add-s": sampleAddS,
 	}
-	for _, mc := range matrices {
-		mc.m.TraceLevel = trace.Full.String()
-		cells, err := mc.m.Cells()
+	for _, m := range markedMatrices() {
+		cells, err := m.Cells()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, c := range cells {
-			name := fmt.Sprintf("%s:%d (%s %s)", mc.m.Name, c.Index, c.Combo.Name, c.Oracle.Name)
-			marked, full := mc.sample(t, c, true), mc.sample(t, c, false)
+			name := fmt.Sprintf("%s:%d (%s %s)", m.Name, c.Index, c.Combo.Name, c.Oracle.Name)
+			marked, full := sample[m.Protocol](t, c, true), sample[m.Protocol](t, c, false)
 			if !reflect.DeepEqual(marked.samples, full.samples) {
 				t.Errorf("%s: marked samples differ from the every-process samples", name)
 			}
@@ -148,7 +154,7 @@ func TestChangeMarkedSamplingExact(t *testing.T) {
 			if marked.digest != full.digest {
 				t.Errorf("%s: marked trace digest %s, every-process trace %s", name, marked.digest, full.digest)
 			}
-			res := runCell(mc.runner, &c)
+			res := runCell(c.proto.run, &c)
 			if res.TraceDigest != marked.digest || res.Steps != marked.steps {
 				t.Errorf("%s: runner digest %s at tick %d, sampled run %s at %d", name,
 					res.TraceDigest, res.Steps, marked.digest, marked.steps)

@@ -92,8 +92,8 @@ func (c Combo) String() string {
 type Matrix struct {
 	// Name identifies the sweep in reports.
 	Name string `json:"name"`
-	// Protocol selects the cell runner from the protocol table (see
-	// runners.go).
+	// Protocol selects the row of the protocol table (runners.go) that
+	// runs every cell.
 	Protocol string `json:"protocol"`
 	// Claim is the paper claim the sweep checks (report prose).
 	Claim string `json:"claim,omitempty"`
@@ -135,7 +135,9 @@ type Matrix struct {
 	Bandwidth int      `json:"bandwidth,omitempty"`
 
 	// Params carries protocol-specific knobs (margins, pacing marks,
-	// instance counts, …), passed to every cell.
+	// instance counts, …), passed to every cell. Each protocol declares
+	// the keys it reads (runners.go, docs/REPORT_SCHEMA.md), and a key
+	// its protocol does not declare is an error (see Lookup).
 	Params map[string]int64 `json:"params,omitempty"`
 
 	// TraceLevel selects decision tracing for every cell: "" or "off"
@@ -180,14 +182,29 @@ type Cell struct {
 	// outside the pool, where runs start from empty capacity.
 	buf   *sim.Buffers
 	arena *agreement.RoundArena
+	// proto is the cell's row of the protocol table (nil: none).
+	proto *protocol
 }
 
-// Param returns a protocol knob with a default.
-func (c *Cell) Param(name string, def int64) int64 {
-	if v, ok := c.Params[name]; ok {
+// Param returns the protocol knob key: the matrix's value, or else the
+// default the cell's protocol declares for it. Each protocol declares
+// the keys it reads (runners.go); reading a key it does not declare
+// panics.
+func (c *Cell) Param(key string) int64 {
+	if v, ok := c.Params[key]; ok {
 		return v
 	}
-	return def
+	var d *param
+	if c.proto != nil {
+		d = c.proto.param(key)
+	}
+	switch {
+	case d == nil:
+		panic(fmt.Sprintf("sweep: protocol %q reads undeclared param %q", c.Protocol, key))
+	case d.derive != nil:
+		return d.derive(c)
+	}
+	return d.def
 }
 
 // Config resolves the cell into a simulator configuration: relative
@@ -315,6 +332,7 @@ func (m *Matrix) Cells() ([]Cell, error) {
 	if len(combos) == 0 {
 		combos = []Combo{{}}
 	}
+	proto := protocolNamed(m.Protocol)
 	cells := make([]Cell, 0, len(m.Sizes)*(len(m.Patterns)+1)*len(combos)*len(m.Seeds))
 	for _, size := range m.Sizes {
 		patterns, err := m.patternsFor(size)
@@ -343,6 +361,7 @@ func (m *Matrix) Cells() ([]Cell, error) {
 							Bandwidth:  m.Bandwidth,
 							Params:     m.Params,
 							TraceLevel: m.TraceLevel,
+							proto:      proto,
 						}
 						if _, err := c.Config(); err != nil {
 							return nil, err

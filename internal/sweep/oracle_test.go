@@ -114,20 +114,37 @@ func TestOracleSweepReport(t *testing.T) {
 	}
 }
 
+// wheelsScriptMatrix is a one-seed two-wheels sweep at x=2, y=1 over
+// the scripts of family f.
+func wheelsScriptMatrix(name string, f adversary.OracleFamily, maxSteps sim.Time) Matrix {
+	return Matrix{
+		Name: name, Protocol: "two-wheels",
+		Seeds:          []int64{0},
+		Sizes:          []Size{{N: 5, T: 2}},
+		OracleFamilies: []adversary.OracleFamily{f},
+		Combos:         []Combo{{X: 2, Y: 1}},
+		GST:            400, MaxSteps: maxSteps,
+		Params: map[string]int64{"stable_for": 12_000, "margin": 10_000},
+	}
+}
+
+// churnWheelsMatrix runs two-wheels over scope-churn suspector scripts.
+func churnWheelsMatrix() Matrix {
+	return wheelsScriptMatrix("oracle-wheels",
+		adversary.OracleFamily{Kind: adversary.OracleScopeChurn, X: 2, Variants: 2, Seed: 5, Settle: []int{1, 2}}, 60_000)
+}
+
+// lateWheelsMatrix runs two-wheels over a parameter script whose roles
+// all stabilize at tick 8,000.
+func lateWheelsMatrix() Matrix {
+	return wheelsScriptMatrix("oracle-wheels-params",
+		adversary.OracleFamily{Kind: adversary.OracleLateStab, Seed: 9, Start: 8_000, Ramp: 1}, 80_000)
+}
+
 // TestOracleScriptedSuspector: a scope-churn script drives the
 // two-wheels reduction through the scripted-suspector driver.
 func TestOracleScriptedSuspector(t *testing.T) {
-	m := Matrix{
-		Name: "oracle-wheels", Protocol: "two-wheels",
-		Seeds: []int64{0},
-		Sizes: []Size{{N: 5, T: 2}},
-		OracleFamilies: []adversary.OracleFamily{
-			{Kind: adversary.OracleScopeChurn, X: 2, Variants: 2, Seed: 5, Settle: []int{1, 2}},
-		},
-		Combos: []Combo{{X: 2, Y: 1}},
-		GST:    400, MaxSteps: 60_000,
-		Params: map[string]int64{"stable_for": 12_000, "margin": 10_000},
-	}
+	m := churnWheelsMatrix()
 	r, err := Run(m, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -149,18 +166,8 @@ func TestOracleScriptedSuspector(t *testing.T) {
 // ◇φ_y live, so a querier still anarchic at the script's late
 // stabilization keeps the output churning past it.
 func TestOracleParamsReachBothWheels(t *testing.T) {
-	const stab = 8_000
-	m := Matrix{
-		Name: "oracle-wheels-params", Protocol: "two-wheels",
-		Seeds: []int64{0},
-		Sizes: []Size{{N: 5, T: 2}},
-		OracleFamilies: []adversary.OracleFamily{
-			{Kind: adversary.OracleLateStab, Seed: 9, Start: stab, Ramp: 1},
-		},
-		Combos: []Combo{{X: 2, Y: 1}},
-		GST:    400, MaxSteps: 80_000,
-		Params: map[string]int64{"stable_for": 12_000, "margin": 10_000},
-	}
+	m := lateWheelsMatrix()
+	stab := int64(m.OracleFamilies[0].Start)
 	r, err := Run(m, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -175,13 +182,16 @@ func TestOracleParamsReachBothWheels(t *testing.T) {
 	}
 }
 
+// settleCrashes crashes process 1, which every settle set of these
+// tests' scripts names, at tick 50.
+var settleCrashes = []CrashPattern{{Name: "settle-crashes", Crashes: []CrashSpec{{Proc: 1, At: 50}}}}
+
 // TestOracleNonconforming: a script whose settle set the pattern
 // crashes is flagged by the conformance checker and fails the cell
 // without running the protocol.
 func TestOracleNonconforming(t *testing.T) {
 	m := oracleMatrix()
-	m.Patterns = []CrashPattern{{Name: "settle-crashes",
-		Crashes: []CrashSpec{{Proc: 1, At: 50}}}}
+	m.Patterns = settleCrashes
 	r, err := Run(m, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -252,10 +262,10 @@ func TestOraclePinningInteraction(t *testing.T) {
 	}
 }
 
-// TestOracleWrongProtocol: declaring the oracle dimension on a protocol
-// that builds its own oracles fails loudly instead of being ignored.
-func TestOracleWrongProtocol(t *testing.T) {
-	m := Matrix{
+// misuseMatrix declares the oracle dimension on phi-o1, which builds
+// its own oracle.
+func misuseMatrix() Matrix {
+	return Matrix{
 		Name: "oracle-misuse", Protocol: "phi-o1",
 		Seeds:          []int64{1},
 		Sizes:          []Size{{N: 5, T: 2}},
@@ -263,6 +273,12 @@ func TestOracleWrongProtocol(t *testing.T) {
 		Combos:         []Combo{{Y: 1}},
 		GST:            0, MaxSteps: 2_000,
 	}
+}
+
+// TestOracleWrongProtocol: declaring the oracle dimension on a protocol
+// that builds its own oracles fails loudly instead of being ignored.
+func TestOracleWrongProtocol(t *testing.T) {
+	m := misuseMatrix()
 	r, err := Run(m, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -367,50 +383,64 @@ func TestOraclePairAddS(t *testing.T) {
 	}
 }
 
+// pairRejections are TestOraclePairRejections' rows: an edit of
+// pairMatrix("two-wheels") and the config error detail its cells must
+// carry, or, when refused, the error Run must refuse it with.
+var pairRejections = []struct {
+	name    string
+	mutate  func(*Matrix)
+	want    string
+	refused bool
+}{
+	{"pair-on-leader-protocol", func(m *Matrix) {
+		m.Protocol, m.Params = "kset-omega", nil
+		m.Combos = []Combo{{Z: 1}}
+	}, "reads a single leader", false},
+	{"pair-on-querier-protocol", func(m *Matrix) {
+		m.Protocol, m.Params = "psi-omega", nil
+		m.Combos = []Combo{{Y: 1, Z: 2}}
+	}, "reads a single querier", false},
+	{"pair-on-suspector-protocol", func(m *Matrix) {
+		m.Protocol, m.Params = "consensus-ds", nil
+		m.Combos = []Combo{{}}
+	}, "reads a single suspector", false},
+	{"s-role-scope-mismatch", func(m *Matrix) {
+		m.Combos = []Combo{{X: 3, Y: 1}}
+	}, "S-role x=2, combo wants x=3", false},
+	{"phi-role-scope-mismatch", func(m *Matrix) {
+		m.Combos = []Combo{{X: 2, Y: 0}}
+	}, "phi-role y=1, combo wants y=0", false},
+	{"stab0-conflict", func(m *Matrix) {
+		m.Params = map[string]int64{"stab0": 1, "stable_for": 12_000, "margin": 10_000}
+	}, `protocol "two-wheels" declares no param "stab0"`, true},
+	{"trusted-conflict", func(m *Matrix) {
+		m.Combos = []Combo{{X: 2, Y: 1, Trusted: []int{1}}}
+	}, "pins a trusted set, but protocol", false},
+	{"single-script-on-add-s", func(m *Matrix) {
+		m.Protocol, m.Params = "add-s", nil
+		m.Combos = []Combo{{Name: "memory", X: 2, Y: 1}}
+		m.OraclePairFamilies = nil
+		m.OracleFamilies = []adversary.OracleFamily{{Kind: adversary.OracleLateStab, Seed: 15}}
+	}, "does not consume", false},
+}
+
 // TestOraclePairRejections: every pair rejection path reports a config
-// error, not a protocol failure.
+// error, not a protocol failure, except stab0 on two-wheels, which
+// declares no such param: Run refuses that matrix before any cell runs.
+// A case that moves the matrix to another protocol drops two-wheels'
+// params, which that protocol does not declare.
 func TestOraclePairRejections(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*Matrix)
-		want   string
-	}{
-		{"pair-on-leader-protocol", func(m *Matrix) {
-			m.Protocol = "kset-omega"
-			m.Combos = []Combo{{Z: 1}}
-		}, "reads a single leader"},
-		{"pair-on-querier-protocol", func(m *Matrix) {
-			m.Protocol = "psi-omega"
-			m.Combos = []Combo{{Y: 1, Z: 2}}
-		}, "reads a single querier"},
-		{"pair-on-suspector-protocol", func(m *Matrix) {
-			m.Protocol = "consensus-ds"
-			m.Combos = []Combo{{}}
-		}, "reads a single suspector"},
-		{"s-role-scope-mismatch", func(m *Matrix) {
-			m.Combos = []Combo{{X: 3, Y: 1}}
-		}, "S-role x=2, combo wants x=3"},
-		{"phi-role-scope-mismatch", func(m *Matrix) {
-			m.Combos = []Combo{{X: 2, Y: 0}}
-		}, "phi-role y=1, combo wants y=0"},
-		{"stab0-conflict", func(m *Matrix) {
-			m.Params = map[string]int64{"stab0": 1, "stable_for": 12_000, "margin": 10_000}
-		}, "stab0 pins the default leader"},
-		{"trusted-conflict", func(m *Matrix) {
-			m.Combos = []Combo{{X: 2, Y: 1, Trusted: []int{1}}}
-		}, "pins a trusted set, but protocol"},
-		{"single-script-on-add-s", func(m *Matrix) {
-			m.Protocol = "add-s"
-			m.Combos = []Combo{{Name: "memory", X: 2, Y: 1}}
-			m.OraclePairFamilies = nil
-			m.OracleFamilies = []adversary.OracleFamily{{Kind: adversary.OracleLateStab, Seed: 15}}
-		}, "does not consume"},
-	}
-	for _, tc := range cases {
+	for _, tc := range pairRejections {
 		t.Run(tc.name, func(t *testing.T) {
 			m := pairMatrix("two-wheels")
 			tc.mutate(&m)
 			r, err := Run(m, Options{})
+			if tc.refused {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("Run error %v, want one containing %q", err, tc.want)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -440,8 +470,7 @@ func TestOraclePairRejections(t *testing.T) {
 // error), with the blame on the S role and no protocol run.
 func TestOraclePairNonconforming(t *testing.T) {
 	m := pairMatrix("two-wheels")
-	m.Patterns = []CrashPattern{{Name: "settle-crashes",
-		Crashes: []CrashSpec{{Proc: 1, At: 50}}}}
+	m.Patterns = settleCrashes
 	r, err := Run(m, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -501,7 +530,11 @@ func TestOraclePairPerpetualMismatch(t *testing.T) {
 // protocol: no script, a leader timeline, a suspect timeline, a
 // parameter script, a parameter script declaring a scope the combo
 // does not want, a pair, and no script beside each pin of the default
-// Ω (the stab0 param, a combo trusted set).
+// Ω (the stab0 param, a combo trusted set). Only the leader protocols
+// declare stab0, so on every other protocol the pin-stab0 column
+// expects Run to refuse the matrix (undeclared), not a config error.
+const undeclared = `declares no param "stab0"`
+
 var shapeColumns = []string{"none", "leader", "suspect", "param", "param-scope", "pair", "pin-stab0", "pin-trusted"}
 
 // shapeRow is one protocol of TestOracleShapes: a small matrix it runs
@@ -530,7 +563,7 @@ func shapeRows() map[string]shapeRow {
 		return f
 	}
 	none, pin := "does not consume", "reads no leader"
-	noOracle := [8]string{"", none, none, none, none, none, pin, pin}
+	noOracle := [8]string{"", none, none, none, none, none, undeclared, pin}
 	grid := core.GridLine(1, 2)[2]
 
 	psi := small("psi-omega", Combo{Y: 1, Z: 2}, 6_000, map[string]int64{"margin": 1_000})
@@ -552,27 +585,62 @@ func shapeRows() map[string]shapeRow {
 			want: [8]string{"", "", "reads a leader", "", "declares z=2, combo wants z=1", "reads a single leader", "", ""}},
 		"consensus-ds": {m: small("consensus-ds", Combo{}, 400_000, nil),
 			z: 1, x: 5, y: 1, mis: lateStab(adversary.OracleFamily{X: 4}),
-			want: [8]string{"", "reads a suspector", "", "", "declares x=4, combo wants x=5", "reads a single suspector", pin, pin}},
+			want: [8]string{"", "reads a suspector", "", "", "declares x=4, combo wants x=5", "reads a single suspector", undeclared, pin}},
 		"single-wheel": {m: small("single-wheel", Combo{}, 150_000, wheel),
 			z: 1, x: 5, y: 1, mis: lateStab(adversary.OracleFamily{X: 4}),
-			want: [8]string{"", "reads a suspector", "", "", "declares x=4, combo wants x=5", "reads a single suspector", pin, pin}},
+			want: [8]string{"", "reads a suspector", "", "", "declares x=4, combo wants x=5", "reads a single suspector", undeclared, pin}},
 		"lower-wheel": {m: small("lower-wheel", Combo{X: 2}, 100_000, nil),
 			z: 1, x: 2, y: 1, mis: lateStab(adversary.OracleFamily{X: 3}),
-			want: [8]string{"", "reads a suspector", "", "", "declares x=3, combo wants x=2", "reads a single suspector", pin, pin}},
+			want: [8]string{"", "reads a suspector", "", "", "declares x=3, combo wants x=2", "reads a single suspector", undeclared, pin}},
 		"psi-omega": {m: psi,
 			z: 2, x: 3, y: 1, mis: lateStab(adversary.OracleFamily{Y: 2}),
-			want: [8]string{"", "reads a querier", "reads a querier", "", "declares y=2, combo wants y=1", "reads a single querier", pin, pin}},
+			want: [8]string{"", "reads a querier", "reads a querier", "", "declares y=2, combo wants y=1", "reads a single querier", undeclared, pin}},
 		"two-wheels": {m: small("two-wheels", Combo{X: 2, Y: 1}, 80_000, wheel),
 			z: 1, x: 2, y: 1, mis: lateStab(adversary.OracleFamily{Y: 2}),
-			want: [8]string{"", "reads a suspector", "", "", "declares y=2, combo wants y=1", "", pin, pin}},
+			want: [8]string{"", "reads a suspector", "", "", "declares y=2, combo wants y=1", "", undeclared, pin}},
 		"add-s": {m: small("add-s", Combo{Name: "memory", X: 2, Y: 1}, 160_000, map[string]int64{"perpetual": 0, "margin": 10_000}),
 			z: 1, x: 2, y: 1, mis: lateStab(adversary.OracleFamily{Y: 2}),
-			want: [8]string{"", none, none, none, none, "", pin, pin}},
+			want: [8]string{"", none, none, none, none, "", undeclared, pin}},
 		"phi-o1": {m: phiO1,
 			z: 1, x: 3, y: 1, mis: lateStab(adversary.OracleFamily{Y: 2}), want: noOracle},
 		"irreducibility": {m: irr,
 			z: 1, x: 3, y: 1, mis: lateStab(adversary.OracleFamily{Y: 2}), want: noOracle},
 	}
+}
+
+// shapeMatrix is row's matrix with the script of shape column shape.
+func shapeMatrix(row shapeRow, shape string) Matrix {
+	settle := make([]int, row.x)
+	for i := range settle {
+		settle[i] = i + 1
+	}
+	m := row.m
+	switch shape {
+	case "leader":
+		m.OracleFamilies = []adversary.OracleFamily{{Kind: adversary.OracleLeaderFlap, Z: row.z, Seed: 3, Settle: []int{1}}}
+	case "suspect":
+		m.OracleFamilies = []adversary.OracleFamily{{Kind: adversary.OracleScopeChurn, X: row.x, Seed: 5, Settle: settle}}
+	case "param":
+		m.OracleFamilies = []adversary.OracleFamily{{Kind: adversary.OracleLateStab, Seed: 4, Start: 200, Ramp: 1}}
+	case "param-scope":
+		m.OracleFamilies = []adversary.OracleFamily{row.mis}
+	case "pair":
+		m.OraclePairFamilies = []adversary.OraclePairFamily{{
+			S:   adversary.OracleFamily{Kind: adversary.OracleScopeChurn, X: row.x, Seed: 11, Settle: settle},
+			Phi: adversary.OracleFamily{Kind: adversary.OracleLateStab, Y: row.y, Seed: 12, Start: 200, Ramp: 1},
+		}}
+	case "pin-stab0":
+		m.Params = maps.Clone(m.Params)
+		if m.Params == nil {
+			m.Params = map[string]int64{}
+		}
+		m.Params["stab0"] = 1
+	case "pin-trusted":
+		combo := m.Combos[0]
+		combo.Trusted = []int{1}
+		m.Combos = []Combo{combo}
+	}
+	return m
 }
 
 // TestOracleShapes is the protocol × script-shape table of the
@@ -588,40 +656,18 @@ func TestOracleShapes(t *testing.T) {
 			t.Errorf("protocol %q has no row in the shape table", protocol)
 			continue
 		}
-		settle := make([]int, row.x)
-		for i := range settle {
-			settle[i] = i + 1
-		}
 		for col, shape := range shapeColumns {
 			t.Run(protocol+"/"+shape, func(t *testing.T) {
-				m := row.m
-				switch shape {
-				case "leader":
-					m.OracleFamilies = []adversary.OracleFamily{{Kind: adversary.OracleLeaderFlap, Z: row.z, Seed: 3, Settle: []int{1}}}
-				case "suspect":
-					m.OracleFamilies = []adversary.OracleFamily{{Kind: adversary.OracleScopeChurn, X: row.x, Seed: 5, Settle: settle}}
-				case "param":
-					m.OracleFamilies = []adversary.OracleFamily{{Kind: adversary.OracleLateStab, Seed: 4, Start: 200, Ramp: 1}}
-				case "param-scope":
-					m.OracleFamilies = []adversary.OracleFamily{row.mis}
-				case "pair":
-					m.OraclePairFamilies = []adversary.OraclePairFamily{{
-						S:   adversary.OracleFamily{Kind: adversary.OracleScopeChurn, X: row.x, Seed: 11, Settle: settle},
-						Phi: adversary.OracleFamily{Kind: adversary.OracleLateStab, Y: row.y, Seed: 12, Start: 200, Ramp: 1},
-					}}
-				case "pin-stab0":
-					m.Params = maps.Clone(m.Params)
-					if m.Params == nil {
-						m.Params = map[string]int64{}
-					}
-					m.Params["stab0"] = 1
-				case "pin-trusted":
-					combo := m.Combos[0]
-					combo.Trusted = []int{1}
-					m.Combos = []Combo{combo}
-				}
+				m := shapeMatrix(row, shape)
 				scripted := shape != "none" && !strings.HasPrefix(shape, "pin-")
 				r, err := Run(m, Options{Workers: 1})
+				want := row.want[col]
+				if want == undeclared {
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Errorf("Run error %v, want one containing %q", err, want)
+					}
+					return
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -629,7 +675,6 @@ func TestOracleShapes(t *testing.T) {
 					t.Fatalf("expanded %d cells, want 1", len(r.Cells))
 				}
 				c := r.Cells[0]
-				want := row.want[col]
 				if want != "" {
 					if c.Verdict != ConfigError || !strings.Contains(c.Detail, want) {
 						t.Errorf("verdict %s detail %q, want config_error containing %q", c.Verdict, c.Detail, want)

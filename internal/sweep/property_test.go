@@ -93,6 +93,25 @@ func TestKSetInvariantsOverRandomCells(t *testing.T) {
 	}
 }
 
+// randomWheelsMatrix draws a random point of the addition frontier
+// x+y ≤ t+1: n ∈ 4..6, t ∈ {1, 2}, a random GST.
+func randomWheelsMatrix(rng *rand.Rand) Matrix {
+	n := 4 + rng.Intn(3)
+	tt := 1 + rng.Intn(2)
+	if tt >= n {
+		tt = n - 1
+	}
+	x := 1 + rng.Intn(tt+1)
+	y := rng.Intn(tt + 2 - x) // x+y ≤ t+1
+	return Matrix{
+		Name: "prop-wheels", Protocol: "two-wheels",
+		Seeds: []int64{rng.Int63()}, Sizes: []Size{{N: n, T: tt}},
+		Combos: []Combo{{X: x, Y: y}},
+		GST:    sim.Time(rng.Intn(500)), MaxSteps: 200_000,
+		Params: map[string]int64{"stable_for": 8_000, "margin": 5_000},
+	}
+}
+
 // TestTwoWheelsInvariantsOverRandomCells drives random points of the
 // addition frontier x+y ≤ t+1 and asserts the emulated Ω_z verdicts.
 func TestTwoWheelsInvariantsOverRandomCells(t *testing.T) {
@@ -102,20 +121,7 @@ func TestTwoWheelsInvariantsOverRandomCells(t *testing.T) {
 		rounds = 3
 	}
 	for i := 0; i < rounds; i++ {
-		n := 4 + rng.Intn(3)
-		tt := 1 + rng.Intn(2)
-		if tt >= n {
-			tt = n - 1
-		}
-		x := 1 + rng.Intn(tt+1)
-		y := rng.Intn(tt + 2 - x) // x+y ≤ t+1
-		m := Matrix{
-			Name: "prop-wheels", Protocol: "two-wheels",
-			Seeds: []int64{rng.Int63()}, Sizes: []Size{{N: n, T: tt}},
-			Combos: []Combo{{X: x, Y: y}},
-			GST:    sim.Time(rng.Intn(500)), MaxSteps: 200_000,
-			Params: map[string]int64{"stable_for": 8_000, "margin": 5_000},
-		}
+		m := randomWheelsMatrix(rng)
 		r, err := Run(m, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +129,7 @@ func TestTwoWheelsInvariantsOverRandomCells(t *testing.T) {
 		for _, c := range r.Cells {
 			if c.Verdict != Pass {
 				t.Fatalf("round %d (n=%d t=%d x=%d y=%d seed %d): %s — %s",
-					i, n, tt, x, y, c.Seed, c.Verdict, c.Detail)
+					i, c.Size.N, c.Size.T, c.Combo.X, c.Combo.Y, c.Seed, c.Verdict, c.Detail)
 			}
 		}
 	}

@@ -207,9 +207,9 @@ func Replay(m Matrix, index int, pert *Perturbation, level trace.Level) (*Replay
 	if index < 0 || index >= len(cells) {
 		return nil, fmt.Errorf("sweep: replay index %d outside matrix %q (%d cells)", index, m.Name, len(cells))
 	}
-	runner, ok := runners[m.Protocol]
-	if !ok {
-		return nil, fmt.Errorf("sweep: no runner for protocol %q", m.Protocol)
+	runner, err := Lookup(&m)
+	if err != nil {
+		return nil, err
 	}
 
 	base := cells[index]

@@ -2,6 +2,9 @@ package sweep
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strconv"
 
 	"fdgrid/internal/adversary"
 	"fdgrid/internal/agreement"
@@ -13,34 +16,171 @@ import (
 	"fdgrid/internal/sim"
 )
 
-// runners is the protocol table: every experiment family of the suite
-// (cmd/experiments/suite.go; the paper's figures and theorems)
-// expressed as a protocol a Matrix can sweep, by name:
-//
-//	kset-grid      — grid class → prescribed transformation → Fig. 3 k-set
-//	kset-omega     — Fig. 3 directly over a (possibly pinned) Ω_z oracle
-//	kset-seq       — repeated Fig. 3 instances (zero-degradation)
-//	consensus-ds   — the ◇S rotating-coordinator consensus ancestor
-//	two-wheels     — ◇S_x + ◇φ_y → Ω_z (Figs. 5–6), trace-checked
-//	single-wheel   — the companion quiescent ◇S → Ω transformation: the
-//	                 lower wheel at x = n
-//	lower-wheel    — Fig. 5 alone: representatives + quiescence
-//	psi-omega      — Ψ_y → Ω_z (Fig. 8), message-free
-//	add-s          — S_x + φ_y → S_n (Fig. 9) over a register substrate
-//	phi-o1         — Observation O1: f ≤ t−y ⇒ informative queries false
-//	irreducibility — Theorem 9 crash-vs-delay run pair, one claimed τ
-var runners = map[string]Runner{
-	"kset-grid":      runKSetGrid,
-	"kset-omega":     runKSetOmega,
-	"kset-seq":       runKSetSeq,
-	"consensus-ds":   runConsensusDS,
-	"two-wheels":     runTwoWheels,
-	"single-wheel":   runSingleWheel,
-	"lower-wheel":    runLowerWheel,
-	"psi-omega":      runPsiOmega,
-	"add-s":          runAddS,
-	"phi-o1":         runPhiO1,
-	"irreducibility": runIrreducibility,
+// protocols is the protocol table: every experiment family of the suite
+// (cmd/experiments/suite.go; the paper's figures and theorems) as a row
+// a Matrix names by its protocol. Each body's comment says what it runs.
+var protocols = []protocol{
+	{name: "kset-grid", uses: readsNone, body: runKSetGrid},
+	{name: "kset-omega", uses: readsOmega, body: runKSetOmega, params: []param{
+		{key: "value_base", def: 100, doc: "process p proposes value_base+p"},
+		{key: "k", derive: func(c *Cell) int64 { return int64(omegaScope(c)) }, doc: "the k of the k-set agreement check"},
+		{key: "require_round1", doc: "nonzero: every decision must happen in round 1"},
+		stab0,
+	}},
+	{name: "kset-seq", uses: readsOmega, body: runKSetSeq, params: []param{
+		{key: "instances", def: 4, doc: "consecutive k-set instances each process runs"},
+		stab0,
+	}},
+	{name: "consensus-ds", uses: readsFullSuspector, body: runConsensusDS},
+	{name: "two-wheels", uses: readsPair, body: runTwoWheels, params: []param{
+		stableFor, omegaMargin,
+		{key: "mark", doc: "tick that samples the inquiry traffic (0: none)"},
+		{key: "require_nonquiescent", doc: "nonzero: inquiries must go on past mark"},
+		{key: "expect_tight", doc: "nonzero: the Ω_{z−1} check must fail (the output rests on z processes)"},
+	}},
+	{name: "single-wheel", uses: readsFullSuspector, body: runSingleWheel, params: []param{stableFor, omegaMargin}},
+	{name: "lower-wheel", body: runLowerWheel,
+		uses:   func(c *Cell) oracleUse { return oracleUse{roles: readsSuspector, x: c.Combo.X} },
+		params: []param{{key: "mark", doc: "tick that samples the x_move traffic; nonzero also requires no x_move send after it"}}},
+	{name: "psi-omega", body: runPsiOmega,
+		uses:   func(c *Cell) oracleUse { return oracleUse{roles: readsQuerier, y: c.Combo.Y, perpetual: true} },
+		params: []param{{key: "margin", def: 1_000, doc: "stable suffix the Ω_z check requires"}}},
+	{name: "add-s", body: runAddS,
+		// add-s reads two oracles, so a single script would be ambiguous
+		// about which role it drives: only pairs feed it.
+		uses: func(c *Cell) oracleUse {
+			u := readsPair(c)
+			u.perpetual, u.pairedOnly = c.Param("perpetual") != 0, true
+			return u
+		},
+		params: []param{
+			{key: "perpetual", def: 1, doc: "nonzero: inputs and output are the perpetual S_x, φ_y and S_n; zero: the eventual classes"},
+			{key: "margin", def: 20_000, doc: "stable suffix the S_n check requires"},
+			{key: "stop_slack", derive: func(c *Cell) int64 { return c.Param("margin") / 5 }, doc: "rest past margin before the early stop"},
+		}},
+	{name: "phi-o1", uses: readsNone, body: runPhiO1, params: []param{
+		{key: "at", def: 1_500, doc: "the tick whose queries are checked"},
+		{key: "ring_x", derive: func(c *Cell) int64 { return int64(c.Size.T) }, doc: "size of the queried regions"},
+	}},
+	{name: "irreducibility", uses: readsNone, body: runIrreducibility, params: []param{
+		{key: "tau", def: 500, doc: "the claimed stabilization time τ"},
+		{key: "crash_at", def: 100, doc: "tick at which region E crashes in run R"},
+		{key: "slack", def: 2_000, doc: "horizon past τ"},
+	}},
+}
+
+// The params more than one row declares.
+var (
+	stab0       = param{key: "stab0", doc: "nonzero: the default Ω_z is perfect from tick 0"}
+	stableFor   = param{key: "stable_for", doc: "stop once the Ω output rested this long (0: run to max_steps)"}
+	omegaMargin = param{key: "margin", def: 10_000, doc: "stable suffix the Ω check requires"}
+)
+
+// protocol is one row of the protocol table: what a cell of it reads
+// from the generated-oracle dimension, the params it reads, and the body
+// that runs the cell over the system and oracles the driver (run) built.
+type protocol struct {
+	name   string
+	uses   func(*Cell) oracleUse
+	params []param
+	body   func(c *Cell, sys *sim.System, o oracles, res *CellResult)
+}
+
+// param is one knob a row reads from Matrix.Params: its key, its
+// default, and what it sets. derive, when set, draws the default from
+// the cell in place of def.
+type param struct {
+	key    string
+	def    int64
+	derive func(*Cell) int64
+	doc    string
+}
+
+// protocolNamed returns the table's row called name, nil when there is
+// none.
+func protocolNamed(name string) *protocol {
+	if i := slices.IndexFunc(protocols, func(p protocol) bool { return p.name == name }); i >= 0 {
+		return &protocols[i]
+	}
+	return nil
+}
+
+// param returns the row's param called key, nil when the row declares
+// none.
+func (p *protocol) param(key string) *param {
+	if i := slices.IndexFunc(p.params, func(d param) bool { return d.key == key }); i >= 0 {
+		return &p.params[i]
+	}
+	return nil
+}
+
+// setup is the driver's preamble: the cell's system and the oracles its
+// row reads. ok=false means the cell already failed (res carries the
+// verdict) and the body must not run.
+func (p *protocol) setup(c *Cell, res *CellResult) (sys *sim.System, o oracles, ok bool) {
+	sys, err := c.System()
+	if err != nil {
+		panic(err)
+	}
+	o, ok = resolveOracles(c, sys, res, p.uses(c))
+	return sys, o, ok
+}
+
+// run is the cell driver every built-in protocol runs through.
+func (p *protocol) run(c *Cell, res *CellResult) {
+	if sys, o, ok := p.setup(c, res); ok {
+		p.body(c, sys, o, res)
+	}
+}
+
+// Lookup returns the runner of m's protocol: the driver of its row in
+// the protocol table. An unknown protocol, or a param key the row does
+// not declare, is an error, so a misspelled key never runs silently on
+// the default. Run, Replay and sweepd's spec loading all check a matrix
+// here.
+func Lookup(m *Matrix) (Runner, error) {
+	p := protocolNamed(m.Protocol)
+	if p == nil {
+		return nil, fmt.Errorf("sweep: matrix %q: no protocol %q (have %v)", m.Name, m.Protocol, Protocols())
+	}
+	for _, key := range slices.Sorted(maps.Keys(m.Params)) {
+		if p.param(key) == nil {
+			var declared []string
+			for _, d := range p.params {
+				declared = append(declared, d.key)
+			}
+			return nil, fmt.Errorf("sweep: matrix %q: protocol %q declares no param %q (its params: %v)", m.Name, m.Protocol, key, declared)
+		}
+	}
+	return p.run, nil
+}
+
+// Protocols lists the built-in protocol names, sorted.
+func Protocols() []string {
+	out := make([]string, len(protocols))
+	for i, p := range protocols {
+		out[i] = p.name
+	}
+	slices.Sort(out)
+	return out
+}
+
+// A DeclaredParam is one param a built-in protocol declares. Default is
+// its default value, or "" when the cell derives it.
+type DeclaredParam struct{ Protocol, Key, Default, Doc string }
+
+// DeclaredParams lists every built-in protocol's params, in table order.
+func DeclaredParams() (out []DeclaredParam) {
+	for _, p := range protocols {
+		for _, d := range p.params {
+			def := strconv.FormatInt(d.def, 10)
+			if d.derive != nil {
+				def = ""
+			}
+			out = append(out, DeclaredParam{p.name, d.key, def, d.doc})
+		}
+	}
+	return out
 }
 
 // recordRun copies the run report into the result.
@@ -61,15 +201,22 @@ func countRun(res *CellResult, rep sim.Report) {
 	res.Switches += rep.Switches
 }
 
-// recordOutcome copies agreement results into the result.
-func recordOutcome(res *CellResult, o *agreement.Outcome) {
-	vals := o.DistinctValues()
-	res.Decided = make([]int, len(vals))
-	for i, v := range vals {
-		res.Decided[i] = int(v)
+// decide is the agreement rows' tail: run until every correct process
+// decided, record the run and its outcome, check k-set agreement.
+func decide(sys *sim.System, out *agreement.Outcome, k int, res *CellResult) {
+	rep := sys.Run(out.AllDecided(sys.Pattern().Correct()))
+	recordRun(res, rep)
+	for _, v := range out.DistinctValues() {
+		res.Decided = append(res.Decided, int(v))
 	}
-	res.Decisions = len(o.Decisions())
-	res.MaxRound = o.MaxRound()
+	res.Decisions = len(out.Decisions())
+	res.MaxRound = out.MaxRound()
+	if !rep.StoppedEarly {
+		res.fail("timed out before all correct processes decided")
+	}
+	if err := out.Check(sys.Pattern(), k); err != nil {
+		res.fail(err.Error())
+	}
 }
 
 // checkRound1 fails the cell unless every decision happened in round 1.
@@ -84,14 +231,7 @@ func checkRound1(res *CellResult, o *agreement.Outcome) {
 
 // runKSetGrid: one grid class solves its line's k-set agreement through
 // the transformations the paper prescribes (EXP-F1, and EXP-F3 shapes).
-func runKSetGrid(c *Cell, res *CellResult) {
-	sys, err := c.System()
-	if err != nil {
-		panic(err)
-	}
-	if _, ok := resolveOracles(c, sys, res, oracleUse{}); !ok {
-		return
-	}
+func runKSetGrid(c *Cell, sys *sim.System, _ oracles, res *CellResult) {
 	out, err := core.SpawnKSetWith(sys, c.Combo.Class(), nil)
 	if err != nil {
 		panic(err)
@@ -101,15 +241,7 @@ func runKSetGrid(c *Cell, res *CellResult) {
 	if k == 0 {
 		k = core.KSetPower(c.Combo.Class(), c.Size.T)
 	}
-	rep := sys.Run(out.AllDecided(sys.Pattern().Correct()))
-	recordRun(res, rep)
-	recordOutcome(res, out)
-	if !rep.StoppedEarly {
-		res.fail("timed out before all correct processes decided")
-	}
-	if err := out.Check(sys.Pattern(), k); err != nil {
-		res.fail(err.Error())
-	}
+	decide(sys, out, k, res)
 }
 
 // The oracle roles a runner can read from the cell's generated-oracle
@@ -129,6 +261,28 @@ type oracleUse struct {
 	z, x, y    int
 	perpetual  bool
 	pairedOnly bool
+}
+
+// omegaScope is the z of a leader row's Ω_z: the combo's, or 1.
+func omegaScope(c *Cell) int {
+	if c.Combo.Z == 0 {
+		return 1
+	}
+	return c.Combo.Z
+}
+
+// readsNone is the use of the rows that build their own oracles.
+func readsNone(*Cell) oracleUse { return oracleUse{} }
+
+// readsOmega is the leader rows' oracle use.
+func readsOmega(c *Cell) oracleUse { return oracleUse{roles: readsLeader, z: omegaScope(c)} }
+
+// readsFullSuspector is the use of the rows that read ◇S_n.
+func readsFullSuspector(c *Cell) oracleUse { return oracleUse{roles: readsSuspector, x: c.Size.N} }
+
+// readsPair is the addition rows' use: a suspector at x, a querier at y.
+func readsPair(c *Cell) oracleUse {
+	return oracleUse{roles: readsSuspector | readsQuerier, x: c.Combo.X, y: c.Combo.Y}
 }
 
 // reads names the roles u reads, for config errors.
@@ -172,9 +326,9 @@ func resolveOracles(c *Cell, sys *sim.System, res *CellResult, use oracleUse) (o
 			o.leader = fd.NewScriptedLeader(sys, lead.Leader)
 		} else {
 			// feeds rejects stab0 beside a leader-role script, so it pins
-			// only the default Ω here.
+			// only the default Ω here; every leader row declares stab0.
 			opts := options(lead)
-			if c.Param("stab0", 0) != 0 {
+			if c.Param("stab0") != 0 {
 				opts = append(opts, fd.WithStabilizeAt(0))
 			}
 			if len(c.Combo.Trusted) > 0 {
@@ -214,8 +368,8 @@ func options(s *adversary.OracleScript) []fd.Option {
 
 // feeds checks the cell's script against u and returns the script that
 // feeds each role read (nil: the role keeps its default). The checks
-// run in one order for every protocol: pinning of a leader the protocol
-// does not read (with or without a script), shape, pinning conflicts,
+// run in one order for every protocol: a trusted set on a protocol that
+// reads no leader (with or without a script), shape, pinning conflicts,
 // declared scope, then conformance. The first four are matrix-author
 // mistakes, reported as ConfigError rather than Fail so they never read
 // as paper-claim counterexamples; a script that leaves its declared
@@ -230,15 +384,11 @@ func (u oracleUse) feeds(c *Cell, sys *sim.System, res *CellResult) (lead, susp,
 		res.failConfig(fmt.Sprintf(format, args...))
 		return nil, nil, nil, false
 	}
-	// stab0 and a trusted set pin the default Ω: a protocol that reads
-	// no leader would drop them silently, with or without a script.
-	if u.roles&readsLeader == 0 {
-		switch {
-		case c.Param("stab0", 0) != 0:
-			return reject("param stab0 pins the default leader, but protocol %q reads no leader", c.Protocol)
-		case len(c.Combo.Trusted) > 0:
-			return reject("combo pins a trusted set, but protocol %q reads no leader", c.Protocol)
-		}
+	// A trusted set pins the default Ω: a protocol that reads no leader
+	// would drop it silently, with or without a script. The other pin,
+	// stab0, only the leader rows declare.
+	if u.roles&readsLeader == 0 && len(c.Combo.Trusted) > 0 {
+		return reject("combo pins a trusted set, but protocol %q reads no leader", c.Protocol)
 	}
 	if s.None() {
 		return nil, nil, nil, true
@@ -281,7 +431,7 @@ func (u oracleUse) feeds(c *Cell, sys *sim.System, res *CellResult) (lead, susp,
 	// with a parameter script but contradicts a leader timeline, which
 	// fixes every output.
 	switch {
-	case lead != nil && c.Param("stab0", 0) != 0:
+	case lead != nil && c.Param("stab0") != 0:
 		return reject("param stab0 conflicts with generated oracle script %s (both pin the stabilization time)", s.Name)
 	case len(s.Leader) > 0 && len(c.Combo.Trusted) > 0:
 		return reject("combo pins a trusted set but oracle script %s already fixes the timeline", s.Name)
@@ -363,72 +513,36 @@ func jointViolation(sErr, phiErr error) error {
 // covers EXP-F3 (scaling), EXP-F3a/b (oracle-efficiency and
 // zero-degradation, via stab0/trusted pinning and require_round1) and
 // the EXP-T5 z ≤ k tightness cells.
-func runKSetOmega(c *Cell, res *CellResult) {
-	sys, err := c.System()
-	if err != nil {
-		panic(err)
-	}
-	z := c.Combo.Z
-	if z == 0 {
-		z = 1
-	}
-	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsLeader, z: z})
-	if !ok {
-		return
-	}
-	oracle := o.leader
-	fd.TraceLeader(sys, oracle, "oracle")
+func runKSetOmega(c *Cell, sys *sim.System, o oracles, res *CellResult) {
+	fd.TraceLeader(sys, o.leader, "oracle")
 	out := agreement.NewOutcome()
 	out.UseArena(c.arena)
+	base := int(c.Param("value_base"))
 	for p := 1; p <= c.Size.N; p++ {
-		id := ids.ProcID(p)
-		sys.Spawn(id, agreement.KSetMain(oracle, agreement.Value(int(c.Param("value_base", 100))+p), out))
+		sys.Spawn(ids.ProcID(p), agreement.KSetMain(o.leader, agreement.Value(base+p), out))
 	}
-	rep := sys.Run(out.AllDecided(sys.Pattern().Correct()))
-	recordRun(res, rep)
-	recordOutcome(res, out)
-	if !rep.StoppedEarly {
-		res.fail("timed out before all correct processes decided")
-	}
-	k := int(c.Param("k", int64(z)))
-	if err := out.Check(sys.Pattern(), k); err != nil {
-		res.fail(err.Error())
-	}
-	if c.Param("require_round1", 0) != 0 {
+	decide(sys, out, int(c.Param("k")), res)
+	if c.Param("require_round1") != 0 {
 		checkRound1(res, out)
 	}
 }
 
 // runKSetSeq: consecutive independent k-set instances under a perfect
 // pinned oracle and initial crashes — zero-degradation in use (EXP-ZD).
-func runKSetSeq(c *Cell, res *CellResult) {
-	sys, err := c.System()
-	if err != nil {
-		panic(err)
-	}
-	z := c.Combo.Z
-	if z == 0 {
-		z = 1
-	}
-	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsLeader, z: z})
-	if !ok {
-		return
-	}
-	oracle := o.leader
-	fd.TraceLeader(sys, oracle, "oracle")
-	instances := int(c.Param("instances", 4))
+func runKSetSeq(c *Cell, sys *sim.System, o oracles, res *CellResult) {
+	fd.TraceLeader(sys, o.leader, "oracle")
+	instances := int(c.Param("instances"))
 	outs := make([]*agreement.Outcome, instances)
 	for j := range outs {
 		outs[j] = agreement.NewOutcome()
 		outs[j].UseArena(c.arena)
 	}
 	for p := 1; p <= c.Size.N; p++ {
-		id := ids.ProcID(p)
 		vals := make([]agreement.Value, instances)
 		for j := range vals {
 			vals[j] = agreement.Value(100*(j+1) + p)
 		}
-		sys.Spawn(id, agreement.SequenceMain(oracle, vals, outs))
+		sys.Spawn(ids.ProcID(p), agreement.SequenceMain(o.leader, vals, outs))
 	}
 	rep := sys.Run(agreement.AllInstancesDecided(outs, sys.Pattern().Correct()))
 	recordRun(res, rep)
@@ -436,41 +550,23 @@ func runKSetSeq(c *Cell, res *CellResult) {
 	if !rep.StoppedEarly {
 		res.fail("timed out before every instance decided")
 	}
-	for j, o := range outs {
-		if err := o.Check(sys.Pattern(), z); err != nil {
+	for j, out := range outs {
+		if err := out.Check(sys.Pattern(), omegaScope(c)); err != nil {
 			res.fail(fmt.Sprintf("instance %d: %v", j, err))
 		}
-		checkRound1(res, o)
+		checkRound1(res, out)
 	}
 }
 
 // runConsensusDS: the rotating-coordinator ◇S consensus of [18]
 // (baseline for Fig. 3 at z = k = 1).
-func runConsensusDS(c *Cell, res *CellResult) {
-	sys, err := c.System()
-	if err != nil {
-		panic(err)
-	}
-	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsSuspector, x: c.Size.N})
-	if !ok {
-		return
-	}
-	susp := o.susp
-	fd.TraceSuspector(sys, susp, "oracle")
+func runConsensusDS(c *Cell, sys *sim.System, o oracles, res *CellResult) {
+	fd.TraceSuspector(sys, o.susp, "oracle")
 	out := agreement.NewOutcome()
 	for p := 1; p <= c.Size.N; p++ {
-		id := ids.ProcID(p)
-		sys.Spawn(id, agreement.ConsensusDSMain(susp, agreement.Value(int(id)), out))
+		sys.Spawn(ids.ProcID(p), agreement.ConsensusDSMain(o.susp, agreement.Value(p), out))
 	}
-	rep := sys.Run(out.AllDecided(sys.Pattern().Correct()))
-	recordRun(res, rep)
-	recordOutcome(res, out)
-	if !rep.StoppedEarly {
-		res.fail("timed out before all correct processes decided")
-	}
-	if err := out.Check(sys.Pattern(), 1); err != nil {
-		res.fail(err.Error())
-	}
+	decide(sys, out, 1, res)
 }
 
 // watchMark installs a sparse sampler recording the wire traffic of tag
@@ -490,34 +586,36 @@ func watchMark(sys *sim.System, tag sim.Tag, mark sim.Time, res *CellResult, nam
 	})
 }
 
-// stabilizationOf returns the latest output change among correct
-// processes.
-func stabilizationOf(trace *fd.SetTrace, correct ids.Set) sim.Time {
+// restOmega is the wheel rows' tail: it runs until the traced Ω output
+// rested stable_for ticks (to max_steps when 0), records the run, checks
+// Ω_z over margin's stable suffix and records the latest output change
+// among correct processes as the stabilization measure.
+func restOmega(c *Cell, sys *sim.System, trace *fd.SetTrace, z int, res *CellResult) sim.Report {
+	correct := sys.Pattern().Correct()
+	var stop func() bool
+	if sf := sim.Time(c.Param("stable_for")); sf > 0 {
+		stop = trace.StableFor(correct, sf)
+	}
+	rep := sys.Run(stop)
+	recordRun(res, rep)
+	if err := trace.CheckOmega(sys.Pattern(), z, sim.Time(c.Param("margin"))); err != nil {
+		res.fail(err.Error())
+	}
 	var last sim.Time
 	correct.ForEach(func(q ids.ProcID) bool {
-		if lc := trace.LastChange(q); lc > last {
-			last = lc
-		}
+		last = max(last, trace.LastChange(q))
 		return true
 	})
-	return last
+	res.measure("stabilization", int64(last))
+	return rep
 }
 
 // runTwoWheels: the addition ◇S_x + ◇φ_y → Ω_z (EXP-F2, EXP-F6, EXP-T8).
-// Params: stable_for (early stop once outputs rested that long), margin
-// (Ω check stable suffix), mark (inquiry traffic sample point),
-// require_nonquiescent (inquiries must continue past mark),
-// expect_tight (the Ω_{z−1} check must fail: the resting set has full
-// size z).
-func runTwoWheels(c *Cell, res *CellResult) {
-	sys, emu, ok := twoWheelsSystem(c, res)
-	if !ok {
-		return
-	}
-	x, y := c.Combo.X, c.Combo.Y
+func runTwoWheels(c *Cell, sys *sim.System, o oracles, res *CellResult) {
+	emu := spawnTwoWheels(c, sys, o)
 	z := c.Combo.Z
 	if z == 0 {
-		z = c.Size.T + 2 - x - y
+		z = c.Size.T + 2 - c.Combo.X - c.Combo.Y
 	}
 	fd.TraceLeader(sys, emu, "emu")
 	// The emulated Trusted consults the querier live; the emulation's
@@ -525,33 +623,24 @@ func runTwoWheels(c *Cell, res *CellResult) {
 	// tick the output can change at, and reads the processes whose
 	// wheels moved in between.
 	trace := fd.WatchLeaderSparse(sys, emu)
-	watchMark(sys, sim.Intern("wheel.inquiry"), sim.Time(c.Param("mark", 0)), res, "inquiries_at_mark")
-	var stop func() bool
-	if sf := sim.Time(c.Param("stable_for", 0)); sf > 0 {
-		stop = trace.StableFor(sys.Pattern().Correct(), sf)
-	}
-	rep := sys.Run(stop)
-	recordRun(res, rep)
-	margin := sim.Time(c.Param("margin", 10_000))
-	if err := trace.CheckOmega(sys.Pattern(), z, margin); err != nil {
-		res.fail(err.Error())
-	}
-	res.measure("stabilization", int64(stabilizationOf(trace, sys.Pattern().Correct())))
+	mark := c.Param("mark")
+	watchMark(sys, sim.Intern("wheel.inquiry"), sim.Time(mark), res, "inquiries_at_mark")
+	rep := restOmega(c, sys, trace, z, res)
 	if z > 1 {
-		tighter := trace.CheckOmega(sys.Pattern(), z-1, margin) == nil
+		tighter := trace.CheckOmega(sys.Pattern(), z-1, sim.Time(c.Param("margin"))) == nil
 		if tighter {
 			res.measure("z_minus_1_passes", 1)
 		} else {
 			res.measure("z_minus_1_passes", 0)
 		}
-		if c.Param("expect_tight", 0) != 0 && tighter {
+		if c.Param("expect_tight") != 0 && tighter {
 			res.fail(fmt.Sprintf("output rested on fewer than z=%d processes: x+y+z ≥ t+2 not tight here", z))
 		}
 	}
-	if c.Param("mark", 0) > 0 {
+	if mark > 0 {
 		end := rep.Messages.Sent["wheel.inquiry"]
 		res.measure("inquiries_end", end)
-		if c.Param("require_nonquiescent", 0) != 0 {
+		if c.Param("require_nonquiescent") != 0 {
 			at := res.Measures["inquiries_at_mark"]
 			if at <= 0 || end <= at {
 				res.fail("inquiry traffic stopped: the upper wheel must keep inquiring forever")
@@ -560,23 +649,13 @@ func runTwoWheels(c *Cell, res *CellResult) {
 	}
 }
 
-// twoWheelsSystem builds a two-wheels cell's system with the stack
-// spawned on every process, and returns its emulated Ω_z: runTwoWheels's
-// run before its samplers. ok is false when the cell's oracle script was
-// rejected (res then carries the verdict).
-func twoWheelsSystem(c *Cell, res *CellResult) (*sim.System, *reduction.OmegaEmulation, bool) {
-	sys, err := c.System()
-	if err != nil {
-		panic(err)
-	}
-	x, y := c.Combo.X, c.Combo.Y
-	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsSuspector | readsQuerier, x: x, y: y})
-	if !ok {
-		return nil, nil, false
-	}
+// spawnTwoWheels spawns the two-wheels stack on every process of a
+// two-wheels cell's system and returns its emulated Ω_z: runTwoWheels's
+// run before its samplers.
+func spawnTwoWheels(c *Cell, sys *sim.System, o oracles) *reduction.OmegaEmulation {
 	fd.TraceSuspector(sys, o.susp, "oracle-s")
-	emu, _ := reduction.SpawnTwoWheels(sys, o.susp, o.quer, x, y)
-	return sys, emu, true
+	emu, _ := reduction.SpawnTwoWheels(sys, o.susp, o.quer, c.Combo.X, c.Combo.Y)
+	return emu
 }
 
 // runSingleWheel: the companion transformation [17] — quiescent, needs
@@ -584,69 +663,34 @@ func twoWheelsSystem(c *Cell, res *CellResult) (*sim.System, *reduction.OmegaEmu
 // the lower wheel at x = n, whose representatives are the Ω output; they
 // change only on a wheel's moves, so the exact trace samples them at the
 // scheduled ticks alone.
-func runSingleWheel(c *Cell, res *CellResult) {
-	sys, err := c.System()
-	if err != nil {
-		panic(err)
-	}
-	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsSuspector, x: c.Size.N})
-	if !ok {
-		return
-	}
-	susp := o.susp
-	fd.TraceSuspector(sys, susp, "oracle")
-	emu := reduction.SpawnLowerWheel(sys, susp, c.Size.N)
+func runSingleWheel(c *Cell, sys *sim.System, o oracles, res *CellResult) {
+	fd.TraceSuspector(sys, o.susp, "oracle")
+	emu := reduction.SpawnLowerWheel(sys, o.susp, c.Size.N)
 	fd.TraceLeader(sys, emu, "emu")
-	trace := fd.WatchLeader(sys, emu)
-	var stop func() bool
-	if sf := sim.Time(c.Param("stable_for", 0)); sf > 0 {
-		stop = trace.StableFor(sys.Pattern().Correct(), sf)
-	}
-	rep := sys.Run(stop)
-	recordRun(res, rep)
-	if err := trace.CheckOmega(sys.Pattern(), 1, sim.Time(c.Param("margin", 10_000))); err != nil {
-		res.fail(err.Error())
-	}
-	res.measure("stabilization", int64(stabilizationOf(trace, sys.Pattern().Correct())))
+	restOmega(c, sys, fd.WatchLeader(sys, emu), 1, res)
 }
 
 // runLowerWheel: Fig. 5 alone (EXP-F5) — every correct process rests on
 // the same (ℓ, X) pair, and x_move traffic is quiescent: no sends after
 // the mark.
-func runLowerWheel(c *Cell, res *CellResult) {
-	sys, err := c.System()
-	if err != nil {
-		panic(err)
-	}
-	x := c.Combo.X
-	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsSuspector, x: x})
-	if !ok {
-		return
-	}
-	susp := o.susp
-	fd.TraceSuspector(sys, susp, "oracle")
-	reprs := reduction.SpawnLowerWheel(sys, susp, x)
+func runLowerWheel(c *Cell, sys *sim.System, o oracles, res *CellResult) {
+	fd.TraceSuspector(sys, o.susp, "oracle")
+	reprs := reduction.SpawnLowerWheel(sys, o.susp, c.Combo.X)
 	wire := rbcast.WireTag(sim.Intern("wheel.xmove"))
-	mark := sim.Time(c.Param("mark", 0))
+	mark := sim.Time(c.Param("mark"))
 	watchMark(sys, wire, mark, res, "xmove_at_mark")
 	rep := sys.Run(nil)
 	recordRun(res, rep)
 
 	stable := true
-	var pos ids.XPos
-	first := true
+	var pos *ids.XPos // the first correct process's position
 	sys.Pattern().Correct().ForEach(func(p ids.ProcID) bool {
 		pp, ok := reprs.Pos(p)
-		if !ok {
-			stable = false
-			return false
+		if ok && pos == nil {
+			pos = &pp
 		}
-		if first {
-			pos, first = pp, false
-		} else if pp.Leader != pos.Leader || !pp.X.Equal(pos.X) {
-			stable = false
-		}
-		return true
+		stable = ok && pp.Leader == pos.Leader && pp.X.Equal(pos.X)
+		return stable
 	})
 	if !stable {
 		res.fail("correct processes did not rest on a common (leader, X) pair")
@@ -666,16 +710,13 @@ func runLowerWheel(c *Cell, res *CellResult) {
 // with the clock before stabilization; its change hint is the querier's,
 // so the watcher samples it at exactly the ticks it can change at and
 // the clock jumps in between.
-func runPsiOmega(c *Cell, res *CellResult) {
-	sys, po, ok := psiOmegaSystem(c, res)
-	if !ok {
-		return
-	}
+func runPsiOmega(c *Cell, sys *sim.System, o oracles, res *CellResult) {
+	po := psiChain(c, o)
 	fd.TraceLeader(sys, po, "emu")
 	trace := fd.WatchLeader(sys, po)
 	rep := sys.Run(nil)
 	recordRun(res, rep)
-	if err := trace.CheckOmega(sys.Pattern(), c.Combo.Z, sim.Time(c.Param("margin", 1_000))); err != nil {
+	if err := trace.CheckOmega(sys.Pattern(), c.Combo.Z, sim.Time(c.Param("margin"))); err != nil {
 		res.fail(err.Error())
 	}
 	if rep.Messages.TotalSent != 0 {
@@ -683,21 +724,9 @@ func runPsiOmega(c *Cell, res *CellResult) {
 	}
 }
 
-// psiOmegaSystem builds a psi-omega cell's system and its Ψ_y → Ω_z
-// chain; ok is false when the cell's oracle script was rejected (res
-// then carries the verdict).
-func psiOmegaSystem(c *Cell, res *CellResult) (*sim.System, *reduction.PsiOmega, bool) {
-	sys, err := c.System()
-	if err != nil {
-		panic(err)
-	}
-	y, z := c.Combo.Y, c.Combo.Z
-	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsQuerier, y: y, perpetual: true})
-	if !ok {
-		return nil, nil, false
-	}
-	psi := fd.WrapPsi(o.quer)
-	return sys, reduction.NewPsiOmega(c.Size.N, c.Size.T, y, z, psi), true
+// psiChain is a psi-omega cell's Ψ_y → Ω_z chain over its querier.
+func psiChain(c *Cell, o oracles) *reduction.PsiOmega {
+	return reduction.NewPsiOmega(c.Size.N, c.Size.T, c.Combo.Y, c.Combo.Z, fd.WrapPsi(o.quer))
 }
 
 // PsiOmegaTrace runs psi-omega cell c's oracle chain with no stop
@@ -711,53 +740,34 @@ func PsiOmegaTrace(c Cell, watch func(*sim.System, fd.Leader) *fd.SetTrace) (*fd
 		return nil, fmt.Errorf("sweep: PsiOmegaTrace on a %q cell", c.Protocol)
 	}
 	var res CellResult
-	sys, po, ok := psiOmegaSystem(&c, &res)
+	sys, o, ok := protocolNamed(c.Protocol).setup(&c, &res)
 	if !ok {
 		return nil, fmt.Errorf("sweep: %s cell %d: %s", c.Matrix, c.Index, res.Detail)
 	}
-	trace := watch(sys, po)
+	trace := watch(sys, psiChain(&c, o))
 	sys.Run(nil)
 	return trace, nil
 }
 
 // runAddS: S_x + φ_y → S_n over a register substrate named by the combo
-// (EXP-F9). Params: perpetual (inputs and output are the perpetual
-// classes), margin (checker stable suffix), stop_slack (extra rest time
-// past the margin before the early stop; default margin/5).
-func runAddS(c *Cell, res *CellResult) {
-	sys, emu, ok := addSSystem(c, res)
-	if !ok {
-		return
-	}
+// (EXP-F9).
+func runAddS(c *Cell, sys *sim.System, o oracles, res *CellResult) {
+	emu := spawnAddS(c, sys, o)
 	fd.TraceSuspector(sys, emu, "emu")
 	trace := fd.WatchSuspectorSparse(sys, emu)
-	margin := sim.Time(c.Param("margin", 20_000))
 	rep := sys.Run(trace.StableFor(sys.Pattern().Correct(), addSRest(c)))
 	recordRun(res, rep)
-	if err := trace.CheckSuspector(sys.Pattern(), c.Size.N, c.Param("perpetual", 1) != 0, margin); err != nil {
+	if err := trace.CheckSuspector(sys.Pattern(), c.Size.N, c.Param("perpetual") != 0, sim.Time(c.Param("margin"))); err != nil {
 		res.fail(err.Error())
 	}
 }
 
-// addSSystem builds an add-s cell's system with Fig. 9 spawned on every
-// process over the combo's register substrate, and returns its emulated
-// S_n/◇S_n: runAddS's run before its samplers. ok is false when the
-// cell's oracle script was rejected (res then carries the verdict).
-func addSSystem(c *Cell, res *CellResult) (*sim.System, *reduction.SEmulation, bool) {
-	sys, err := c.System()
-	if err != nil {
-		panic(err)
-	}
-	x, y := c.Combo.X, c.Combo.Y
-	// add-s reads two oracles, so a single script would be ambiguous
-	// about which role it drives: only pairs feed it.
-	o, ok := resolveOracles(c, sys, res, oracleUse{roles: readsSuspector | readsQuerier, x: x, y: y,
-		perpetual: c.Param("perpetual", 1) != 0, pairedOnly: true})
-	if !ok {
-		return nil, nil, false
-	}
+// spawnAddS spawns Fig. 9 on every process of an add-s cell's system
+// over the combo's register substrate and returns its emulated
+// S_n/◇S_n: runAddS's run before its samplers.
+func spawnAddS(c *Cell, sys *sim.System, o oracles) *reduction.SEmulation {
 	fd.TraceSuspector(sys, o.susp, "oracle-s")
-	return sys, reduction.SpawnAddS(sys, o.susp, o.quer, c.Combo.Name), true
+	return reduction.SpawnAddS(sys, o.susp, o.quer, c.Combo.Name)
 }
 
 // addSRest is how long an add-s cell's outputs must rest before the run
@@ -766,31 +776,21 @@ func addSSystem(c *Cell, res *CellResult) (*sim.System, *reduction.SEmulation, b
 // verdict, only burn virtual time. The rest slack scales with the margin
 // so large-margin cells don't stop inside the checker's window.
 func addSRest(c *Cell) sim.Time {
-	margin := sim.Time(c.Param("margin", 20_000))
-	return margin + sim.Time(c.Param("stop_slack", int64(margin/5)))
+	return sim.Time(c.Param("margin") + c.Param("stop_slack"))
 }
 
 // runPhiO1: Observation O1 — with f ≤ t−y crashes, a φ_y answers every
 // informative query false (it can only vouch by size). Sampled densely
-// at the tick Params["at"].
-func runPhiO1(c *Cell, res *CellResult) {
-	sys, err := c.System()
-	if err != nil {
-		panic(err)
-	}
-	if _, ok := resolveOracles(c, sys, res, oracleUse{}); !ok {
-		return
-	}
-	y := c.Combo.Y
-	phi := fd.NewPhi(sys, y)
-	at := sim.Time(c.Param("at", 1_500))
-	ringX := int(c.Param("ring_x", int64(c.Size.T)))
+// at the tick at.
+func runPhiO1(c *Cell, sys *sim.System, _ oracles, res *CellResult) {
+	phi := fd.NewPhi(sys, c.Combo.Y)
+	at := sim.Time(c.Param("at"))
 	informative := true
 	sys.OnTick(func(now sim.Time) {
 		if now != at {
 			return
 		}
-		r := ids.NewRing(ids.FullSet(c.Size.N), ringX)
+		r := ids.NewRing(ids.FullSet(c.Size.N), int(c.Param("ring_x")))
 		for i := uint64(0); i < r.Len(); i++ {
 			if phi.Query(ids.ProcID(1+int(i)%c.Size.N), r.Current()) {
 				informative = false
@@ -806,35 +806,31 @@ func runPhiO1(c *Cell, res *CellResult) {
 }
 
 // runIrreducibility: one Theorem 9 crash-vs-delay cell — for the claimed
-// stabilization time τ = Params["tau"], run R (region E crashes) makes
-// the straw-man reducer S_x → φ_y answer true about E, and the
+// stabilization time τ = tau, run R (region E crashes) makes the
+// straw-man reducer S_x → φ_y answer true about E, and the
 // indistinguishable run R′ (E alive, delayed past τ) makes the same
 // reducer answer true about live processes after τ: a safety violation.
-// The region E comes from Combo.Region; Params: crash_at, slack (extra
-// horizon past τ).
-func runIrreducibility(c *Cell, res *CellResult) {
-	// The run pair builds its own systems and oracles.
-	if _, ok := resolveOracles(c, nil, res, oracleUse{}); !ok {
-		return
-	}
-	tau := sim.Time(c.Param("tau", 500))
-	slack := sim.Time(c.Param("slack", 2_000))
+// The region E comes from Combo.Region. The run pair builds its own
+// systems and oracles; the cell's system is never run, so nothing
+// reaches its trace recorder.
+func runIrreducibility(c *Cell, _ *sim.System, _ oracles, res *CellResult) {
+	tau := sim.Time(c.Param("tau"))
+	slack := sim.Time(c.Param("slack"))
 	e := set(c.Combo.Region)
-	x, y := c.Combo.X, c.Combo.Y
 	rp := adversary.RunPair{
 		N: c.Size.N, T: c.Size.T, E: e,
-		CrashAt: sim.Time(c.Param("crash_at", 100)),
+		CrashAt: sim.Time(c.Param("crash_at")),
 		Horizon: tau + slack/2, Seed: c.Seed,
 	}
 	probe := func(cfg sim.Config, prime bool) sim.Time {
 		sys := sim.MustNew(cfg)
 		var susp fd.Suspector
 		if prime {
-			susp = rp.SuspectorForRPrime(sys, x, 1)
+			susp = rp.SuspectorForRPrime(sys, c.Combo.X, 1)
 		} else {
-			susp = rp.SuspectorForR(sys, x, 1)
+			susp = rp.SuspectorForR(sys, c.Combo.X, 1)
 		}
-		red := adversary.NewPhiFromS(susp, c.Size.T, y)
+		red := adversary.NewPhiFromS(susp, c.Size.T, c.Combo.Y)
 		var at sim.Time = -1
 		sys.OnTick(func(now sim.Time) {
 			if at < 0 && now > tau && red.Query(1, e) {
@@ -854,16 +850,4 @@ func runIrreducibility(c *Cell, res *CellResult) {
 	if atP <= tau {
 		res.fail(fmt.Sprintf("run R′: no safety violation after τ=%d", tau))
 	}
-}
-
-// MaxDistinct returns the largest decided-value count across cells — the
-// EXP-T5 aggregate (Ω_z runs must reach, but never exceed, z values).
-func MaxDistinct(cells []CellResult) int {
-	max := 0
-	for i := range cells {
-		if d := len(cells[i].Decided); d > max {
-			max = d
-		}
-	}
-	return max
 }

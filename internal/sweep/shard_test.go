@@ -117,11 +117,10 @@ func TestShardPartition(t *testing.T) {
 	}
 }
 
-// TestAdversaryFamilyExpansion: a matrix with AdversaryFamilies sweeps
-// the generated schedules — per size, appended after explicit patterns,
-// deterministically.
-func TestAdversaryFamilyExpansion(t *testing.T) {
-	m := Matrix{
+// familyMatrix sweeps, at two sizes, a hand-written pattern and the
+// staggered and partition schedules of two adversary families.
+func familyMatrix() Matrix {
+	return Matrix{
 		Name: "fam", Protocol: "p",
 		Seeds: []int64{0}, Sizes: []Size{{N: 6, T: 2}, {N: 10, T: 4}},
 		Patterns: []CrashPattern{{Name: "hand-written"}},
@@ -131,6 +130,13 @@ func TestAdversaryFamilyExpansion(t *testing.T) {
 		},
 		MaxSteps: 100,
 	}
+}
+
+// TestAdversaryFamilyExpansion: a matrix with AdversaryFamilies sweeps
+// the generated schedules — per size, appended after explicit patterns,
+// deterministically.
+func TestAdversaryFamilyExpansion(t *testing.T) {
+	m := familyMatrix()
 	cells, err := m.Cells()
 	if err != nil {
 		t.Fatal(err)
@@ -172,24 +178,29 @@ func TestAdversaryFamilyExpansion(t *testing.T) {
 	}
 }
 
-// TestAdversaryFamilyErrors: a family the size cannot satisfy fails at
-// expansion with the matrix and size named.
-func TestAdversaryFamilyErrors(t *testing.T) {
-	m := Matrix{
+// badFamilyMatrix asks for 3 staggered crashes at t = 1.
+func badFamilyMatrix() Matrix {
+	return Matrix{
 		Name: "fam-bad", Protocol: "p",
 		Seeds: []int64{0}, Sizes: []Size{{N: 6, T: 1}},
 		AdversaryFamilies: []adversary.Family{{Kind: adversary.KindStaggered, Count: 3}},
 		MaxSteps:          100,
 	}
+}
+
+// TestAdversaryFamilyErrors: a family the size cannot satisfy fails at
+// expansion with the matrix and size named.
+func TestAdversaryFamilyErrors(t *testing.T) {
+	m := badFamilyMatrix()
 	if _, err := m.Cells(); err == nil {
 		t.Fatal("family with count > t accepted")
 	}
 }
 
-// TestShardedFamilySweepMerges: sharding composes with generated
-// adversaries end to end (families expand identically in every shard).
-func TestShardedFamilySweepMerges(t *testing.T) {
-	m := Matrix{
+// familySweepMatrix runs kset-omega over staggered and clustered
+// generated schedules.
+func familySweepMatrix() Matrix {
+	return Matrix{
 		Name: "fam-sweep", Protocol: "kset-omega",
 		Seeds: []int64{0, 1}, Sizes: []Size{{N: 5, T: 2}},
 		AdversaryFamilies: []adversary.Family{
@@ -199,6 +210,12 @@ func TestShardedFamilySweepMerges(t *testing.T) {
 		Combos: []Combo{{Z: 2}},
 		GST:    400, MaxSteps: 1_000_000,
 	}
+}
+
+// TestShardedFamilySweepMerges: sharding composes with generated
+// adversaries end to end (families expand identically in every shard).
+func TestShardedFamilySweepMerges(t *testing.T) {
+	m := familySweepMatrix()
 	full, err := Run(m, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -202,16 +202,21 @@ func TestOnResultStreamsEveryCell(t *testing.T) {
 	}
 }
 
-// TestRunCancellation: a context cancelled mid-run stops the pool,
-// returns the completed cells as a consistent partial report alongside
-// the context error, and leaks no worker goroutines.
-func TestRunCancellation(t *testing.T) {
-	m := Matrix{
+// cancelMatrix is an eight-seed kset-omega sweep for cancellation.
+func cancelMatrix() Matrix {
+	return Matrix{
 		Name: "cancel", Protocol: "kset-omega",
 		Seeds: []int64{0, 1, 2, 3, 4, 5, 6, 7}, Sizes: []Size{{N: 5, T: 2}},
 		Combos: []Combo{{Z: 2}},
 		GST:    300, MaxSteps: 500_000,
 	}
+}
+
+// TestRunCancellation: a context cancelled mid-run stops the pool,
+// returns the completed cells as a consistent partial report alongside
+// the context error, and leaks no worker goroutines.
+func TestRunCancellation(t *testing.T) {
+	m := cancelMatrix()
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
