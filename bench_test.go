@@ -615,11 +615,11 @@ func BenchmarkSchedulerSend(b *testing.B) {
 	reportSwitches(b, sys.Run(nil))
 }
 
-// BenchmarkDeliverBatch measures the batched delivery hot path under the
+// BenchmarkDeliverBatch measures the one-pass delivery loop under the
 // quadratic-protocol load shape every reduction in this repo produces:
 // all n processes broadcast each tick and bandwidth admits the full n²
-// messages, so one op (one virtual tick) is n² message deliveries
-// grouped into n per-destination batches. It drains the whole queue
+// messages, so one op (one virtual tick) is n² message deliveries,
+// counted in same-tag runs. It drains the whole queue
 // every tick; the suite's SCALE and ORACLE cells run bandwidth n
 // instead, the shape BenchmarkDeliverBacklog measures.
 func BenchmarkDeliverBatch(b *testing.B) {

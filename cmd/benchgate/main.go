@@ -38,10 +38,11 @@ import (
 const (
 	// gatedRE selects the gated benchmarks: the scheduler, delivery and
 	// fan-out hot paths every sweep cell multiplies by millions, and the
-	// protocol steps of the two constructions that dominate the paper's
-	// cells, the two-wheels addition and the Fig. 9 addition.
-	// TestGateCoversHotPaths keeps every such benchmark inside it.
-	gatedRE = `^(BenchmarkScheduler|BenchmarkDeliverBatch|BenchmarkDeliverBacklog|BenchmarkBroadcastFanout|BenchmarkTwoWheels|BenchmarkAddToS)`
+	// protocol steps of the constructions that dominate the paper's
+	// cells: the lower wheel alone, the two-wheels addition and the
+	// Fig. 9 addition. TestGateCoversHotPaths keeps every such benchmark
+	// inside it.
+	gatedRE = `^(BenchmarkScheduler|BenchmarkDeliverBatch|BenchmarkDeliverBacklog|BenchmarkBroadcastFanout|BenchmarkLowerWheel|BenchmarkTwoWheels|BenchmarkAddToS)`
 	// samples is the number of runs per side of each benchmark. It is
 	// even, so each side runs first in half of a benchmark's pairs.
 	samples = 6

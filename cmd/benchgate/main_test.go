@@ -164,17 +164,17 @@ func TestRunOrderBalanced(t *testing.T) {
 }
 
 // TestGateCoversHotPaths: every scheduler, delivery and fan-out
-// micro-benchmark in the root package's bench_test.go, and the
-// two-wheels and Fig. 9 protocol-step benchmarks, are inside gatedRE, so
-// a new one cannot silently fall outside the gate.
+// micro-benchmark in the root package's bench_test.go, and the lower
+// wheel, two-wheels and Fig. 9 protocol-step benchmarks, are inside
+// gatedRE, so a new one cannot silently fall outside the gate.
 func TestGateCoversHotPaths(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("..", "..", "bench_test.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot := regexp.MustCompile(`^Benchmark(Scheduler|Deliver|BroadcastFanout|TwoWheels|AddToS)`)
+	hot := regexp.MustCompile(`^Benchmark(Scheduler|Deliver|BroadcastFanout|LowerWheel|TwoWheels|AddToS)`)
 	n := 0
-	protocol := map[string]bool{"BenchmarkTwoWheels": false, "BenchmarkAddToS": false}
+	protocol := map[string]bool{"BenchmarkLowerWheel": false, "BenchmarkTwoWheels": false, "BenchmarkAddToS": false}
 	for _, m := range regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`).FindAllStringSubmatch(string(src), -1) {
 		if !hot.MatchString(m[1]) {
 			continue

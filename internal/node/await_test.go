@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fdgrid/internal/ids"
@@ -68,11 +69,15 @@ type waits struct {
 
 // step is one raw step of the node's event loop, the literal step every
 // node wait stands for: a blocking sim.Env.StepUntil at the earlier of
-// wake and the layers' hints, then the stack filter. It returns
-// (msg, true) if a message survived to the top, and (Message{}, false)
-// on ticks or consumed messages.
+// wake and the layers' hints, asked of the layers only when no message
+// is pending (a pending message is returned whatever the wake), then
+// the stack filter. It returns (msg, true) if a message survived to the
+// top, and (Message{}, false) on ticks or consumed messages.
 func step(nd *Node, wake sim.Time) (sim.Message, bool) {
-	m, ok := nd.env.StepUntil(nd.hinted(nd.env.Now(), wake))
+	if !nd.env.Pending() {
+		wake = nd.hinted(nd.env.Now(), wake)
+	}
+	m, ok := nd.env.StepUntil(wake)
 	if !ok {
 		nd.filter(nil)
 		return sim.Message{}, false
@@ -181,13 +186,15 @@ func nodeProtocol(cfg sim.Config, w waits) (sim.Report, []string) {
 // RunForever, each one sim.Env.Await, make the same layer calls, sends
 // and top-level deliveries in the same order as the step loops they
 // stand for, on hinted and dense stacks, with and without crashes and
-// under partial delivery. Only
-// Switches (and, with in-run crashes, Wakes; see the internal/sim
-// equivalence test) may differ.
+// under partial delivery. The third run delivers a whole round of
+// broadcasts per tick, so a wake drains several pending messages with
+// no NextWake call between them. Only Switches (and, with in-run
+// crashes, Wakes; see the internal/sim equivalence test) may differ.
 func TestNodeWaitsMatchStepLoops(t *testing.T) {
 	for _, cfg := range []sim.Config{
 		{N: 4, T: 1, Seed: 1, MaxSteps: 1_500},
 		{N: 5, T: 2, Seed: 2, MaxSteps: 1_500, Bandwidth: 3, Crashes: map[ids.ProcID]sim.Time{2: 90, 5: 400}},
+		{N: 5, T: 2, Seed: 3, MaxSteps: 1_500, Bandwidth: 25},
 	} {
 		want, wantLog := nodeProtocol(cfg, literal)
 		got, gotLog := nodeProtocol(cfg, awaited)
@@ -202,6 +209,9 @@ func TestNodeWaitsMatchStepLoops(t *testing.T) {
 			}
 			t.Fatalf("seed %d: waits made %d calls, step loops %d", cfg.Seed, len(gotLog), len(wantLog))
 		}
+		if cfg.Bandwidth >= cfg.N*cfg.N && handledTogether(gotLog) == 0 {
+			t.Errorf("seed %d: no wake handled several pending messages", cfg.Seed)
+		}
 		want.Switches, got.Switches = 0, 0
 		if len(cfg.Crashes) > 0 {
 			want.Wakes, got.Wakes = 0, 0
@@ -210,6 +220,37 @@ func TestNodeWaitsMatchStepLoops(t *testing.T) {
 			t.Errorf("seed %d: reports differ:\nstep loops %+v\nwaits      %+v", cfg.Seed, want, got)
 		}
 	}
+}
+
+// handledTogether counts the messages a hinted stack handled right after
+// another one at the same tick, with no NextWake call between: the
+// second and later messages drained at one wake. Stacks that never log
+// a NextWake call do not count.
+func handledTogether(log []string) int {
+	last := map[string]string{} // process → its last "@tick handle" or nextwake entry
+	together := map[string]int{}
+	hinted := map[string]bool{}
+	for _, entry := range log {
+		at, what, _ := strings.Cut(entry, " ")
+		who, _, _ := strings.Cut(at, "@")
+		switch {
+		case strings.HasPrefix(what, "handle"):
+			if last[who] == at {
+				together[who]++
+			}
+			last[who] = at
+		case what == "nextwake":
+			last[who] = ""
+			hinted[who] = true
+		}
+	}
+	n := 0
+	for who, c := range together {
+		if hinted[who] {
+			n += c
+		}
+	}
+	return n
 }
 
 // TestRunForeverSwitchesFlat: n processes in RunForever never switch

@@ -9,8 +9,8 @@
 // each layer a Poll call, which is where the layers' autonomous tasks
 // ("repeat forever" in the paper's pseudo-code) make progress. Every
 // layer declares its wake, the next tick its Poll needs without a
-// message (Layer.NextWake), and between messages the node sleeps until
-// the earliest one.
+// message (Layer.NextWake, asked only when the node is about to sleep),
+// and between messages the node sleeps until the earliest one.
 //
 // The waits are the node's only blocking API, and each is one
 // sim.Env.Await: while a node waits, its steps run on whichever stack
@@ -48,6 +48,11 @@ type Layer interface {
 	// message-driven layer returns sim.Never; a layer that must run on
 	// every tick returns now+1, which keeps the scheduler from skipping
 	// idle virtual time. The node sleeps until the earliest layer wake.
+	//
+	// NextWake is a pure query: it may memoize, but must change nothing
+	// Handle or Poll reads. It is called only before the node sleeps,
+	// once its inbox is empty, so a step that drains several messages
+	// asks it once, after the last.
 	NextWake(now sim.Time) sim.Time
 }
 

@@ -65,8 +65,8 @@ type LowerWheel struct {
 	// position, once the suspector's output can change: quiet is then
 	// the end of the suspector's change window, else sim.Never.
 	quiet sim.Time
-	// wake caches NextWake: the end of the suspector's change window at
-	// the last tick the hint was read.
+	// wake caches windowEnd: the end of the suspector's change window
+	// at the last tick the hint was read.
 	wake sim.Time
 }
 
@@ -110,10 +110,22 @@ func (w *LowerWheel) Moves() int {
 
 // NextWake implements node.Layer: with no message in play, the
 // wheel only needs to act when the suspector's output can change (the
-// suspicious-poll in task T1); buffered moves are consumed on the message
-// wake that delivered them. Inside the change window the hint was last
-// read in, the hint is that window's end.
+// suspicious-poll in task T1), and only while it may still send at its
+// position: once a Poll has left quiet at sim.Never, only a move, which
+// arrives as a message, gives it work, so it makes no timed wake.
+// Buffered moves are consumed on the message wake that delivered them.
 func (w *LowerWheel) NextWake(now sim.Time) sim.Time {
+	if w.quiet == sim.Never {
+		return sim.Never
+	}
+	return w.windowEnd(now)
+}
+
+// windowEnd returns the end of the suspector's change window holding
+// now, reading the hint only once now has left the cached window. Poll
+// reads the window through it, not through NextWake, which is
+// sim.Never whenever the last Poll found nothing to send.
+func (w *LowerWheel) windowEnd(now sim.Time) sim.Time {
 	if now >= w.wake {
 		w.wake = w.hint.NextChange(now)
 	}
@@ -222,7 +234,7 @@ func (w *LowerWheel) Poll() {
 		w.quiet = sim.Never // nothing to send before the next move
 		return
 	}
-	w.quiet = w.NextWake(now)
+	w.quiet = w.windowEnd(now)
 	if w.susp.Suspected(me).Contains(pos.Leader) {
 		w.sentThisVisit = true
 		w.quiet = sim.Never

@@ -294,3 +294,87 @@ func checkQuietRuns(t *testing.T, cases []quietCase) {
 		}
 	}
 }
+
+// sleepLower counts the NextWake calls a lower wheel answers after a
+// Poll that left its quiet tick at sim.Never, and fails the test if any
+// of them asks for a timed wake.
+type sleepLower struct {
+	*LowerWheel
+	t      *testing.T
+	asleep *int
+}
+
+func (s sleepLower) NextWake(now sim.Time) sim.Time {
+	wake := s.LowerWheel.NextWake(now)
+	if s.quiet == sim.Never {
+		*s.asleep++
+		if wake != sim.Never {
+			s.t.Errorf("p%d at %d: quiet is sim.Never, but NextWake asks for a wake at %d", s.env.ID(), now, wake)
+		}
+	}
+	return wake
+}
+
+// awakeLower keeps waking its node at every end of the suspector's
+// change window, whatever its quiet tick.
+type awakeLower struct{ *LowerWheel }
+
+func (a awakeLower) NextWake(now sim.Time) sim.Time { return a.windowEnd(now) }
+
+// runLowerLayers runs the lower wheel alone over a fresh ◇S_x, each
+// wheel wrapped by wrap, to cfg.MaxSteps, returning the report and each
+// process's final representative and consumed moves.
+func runLowerLayers(cfg sim.Config, x int, wrap func(*LowerWheel) node.Layer) (sim.Report, map[ids.ProcID][2]int) {
+	sys := sim.MustNew(cfg)
+	susp := fd.NewEvtS(sys, x)
+	lowers := make([]*LowerWheel, cfg.N+1)
+	sys.SpawnAll(func(env *sim.Env) {
+		rb := rbcast.New(env)
+		lowers[env.ID()] = NewLowerWheel(env, rb, susp, x)
+		node.New(env, rb, wrap(lowers[env.ID()])).RunForever()
+	})
+	rep := sys.Run(nil)
+	out := map[ids.ProcID][2]int{}
+	for p := 1; p <= cfg.N; p++ {
+		if w := lowers[p]; w != nil {
+			out[ids.ProcID(p)] = [2]int{int(w.Repr()), w.Moves()}
+		}
+	}
+	return rep, out
+}
+
+// TestLowerWheelSleepsWhenQuiet: once a Poll leaves a lower wheel's
+// quiet tick at sim.Never (it has sent at its position, or is outside
+// the position's X), the wheel makes no timed wake, since only a move,
+// which arrives as a message, can give it work. At x = 2 and at x = n,
+// over several seeds, every NextWake answered in that state is
+// sim.Never, and the run equals, in messages by tag, final tick,
+// representatives and moves, the run whose wheels wake at every end of
+// the suspector's window regardless, with strictly fewer wakes.
+func TestLowerWheelSleepsWhenQuiet(t *testing.T) {
+	for _, c := range []struct {
+		x       int
+		crashes map[ids.ProcID]sim.Time
+	}{{2, map[ids.ProcID]sim.Time{3: 500}}, {5, map[ids.ProcID]sim.Time{1: 700}}} {
+		for seed := int64(0); seed < 3; seed++ {
+			name := fmt.Sprintf("x=%d/seed=%d", c.x, seed)
+			cfg := sim.Config{N: 5, T: 2, Seed: seed, MaxSteps: 60_000, GST: 600, Bandwidth: 5, Crashes: c.crashes}
+			asleep := 0
+			rep, wheels := runLowerLayers(cfg, c.x, func(w *LowerWheel) node.Layer { return sleepLower{w, t, &asleep} })
+			awake, awakeWheels := runLowerLayers(cfg, c.x, func(w *LowerWheel) node.Layer { return awakeLower{w} })
+			if asleep == 0 {
+				t.Errorf("%s: no wheel was ever asked for its wake with nothing to send", name)
+			}
+			if !reflect.DeepEqual(wheels, awakeWheels) {
+				t.Errorf("%s: representatives and moves %v, waking run %v", name, wheels, awakeWheels)
+			}
+			if !reflect.DeepEqual(rep.Messages, awake.Messages) || rep.Steps != awake.Steps {
+				t.Errorf("%s: messages %v at tick %d, waking run %v at tick %d", name,
+					rep.Messages.Sent, rep.Steps, awake.Messages.Sent, awake.Steps)
+			}
+			if rep.Wakes >= awake.Wakes {
+				t.Errorf("%s: %d wakes, the waking run %d: the quiet wheels still wake", name, rep.Wakes, awake.Wakes)
+			}
+		}
+	}
+}

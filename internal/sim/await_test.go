@@ -14,10 +14,15 @@ import (
 // literal loop Await is specified as.
 type waitFunc func(e *Env, next func(Time) Time, on func(*Message), done func() bool)
 
-// literalWait is Await's specification, verbatim.
+// literalWait is Await's specification, verbatim: next is called only
+// when no message is pending.
 func literalWait(e *Env, next func(Time) Time, on func(*Message), done func() bool) {
 	for done == nil || !done() {
-		if m, ok := e.StepUntil(next(e.Now())); ok {
+		var wake Time
+		if !e.Pending() {
+			wake = next(e.Now())
+		}
+		if m, ok := e.StepUntil(wake); ok {
 			on(&m)
 		} else {
 			on(nil)
@@ -119,25 +124,30 @@ func awaitProtocol(cfg Config, wait waitFunc) (Report, []string) {
 // literal StepUntil loop and through Await — under partial and full
 // delivery, scripted holds and windowed holds, and crashes that land
 // while processes wait. The effect logs must be identical entry
-// for entry, and so must the Reports, apart from Switches, which
-// Await exists to change, and, in runs with in-run crashes, Wakes: a
-// process crashing at a tick run on its own stack is woken once more
-// to unwind, and which stack runs a tick is exactly what Await moves.
+// for entry, next calls included, and so must the Reports, apart from
+// Switches, which Await exists to change, and, in runs with in-run
+// crashes, Wakes: a process crashing at a tick run on its own stack is
+// woken once more to unwind, and which stack runs a tick is exactly
+// what Await moves. In the burst case a whole round of pings lands at
+// one tick, so waits drain several pending messages with no next call
+// between them.
 func TestAwaitMatchesLiteralLoop(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		burst bool // some wake must drain several pending messages
 	}{
-		{"partial", Config{N: 5, T: 2, Seed: 3, MaxSteps: 2_000}},
-		{"full", Config{N: 4, T: 1, Seed: 4, MaxSteps: 2_000, Bandwidth: 16}},
+		{"partial", Config{N: 5, T: 2, Seed: 3, MaxSteps: 2_000}, false},
+		{"full", Config{N: 4, T: 1, Seed: 4, MaxSteps: 2_000, Bandwidth: 16}, false},
 		{"holds-crash", Config{N: 6, T: 2, Seed: 5, MaxSteps: 3_000, Bandwidth: 3,
 			Crashes: map[ids.ProcID]Time{2: 137, 4: 1},
 			Holds: []Hold{
 				{From: ids.NewSet(1), To: ids.NewSet(2, 3), Until: 200},
 				{From: ids.NewSet(3, 5), To: ids.NewSet(1, 6), Since: 50, Until: 120},
-			}}},
+			}}, false},
 		{"crash-mid-wait", Config{N: 5, T: 1, Seed: 6, MaxSteps: 2_000, Bandwidth: 2,
-			Crashes: map[ids.ProcID]Time{3: 61}}},
+			Crashes: map[ids.ProcID]Time{3: 61}}, false},
+		{"burst", Config{N: 6, T: 2, Seed: 7, MaxSteps: 2_000, Bandwidth: 36}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -159,6 +169,9 @@ func TestAwaitMatchesLiteralLoop(t *testing.T) {
 					t.Fatalf("effect %d of %d/%d: literal loop %q, Await %q", i, len(wantLog), len(gotLog), w, g)
 				}
 			}
+			if d := drainedTogether(gotLog); tc.burst && d == 0 {
+				t.Error("no wake drained several pending messages")
+			}
 			if got.Switches >= want.Switches {
 				t.Errorf("Await made %d switches, the literal loop %d: steps are not running on the token holder's stack", got.Switches, want.Switches)
 			}
@@ -171,6 +184,28 @@ func TestAwaitMatchesLiteralLoop(t *testing.T) {
 			}
 		})
 	}
+}
+
+// drainedTogether counts the messages a waiting process handled right
+// after another one at the same tick, with no next call between: the
+// second and later messages drained at one wake.
+func drainedTogether(log []string) int {
+	last := map[string]string{} // process → its last "@tick on true" or next entry
+	n := 0
+	for _, entry := range log {
+		who, rest, _ := strings.Cut(entry, "@")
+		tick, what, _ := strings.Cut(rest, " ")
+		switch {
+		case strings.HasPrefix(what, "on true"):
+			if last[who] == tick+" on" {
+				n++
+			}
+			last[who] = tick + " on"
+		case what == "next":
+			last[who] = ""
+		}
+	}
+	return n
 }
 
 // onParkerStack reports whether the caller runs inside a parking

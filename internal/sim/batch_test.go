@@ -34,11 +34,11 @@ func TestIntnMatchesMathRand(t *testing.T) {
 	}
 }
 
-// TestBatchedDeliveryMetricsExact checks that the batched delivery path
-// keeps the per-tag counters per-message-exact: a run whose messages
-// land through the coalesced broadcast/flush path reports the same
-// MetricsSnapshot as an equivalent run sending every copy individually
-// — including drops at a crashed receiver.
+// TestBatchedDeliveryMetricsExact checks that the delivery loop's
+// run-length counts keep the per-tag counters per-message-exact: a run
+// whose copies share broadcast records reports the same MetricsSnapshot
+// as an equivalent run sending every copy individually — including
+// drops at a crashed receiver.
 func TestBatchedDeliveryMetricsExact(t *testing.T) {
 	const (
 		n     = 8
@@ -290,74 +290,98 @@ func checkNet(t testing.TB, name string, s *System, r *refNet) {
 // backlogs past 16384 copies, under full and half bandwidth. Every
 // destination starts with a message already in its inbox, and one
 // destination has crashed: its copies are dropped, leaving its inbox as
-// it was and the cut tail zeroed. A second round of sends then reuses
-// the records the first freed. After each delivery phase, inboxes, the
-// leftover queue, records, in-flight count, wake bits and per-tag
-// counters must match the reference, and at the end so must the draw
-// stream's position.
+// it was. A second round of sends then reuses the records the first
+// freed. The storm row is n broadcasts, tags alternating, at bandwidth
+// n, whose crashed destination crashes at the delivery tick itself:
+// the tags of the copies one phase settles change often, so the
+// delivered counts move in short runs between the inline drops (its
+// seed is one whose first phase selects copies for the crashed
+// destination, which the row requires). After
+// each delivery phase, inboxes, the leftover queue, records, in-flight
+// count, wake bits and per-tag counters must match the reference, and
+// at the end so must the draw stream's position.
 func TestDeliverPhaseMatchesPerMessage(t *testing.T) {
 	const (
 		n       = 16
 		crashed = ids.ProcID(5)
 		now     = Time(7)
 	)
-	tags := []Tag{Intern("batch.ref.a"), Intern("batch.ref.b")}
+	type row struct {
+		size, bandwidth int
+		seed            int64
+		crashAt         Time
+		storm           bool
+	}
+	var rows []row
 	for _, size := range []int{1, 7, 64, 4096, 20000} {
-		for _, k := range []int{size, size / 2} {
-			if k == 0 {
-				continue
-			}
-			name := fmt.Sprintf("size=%d bandwidth=%d", size, k)
-			cfg := Config{
-				N: n, T: 1, Seed: int64(size*31 + k), MaxSteps: 100, Bandwidth: k,
-				Crashes: map[ids.ProcID]Time{crashed: 3},
-			}
-			sys, ref := MustNew(cfg), newRefNet(cfg)
-			for q := 1; q <= n; q++ {
-				old := Message{From: 1, To: ids.ProcID(q), Tag: tags[0], Payload: -q, SentAt: 1, DeliveredAt: 2}
-				sys.procs[q].inbox = []Message{old}
-				ref.inbox[q] = []Message{old}
-			}
-			gen := rand.New(rand.NewSource(cfg.Seed + 1))
-			payload := 0
-			// queue sends size copies at time at from live senders: a
-			// broadcast, a multicast to a random set or a single send,
-			// long equal-tag runs with some switches.
-			queue := func(size int, at Time) {
-				for size > 0 {
-					from := ids.ProcID(gen.Intn(n) + 1)
-					if from == crashed {
-						continue
-					}
-					var dests ids.Set
-					if size >= n && gen.Intn(3) == 0 {
-						dests = ids.FullSet(n)
-					} else {
-						for c := 1 + gen.Intn(min(size, n)); dests.Size() < c; {
-							dests = dests.Add(ids.ProcID(gen.Intn(n) + 1))
-						}
-					}
-					tag := tags[gen.Intn(4)/3]
-					payload++
-					netSend(sys, from, dests, tag, payload, at)
-					ref.send(from, dests, tag, payload, at)
-					size -= dests.Size()
+		rows = append(rows, row{size, size, int64(size*31 + size), 3, false})
+		if size > 1 {
+			rows = append(rows, row{size, size / 2, int64(size*31 + size/2), 3, false})
+		}
+	}
+	rows = append(rows, row{n * n, n, 1, now, true})
+	tags := []Tag{Intern("batch.ref.a"), Intern("batch.ref.b")}
+	for _, rw := range rows {
+		name := fmt.Sprintf("size=%d bandwidth=%d crash=%d storm=%v", rw.size, rw.bandwidth, rw.crashAt, rw.storm)
+		cfg := Config{
+			N: n, T: 1, Seed: rw.seed, MaxSteps: 100, Bandwidth: rw.bandwidth,
+			Crashes: map[ids.ProcID]Time{crashed: rw.crashAt},
+		}
+		sys, ref := MustNew(cfg), newRefNet(cfg)
+		for q := 1; q <= n; q++ {
+			old := Message{From: 1, To: ids.ProcID(q), Tag: tags[0], Payload: -q, SentAt: 1, DeliveredAt: 2}
+			sys.procs[q].inbox = []Message{old}
+			ref.inbox[q] = []Message{old}
+		}
+		gen := rand.New(rand.NewSource(cfg.Seed + 1))
+		payload := 0
+		// queue sends size copies at time at from live senders: a
+		// broadcast, a multicast to a random set or a single send,
+		// long equal-tag runs with some switches; in a storm, a
+		// broadcast from each sender in turn, tags alternating.
+		queue := func(size int, at Time) {
+			for sender := 0; size > 0; sender++ {
+				from := ids.ProcID(gen.Intn(n) + 1)
+				if rw.storm {
+					from = ids.ProcID(sender%n + 1)
 				}
+				if from == crashed {
+					continue
+				}
+				var dests ids.Set
+				tag := tags[gen.Intn(4)/3]
+				switch {
+				case rw.storm:
+					dests, tag = ids.FullSet(n), tags[sender%2]
+				case size >= n && gen.Intn(3) == 0:
+					dests = ids.FullSet(n)
+				default:
+					for c := 1 + gen.Intn(min(size, n)); dests.Size() < c; {
+						dests = dests.Add(ids.ProcID(gen.Intn(n) + 1))
+					}
+				}
+				payload++
+				netSend(sys, from, dests, tag, payload, at)
+				ref.send(from, dests, tag, payload, at)
+				size -= dests.Size()
 			}
-			queue(size, now)
-			sys.deliverPhase(now)
-			ref.deliver(now)
-			checkNet(t, name+" round 1", sys, ref)
-			queue(size/4+1, now+1)
-			sys.deliverPhase(now + 1)
-			ref.deliver(now + 1)
-			checkNet(t, name+" round 2", sys, ref)
-			if got, want := sys.intn(1<<30+1), ref.rng.Intn(1<<30+1); got != want {
-				t.Errorf("%s: draw stream out of step after delivery: %d, want %d", name, got, want)
-			}
-			if size >= 64 && ref.dropped[tags[0].String()]+ref.dropped[tags[1].String()] == 0 {
-				t.Fatalf("%s: nothing dropped at the crashed destination; the check is vacuous", name)
-			}
+		}
+		queue(rw.size, now)
+		sys.deliverPhase(now)
+		ref.deliver(now)
+		checkNet(t, name+" round 1", sys, ref)
+		if rw.storm && ref.dropped[tags[0].String()]+ref.dropped[tags[1].String()] == 0 {
+			t.Fatalf("%s: nothing dropped at the crash tick; the check is vacuous", name)
+		}
+		queue(rw.size/4+1, now+1)
+		sys.deliverPhase(now + 1)
+		ref.deliver(now + 1)
+		checkNet(t, name+" round 2", sys, ref)
+		if got, want := sys.intn(1<<30+1), ref.rng.Intn(1<<30+1); got != want {
+			t.Errorf("%s: draw stream out of step after delivery: %d, want %d", name, got, want)
+		}
+		if rw.size >= 64 && ref.dropped[tags[0].String()]+ref.dropped[tags[1].String()] == 0 {
+			t.Fatalf("%s: nothing dropped at the crashed destination; the check is vacuous", name)
 		}
 	}
 }
@@ -377,6 +401,11 @@ func FuzzDeliverMatchesPerMessage(f *testing.F) {
 		0, 4, 0, 1, 0, 7, 1, 1, 4, 0, 0, 0, 7, 2, 255, 0, 1, 2, 2, 7, 1, 0, 1, 1, 1, 1, 1, 7, 1, 0,
 		2, 1, 0, 1, 1, 0, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0})
 	f.Add(int64(20260807), []byte{9, 3, 0, 0, 0, 2, 1, 255, 15, 0, 0, 2, 2, 3, 1, 6, 3, 0, 0, 4, 5, 1, 2, 2, 255, 255, 0, 3, 1, 1, 2, 1, 0})
+	// n = 6, bandwidth n, process 3 crashed at 3, no holds: at tick 1
+	// processes 1, 2, 4 and 5 broadcast, tags alternating, and six of the
+	// 24 copies land; the phase at tick 3, the crash tick itself, settles
+	// six more, three of them copies for process 3, which it drops.
+	f.Add(int64(5), []byte{5, 1, 1, 1, 0, 3, 1, 1, 1, 0, 0, 4, 0, 1, 0, 1, 1, 1, 3, 1, 0, 4, 1, 1, 1, 0, 0, 0, 0, 0})
 	tags := []Tag{Intern("batch.fuzz.a"), Intern("batch.fuzz.b")}
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		next := func() int {

@@ -17,8 +17,8 @@ import "sort"
 // coroutine, so post-run reads from Run's caller are race-clean.
 type Metrics struct {
 	sent      []int64 // indexed by Tag; grown on demand
-	delivered []int64
-	dropped   []int64
+	delivered []int64 // same length as sent, grown with it
+	dropped   []int64 // same length as sent, grown with it
 	totalSent int64
 }
 
@@ -34,35 +34,24 @@ func newMetrics() *Metrics {
 	}
 }
 
-// grown returns s with at least tag+1 entries.
+// grown returns a copy of s with room for tag and a few more.
 func grown(s []int64, tag Tag) []int64 {
-	if int(tag) < len(s) {
-		return s
-	}
 	out := make([]int64, int(tag)+8)
 	copy(out, s)
 	return out
 }
 
-// The counters bump by a whole batch's worth at once. They stay
-// per-message-exact: callers pass the number of messages in the batch,
-// so a batched run and a message-at-a-time run of the same schedule
-// produce identical snapshots.
-
+// countSentN counts n copies of a send. It also grows the delivered and
+// dropped counters to cover tag: a copy is delivered or dropped only
+// after it was sent, so the delivery loop indexes them without a check.
 func (m *Metrics) countSentN(tag Tag, n int64) {
-	m.sent = grown(m.sent, tag)
+	if int(tag) >= len(m.sent) {
+		m.sent = grown(m.sent, tag)
+		m.delivered = grown(m.delivered, tag)
+		m.dropped = grown(m.dropped, tag)
+	}
 	m.sent[tag] += n
 	m.totalSent += n
-}
-
-func (m *Metrics) countDeliveredN(tag Tag, n int64) {
-	m.delivered = grown(m.delivered, tag)
-	m.delivered[tag] += n
-}
-
-func (m *Metrics) countDroppedN(tag Tag, n int64) {
-	m.dropped = grown(m.dropped, tag)
-	m.dropped[tag] += n
 }
 
 // Sent returns how many messages with the given tag have been sent.

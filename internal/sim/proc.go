@@ -195,6 +195,12 @@ func (e *Env) StepUntil(wake Time) (Message, bool) {
 	}
 }
 
+// Pending reports whether a delivered message is waiting in the inbox,
+// so that the next Step or StepUntil returns it without blocking.
+func (e *Env) Pending() bool {
+	return e.p.nextRead < len(e.p.inbox)
+}
+
 // receive takes the next inbox message, if any, in place: the pointer
 // stays valid until the next receive, since nothing delivers during a
 // step. Once the inbox is fully drained it zeroes the consumed prefix in
@@ -222,12 +228,21 @@ const errBlockInStep = "sim: blocking Env call (Step, StepUntil, Await) inside a
 // order, of
 //
 //	for done == nil || !done() {
-//		if m, ok := e.StepUntil(next(e.Now())); ok {
+//		var wake Time // unread by StepUntil while a message is pending
+//		if !e.Pending() {
+//			wake = next(e.Now())
+//		}
+//		if m, ok := e.StepUntil(wake); ok {
 //			on(&m)
 //		} else {
 //			on(nil)
 //		}
 //	}
+//
+// next is a pure query: it declares the wait's wake time and must
+// change nothing a step reads, because it is called only when the
+// inbox is empty and the process is about to park. A wait draining
+// several messages delivered at one tick calls it once, after the last.
 //
 // A nil done waits forever (the process runs until it is crashed or the
 // run stops). The difference is where the steps run: while the process
@@ -236,8 +251,8 @@ const errBlockInStep = "sim: blocking Env call (Step, StepUntil, Await) inside a
 // Run's loop, or another process parking — and the process's own
 // coroutine is resumed only when done holds. The callbacks must
 // therefore not block: Step, StepUntil or Await called from inside them
-// panics. They may send and read any run-token state, like
-// the code of the loop they stand for.
+// panics. on and done may send and read any run-token state, like the
+// code of the loop they stand for.
 //
 // on gets the message where it sits in the inbox, not a copy: it may
 // rewrite *m, and m is valid only during the call (copy *m to keep it).

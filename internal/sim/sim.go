@@ -28,7 +28,9 @@
 //   - if it waits in Env.Await, the token holder (the parker, or Run's
 //     loop) runs its step — the wait's done, next and on callbacks, in
 //     the order of the loop Await stands for — on its own stack, and
-//     the waiter's coroutine stays suspended. When done holds, the
+//     the waiter's coroutine stays suspended. next is a pure query of
+//     the wait's wake time, called only when the waiter's inbox is
+//     empty and it is about to park again. When done holds, the
 //     waiter needs its stack back: a parker puts it in the one-entry
 //     ready slot and yields to Run's loop, which resumes ready before
 //     anything else runs (two switches per completed wait);
@@ -363,17 +365,6 @@ type System struct {
 	heldTimes  []Time
 	bucketPool [][]entry
 
-	// Delivery batching state: the delivery phase appends this tick's
-	// selected messages straight onto their destination inboxes, marking
-	// the touched destinations in batched and each destination's
-	// pre-tick inbox length in batchStart. The flush pass then pays the
-	// per-destination costs once per batch: the crash check (dropping the
-	// whole tail, zeroed so no payload outlives the drop), the wake-hint
-	// and the per-(destination, tag) counter bumps. Owned by the run
-	// token like the rest of the network state.
-	batched    pset
-	batchStart []int
-
 	// holdUntil is the per-(from,to) release matrix precomputed from the
 	// Since=0 entries of Config.Holds at New time, flattened to
 	// (N+1)*(N+1); nil when the run scripts no such holds, which is the
@@ -493,7 +484,6 @@ func New(cfg Config) (*System, error) {
 	}
 	s.pw = pwords(cfg.N)
 	s.deadlines = make([]Time, cfg.N+1)
-	s.batchStart = make([]int, cfg.N+1)
 	for _, at := range cfg.Crashes {
 		s.crashTimes = append(s.crashTimes, at)
 	}
@@ -686,27 +676,20 @@ func (s *System) park(self *Proc) bool {
 // evaluated first. The wait's clamped wake time is kept in deadlines[p],
 // which nothing reads unless p's park bit is set.
 //
-// Each statement mirrors the Await loop it implements — done, next, and
-// StepUntil's inbox drain and wake check — so the callbacks run in
-// exactly that loop's order. Only p's own stack may find p dead: the
-// other token holders check before stepping it, and nothing kills a
-// process during a step.
+// Each statement mirrors the Await loop it implements — done, then
+// StepUntil's inbox drain and wake check, and next only when the inbox
+// is empty and p is about to park — so the callbacks run in exactly
+// that loop's order. A woken p finding neither a message nor its
+// deadline parks again on the wake it published. Only p's own stack
+// may find p dead: the other token holders check before stepping it,
+// and nothing kills a process during a step.
 func (s *System) awaitSteps(p *Proc, woken bool) bool {
 	s.stepping = true
-	for {
-		if !woken {
-			if p.waitDone != nil && p.waitDone() {
-				s.stepping = false
-				return true
-			}
-			now := s.Now()
-			wake := p.waitNext(now)
-			if wake <= now {
-				wake = now + 1
-			}
-			s.deadlines[p.id] = wake
+	for ; ; woken = false {
+		if !woken && p.waitDone != nil && p.waitDone() {
+			s.stepping = false
+			return true
 		}
-		woken = false
 		if p.dead {
 			s.stepping = false
 			panic(procKilled{})
@@ -715,7 +698,10 @@ func (s *System) awaitSteps(p *Proc, woken bool) bool {
 			p.waitOn(m)
 			continue
 		}
-		if s.Now() >= s.deadlines[p.id] {
+		if !woken {
+			now := s.Now()
+			s.deadlines[p.id] = max(p.waitNext(now), now+1)
+		} else if s.Now() >= s.deadlines[p.id] {
 			p.waitOn(nil)
 			continue
 		}
@@ -942,11 +928,13 @@ type entry struct{ rec, to int32 }
 // Selection is the per-message swap-remove whose draw sequence defines
 // the run: draw j = Intn(len(eligible)), take eligible[j], move the last
 // entry into its place, Bandwidth times (or until eligible is empty).
-// Each chosen copy is built from its record, stamped, straight onto its
-// destination inbox, so selection order is inbox order, and its record
-// is released; flushBatches then pays the per-destination costs (crash
-// check, wake-hint, counter bumps) once per (destination, tag) batch
-// instead of once per message.
+// Each chosen copy is settled in the same pass: a copy for a crashed
+// destination is counted dropped and never lands; any other is built
+// from its record, stamped, appended to its destination's inbox (so
+// selection order is inbox order) and marks the destination due. Its
+// record is released either way. Delivered copies are counted per tag
+// as a run length kept in locals, added to the counter when the tag
+// changes: a protocol round's same-tag copies cost one counter write.
 func (s *System) deliverPhase(now Time) {
 	s.route(now)
 	n := len(s.eligible)
@@ -954,74 +942,41 @@ func (s *System) deliverPhase(now Time) {
 		return
 	}
 	k := min(s.cfg.bandwidth(), n)
-	elig, recs, procs := s.eligible, s.recs, s.procs
+	elig, recs, procs, crashAt := s.eligible, s.recs, s.procs, s.pattern.crashAt
+	delivered, dropped := s.metrics.delivered, s.metrics.dropped
+	var runTag Tag
+	var runLen int64
 	for sz := n; sz > n-k; sz-- {
 		j := s.intn(sz)
 		e := elig[j]
 		elig[j] = elig[sz-1]
 		r := &recs[e.rec]
 		to := ids.ProcID(e.to)
-		p := procs[to]
-		if !s.batched.has(to) {
-			s.batched.set(to)
-			s.batchStart[to] = len(p.inbox)
+		if crashAt[to] <= now {
+			dropped[r.tag]++
+		} else {
+			if r.tag != runTag {
+				delivered[runTag] += runLen
+				runTag, runLen = r.tag, 0
+			}
+			runLen++
+			p := procs[to]
+			p.inbox = append(p.inbox, Message{
+				From: r.from, To: to, Tag: r.tag, Payload: r.payload,
+				SentAt: r.sentAt, DeliveredAt: now,
+			})
+			s.inboxDue.set(to)
 		}
-		p.inbox = append(p.inbox, Message{
-			From: r.from, To: to, Tag: r.tag, Payload: r.payload,
-			SentAt: r.sentAt, DeliveredAt: now,
-		})
 		if r.live--; r.live == 0 {
 			*r = sendRec{}
 			s.recFree = append(s.recFree, e.rec)
 		}
 	}
+	delivered[runTag] += runLen
 	s.eligible = elig[:n-k]
 	s.inflight.Add(-int64(k))
-	s.flushBatches(now)
 	if s.rec != nil {
 		s.rec.Deliver(int64(now), k)
-	}
-}
-
-// flushBatches lands the inbox tails the selection placed this tick.
-// Batches to crashed destinations are dropped whole: the tail is cut
-// back off the inbox and zeroed, so no payload reference outlives the
-// drop and the inbox state matches per-message delivery exactly (which
-// never appended to a crashed destination at all). Counters stay
-// per-message-exact — equal-tag runs are counted with one bump of the
-// run's length.
-func (s *System) flushBatches(now Time) {
-	for w := 0; w < s.pw; w++ {
-		base := w << 6
-		for word := s.batched[w]; word != 0; word &= word - 1 {
-			to := ids.ProcID(base + bits.TrailingZeros64(word) + 1)
-			p := s.procs[to]
-			batch := p.inbox[s.batchStart[to]:]
-			if s.pattern.Crashed(to, now) {
-				s.countByTag(batch, s.metrics.countDroppedN)
-				p.inbox = p.inbox[:s.batchStart[to]]
-				clear(batch)
-				continue
-			}
-			s.countByTag(batch, s.metrics.countDeliveredN)
-			s.inboxDue.set(to)
-		}
-		s.batched[w] = 0
-	}
-}
-
-// countByTag bumps a per-tag counter for every message of the batch,
-// coalescing runs of equal tags (the common case: a protocol round
-// lands as one same-tag batch per destination) into one bump.
-func (s *System) countByTag(batch []Message, count func(Tag, int64)) {
-	for i := 0; i < len(batch); {
-		tag := batch[i].Tag
-		j := i + 1
-		for j < len(batch) && batch[j].Tag == tag {
-			j++
-		}
-		count(tag, int64(j-i))
-		i = j
 	}
 }
 

@@ -100,7 +100,7 @@ func TestDeterministicAgreement(t *testing.T) {
 }
 
 // TestSmokeN256 runs one kset-omega cell at the simulator's size cap:
-// n = 256 is a first-class size for the batched delivery path, and this
+// n = 256 is a first-class size for the one-pass delivery loop, and this
 // single-cell smoke keeps it exercised in every `go test` run (the big
 // EXP-SCALE cells only run in the experiments suite).
 func TestSmokeN256(t *testing.T) {

@@ -810,13 +810,25 @@ func runPhiO1(c *Cell, sys *sim.System, _ oracles, res *CellResult) {
 // straw-man reducer S_x → φ_y answer true about E, and the
 // indistinguishable run R′ (E alive, delayed past τ) makes the same
 // reducer answer true about live processes after τ: a safety violation.
-// The region E comes from Combo.Region. The run pair builds its own
+// The region E comes from Combo.Region; one φ_y is not informative on
+// (at most t−y processes) or run R cannot crash (more than t) is a
+// config error. The run pair builds its own
 // systems and oracles; the cell's system is never run, so nothing
 // reaches its trace recorder.
 func runIrreducibility(c *Cell, _ *sim.System, _ oracles, res *CellResult) {
 	tau := sim.Time(c.Param("tau"))
 	slack := sim.Time(c.Param("slack"))
 	e := set(c.Combo.Region)
+	// Theorem 9 argues about a region φ_y is informative on: more than
+	// t−y processes, which run R crashes, so at most t.
+	switch t, y := c.Size.T, c.Combo.Y; {
+	case e.Size() <= t-y:
+		res.failConfig(fmt.Sprintf("region E=%v has %d ≤ t−y = %d processes: φ_%d may vouch for it with no crash, so the cell would pass vacuously", e, e.Size(), t-y, y))
+		return
+	case e.Size() > t:
+		res.failConfig(fmt.Sprintf("region E=%v has %d > t = %d processes: run R cannot crash all of it", e, e.Size(), t))
+		return
+	}
 	rp := adversary.RunPair{
 		N: c.Size.N, T: c.Size.T, E: e,
 		CrashAt: sim.Time(c.Param("crash_at")),
